@@ -1,467 +1,60 @@
-// Control-plane crash-restart sweep — the headline verifier for the
-// snapshot/restore layer (DESIGN.md, "Snapshot/restore invariants").
+// Control-plane crash-restart sweep over the scenario catalog
+// (scenarios.hpp): chaos-qr, integrity-qr, thrash-governed, tenant-overload
+// and whatif-forked. DESIGN.md, "Snapshot/restore invariants".
 //
-// Each scenario (chaos, integrity, governed thrash, tenant overload,
-// what-if forked rescheduling) is first profiled uncrashed to learn its
-// event count and journal/frontend/fork transition counts. The sweep then kills the whole
+// Each scenario is first profiled uncrashed to learn its event count and
+// journal/frontend/fork transition counts. The sweep then kills the whole
 // control plane — engine, grid, services, manager, every coroutine frame —
-// at every ActionJournal state transition and at sampled event boundaries,
-// and rebuilds a fresh control plane that restores from the latest periodic
-// snapshot, runs ActionJournal::recover (presumed abort), re-arms chaos and
-// load daemons from the original schedule, and relaunches the surviving
-// apps from their checkpoint ledgers.
+// at every ActionJournal state transition, at sampled frontend and fork
+// transitions, and at sampled event boundaries. Only the latest periodic
+// snapshot (every 90 s, plus one at t=0) survives the kill. A fresh control
+// plane restores from that image through bench::restore: decode, journal
+// recovery (presumed abort), chaos/load/NWS re-armed from the original
+// schedules, surviving apps relaunched from their checkpoint ledgers.
 //
-// Two hard requirements per crash point:
-//   (a) completion — the restored campaign runs the application to the end;
-//   (b) digest equivalence — the restored run's replay digest (pop-stream +
-//       breakdown fold, the PR-5 oracle) is bit-identical to an uncrashed
-//       reference arm restored from the *same* image bytes. Restore must be
-//       a pure function of the image: any state that leaks around the
-//       snapshot (an un-reset flag, a doubled daemon, pointer-order
-//       iteration in encode) diverges here.
-// Reference arms are cached per image digest, so crash points that share a
-// snapshot share one reference run.
+// Two requirements per crash point:
+//   (a) completion — the restored run finishes the scenario;
+//   (b) restore determinism — its replay digest (pop stream + outcome fold)
+//       is bit-identical to a second restore of the same image bytes. Any
+//       state that leaks around the snapshot (an un-reset flag, a doubled
+//       daemon, pointer-order iteration in encode) diverges here.
+//
+// What this does and does not check: the kill point matters only through
+// which image was latest, so many points share an image. The full sweep's
+// 402 points restore 54 distinct images (8, 7, 7, 19 and 13 per scenario).
+// The sweep therefore checks that restore is deterministic for each image
+// and that every restored run completes; it does not check recovery at the
+// transition itself, whose effects since the last image are lost with the
+// control plane. The second restore is cached per image.
 //
 // Usage: crash_sweep [--quick]
-//   full:   every journal transition + >=80 sampled event crashes/scenario
+//   full:   every journal transition + 80 sampled event crashes/scenario
+//           (16 for whatif-forked) + 24 frontend / 12 fork crashes
 //   quick:  every journal transition + 8 sampled event crashes/scenario
+//           (4 for whatif-forked) + 6 frontend / 4 fork crashes
 // Output: crash_sweep.csv (one row per crash point) and crash_sweep.json
 //         (campaign summary), both under the bench output dir.
 // Exit:   0 = 100% completion and every digest pair identical.
 
 #include <cstdint>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <map>
-#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "apps/qr.hpp"
 #include "bench_cli.hpp"
 #include "bench_paths.hpp"
-#include "core/app_manager.hpp"
 #include "core/snapshot.hpp"
-#include "grid/load.hpp"
-#include "grid/testbeds.hpp"
-#include "metasched/frontend.hpp"
-#include "reschedule/chaos.hpp"
-#include "reschedule/failure.hpp"
-#include "reschedule/governor.hpp"
-#include "reschedule/journal.hpp"
-#include "reschedule/rescheduler.hpp"
-#include "reschedule/whatif/fork_driver.hpp"
-#include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
-#include "sim/engine.hpp"
-#include "util/hash.hpp"
-#include "whatif_world.hpp"
+#include "scenarios.hpp"
+#include "util/error.hpp"
 
 using namespace grads;
 
 namespace {
 
-constexpr double kMB = 1024.0 * 1024.0;
 constexpr double kSnapshotPeriodSec = 90.0;
-
-/// One whole control plane. The engine is declared FIRST so it is destroyed
-/// LAST: killing a World mid-run destroys coroutine frames inside ~Engine,
-/// and their destructors (scrubber stop, live-registration erase) must see
-/// a live engine even though every other member is already gone.
-struct World {
-  sim::Engine eng;
-  grid::Grid g{eng};
-  std::optional<services::Gis> gis;
-  std::optional<services::Nws> nws;
-  std::optional<services::Ibp> ibp;
-  std::optional<autopilot::AutopilotManager> autopilot;
-  std::optional<reschedule::FailureInjector> injector;
-  std::optional<reschedule::ChaosDriver> chaos;
-  std::optional<reschedule::ActionJournal> journal;
-  std::optional<reschedule::ViolationGovernor> governor;
-  std::optional<reschedule::StopRestartRescheduler> rescheduler;
-  std::optional<reschedule::whatif::ForkDriver> fork;
-  std::optional<core::AppManager> mgr;
-  std::optional<metasched::MetaScheduler> meta;
-  core::Cop cop;
-  core::ManagerOptions mopts;
-  std::vector<reschedule::ChaosEvent> schedule;
-  std::vector<std::pair<grid::NodeId, grid::LoadTrace>> traces;
-  core::RunBreakdown bd;
-};
-
-void observe(sim::Engine& eng, util::DigestStream& ds) {
-  eng.setPopObserver(
-      [](void* ctx, sim::Time t, std::uint64_t key, bool daemon) {
-        auto* s = static_cast<util::DigestStream*>(ctx);
-        s->put(t);
-        s->put(key);
-        s->put(static_cast<std::uint64_t>(daemon));
-      },
-      &ds);
-}
-
-void foldBreakdown(util::DigestStream& ds, const core::RunBreakdown& bd) {
-  ds.put(bd.totalSeconds);
-  ds.put(static_cast<std::uint64_t>(bd.incarnations));
-  ds.put(static_cast<std::uint64_t>(bd.launchFailures));
-  ds.put(static_cast<std::uint64_t>(bd.restoreFailures));
-  ds.put(static_cast<std::uint64_t>(bd.integrityRejects));
-  ds.put(static_cast<std::uint64_t>(bd.scrubRepairs));
-  ds.put(static_cast<std::uint64_t>(bd.actionsCommitted));
-  ds.put(static_cast<std::uint64_t>(bd.actionsRolledBack));
-  ds.put(static_cast<std::uint64_t>(bd.violationsSuppressed));
-  ds.put(static_cast<std::uint64_t>(bd.daemonRearms));
-  for (const auto& mapping : bd.mappings) {
-    for (const auto node : mapping) ds.put(static_cast<std::uint64_t>(node));
-  }
-}
-
-/// Registers every Snapshottable component of the world with the manager's
-/// registry (the manager registered itself at construction). Registration
-/// order is capture/restore order — identical across all arms.
-void registerComponents(World& w) {
-  auto& reg = w.mgr->snapshots();
-  reg.add(w.g);
-  reg.add(*w.gis);
-  reg.add(*w.nws);
-  reg.add(*w.ibp);
-  reg.add(*w.autopilot);
-  if (w.journal) reg.add(*w.journal);
-  if (w.governor) reg.add(*w.governor);
-  if (w.meta) reg.add(*w.meta);
-}
-
-// --- Scenario builders: the determinism probe's configs, same seeds. ---
-// `armDaemons` = true for fresh runs (NWS sampler started, campaign armed,
-// load traces applied from t=0). Restore arms pass false and arm everything
-// through the restore protocol instead.
-
-void buildChaos(World& w, std::uint64_t seed, bool armDaemons) {
-  const auto tb = grid::buildQrTestbed(w.g);
-  w.gis.emplace(w.g);
-  w.gis->installEverywhere(services::software::kLocalBinder);
-  w.gis->installEverywhere(services::software::kScalapack);
-  w.gis->installEverywhere(services::software::kSrsLibrary);
-  w.gis->installEverywhere(services::software::kAutopilotSensors);
-  for (const auto node : tb.utkNodes) w.gis->setNodeUp(node, false);
-  w.nws.emplace(w.eng, w.g, 10.0, 0.0, 9);
-  w.ibp.emplace(w.g);
-  w.autopilot.emplace(w.eng);
-  w.injector.emplace(w.eng, *w.gis);
-  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
-
-  const grid::NodeId depot = tb.uiucNodes[7];
-  reschedule::CampaignConfig cc;
-  cc.seed = seed;
-  cc.horizonSec = 450.0;
-  cc.nodeFailures = 1;
-  cc.nodeOutageSec = 400.0;
-  cc.detectionDelaySec = 5.0;
-  cc.gisLagSec = 45.0;
-  cc.candidateNodes.assign(tb.uiucNodes.begin(), tb.uiucNodes.begin() + 6);
-  cc.depotOutages = 2;
-  cc.depotOutageSec = 200.0;
-  cc.candidateDepots = {depot};
-  cc.nwsOutages = 1;
-  cc.nwsOutageSec = 300.0;
-  // WAN degrades force the flow registry to re-share mid-flight transfers
-  // (checkpoint pushes, restore reads) across crash/restore boundaries, so
-  // the sweep covers the congestion model's replan chain too.
-  cc.linkDegrades = 2;
-  cc.degradeScale = 0.5;
-  cc.degradeDurationSec = 120.0;
-  cc.candidateLinks = {
-      w.g.route(tb.utkNodes[0], tb.uiucNodes[0]).links[1]};
-  w.schedule = reschedule::makeCampaign(cc);
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  cfg.checkpointEveryPanels = 8;
-  w.cop = apps::makeQrCop(w.g, cfg);
-  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
-  w.mopts.monitorContract = false;
-  w.mopts.stableDepot = depot;
-  w.mopts.failures = &*w.injector;
-  w.mopts.retrySeed = seed;
-  w.mopts.depotRetry.maxAttempts = 3;
-  w.mopts.depotRetry.baseDelaySec = 20.0;
-  w.mopts.replicaDepot = tb.uiucNodes[6];
-
-  registerComponents(w);
-  if (armDaemons) {
-    w.nws->start();
-    w.chaos->armAll(w.schedule);
-  }
-}
-
-void buildIntegrity(World& w, std::uint64_t seed, bool armDaemons) {
-  const auto tb = grid::buildQrTestbed(w.g);
-  w.gis.emplace(w.g);
-  w.gis->installEverywhere(services::software::kLocalBinder);
-  w.gis->installEverywhere(services::software::kScalapack);
-  w.gis->installEverywhere(services::software::kSrsLibrary);
-  w.gis->installEverywhere(services::software::kAutopilotSensors);
-  for (const auto node : tb.utkNodes) w.gis->setNodeUp(node, false);
-  w.nws.emplace(w.eng, w.g, 10.0, 0.0, 9);
-  w.ibp.emplace(w.g);
-  w.autopilot.emplace(w.eng);
-  w.injector.emplace(w.eng, *w.gis);
-  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
-
-  const grid::NodeId depot = tb.uiucNodes[7];
-  const grid::NodeId replica = tb.uiucNodes[6];
-  reschedule::CampaignConfig cc;
-  cc.seed = seed;
-  cc.horizonSec = 450.0;
-  cc.nodeFailures = 1;
-  cc.nodeOutageSec = 400.0;
-  cc.detectionDelaySec = 5.0;
-  cc.candidateNodes.assign(tb.uiucNodes.begin(), tb.uiucNodes.begin() + 6);
-  cc.bitFlips = 8;
-  cc.tornWrites = 4;
-  cc.staleDeliveries = 4;
-  cc.tornKeepFrac = 0.5;
-  cc.integrityDepots = {depot, replica};
-  w.schedule = reschedule::makeCampaign(cc);
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  cfg.checkpointEveryPanels = 8;
-  w.cop = apps::makeQrCop(w.g, cfg);
-  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
-  w.mopts.monitorContract = false;
-  w.mopts.stableDepot = depot;
-  w.mopts.replicaDepot = replica;
-  w.mopts.failures = &*w.injector;
-  w.mopts.retrySeed = seed;
-  w.mopts.depotRetry.maxAttempts = 3;
-  w.mopts.depotRetry.baseDelaySec = 20.0;
-  w.mopts.verifyCheckpoints = true;
-  w.mopts.fenceWrites = true;
-  w.mopts.scrubPeriodSec = 60.0;
-
-  registerComponents(w);
-  if (armDaemons) {
-    w.nws->start();
-    w.chaos->armAll(w.schedule);
-  }
-}
-
-grid::LoadTrace squareWave(double firstOnset, double period, double weight,
-                           int cycles) {
-  std::vector<grid::LoadPhase> phases;
-  for (int c = 0; c < cycles; ++c) {
-    const double on = firstOnset + 2.0 * period * c;
-    phases.push_back({on, weight});
-    phases.push_back({on + period, 0.0});
-  }
-  return grid::LoadTrace(phases);
-}
-
-void buildThrash(World& w, std::uint64_t seed, bool armDaemons) {
-  const auto east = w.g.addCluster(
-      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
-  const auto west = w.g.addCluster(
-      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
-  std::vector<grid::NodeId> eastNodes;
-  std::vector<grid::NodeId> westNodes;
-  for (int i = 0; i < 4; ++i) {
-    eastNodes.push_back(w.g.addNode(east, grid::utkQrNodeSpec(i)));
-    westNodes.push_back(w.g.addNode(west, grid::utkQrNodeSpec(i + 4)));
-  }
-  w.g.connectClusters(east, west,
-                      grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
-
-  w.gis.emplace(w.g);
-  w.gis->installEverywhere(services::software::kLocalBinder);
-  w.gis->installEverywhere(services::software::kScalapack);
-  w.gis->installEverywhere(services::software::kSrsLibrary);
-  w.gis->installEverywhere(services::software::kAutopilotSensors);
-  w.nws.emplace(w.eng, w.g, 10.0, 0.02, seed);
-  w.ibp.emplace(w.g);
-  w.autopilot.emplace(w.eng);
-  w.injector.emplace(w.eng, *w.gis);
-  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
-
-  const double period = 90.0;
-  const double weight = 3.0;
-  for (const auto n : eastNodes) {
-    w.traces.emplace_back(n, squareWave(period, period, weight, 10));
-  }
-  for (const auto n : westNodes) {
-    w.traces.emplace_back(n, squareWave(2.0 * period, period, weight, 10));
-  }
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  w.cop = apps::makeQrCop(w.g, cfg);
-
-  w.journal.emplace(w.eng);
-  reschedule::ReschedulerOptions ropts;
-  ropts.worstCaseMigrationSec = 40.0;
-  w.rescheduler.emplace(*w.gis, &*w.nws, ropts);
-  w.rescheduler->setJournal(&*w.journal);
-
-  reschedule::GovernorOptions gopts;
-  gopts.quorumK = 2;
-  gopts.quorumN = 4;
-  gopts.hysteresisBand = 0.1;
-  gopts.cooldownSec = 600.0;
-  gopts.maxConcurrentActions = 1;
-  w.governor.emplace(w.eng, *w.journal, gopts);
-
-  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
-  w.mopts.journal = &*w.journal;
-  w.mopts.governor = &*w.governor;
-  w.mopts.retrySeed = seed;
-
-  registerComponents(w);
-  if (armDaemons) {
-    w.nws->start();
-    for (const auto& [node, trace] : w.traces) {
-      grid::applyLoadTrace(w.eng, w.g.node(node), trace);
-    }
-  }
-}
-
-/// Multi-tenant metascheduler under overload (PR 7): admission + brownout +
-/// journaled checkpoint-and-park preemption over a 4-slot pool at ~2.2x
-/// offered load. Crash points additionally include sampled frontend
-/// transitions (admit / shed / dispatch / preempt / park / unpark), so the
-/// sweep kills the control plane exactly at the admission, shed, and
-/// preemption boundaries the ISSUE calls out.
-void buildTenant(World& w, std::uint64_t seed, bool armDaemons) {
-  const auto site = w.g.addCluster(
-      grid::ClusterSpec{"site", "Site", grid::fastEthernetLan("site.lan", 4)});
-  std::vector<grid::NodeId> slots;
-  for (int i = 0; i < 4; ++i) {
-    slots.push_back(w.g.addNode(site, grid::utkQrNodeSpec(i)));
-  }
-  w.gis.emplace(w.g);
-  w.gis->installEverywhere(services::software::kLocalBinder);
-  w.gis->installEverywhere(services::software::kSrsLibrary);
-  w.nws.emplace(w.eng, w.g, 60.0, 0.0, 9);
-  w.ibp.emplace(w.g);
-  w.autopilot.emplace(w.eng);
-  w.journal.emplace(w.eng);
-  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
-
-  const double refRate =
-      w.g.node(slots.front()).spec().effectiveFlopsPerCpu();
-  metasched::FrontendOptions fo;
-  fo.slots = slots;
-  fo.horizonSec = 1200.0;
-  fo.hardDeadlineSec = 2400.0;
-  fo.controlPeriodSec = 30.0;
-  fo.flopsPerPhase = refRate * 15.0;
-  fo.refFlopsPerSec = refRate;
-  fo.seed = seed;
-  const struct { const char* name; int tier; double weight; double share; }
-      shapes[] = {{"hi", 2, 2.0, 0.2}, {"norm", 1, 1.0, 0.3},
-                  {"batch", 0, 1.0, 0.5}};
-  const double totalRate = 2.2 * 4.0 / 100.0;
-  int i = 0;
-  for (const auto& s : shapes) {
-    metasched::TenantSpec t;
-    t.name = s.name;
-    t.tier = s.tier;
-    t.weight = s.weight;
-    t.baseRatePerSec = s.share * totalRate;
-    t.diurnalAmplitude = 0.4;
-    t.diurnalPeriodSec = 600.0;
-    t.diurnalPhaseSec = 150.0 * i;
-    t.paretoXmFlops = refRate * 45.0;
-    t.paretoAlpha = 1.9;
-    t.maxJobFlops = refRate * 450.0;
-    t.resubmit.maxAttempts = 3;
-    t.resubmit.baseDelaySec = 20.0;
-    t.resubmit.maxDelaySec = 200.0;
-    t.resubmit.jitterFrac = 0.2;
-    t.seed = seed + 17 * static_cast<std::uint64_t>(i + 1);
-    fo.tenants.push_back(t);
-    ++i;
-  }
-  fo.admission.maxQueuedPerTenant = 10;
-  fo.admission.maxQueuedTotal = 32;
-  fo.admission.maxBacklogSec = 400.0;
-  fo.admission.retryAfterMinSec = 15.0;
-  fo.admission.retryAfterMaxSec = 240.0;
-  fo.brownout.dwellSec = 60.0;
-  fo.preempt.minRunSec = 20.0;
-  fo.preempt.cooldownSec = 90.0;
-  fo.preempt.highTierMaxWaitSec = 120.0;
-  fo.jobOptions.resourceSelectionSec = 1.0;
-  fo.jobOptions.perfModelingSec = 0.5;
-  fo.jobOptions.appStartPerRankSec = 0.5;
-  fo.jobOptions.monitorContract = false;
-  w.meta.emplace(*w.mgr, w.g, *w.gis, &*w.nws, &*w.journal, std::move(fo));
-
-  registerComponents(w);
-  if (armDaemons) w.nws->start();
-}
-
-/// What-if forked rescheduling (PR 8): the shared whatif world — flapping
-/// load, weak cooldown, WAN link degrades — with the fork driver active, so
-/// every governed violation speculates in sandboxed futures before
-/// committing. Crash points additionally include sampled speculation
-/// boundaries (decision / fork-start / fork-done / verdict): killing the
-/// control plane mid-fork must leave the live mapping untouched (presumed
-/// abort), and the restored run must replay bit-identically to its
-/// reference. Reduced fork budget keeps the sweep tractable; the scenario
-/// builder registers its own components (the fork driver snapshots too).
-void buildWhatif(World& w, std::uint64_t seed, bool armDaemons) {
-  bench::WhatifConfig cfg;
-  cfg.seed = seed;
-  cfg.linkDegrades = 2;
-  cfg.withDriver = true;
-  cfg.driver.budget.maxForks = 4;
-  cfg.driver.budget.pessimisticFutures = 1;
-  bench::buildWhatifWorld(w, cfg, armDaemons);
-}
-
-struct Scenario {
-  const char* name;
-  std::uint64_t seed;
-  void (*build)(World&, std::uint64_t, bool);
-  bool hasJournal;
-  bool hasFork = false;  ///< reduced event-crash sampling: fork points added
-};
-
-constexpr Scenario kScenarios[] = {
-    {"chaos-qr", 11, buildChaos, false},
-    {"integrity-qr", 21, buildIntegrity, false},
-    {"thrash-governed", 31, buildThrash, true},
-    {"tenant-overload", 41, buildTenant, true},
-    {"whatif-forked", 61, buildWhatif, true, true},
-};
-
-void spawnApps(World& w, bool restored) {
-  if (w.meta) {
-    // The metascheduler owns all app spawning for the tenant scenario.
-    if (restored) {
-      w.meta->resumeAfterRestore();
-    } else {
-      w.meta->start();
-    }
-    return;
-  }
-  if (w.mgr->isCompleted(w.cop.name)) return;
-  reschedule::StopRestartRescheduler* rs =
-      w.rescheduler ? &*w.rescheduler : nullptr;
-  w.eng.spawn(w.mgr->run(w.cop, rs, w.mopts, &w.bd), w.cop.name);
-}
-
-/// Scenario-specific completion: the single app finished, or (tenant) the
-/// frontend drained with no failed runs.
-bool scenarioCompleted(World& w) {
-  if (w.meta) {
-    return w.meta->drained() && w.meta->totals().failed == 0;
-  }
-  return w.mgr->isCompleted(w.cop.name);
-}
 
 struct Profile {
   std::uint64_t totalEvents = 0;
@@ -470,9 +63,9 @@ struct Profile {
   std::uint64_t forkTransitions = 0;
 };
 
-Profile profileScenario(const Scenario& sc) {
-  World w;
-  sc.build(w, sc.seed, true);
+Profile profileScenario(const bench::Scenario& sc) {
+  bench::World w;
+  bench::build(w, sc.name, sc.seed, true);
   Profile prof;
   if (w.journal) {
     w.journal->setOnTransition(
@@ -485,10 +78,10 @@ Profile profileScenario(const Scenario& sc) {
   if (w.fork) {
     w.fork->setOnFork([&prof](const char*) { ++prof.forkTransitions; });
   }
-  spawnApps(w, false);
+  bench::spawnApps(w, false);
   w.eng.run();
   w.eng.rethrowIfFailed();
-  GRADS_REQUIRE(scenarioCompleted(w),
+  GRADS_REQUIRE(bench::scenarioCompleted(w),
                 "crash_sweep: uncrashed profile run did not complete");
   prof.totalEvents = w.eng.processedEvents();
   return prof;
@@ -510,6 +103,18 @@ const char* kindName(CrashPoint::Kind k) {
   return "?";
 }
 
+/// Appends `n` crash points of `kind` at evenly spaced ordinals strictly
+/// inside [1, total].
+void addSampled(std::vector<CrashPoint>& points, CrashPoint::Kind kind,
+                std::uint64_t total, int n) {
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t target =
+        1 + (total - 1) * static_cast<std::uint64_t>(i + 1) /
+                static_cast<std::uint64_t>(n + 1);
+    points.push_back({kind, target});
+  }
+}
+
 struct CrashResult {
   bool crashed = false;
   double crashTime = 0.0;
@@ -517,122 +122,76 @@ struct CrashResult {
   std::vector<std::uint8_t> image;  ///< latest snapshot at the crash
 };
 
-struct StopCtx {
+/// Counts one kind of boundary and stops the engine at the target ordinal.
+/// stop() lands inside the hook, so the engine halts the instant the
+/// enclosing event returns — for a fork boundary, mid-speculation, with the
+/// live journal holding whatever the in-flight decision had opened.
+struct Stopper {
   sim::Engine* eng = nullptr;
   std::uint64_t target = 0;
   std::uint64_t seen = 0;
-  bool fired = false;
-  double at = 0.0;
+
+  void hit() {
+    if (++seen == target) eng->stop();
+  }
+  bool fired() const { return seen >= target; }
 };
 
 /// Runs the scenario fresh and kills the whole control plane at the crash
 /// point: engine stopped, then every object — frames included — destroyed
-/// when the World goes out of scope in the caller. All that survives is the
-/// latest snapshot's bytes, exactly like a process crash with an on-disk
-/// image.
-CrashResult runCrashed(const Scenario& sc, const CrashPoint& point) {
-  World w;
-  sc.build(w, sc.seed, true);
+/// when the World goes out of scope. All that survives is the latest
+/// snapshot's bytes, exactly like a process crash with an on-disk image.
+CrashResult runCrashed(const bench::Scenario& sc, const CrashPoint& point) {
+  bench::World w;
+  bench::build(w, sc.name, sc.seed, true);
   CrashResult res;
   const auto sink = [&res](core::SnapshotImage img) {
     res.snapshotTime = img.simTime;
     res.image = img.serialize();
   };
-  StopCtx stop;
-  stop.eng = &w.eng;
-  stop.target = point.index;
-  if (point.kind == CrashPoint::Kind::kEvent) {
-    w.eng.setPopObserver(
-        [](void* ctx, sim::Time t, std::uint64_t, bool) {
-          auto* s = static_cast<StopCtx*>(ctx);
-          if (++s->seen == s->target) {
-            s->fired = true;
-            s->at = t;
-            s->eng->stop();
-          }
-        },
-        &stop);
-  } else if (point.kind == CrashPoint::Kind::kJournal) {
-    w.journal->setOnTransition(
-        [&stop, &w](const reschedule::ActionRecord&) {
-          if (++stop.seen == stop.target) {
-            stop.fired = true;
-            stop.at = w.eng.now();
-            w.eng.stop();
-          }
-        });
-  } else if (point.kind == CrashPoint::Kind::kFork) {
-    // Speculation boundary: stop() lands inside decide(), so the engine
-    // halts the instant the enclosing monitor event yields — the live
-    // journal still holds whatever the in-flight decision had (or had not)
-    // opened, exactly like a process crash mid-speculation.
-    w.fork->setOnFork([&stop, &w](const char*) {
-      if (++stop.seen == stop.target) {
-        stop.fired = true;
-        stop.at = w.eng.now();
-        w.eng.stop();
-      }
-    });
-  } else {
-    w.meta->setOnTransition([&stop, &w](const char*) {
-      if (++stop.seen == stop.target) {
-        stop.fired = true;
-        stop.at = w.eng.now();
-        w.eng.stop();
-      }
-    });
+  Stopper stop{&w.eng, point.index};
+  const auto hit = [&stop](const auto&) { stop.hit(); };
+  switch (point.kind) {
+    case CrashPoint::Kind::kEvent:
+      w.eng.setPopObserver(
+          [](void* ctx, sim::Time, std::uint64_t, bool) {
+            static_cast<Stopper*>(ctx)->hit();
+          },
+          &stop);
+      break;
+    case CrashPoint::Kind::kJournal: w.journal->setOnTransition(hit); break;
+    case CrashPoint::Kind::kFrontend: w.meta->setOnTransition(hit); break;
+    case CrashPoint::Kind::kFork: w.fork->setOnFork(hit); break;
   }
-  spawnApps(w, false);
+  bench::spawnApps(w, false);
   w.mgr->armSnapshotDaemon(kSnapshotPeriodSec, sink);
   sink(w.mgr->snapshotNow());  // t=0 baseline: a crash before the first
                                // periodic capture restores from the start
   w.eng.run();
   w.eng.rethrowIfFailed();
-  res.crashed = stop.fired;
-  res.crashTime = stop.at;
+  res.crashed = stop.fired();
+  if (res.crashed) res.crashTime = w.eng.now();
   return res;
 }
 
 struct RestoreOutcome {
   bool completed = false;
   std::uint64_t digest = 0;
-  int daemonRearms = 0;
 };
 
-/// Rebuilds a fresh control plane and restores it from the image bytes,
-/// running the campaign to completion under the replay-digest oracle. The
-/// restore protocol (order matters):
-///   rebuild -> clock to image time -> restoreFrom (all components decode)
-///   -> journal recovery (presumed abort) -> chaos/load/NWS re-arm from the
-///   original schedules -> relaunch apps not recorded completed -> run.
-RestoreOutcome runRestored(const Scenario& sc,
+/// Rebuilds a fresh control plane, restores it from the image bytes, and
+/// runs the scenario to completion under the replay-digest oracle.
+RestoreOutcome runRestored(const bench::Scenario& sc,
                            const std::vector<std::uint8_t>& bytes) {
-  World w;
-  sc.build(w, sc.seed, false);
-  util::DigestStream ds;
-  observe(w.eng, ds);
-  const core::SnapshotImage img = core::SnapshotImage::parse(bytes);
-  w.eng.runUntil(img.simTime);
-  w.mgr->restoreFrom(img);
-  if (w.journal) w.journal->recover("control-plane restart");
-  if (w.chaos) w.chaos->armFrom(w.schedule, img.simTime);
-  for (const auto& [node, trace] : w.traces) {
-    grid::applyLoadTraceFrom(w.eng, w.g.node(node), trace, img.simTime);
-  }
-  w.nws->start();
-  spawnApps(w, true);
+  bench::World w;
+  bench::build(w, sc.name, sc.seed, false);
+  bench::PopObserver obs;
+  obs.attach(w.eng);
+  bench::restore(w, bytes);
   w.eng.run();
   w.eng.rethrowIfFailed();
-  RestoreOutcome out;
-  out.completed = scenarioCompleted(w);
-  out.daemonRearms = w.bd.daemonRearms;
-  foldBreakdown(ds, w.bd);
-  if (w.chaos) {
-    ds.put(static_cast<std::uint64_t>(w.chaos->counters().total()));
-  }
-  if (w.meta) w.meta->foldDigest(ds);
-  out.digest = ds.digest();
-  return out;
+  bench::foldOutcome(obs.ds, w);
+  return {bench::scenarioCompleted(w), obs.ds.digest()};
 }
 
 struct Row {
@@ -655,15 +214,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool quick = cli.quick;
-  const int eventCrashesPerScenario = quick ? 8 : 80;
 
   std::vector<Row> rows;
+  std::set<std::uint64_t> restoredDigests;
+  std::size_t distinctImages = 0;
   int failures = 0;
   std::cout << "crash-restart sweep: kill the control plane, restore from "
                "the latest snapshot,\nrequire completion + a replay digest "
-               "bit-identical to an uncrashed arm.\n\n";
+               "bit-identical to a second restore of the same image.\n\n";
 
-  for (const Scenario& sc : kScenarios) {
+  for (const bench::Scenario& sc : bench::kScenarios) {
     const Profile prof = profileScenario(sc);
     std::vector<CrashPoint> points;
     for (std::uint64_t k = 1; k <= prof.journalTransitions; ++k) {
@@ -672,51 +232,34 @@ int main(int argc, char** argv) {
     // The whatif scenario replays every crash point's restore under full
     // speculation (each governed violation re-runs its fork ensemble), so
     // its event sampling is thinner to keep the sweep tractable.
-    const int eventCrashes =
-        sc.hasFork ? (quick ? 4 : 16) : eventCrashesPerScenario;
-    for (int i = 0; i < eventCrashes; ++i) {
-      // Evenly spaced pop ordinals, strictly inside the run.
-      const std::uint64_t target =
-          1 + (prof.totalEvents - 1) * static_cast<std::uint64_t>(i + 1) /
-                  static_cast<std::uint64_t>(eventCrashes + 1);
-      points.push_back({CrashPoint::Kind::kEvent, target});
+    const bool forks = prof.forkTransitions > 0;
+    addSampled(points, CrashPoint::Kind::kEvent, prof.totalEvents,
+               forks ? (quick ? 4 : 16) : (quick ? 8 : 80));
+    // Frontend transitions (tenant only) land crashes exactly at admit /
+    // shed / dispatch / preempt / park boundaries; fork transitions
+    // (whatif only) at decision / fork-start / fork-done / verdict.
+    if (prof.frontendTransitions > 0) {
+      addSampled(points, CrashPoint::Kind::kFrontend,
+                 prof.frontendTransitions, quick ? 6 : 24);
     }
-    // Frontend transitions (tenant scenario only): evenly sampled ordinals
-    // land crashes exactly at admit/shed/dispatch/preempt/park boundaries.
-    const int frontendCrashes =
-        prof.frontendTransitions > 0 ? (quick ? 6 : 24) : 0;
-    for (int i = 0; i < frontendCrashes; ++i) {
-      const std::uint64_t target =
-          1 + (prof.frontendTransitions - 1) *
-                  static_cast<std::uint64_t>(i + 1) /
-                  static_cast<std::uint64_t>(frontendCrashes + 1);
-      points.push_back({CrashPoint::Kind::kFrontend, target});
-    }
-    // Speculation boundaries (whatif scenario only): evenly sampled fork
-    // ordinals land crashes exactly at decision / fork-start / fork-done /
-    // verdict — mid-speculation kills must leave the live mapping untouched.
-    const int forkCrashes = prof.forkTransitions > 0 ? (quick ? 4 : 12) : 0;
-    for (int i = 0; i < forkCrashes; ++i) {
-      const std::uint64_t target =
-          1 + (prof.forkTransitions - 1) * static_cast<std::uint64_t>(i + 1) /
-                  static_cast<std::uint64_t>(forkCrashes + 1);
-      points.push_back({CrashPoint::Kind::kFork, target});
+    if (forks) {
+      addSampled(points, CrashPoint::Kind::kFork, prof.forkTransitions,
+                 quick ? 4 : 12);
     }
     std::cout << sc.name << ": " << prof.totalEvents << " events, "
               << prof.journalTransitions << " journal transitions, "
               << prof.frontendTransitions << " frontend transitions, "
               << prof.forkTransitions << " fork transitions, "
-              << points.size() << " crash points\n";
+              << points.size() << " crash points";
 
     // Reference arms cached per image bytes: crash points sharing a
-    // snapshot share one uncrashed reference.
+    // snapshot share one second restore.
     std::map<std::vector<std::uint8_t>, RestoreOutcome> refCache;
     for (const CrashPoint& point : points) {
       const CrashResult cr = runCrashed(sc, point);
       if (!cr.crashed) {
-        // The run drained before the crash ordinal (can only happen for a
-        // journal transition count that shrank, which profileScenario rules
-        // out) — treat as a sweep bug, not a pass.
+        // The run drained before the crash ordinal (ruled out by the
+        // profile run) — a sweep bug, not a pass.
         ++failures;
         rows.push_back({sc.name, kindName(point.kind), point.index, 0.0, 0.0,
                         false, 0, 0, false});
@@ -730,10 +273,13 @@ int main(int argc, char** argv) {
       const bool match = restored.digest == ref->second.digest;
       const bool ok = match && restored.completed && ref->second.completed;
       if (!ok) ++failures;
+      restoredDigests.insert(restored.digest);
       rows.push_back({sc.name, kindName(point.kind), point.index,
                       cr.crashTime, cr.snapshotTime, restored.completed,
                       restored.digest, ref->second.digest, match});
     }
+    distinctImages += refCache.size();
+    std::cout << ", " << refCache.size() << " distinct images\n";
   }
 
   const std::string csvPath = bench::outputPath("crash_sweep.csv");
@@ -753,15 +299,20 @@ int main(int argc, char** argv) {
   std::ofstream json(jsonPath);
   json << "{\n  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
        << "  \"crash_points\": " << rows.size() << ",\n"
+       << "  \"distinct_images\": " << distinctImages << ",\n"
+       << "  \"distinct_restored_digests\": " << restoredDigests.size()
+       << ",\n"
        << "  \"failures\": " << failures << ",\n  \"scenarios\": [";
-  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
-    json << (i != 0 ? ", " : "") << '"' << kScenarios[i].name << '"';
+  for (std::size_t i = 0; i < std::size(bench::kScenarios); ++i) {
+    json << (i != 0 ? ", " : "") << '"' << bench::kScenarios[i].name << '"';
   }
   json << "]\n}\n";
   json.close();
 
-  std::cout << "\n" << rows.size() << " crash points swept, " << failures
-            << " failure(s); results in " << csvPath << "\n";
+  std::cout << "\n" << rows.size() << " crash points swept, "
+            << distinctImages << " distinct images, "
+            << restoredDigests.size() << " distinct restored digests, "
+            << failures << " failure(s); results in " << csvPath << "\n";
   if (failures > 0) {
     for (const Row& r : rows) {
       if (r.match && r.completed) continue;
@@ -773,6 +324,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "every crash point restored, completed, and replayed "
-               "bit-identically to its reference arm.\n";
+               "bit-identically to a second restore of its image.\n";
   return 0;
 }

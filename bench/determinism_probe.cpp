@@ -2,47 +2,36 @@
 //
 // Each probed scenario runs TWICE in-process with a fresh engine, grid, and
 // service stack. Every event the engine fires folds its (time, key, daemon)
-// identity into an FNV-1a stream digest (util::DigestStream), and scenario
-// outputs — scheduler placements, incarnation mappings, integrity and
-// journal counters — fold in on top. The two digests must be bit-identical:
-// any pointer-keyed iteration, unseeded randomness, or wall-clock leak that
+// identity into an FNV-1a stream digest (bench::PopObserver), and scenario
+// outputs — scheduler placements, flow counters, the catalog's outcome fold
+// — fold in on top. The two digests must be bit-identical: any
+// pointer-keyed iteration, unseeded randomness, or wall-clock leak that
 // feeds a scheduling decision shifts the event stream and shows up here,
 // including the ASLR-order bugs the static rules (R2) can flag but never
 // prove absent. Heap layout differs between the two runs by construction
 // (the first run's allocations are freed before the second starts), so an
 // address-dependent decision has every opportunity to diverge.
 //
-// Scenarios: engine churn, perf DAG scheduling, chaos campaign, integrity
-// campaign, governed thrash, tenant overload, what-if forked rescheduling —
-// one per subsystem family the roadmap keeps rewriting.
+// Eight rows: three probe-local (engine-churn, sched-dags,
+// netsim-contended) and the five catalog scenarios (scenarios.hpp), run
+// with the same worlds and seeds as crash_sweep.
 //
-// Usage: determinism_probe [--quick]   (--quick: engine + DAG probes only)
+// Usage: determinism_probe [--quick]
+//   --quick: the probe-local rows plus tenant-overload
 // Exit:  0 = all digests bit-identical, 1 = divergence (prints offender).
 
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "apps/qr.hpp"
 #include "bench_cli.hpp"
-#include "core/app_manager.hpp"
-#include "grid/load.hpp"
 #include "grid/testbeds.hpp"
-#include "metasched/frontend.hpp"
-#include "reschedule/chaos.hpp"
-#include "reschedule/failure.hpp"
-#include "reschedule/governor.hpp"
-#include "reschedule/journal.hpp"
-#include "reschedule/rescheduler.hpp"
+#include "scenarios.hpp"
 #include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
 #include "sim/engine.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "whatif_world.hpp"
 #include "workflow/builders.hpp"
 #include "workflow/scheduler.hpp"
 
@@ -52,45 +41,15 @@ namespace {
 
 constexpr double kMB = 1024.0 * 1024.0;
 
-/// Installs the pop-stream fold on an engine for one scenario run.
-void observe(sim::Engine& eng, util::DigestStream& ds) {
-  eng.setPopObserver(
-      [](void* ctx, sim::Time t, std::uint64_t key, bool daemon) {
-        auto* s = static_cast<util::DigestStream*>(ctx);
-        s->put(t);
-        s->put(key);
-        s->put(static_cast<std::uint64_t>(daemon));
-      },
-      &ds);
-}
-
-void foldBreakdown(util::DigestStream& ds, const core::RunBreakdown& bd) {
-  ds.put(bd.totalSeconds);
-  ds.put(static_cast<std::uint64_t>(bd.incarnations));
-  ds.put(static_cast<std::uint64_t>(bd.launchFailures));
-  ds.put(static_cast<std::uint64_t>(bd.restoreFailures));
-  ds.put(static_cast<std::uint64_t>(bd.integrityRejects));
-  ds.put(static_cast<std::uint64_t>(bd.scrubRepairs));
-  ds.put(static_cast<std::uint64_t>(bd.actionsCommitted));
-  ds.put(static_cast<std::uint64_t>(bd.actionsRolledBack));
-  ds.put(static_cast<std::uint64_t>(bd.violationsSuppressed));
-  ds.put(static_cast<std::uint64_t>(bd.admissionRetries));
-  ds.put(static_cast<std::uint64_t>(bd.admissionSheds));
-  ds.put(static_cast<std::uint64_t>(bd.preemptParks));
-  ds.put(static_cast<std::uint64_t>(bd.brownoutDeferrals));
-  for (const auto& mapping : bd.mappings) {
-    for (const auto node : mapping) ds.put(static_cast<std::uint64_t>(node));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Probe 1: raw engine churn — schedule/cancel/daemon mix driven by Rng.
 // ---------------------------------------------------------------------------
 
 std::uint64_t probeEngineChurn(std::uint64_t seed) {
   sim::Engine eng;
-  util::DigestStream ds;
-  observe(eng, ds);
+  bench::PopObserver obs;
+  obs.attach(eng);
+  util::DigestStream& ds = obs.ds;
 
   Rng rng(seed);
   std::vector<sim::Engine::EventHandle> handles;
@@ -122,8 +81,9 @@ std::uint64_t probeEngineChurn(std::uint64_t seed) {
 
 std::uint64_t probeSchedDags(std::uint64_t seed) {
   sim::Engine eng;
-  util::DigestStream ds;
-  observe(eng, ds);
+  bench::PopObserver obs;
+  obs.attach(eng);
+  util::DigestStream& ds = obs.ds;
   grid::Grid g(eng);
   grid::buildMacroGrid(g);
   services::Gis gis(g);
@@ -157,327 +117,7 @@ std::uint64_t probeSchedDags(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Probe 3: chaos campaign — faults + mitigations (PR 1 machinery).
-// ---------------------------------------------------------------------------
-
-std::uint64_t probeChaos(std::uint64_t seed) {
-  sim::Engine eng;
-  util::DigestStream ds;
-  observe(eng, ds);
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  for (const auto node : tb.utkNodes) gis.setNodeUp(node, false);
-  services::Nws nws(eng, g, 10.0, 0.0, 9);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  reschedule::FailureInjector injector(eng, gis);
-  reschedule::ChaosDriver chaos(eng, g, injector, &nws, &ibp);
-
-  const grid::NodeId depot = tb.uiucNodes[7];
-  reschedule::CampaignConfig cc;
-  cc.seed = seed;
-  cc.horizonSec = 450.0;
-  cc.nodeFailures = 1;
-  cc.nodeOutageSec = 400.0;
-  cc.detectionDelaySec = 5.0;
-  cc.gisLagSec = 45.0;
-  cc.candidateNodes.assign(tb.uiucNodes.begin(), tb.uiucNodes.begin() + 6);
-  cc.depotOutages = 2;
-  cc.depotOutageSec = 200.0;
-  cc.candidateDepots = {depot};
-  cc.nwsOutages = 1;
-  cc.nwsOutageSec = 300.0;
-  chaos.armAll(reschedule::makeCampaign(cc));
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  cfg.checkpointEveryPanels = 8;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.monitorContract = false;
-  mopts.stableDepot = depot;
-  mopts.failures = &injector;
-  mopts.retrySeed = seed;
-  mopts.depotRetry.maxAttempts = 3;
-  mopts.depotRetry.baseDelaySec = 20.0;
-  mopts.replicaDepot = tb.uiucNodes[6];
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, nullptr, mopts, &bd), "qr");
-  eng.run();
-  eng.rethrowIfFailed();
-  foldBreakdown(ds, bd);
-  ds.put(static_cast<std::uint64_t>(chaos.counters().total()));
-  return ds.digest();
-}
-
-// ---------------------------------------------------------------------------
-// Probe 4: integrity campaign — corruption + verification (PR 2 machinery).
-// ---------------------------------------------------------------------------
-
-std::uint64_t probeIntegrity(std::uint64_t seed) {
-  sim::Engine eng;
-  util::DigestStream ds;
-  observe(eng, ds);
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  for (const auto node : tb.utkNodes) gis.setNodeUp(node, false);
-  services::Nws nws(eng, g, 10.0, 0.0, 9);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  reschedule::FailureInjector injector(eng, gis);
-  reschedule::ChaosDriver chaos(eng, g, injector, &nws, &ibp);
-
-  const grid::NodeId depot = tb.uiucNodes[7];
-  const grid::NodeId replica = tb.uiucNodes[6];
-  reschedule::CampaignConfig cc;
-  cc.seed = seed;
-  cc.horizonSec = 450.0;
-  cc.nodeFailures = 1;
-  cc.nodeOutageSec = 400.0;
-  cc.detectionDelaySec = 5.0;
-  cc.candidateNodes.assign(tb.uiucNodes.begin(), tb.uiucNodes.begin() + 6);
-  cc.bitFlips = 8;
-  cc.tornWrites = 4;
-  cc.staleDeliveries = 4;
-  cc.tornKeepFrac = 0.5;
-  cc.integrityDepots = {depot, replica};
-  chaos.armAll(reschedule::makeCampaign(cc));
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  cfg.checkpointEveryPanels = 8;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.monitorContract = false;
-  mopts.stableDepot = depot;
-  mopts.replicaDepot = replica;
-  mopts.failures = &injector;
-  mopts.retrySeed = seed;
-  mopts.depotRetry.maxAttempts = 3;
-  mopts.depotRetry.baseDelaySec = 20.0;
-  mopts.verifyCheckpoints = true;
-  mopts.fenceWrites = true;
-  mopts.scrubPeriodSec = 60.0;
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, nullptr, mopts, &bd), "qr");
-  eng.run();
-  eng.rethrowIfFailed();
-  foldBreakdown(ds, bd);
-  const auto& cnt = chaos.counters();
-  ds.put(static_cast<std::uint64_t>(cnt.bitFlips + cnt.tornWrites +
-                                    cnt.staleDeliveries));
-  return ds.digest();
-}
-
-// ---------------------------------------------------------------------------
-// Probe 5: governed thrash — flapping load + governor (PR 3 machinery).
-// ---------------------------------------------------------------------------
-
-grid::LoadTrace squareWave(double firstOnset, double period, double weight,
-                           int cycles) {
-  std::vector<grid::LoadPhase> phases;
-  for (int c = 0; c < cycles; ++c) {
-    const double on = firstOnset + 2.0 * period * c;
-    phases.push_back({on, weight});
-    phases.push_back({on + period, 0.0});
-  }
-  return grid::LoadTrace(phases);
-}
-
-std::uint64_t probeThrash(std::uint64_t seed) {
-  sim::Engine eng;
-  util::DigestStream ds;
-  observe(eng, ds);
-  grid::Grid g(eng);
-  const auto east = g.addCluster(
-      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
-  const auto west = g.addCluster(
-      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
-  std::vector<grid::NodeId> eastNodes;
-  std::vector<grid::NodeId> westNodes;
-  for (int i = 0; i < 4; ++i) {
-    eastNodes.push_back(g.addNode(east, grid::utkQrNodeSpec(i)));
-    westNodes.push_back(g.addNode(west, grid::utkQrNodeSpec(i + 4)));
-  }
-  g.connectClusters(east, west,
-                    grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
-
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  services::Nws nws(eng, g, 10.0, 0.02, seed);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-
-  const double period = 90.0;
-  const double weight = 3.0;
-  for (const auto n : eastNodes) {
-    grid::applyLoadTrace(eng, g.node(n), squareWave(period, period, weight, 10));
-  }
-  for (const auto n : westNodes) {
-    grid::applyLoadTrace(eng, g.node(n),
-                         squareWave(2.0 * period, period, weight, 10));
-  }
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-
-  reschedule::ActionJournal journal(eng);
-  reschedule::ReschedulerOptions ropts;
-  ropts.worstCaseMigrationSec = 40.0;
-  reschedule::StopRestartRescheduler rescheduler(gis, &nws, ropts);
-  rescheduler.setJournal(&journal);
-
-  reschedule::GovernorOptions gopts;
-  gopts.quorumK = 2;
-  gopts.quorumN = 4;
-  gopts.hysteresisBand = 0.1;
-  gopts.cooldownSec = 600.0;
-  gopts.maxConcurrentActions = 1;
-  reschedule::ViolationGovernor governor(eng, journal, gopts);
-
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.journal = &journal;
-  mopts.governor = &governor;
-  mopts.retrySeed = seed;
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, &rescheduler, mopts, &bd), "qr");
-  eng.run();
-  eng.rethrowIfFailed();
-  foldBreakdown(ds, bd);
-  return ds.digest();
-}
-
-// ---------------------------------------------------------------------------
-// Probe 6: tenant overload — admission + brownout + preemption (PR 7
-// machinery). A deliberately over-tight slot pool so every mitigation path
-// (shed, jittered resubmit, defer, park/unpark, journaled preempt) runs.
-// ---------------------------------------------------------------------------
-
-std::uint64_t probeTenant(std::uint64_t seed) {
-  sim::Engine eng;
-  util::DigestStream ds;
-  observe(eng, ds);
-  grid::Grid g(eng);
-  const auto site = g.addCluster(
-      grid::ClusterSpec{"site", "Site", grid::fastEthernetLan("site.lan", 4)});
-  std::vector<grid::NodeId> slots;
-  for (int i = 0; i < 4; ++i) slots.push_back(g.addNode(site, grid::utkQrNodeSpec(i)));
-
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  services::Nws nws(eng, g, 60.0, 0.0, 9);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  reschedule::ActionJournal journal(eng);
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-
-  const double refRate = g.node(slots.front()).spec().effectiveFlopsPerCpu();
-  metasched::FrontendOptions fo;
-  fo.slots = slots;
-  fo.horizonSec = 2400.0;
-  fo.hardDeadlineSec = 3600.0;
-  fo.controlPeriodSec = 30.0;
-  fo.flopsPerPhase = refRate * 20.0;
-  fo.refFlopsPerSec = refRate;
-  fo.seed = seed;
-  const struct { const char* name; int tier; double weight; double share; }
-      shapes[] = {{"hi", 2, 2.0, 0.2}, {"norm", 1, 1.0, 0.3},
-                  {"batch", 0, 1.0, 0.5}};
-  const double totalRate = 2.5 * 4.0 / 130.0;  ///< ~2.5x the 4-slot capacity
-  int i = 0;
-  for (const auto& s : shapes) {
-    metasched::TenantSpec t;
-    t.name = s.name;
-    t.tier = s.tier;
-    t.weight = s.weight;
-    t.baseRatePerSec = s.share * totalRate;
-    t.diurnalAmplitude = 0.4;
-    t.diurnalPeriodSec = 1200.0;
-    t.diurnalPhaseSec = 200.0 * i;
-    t.paretoXmFlops = refRate * 60.0;
-    t.paretoAlpha = 1.9;
-    t.maxJobFlops = refRate * 900.0;
-    t.resubmit.maxAttempts = 3;
-    t.resubmit.baseDelaySec = 30.0;
-    t.resubmit.maxDelaySec = 300.0;
-    t.resubmit.jitterFrac = 0.2;
-    t.seed = seed + 17 * static_cast<std::uint64_t>(i + 1);
-    fo.tenants.push_back(t);
-    ++i;
-  }
-  fo.admission.maxQueuedPerTenant = 12;
-  fo.admission.maxQueuedTotal = 40;
-  fo.admission.maxBacklogSec = 600.0;
-  fo.admission.retryAfterMinSec = 20.0;
-  fo.admission.retryAfterMaxSec = 400.0;
-  fo.brownout.dwellSec = 60.0;
-  fo.preempt.minRunSec = 30.0;
-  fo.preempt.cooldownSec = 120.0;
-  fo.preempt.highTierMaxWaitSec = 180.0;
-  fo.jobOptions.resourceSelectionSec = 1.0;
-  fo.jobOptions.perfModelingSec = 0.5;
-  fo.jobOptions.appStartPerRankSec = 0.5;
-  fo.jobOptions.monitorContract = false;
-
-  metasched::MetaScheduler meta(mgr, g, gis, &nws, &journal, std::move(fo));
-  meta.setOnJobComplete([&ds](const metasched::JobStats& s) {
-    foldBreakdown(ds, s.breakdown);
-  });
-  meta.start();
-  eng.run();
-  eng.rethrowIfFailed();
-  meta.foldDigest(ds);
-  ds.put(static_cast<std::uint64_t>(eng.processedEvents()));
-  return ds.digest();
-}
-
-// ---------------------------------------------------------------------------
-// Probe 7: what-if forked rescheduling (PR 8 machinery). Every governed
-// violation spawns sandboxed futures — a second control plane per fork,
-// restored from the parent's snapshot — so the digest covers the driver's
-// candidate enumeration, the ensemble draw from its private RNG, and the
-// minimax verdict feeding back into the live journal. Any fork whose
-// outcome depended on heap layout or ambient state would flip the parent's
-// decision stream and diverge here.
-// ---------------------------------------------------------------------------
-
-std::uint64_t probeWhatif(std::uint64_t seed) {
-  bench::WhatifConfig cfg;
-  cfg.seed = seed;
-  cfg.linkDegrades = 2;
-  cfg.withDriver = true;
-  cfg.driver.budget.maxForks = 4;
-  cfg.driver.budget.pessimisticFutures = 1;
-  return bench::runWhatifScenario(cfg).digest;
-}
-
-// ---------------------------------------------------------------------------
-// Probe 8: contended flow-level network model (PR 9 machinery). A seeded
+// Probe 3: contended flow-level network model. A seeded
 // burst of overlapping transfers — mixed bulk/interactive classes, random
 // sizes and start times, a mid-flight WAN degrade and recovery — exercises
 // the max-min water-fill, the pacing weights, and the arrival/departure
@@ -488,8 +128,9 @@ std::uint64_t probeWhatif(std::uint64_t seed) {
 
 std::uint64_t probeNetsim(std::uint64_t seed) {
   sim::Engine eng;
-  util::DigestStream ds;
-  observe(eng, ds);
+  bench::PopObserver obs;
+  obs.attach(eng);
+  util::DigestStream& ds = obs.ds;
   grid::Grid g(eng);
   const auto tb = grid::buildQrTestbed(g);
   Rng rng(seed);
@@ -526,24 +167,20 @@ std::uint64_t probeNetsim(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
+// Catalog rows: each scenario fresh, as crash_sweep profiles it.
+// ---------------------------------------------------------------------------
 
-struct Probe {
-  const char* name;
-  std::uint64_t (*run)(std::uint64_t seed);
-  std::uint64_t seed;
-  bool quick;  ///< included in --quick (CI smoke / ctest) mode
-};
-
-constexpr Probe kProbes[] = {
-    {"engine-churn", probeEngineChurn, 1234, true},
-    {"sched-dags", probeSchedDags, 2024, true},
-    {"chaos-qr", probeChaos, 11, false},
-    {"integrity-qr", probeIntegrity, 21, false},
-    {"thrash-governed", probeThrash, 31, false},
-    {"tenant-overload", probeTenant, 41, true},
-    {"whatif-forked", probeWhatif, 51, false},
-    {"netsim-contended", probeNetsim, 61, true},
-};
+std::uint64_t probeScenario(const bench::Scenario& sc) {
+  bench::World w;
+  bench::build(w, sc.name, sc.seed, true);
+  bench::PopObserver obs;
+  obs.attach(w.eng);
+  bench::spawnApps(w, false);
+  w.eng.run();
+  w.eng.rethrowIfFailed();
+  bench::foldOutcome(obs.ds, w);
+  return obs.ds.digest();
+}
 
 }  // namespace
 
@@ -562,15 +199,22 @@ int main(int argc, char** argv) {
             << "verdict\n";
 
   int divergences = 0;
-  for (const Probe& p : kProbes) {
-    if (quick && !p.quick) continue;
-    const std::uint64_t d1 = p.run(p.seed);
-    const std::uint64_t d2 = p.run(p.seed);
+  const auto replay = [&divergences](const char* name, const auto& run) {
+    const std::uint64_t d1 = run();
+    const std::uint64_t d2 = run();
     const bool ok = d1 == d2;
     if (!ok) ++divergences;
-    std::cout << std::left << std::setw(18) << p.name << std::setw(20)
+    std::cout << std::left << std::setw(18) << name << std::setw(20)
               << std::hex << d1 << std::setw(20) << d2 << std::dec
               << (ok ? "identical" : "DIVERGED") << "\n";
+  };
+  replay("engine-churn", [] { return probeEngineChurn(1234); });
+  replay("sched-dags", [] { return probeSchedDags(2024); });
+  replay("netsim-contended", [] { return probeNetsim(61); });
+  // The ctest gate (--quick) keeps one catalog row; CI's lint job runs all.
+  for (const bench::Scenario& sc : bench::kScenarios) {
+    if (quick && std::string_view(sc.name) != "tenant-overload") continue;
+    replay(sc.name, [&sc] { return probeScenario(sc); });
   }
   if (divergences > 0) {
     std::cout << "\n" << divergences

@@ -27,14 +27,10 @@
 
 #include "bench_cli.hpp"
 #include "bench_paths.hpp"
-#include "apps/qr.hpp"
-#include "core/app_manager.hpp"
 #include "grid/testbeds.hpp"
-#include "reschedule/chaos.hpp"
-#include "reschedule/failure.hpp"
 #include "reschedule/srs.hpp"
+#include "scenarios.hpp"
 #include "services/ibp.hpp"
-#include "services/nws.hpp"
 #include "util/table.hpp"
 
 using namespace grads;
@@ -53,86 +49,38 @@ struct RunOutcome {
   int incarnations = 0;
 };
 
+/// The catalog's integrity-qr world (QR on UIUC with UTK marked down, one
+/// mid-run fail-stop forcing a checkpoint restore, corruption of both
+/// depots). Both arms keep identical availability machinery — retries,
+/// replica copies, generation fallback — so the contrast is integrity-only.
 RunOutcome runQr(std::uint64_t seed, bool corrupt, bool mitigate) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  // Compute stays on UIUC; UTK would pull every restore across the WAN and
-  // drown the integrity signal in transfer time.
-  for (const auto node : tb.utkNodes) gis.setNodeUp(node, false);
-  services::Nws nws(eng, g, 10.0, 0.0, 9);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  reschedule::FailureInjector injector(eng, gis);
-  reschedule::ChaosDriver chaos(eng, g, injector, &nws, &ibp);
-
-  const grid::NodeId depot = tb.uiucNodes[7];
-  const grid::NodeId replica = tb.uiucNodes[6];
-  if (corrupt) {
-    reschedule::CampaignConfig cc;
-    cc.seed = seed;
-    cc.horizonSec = 450.0;
-    // One mid-run fail-stop forces a restart-from-checkpoint; the restore
-    // is where corruption either bites (raw) or is caught (mitigated).
-    cc.nodeFailures = 1;
-    cc.nodeOutageSec = 400.0;
-    cc.detectionDelaySec = 5.0;
-    cc.candidateNodes.assign(tb.uiucNodes.begin(), tb.uiucNodes.begin() + 6);
-    // Corruption only matters if it lands between the last periodic
-    // checkpoint and the post-failure restore (later checkpoints rewrite
-    // the objects clean) — draw plenty of events so most seeds hit.
-    cc.bitFlips = 8;
-    cc.tornWrites = 4;
-    cc.staleDeliveries = 4;
-    cc.tornKeepFrac = 0.5;
-    cc.integrityDepots = {depot, replica};
-    chaos.armAll(reschedule::makeCampaign(cc));
+  bench::World w;
+  bench::build(w, "integrity-qr", seed, /*armDaemons=*/false);
+  if (!corrupt) w.schedule.clear();  // fault-free baseline: chaos unarmed
+  if (!mitigate) {
+    w.mopts.verifyCheckpoints = false;
+    w.mopts.fenceWrites = false;
+    w.mopts.scrubPeriodSec = 0.0;
   }
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  cfg.checkpointEveryPanels = 8;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.monitorContract = false;
-  mopts.stableDepot = depot;
-  mopts.replicaDepot = replica;
-  mopts.failures = &injector;
-  mopts.retrySeed = seed;
-  // Identical availability machinery in both arms: the contrast below is
-  // integrity-only.
-  mopts.depotRetry.maxAttempts = 3;
-  mopts.depotRetry.baseDelaySec = 20.0;
-  // The integrity layer under test.
-  mopts.verifyCheckpoints = mitigate;
-  mopts.fenceWrites = mitigate;
-  mopts.scrubPeriodSec = mitigate ? 60.0 : 0.0;
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, nullptr, mopts, &bd), "qr");
+  bench::startDaemons(w);
+  bench::spawnApps(w, /*restored=*/false);
+  const core::RunBreakdown& bd = w.bd;
   RunOutcome out;
   try {
-    eng.run();
-    eng.rethrowIfFailed();
+    w.eng.run();
+    w.eng.rethrowIfFailed();
     if (bd.totalSeconds > 0.0) {
       out.completed = true;
       out.seconds = bd.totalSeconds;
     } else {
       out.error = "run stalled (manager never completed)";
-      out.seconds = eng.now();
+      out.seconds = w.eng.now();
     }
   } catch (const std::exception& e) {
     out.error = e.what();
-    out.seconds = eng.now();
+    out.seconds = w.eng.now();
   }
-  const auto& c = chaos.counters();
+  const auto& c = w.chaos->counters();
   out.corruptionsApplied = c.bitFlips + c.tornWrites + c.staleDeliveries;
   out.wrongRestores = bd.corruptRestores;
   out.corruptSliceReads = bd.corruptSliceReads;

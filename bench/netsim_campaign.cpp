@@ -42,8 +42,8 @@
 #include "bench_paths.hpp"
 #include "grid/grid.hpp"
 #include "grid/testbeds.hpp"
+#include "scenarios.hpp"
 #include "sim/engine.hpp"
-#include "util/hash.hpp"
 #include "util/table.hpp"
 
 using namespace grads;
@@ -67,12 +67,12 @@ constexpr Arm kArms[] = {
 
 /// One fresh world per run: engine + QR testbed with the arm's sharing
 /// configuration applied before any flow starts.
-struct World {
+struct FlowWorld {
   sim::Engine eng;
   grid::Grid g{eng};
   grid::QrTestbed tb;
 
-  explicit World(const Arm& arm) {
+  explicit FlowWorld(const Arm& arm) {
     tb = grid::buildQrTestbed(g);
     g.flows().setSharingMode(arm.mode);
     g.flows().setPacingEnabled(arm.pacing);
@@ -86,17 +86,6 @@ sim::Task timedTransfer(grid::Grid* g, grid::NodeId a, grid::NodeId b,
   *doneAt = g->engine().now();
 }
 
-void observe(sim::Engine& eng, util::DigestStream& ds) {
-  eng.setPopObserver(
-      [](void* ctx, sim::Time t, std::uint64_t key, bool daemon) {
-        auto* s = static_cast<util::DigestStream*>(ctx);
-        s->put(t);
-        s->put(key);
-        s->put(static_cast<std::uint64_t>(daemon));
-      },
-      &ds);
-}
-
 // ---------------------------------------------------------------------------
 // Scenario 1: single uncontended flow — determinism + bit-exactness.
 // ---------------------------------------------------------------------------
@@ -107,17 +96,17 @@ struct SingleFlowResult {
 };
 
 SingleFlowResult runSingleFlow(const Arm& arm) {
-  World w(arm);
-  util::DigestStream ds;
-  observe(w.eng, ds);
+  FlowWorld w(arm);
+  bench::PopObserver obs;
+  obs.attach(w.eng);
   SingleFlowResult r;
   w.eng.spawn(timedTransfer(&w.g, w.tb.utkNodes[0], w.tb.uiucNodes[0],
                             2.4 * kMB, grid::TransferClass::kInteractive,
                             &r.seconds),
               "single-flow");
   w.eng.run();
-  ds.put(r.seconds);
-  r.digest = ds.digest();
+  obs.ds.put(r.seconds);
+  r.digest = obs.ds.digest();
   return r;
 }
 
@@ -133,7 +122,7 @@ struct IncastResult {
 };
 
 IncastResult runIncast(const Arm& arm, int sources, double bytesPer) {
-  World w(arm);
+  FlowWorld w(arm);
   std::vector<double> done(static_cast<std::size_t>(sources), -1.0);
   for (int i = 0; i < sources; ++i) {
     // Migration data movement is a bulk-class background mover.
@@ -168,7 +157,7 @@ struct ScrubResult {
 };
 
 ScrubResult runScrubber(const Arm& arm, int contracts) {
-  World w(arm);
+  FlowWorld w(arm);
   ScrubResult r;
   // The scrubber re-replicates a large object across the WAN: one bulk flow
   // long enough to overlap every contract transfer below.

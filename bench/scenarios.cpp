@@ -1,0 +1,277 @@
+#include "scenarios.hpp"
+
+#include <string>
+
+#include "apps/qr.hpp"
+#include "core/snapshot.hpp"
+#include "grid/testbeds.hpp"
+#include "util/error.hpp"
+#include "whatif_world.hpp"
+
+namespace grads::bench {
+
+namespace {
+
+constexpr double kMB = 1024.0 * 1024.0;
+
+void installQrSoftware(services::Gis& gis) {
+  gis.installEverywhere(services::software::kLocalBinder);
+  gis.installEverywhere(services::software::kScalapack);
+  gis.installEverywhere(services::software::kSrsLibrary);
+  gis.installEverywhere(services::software::kAutopilotSensors);
+}
+
+/// chaos-qr and integrity-qr: QR on the UIUC side of the QR testbed (UTK is
+/// marked down), one mid-run node failure, and on top either depot and NWS
+/// outages plus WAN degrades (chaos) or bit flips, torn writes and stale
+/// deliveries against both depots under verified, fenced, scrubbed
+/// checkpoints (integrity).
+void buildQr(World& w, std::uint64_t seed, bool integrity) {
+  const auto tb = grid::buildQrTestbed(w.g);
+  w.gis.emplace(w.g);
+  installQrSoftware(*w.gis);
+  // Compute stays on UIUC; UTK would pull every restore across the WAN and
+  // drown the fault signal in transfer time.
+  for (const auto node : tb.utkNodes) w.gis->setNodeUp(node, false);
+  w.nws.emplace(w.eng, w.g, 10.0, 0.0, 9);
+  w.ibp.emplace(w.g);
+  w.autopilot.emplace(w.eng);
+  w.injector.emplace(w.eng, *w.gis);
+  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
+
+  const grid::NodeId depot = tb.uiucNodes[7];
+  const grid::NodeId replica = tb.uiucNodes[6];
+  reschedule::CampaignConfig cc;
+  cc.seed = seed;
+  cc.horizonSec = 450.0;
+  cc.nodeFailures = 1;
+  cc.nodeOutageSec = 400.0;
+  cc.detectionDelaySec = 5.0;
+  cc.candidateNodes.assign(tb.uiucNodes.begin(), tb.uiucNodes.begin() + 6);
+  if (integrity) {
+    // Corruption only matters if it lands between the last periodic
+    // checkpoint and the post-failure restore (later checkpoints rewrite
+    // the objects clean), so draw plenty of events.
+    cc.bitFlips = 8;
+    cc.tornWrites = 4;
+    cc.staleDeliveries = 4;
+    cc.tornKeepFrac = 0.5;
+    cc.integrityDepots = {depot, replica};
+  } else {
+    cc.gisLagSec = 45.0;
+    cc.depotOutages = 2;
+    cc.depotOutageSec = 200.0;
+    cc.candidateDepots = {depot};
+    cc.nwsOutages = 1;
+    cc.nwsOutageSec = 300.0;
+    // WAN degrades force the flow registry to re-share mid-flight transfers
+    // (checkpoint pushes, restore reads) across crash/restore boundaries.
+    cc.linkDegrades = 2;
+    cc.degradeScale = 0.5;
+    cc.degradeDurationSec = 120.0;
+    cc.candidateLinks = {w.g.route(tb.utkNodes[0], tb.uiucNodes[0]).links[1]};
+  }
+  w.schedule = reschedule::makeCampaign(cc);
+
+  apps::QrConfig cfg;
+  cfg.n = 6000;
+  cfg.checkpointEveryPanels = 8;
+  w.cop = apps::makeQrCop(w.g, cfg);
+  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
+  w.mopts.monitorContract = false;
+  w.mopts.stableDepot = depot;
+  w.mopts.replicaDepot = replica;
+  w.mopts.failures = &*w.injector;
+  w.mopts.retrySeed = seed;
+  w.mopts.depotRetry.maxAttempts = 3;
+  w.mopts.depotRetry.baseDelaySec = 20.0;
+  if (integrity) {
+    w.mopts.verifyCheckpoints = true;
+    w.mopts.fenceWrites = true;
+    w.mopts.scrubPeriodSec = 60.0;
+  }
+  registerComponents(w);
+}
+
+/// thrash-governed: QR on two identical 4-node clusters over a WAN fat
+/// enough that migrating is profitable every time an antiphase square-wave
+/// load flips clusters (every 90 s). The governor's quorum, hysteresis and
+/// 600 s cooldown hold the rescheduler to at most the first migration.
+void buildThrash(World& w, std::uint64_t seed) {
+  const auto east = w.g.addCluster(
+      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
+  const auto west = w.g.addCluster(
+      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
+  std::vector<grid::NodeId> eastNodes;
+  std::vector<grid::NodeId> westNodes;
+  for (int i = 0; i < 4; ++i) {
+    eastNodes.push_back(w.g.addNode(east, grid::utkQrNodeSpec(i)));
+    westNodes.push_back(w.g.addNode(west, grid::utkQrNodeSpec(i + 4)));
+  }
+  w.g.connectClusters(east, west,
+                      grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
+
+  w.gis.emplace(w.g);
+  installQrSoftware(*w.gis);
+  w.nws.emplace(w.eng, w.g, 10.0, 0.02, seed);
+  w.ibp.emplace(w.g);
+  w.autopilot.emplace(w.eng);
+  w.injector.emplace(w.eng, *w.gis);
+  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
+
+  // The app starts on east (both idle, first cluster wins the tie); 90 s
+  // later east gets loaded while west idles, then the load flips every 90 s.
+  const double period = 90.0;
+  const double weight = 3.0;
+  for (const auto n : eastNodes) {
+    w.traces.emplace_back(n, squareWave(period, period, weight, 10));
+  }
+  for (const auto n : westNodes) {
+    w.traces.emplace_back(n, squareWave(2.0 * period, period, weight, 10));
+  }
+
+  apps::QrConfig cfg;
+  cfg.n = 6000;
+  w.cop = apps::makeQrCop(w.g, cfg);
+
+  w.journal.emplace(w.eng);
+  reschedule::ReschedulerOptions ropts;
+  ropts.worstCaseMigrationSec = 40.0;  // close to the actual cost here
+  w.rescheduler.emplace(*w.gis, &*w.nws, ropts);
+  w.rescheduler->setJournal(&*w.journal);
+
+  reschedule::GovernorOptions gopts;
+  gopts.quorumK = 2;
+  gopts.quorumN = 4;
+  gopts.hysteresisBand = 0.1;
+  gopts.cooldownSec = 600.0;  // longer than the load's flip period by far
+  gopts.maxConcurrentActions = 1;
+  w.governor.emplace(w.eng, *w.journal, gopts);
+
+  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
+  w.mopts.journal = &*w.journal;
+  w.mopts.governor = &*w.governor;
+  w.mopts.retrySeed = seed;
+  registerComponents(w);
+}
+
+/// tenant-overload: the multi-tenant metascheduler over a 4-slot pool at
+/// ~2.2x offered load, so admission, shedding, jittered resubmits, brownout
+/// deferral and journaled checkpoint-and-park preemption all run.
+void buildTenant(World& w, std::uint64_t seed) {
+  const auto site = w.g.addCluster(
+      grid::ClusterSpec{"site", "Site", grid::fastEthernetLan("site.lan", 4)});
+  std::vector<grid::NodeId> slots;
+  for (int i = 0; i < 4; ++i) {
+    slots.push_back(w.g.addNode(site, grid::utkQrNodeSpec(i)));
+  }
+  w.gis.emplace(w.g);
+  w.gis->installEverywhere(services::software::kLocalBinder);
+  w.gis->installEverywhere(services::software::kSrsLibrary);
+  w.nws.emplace(w.eng, w.g, 60.0, 0.0, 9);
+  w.ibp.emplace(w.g);
+  w.autopilot.emplace(w.eng);
+  w.journal.emplace(w.eng);
+  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
+
+  const double refRate =
+      w.g.node(slots.front()).spec().effectiveFlopsPerCpu();
+  metasched::FrontendOptions fo;
+  fo.slots = slots;
+  fo.horizonSec = 1200.0;
+  fo.hardDeadlineSec = 2400.0;
+  fo.controlPeriodSec = 30.0;
+  fo.flopsPerPhase = refRate * 15.0;
+  fo.refFlopsPerSec = refRate;
+  fo.seed = seed;
+  const struct { const char* name; int tier; double weight; double share; }
+      shapes[] = {{"hi", 2, 2.0, 0.2}, {"norm", 1, 1.0, 0.3},
+                  {"batch", 0, 1.0, 0.5}};
+  const double totalRate = 2.2 * 4.0 / 100.0;
+  int i = 0;
+  for (const auto& s : shapes) {
+    metasched::TenantSpec t;
+    t.name = s.name;
+    t.tier = s.tier;
+    t.weight = s.weight;
+    t.baseRatePerSec = s.share * totalRate;
+    t.diurnalAmplitude = 0.4;
+    t.diurnalPeriodSec = 600.0;
+    t.diurnalPhaseSec = 150.0 * i;
+    t.paretoXmFlops = refRate * 45.0;
+    t.paretoAlpha = 1.9;
+    t.maxJobFlops = refRate * 450.0;
+    t.resubmit.maxAttempts = 3;
+    t.resubmit.baseDelaySec = 20.0;
+    t.resubmit.maxDelaySec = 200.0;
+    t.resubmit.jitterFrac = 0.2;
+    t.seed = seed + 17 * static_cast<std::uint64_t>(i + 1);
+    fo.tenants.push_back(t);
+    ++i;
+  }
+  fo.admission.maxQueuedPerTenant = 10;
+  fo.admission.maxQueuedTotal = 32;
+  fo.admission.maxBacklogSec = 400.0;
+  fo.admission.retryAfterMinSec = 15.0;
+  fo.admission.retryAfterMaxSec = 240.0;
+  fo.brownout.dwellSec = 60.0;
+  fo.preempt.minRunSec = 20.0;
+  fo.preempt.cooldownSec = 90.0;
+  fo.preempt.highTierMaxWaitSec = 120.0;
+  fo.jobOptions.resourceSelectionSec = 1.0;
+  fo.jobOptions.perfModelingSec = 0.5;
+  fo.jobOptions.appStartPerRankSec = 0.5;
+  fo.jobOptions.monitorContract = false;
+  w.meta.emplace(*w.mgr, w.g, *w.gis, &*w.nws, &*w.journal, std::move(fo));
+  registerComponents(w);
+}
+
+/// whatif-forked: the shared what-if world with WAN link degrades and the
+/// fork driver active, so every governed violation speculates in sandboxed
+/// futures before committing. A reduced fork budget keeps the crash sweep
+/// tractable.
+void buildWhatif(World& w, std::uint64_t seed) {
+  WhatifConfig cfg;
+  cfg.seed = seed;
+  cfg.linkDegrades = 2;
+  cfg.withDriver = true;
+  cfg.driver.budget.maxForks = 4;
+  cfg.driver.budget.pessimisticFutures = 1;
+  buildWhatifWorld(w, cfg, /*armDaemons=*/false);
+}
+
+}  // namespace
+
+void build(World& w, std::string_view name, std::uint64_t seed,
+           bool armDaemons) {
+  if (name == "chaos-qr") {
+    buildQr(w, seed, /*integrity=*/false);
+  } else if (name == "integrity-qr") {
+    buildQr(w, seed, /*integrity=*/true);
+  } else if (name == "thrash-governed") {
+    buildThrash(w, seed);
+  } else if (name == "tenant-overload") {
+    buildTenant(w, seed);
+  } else if (name == "whatif-forked") {
+    buildWhatif(w, seed);
+  } else {
+    throw InvalidArgument("bench::build: unknown scenario '" +
+                          std::string(name) + "'");
+  }
+  if (armDaemons) startDaemons(w);
+}
+
+void restore(World& w, const std::vector<std::uint8_t>& bytes) {
+  const core::SnapshotImage img = core::SnapshotImage::parse(bytes);
+  w.eng.runUntil(img.simTime);
+  w.mgr->restoreFrom(img);
+  if (w.journal) w.journal->recover("control-plane restart");
+  if (w.chaos) w.chaos->armFrom(w.schedule, img.simTime);
+  for (const auto& [node, trace] : w.traces) {
+    grid::applyLoadTraceFrom(w.eng, w.g.node(node), trace, img.simTime);
+  }
+  w.nws->start();
+  spawnApps(w, /*restored=*/true);
+}
+
+}  // namespace grads::bench

@@ -28,20 +28,13 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_cli.hpp"
 #include "bench_paths.hpp"
-#include "core/app_manager.hpp"
 #include "grid/testbeds.hpp"
-#include "metasched/frontend.hpp"
-#include "reschedule/journal.hpp"
-#include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
-#include "sim/engine.hpp"
+#include "scenarios.hpp"
 #include "util/stats.hpp"
 
 using namespace grads;
@@ -75,19 +68,6 @@ CampaignConfig quickConfig() {
   c.maxBacklogSec = 1800.0;
   return c;
 }
-
-/// One whole control plane (engine declared first — destroyed last).
-struct World {
-  sim::Engine eng;
-  grid::Grid g{eng};
-  std::optional<services::Gis> gis;
-  std::optional<services::Nws> nws;
-  std::optional<services::Ibp> ibp;
-  std::optional<autopilot::AutopilotManager> autopilot;
-  std::optional<reschedule::ActionJournal> journal;
-  std::optional<core::AppManager> mgr;
-  std::optional<metasched::MetaScheduler> meta;
-};
 
 metasched::FrontendOptions makeFrontend(const CampaignConfig& cfg,
                                         const std::vector<grid::NodeId>& slots,
@@ -166,7 +146,7 @@ metasched::FrontendOptions makeFrontend(const CampaignConfig& cfg,
   return fo;
 }
 
-void buildWorld(World& w, const CampaignConfig& cfg, bool mitigated) {
+void buildWorld(bench::World& w, const CampaignConfig& cfg, bool mitigated) {
   std::vector<grid::NodeId> slots;
   std::vector<grid::ClusterId> clusters;
   for (int c = 0; c < cfg.clusters; ++c) {
@@ -214,7 +194,7 @@ struct ArmResult {
 
 ArmResult runArm(const CampaignConfig& cfg, bool mitigated,
                  const std::string& csvPath) {
-  World w;
+  bench::World w;
   buildWorld(w, cfg, mitigated);
 
   std::ofstream csv(csvPath);

@@ -26,16 +26,16 @@
 #include <string>
 #include <vector>
 
+#include "apps/qr.hpp"
 #include "bench_cli.hpp"
 #include "bench_paths.hpp"
-#include "apps/qr.hpp"
 #include "core/app_manager.hpp"
 #include "grid/load.hpp"
 #include "grid/testbeds.hpp"
 #include "reschedule/failure.hpp"
-#include "reschedule/governor.hpp"
 #include "reschedule/journal.hpp"
 #include "reschedule/rescheduler.hpp"
+#include "scenarios.hpp"
 #include "services/gis.hpp"
 #include "services/ibp.hpp"
 #include "services/nws.hpp"
@@ -45,49 +45,10 @@ using namespace grads;
 
 namespace {
 
-constexpr double kMB = 1024.0 * 1024.0;
-
 // ---------------------------------------------------------------------------
-// Part A: antiphase flapping load on a symmetric two-cluster testbed.
+// Part A: the catalog's thrash-governed world (antiphase flapping load on a
+// symmetric two-cluster testbed); the raw arm leaves the governor unwired.
 // ---------------------------------------------------------------------------
-
-struct ThrashTestbed {
-  grid::ClusterId east = grid::kNoId;
-  grid::ClusterId west = grid::kNoId;
-  std::vector<grid::NodeId> eastNodes;
-  std::vector<grid::NodeId> westNodes;
-};
-
-// Two identical clusters of 4 dual-CPU nodes with a fat-enough WAN that
-// migration is genuinely profitable every time the load flips — the worst
-// possible terrain for an ungoverned rescheduler.
-ThrashTestbed buildThrashTestbed(grid::Grid& g) {
-  ThrashTestbed tb;
-  tb.east = g.addCluster(
-      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
-  tb.west = g.addCluster(
-      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
-  for (int i = 0; i < 4; ++i) {
-    tb.eastNodes.push_back(g.addNode(tb.east, grid::utkQrNodeSpec(i)));
-    tb.westNodes.push_back(g.addNode(tb.west, grid::utkQrNodeSpec(i + 4)));
-  }
-  g.connectClusters(tb.east, tb.west,
-                    grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
-  return tb;
-}
-
-// Square wave: `weight` competitors during every second half-period,
-// starting with the half-period beginning at `firstOnset`.
-grid::LoadTrace squareWave(double firstOnset, double period, double weight,
-                           int cycles) {
-  std::vector<grid::LoadPhase> phases;
-  for (int c = 0; c < cycles; ++c) {
-    const double on = firstOnset + 2.0 * period * c;
-    phases.push_back({on, weight});
-    phases.push_back({on + period, 0.0});
-  }
-  return grid::LoadTrace(phases);
-}
 
 struct ThrashOutcome {
   bool completed = false;
@@ -99,81 +60,24 @@ struct ThrashOutcome {
   double seconds = 0.0;
 };
 
-// migrate → migrate-back: incarnation i returns to the mapping it held two
-// incarnations ago after having left it.
-int countOscillations(const std::vector<std::vector<grid::NodeId>>& maps) {
-  int n = 0;
-  for (std::size_t i = 2; i < maps.size(); ++i) {
-    if (maps[i] == maps[i - 2] && maps[i] != maps[i - 1]) ++n;
-  }
-  return n;
-}
-
 ThrashOutcome runThrash(std::uint64_t seed, bool governed) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = buildThrashTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  services::Nws nws(eng, g, 10.0, 0.02, seed);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-
-  // The app starts on east (both idle, first cluster wins the tie); 90 s
-  // later east gets loaded while west idles, then the load flips every
-  // 90 s. The NWS noise rides on top: the flapping-signal regime.
-  const double period = 90.0;
-  const double weight = 3.0;
-  for (const auto n : tb.eastNodes) {
-    grid::applyLoadTrace(eng, g.node(n), squareWave(period, period, weight, 10));
-  }
-  for (const auto n : tb.westNodes) {
-    grid::applyLoadTrace(eng, g.node(n),
-                         squareWave(2.0 * period, period, weight, 10));
-  }
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-
-  reschedule::ActionJournal journal(eng);
-  reschedule::ReschedulerOptions ropts;
-  ropts.worstCaseMigrationSec = 40.0;  // close to the actual cost here
-  reschedule::StopRestartRescheduler rescheduler(gis, &nws, ropts);
-  rescheduler.setJournal(&journal);
-
-  reschedule::GovernorOptions gopts;
-  gopts.quorumK = 2;
-  gopts.quorumN = 4;
-  gopts.hysteresisBand = 0.1;
-  gopts.cooldownSec = 600.0;  // longer than the load's flip period by far
-  gopts.maxConcurrentActions = 1;
-  reschedule::ViolationGovernor governor(eng, journal, gopts);
-
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.journal = &journal;
-  mopts.governor = governed ? &governor : nullptr;
-  mopts.retrySeed = seed;
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, &rescheduler, mopts, &bd), "qr");
+  bench::World w;
+  bench::build(w, "thrash-governed", seed, /*armDaemons=*/true);
+  if (!governed) w.mopts.governor = nullptr;
+  bench::spawnApps(w, /*restored=*/false);
+  const core::RunBreakdown& bd = w.bd;
   ThrashOutcome out;
   try {
-    eng.run();
-    eng.rethrowIfFailed();
+    w.eng.run();
+    w.eng.rethrowIfFailed();
     out.completed = bd.totalSeconds > 0.0;
     out.seconds = bd.totalSeconds;
   } catch (const std::exception& e) {
     std::cout << "  [thrash seed " << seed << "] lost: " << e.what() << "\n";
-    out.seconds = eng.now();
+    out.seconds = w.eng.now();
   }
   out.migrations = bd.incarnations > 0 ? bd.incarnations - 1 : 0;
-  out.oscillations = countOscillations(bd.mappings);
+  out.oscillations = bench::countOscillations(bd.mappings);
   out.suppressed = bd.violationsSuppressed;
   out.committed = bd.actionsCommitted;
   out.rolledBack = bd.actionsRolledBack;

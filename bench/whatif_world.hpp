@@ -1,12 +1,12 @@
 // Shared what-if scenario world + sandbox fork harness.
 //
-// One scenario, built by one function, shared by whatif_campaign,
-// crash_sweep's whatif scenario, the determinism probe, and the unit tests:
-// the two-cluster antiphase flapping-load testbed of thrash_campaign, but
-// with a governor cooldown deliberately *weaker* than the load's flip
-// period — model-only, the control plane thrashes (migrate, migrate back,
-// pay the checkpoint-restore toll each way), which is exactly the harm the
-// what-if fork driver exists to avoid committing.
+// One scenario, built by one function, shared by whatif_campaign, the
+// scenario catalog's whatif-forked entry, and the unit tests: the
+// two-cluster antiphase flapping-load testbed of thrash-governed, but with a
+// governor cooldown deliberately *weaker* than the load's flip period —
+// model-only, the control plane thrashes (migrate, migrate back, pay the
+// checkpoint-restore toll each way), which is exactly the harm the what-if
+// fork driver exists to avoid committing.
 //
 // The sandbox harness (runWhatifFork) is the SandboxRunner the ForkDriver
 // is armed with: a fork is a whole second control plane — engine, grid,
@@ -21,13 +21,13 @@
 // the last checkpoint onto the pinned mapping), so the comparison is fair;
 // suppress is thereby scored slightly pessimistically (the live suppress
 // never restarts), which only biases the driver toward conservatism.
+//
+// Header-only, like everything it calls in scenarios.hpp.
 
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "apps/qr.hpp"
@@ -36,16 +36,13 @@
 #include "grid/load.hpp"
 #include "grid/testbeds.hpp"
 #include "reschedule/chaos.hpp"
-#include "reschedule/failure.hpp"
 #include "reschedule/governor.hpp"
 #include "reschedule/journal.hpp"
 #include "reschedule/rescheduler.hpp"
 #include "reschedule/whatif/fork_driver.hpp"
+#include "scenarios.hpp"
 #include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
 #include "sim/engine.hpp"
-#include "util/hash.hpp"
 
 namespace grads::bench {
 
@@ -75,30 +72,6 @@ struct WhatifConfig {
   reschedule::whatif::DriverOptions driver;
 };
 
-/// One whole control plane. Engine first (destroyed last) — see
-/// crash_sweep's World for why. Member names deliberately match
-/// crash_sweep's World so buildWhatifWorld templates over both.
-struct WhatifWorld {
-  sim::Engine eng;
-  grid::Grid g{eng};
-  std::optional<services::Gis> gis;
-  std::optional<services::Nws> nws;
-  std::optional<services::Ibp> ibp;
-  std::optional<autopilot::AutopilotManager> autopilot;
-  std::optional<reschedule::FailureInjector> injector;
-  std::optional<reschedule::ChaosDriver> chaos;
-  std::optional<reschedule::ActionJournal> journal;
-  std::optional<reschedule::ViolationGovernor> governor;
-  std::optional<reschedule::StopRestartRescheduler> rescheduler;
-  std::optional<reschedule::whatif::ForkDriver> fork;
-  std::optional<core::AppManager> mgr;
-  core::Cop cop;
-  core::ManagerOptions mopts;
-  std::vector<reschedule::ChaosEvent> schedule;
-  std::vector<std::pair<grid::NodeId, grid::LoadTrace>> traces;
-  core::RunBreakdown bd;
-};
-
 /// Node/link identities the fork harness needs to aim perturbations at.
 struct WhatifTestbed {
   std::vector<grid::NodeId> eastNodes;
@@ -112,32 +85,15 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
     const WhatifConfig& parentConfig,
     const reschedule::whatif::ForkRequest& rq);
 
+/// bench::squareWave under the name perfbench/worlds.cpp calls.
 inline grid::LoadTrace whatifSquareWave(double firstOnset, double period,
                                         double weight, int cycles) {
-  std::vector<grid::LoadPhase> phases;
-  for (int c = 0; c < cycles; ++c) {
-    const double on = firstOnset + 2.0 * period * c;
-    phases.push_back({on, weight});
-    phases.push_back({on + period, 0.0});
-  }
-  return grid::LoadTrace(phases);
+  return squareWave(firstOnset, period, weight, cycles);
 }
 
-/// migrate → migrate-back: incarnation i returns to the mapping it held two
-/// incarnations ago after having left it (thrash_campaign's oscillation).
-inline int countWhatifOscillations(
-    const std::vector<std::vector<grid::NodeId>>& maps) {
-  int n = 0;
-  for (std::size_t i = 2; i < maps.size(); ++i) {
-    if (maps[i] == maps[i - 2] && maps[i] != maps[i - 1]) ++n;
-  }
-  return n;
-}
-
-/// Builds the scenario into any crash_sweep-shaped world (W needs the
-/// member set of WhatifWorld). `armDaemons` as in crash_sweep: true for
-/// fresh runs, false for arms that arm everything through the restore
-/// protocol. Registration order is fixed and identical across all arms.
+/// Builds the scenario into any World-shaped struct (W needs the member set
+/// of bench::World). `armDaemons` as in bench::build: true for fresh runs,
+/// false for arms that arm everything through the restore protocol.
 template <typename W>
 inline WhatifTestbed buildWhatifWorld(W& w, const WhatifConfig& cfg,
                                       bool armDaemons) {
@@ -171,14 +127,13 @@ inline WhatifTestbed buildWhatifWorld(W& w, const WhatifConfig& cfg,
   w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
 
   for (const auto n : tb.eastNodes) {
-    w.traces.emplace_back(n, whatifSquareWave(cfg.loadPeriodSec,
-                                              cfg.loadPeriodSec,
-                                              cfg.loadWeight, cfg.loadCycles));
+    w.traces.emplace_back(n, squareWave(cfg.loadPeriodSec, cfg.loadPeriodSec,
+                                        cfg.loadWeight, cfg.loadCycles));
   }
   for (const auto n : tb.westNodes) {
-    w.traces.emplace_back(n, whatifSquareWave(2.0 * cfg.loadPeriodSec,
-                                              cfg.loadPeriodSec,
-                                              cfg.loadWeight, cfg.loadCycles));
+    w.traces.emplace_back(n, squareWave(2.0 * cfg.loadPeriodSec,
+                                        cfg.loadPeriodSec, cfg.loadWeight,
+                                        cfg.loadCycles));
   }
 
   reschedule::CampaignConfig cc;
@@ -224,15 +179,7 @@ inline WhatifTestbed buildWhatifWorld(W& w, const WhatifConfig& cfg,
   w.mopts.depotRetry.maxAttempts = 3;
   w.mopts.depotRetry.baseDelaySec = 20.0;
 
-  auto& reg = w.mgr->snapshots();
-  reg.add(w.g);
-  reg.add(*w.gis);
-  reg.add(*w.nws);
-  reg.add(*w.ibp);
-  reg.add(*w.autopilot);
-  reg.add(*w.journal);
-  reg.add(*w.governor);
-  reg.add(*w.fork);
+  registerComponents(w);
 
   if (cfg.withDriver) {
     w.rescheduler->setForkDriver(&*w.fork);
@@ -246,56 +193,8 @@ inline WhatifTestbed buildWhatifWorld(W& w, const WhatifConfig& cfg,
     });
   }
 
-  if (armDaemons) {
-    w.nws->start();
-    for (const auto& [node, trace] : w.traces) {
-      grid::applyLoadTrace(w.eng, w.g.node(node), trace);
-    }
-    w.chaos->armAll(w.schedule);
-  }
+  if (armDaemons) startDaemons(w);
   return tb;
-}
-
-/// Pop-stream digest + per-fork event budget in one observer (the engine
-/// has a single observer slot).
-struct WhatifForkObserver {
-  util::DigestStream ds;
-  sim::Engine* eng = nullptr;
-  std::uint64_t cap = 0;  ///< 0 = uncapped
-  std::uint64_t seen = 0;
-  bool tripped = false;
-
-  static void observe(void* ctx, sim::Time t, std::uint64_t key, bool daemon) {
-    auto* o = static_cast<WhatifForkObserver*>(ctx);
-    o->ds.put(t);
-    o->ds.put(key);
-    o->ds.put(static_cast<std::uint64_t>(daemon));
-    ++o->seen;
-    if (o->cap != 0 && o->seen >= o->cap && !o->tripped) {
-      o->tripped = true;
-      o->eng->stop();
-    }
-  }
-};
-
-/// Replay-digest fold of one scenario run. Deliberately excludes the
-/// RunBreakdown's whatif gauges: those are observer bookkeeping on the
-/// driver, and the zero-live-state-divergence oracle compares a shadow-mode
-/// run (gauges > 0) against a driver-less run (gauges = 0) expecting
-/// bit-identical digests.
-inline void foldWhatifBreakdown(util::DigestStream& ds,
-                                const core::RunBreakdown& bd) {
-  ds.put(bd.totalSeconds);
-  ds.put(static_cast<std::uint64_t>(bd.incarnations));
-  ds.put(static_cast<std::uint64_t>(bd.launchFailures));
-  ds.put(static_cast<std::uint64_t>(bd.restoreFailures));
-  ds.put(static_cast<std::uint64_t>(bd.actionsCommitted));
-  ds.put(static_cast<std::uint64_t>(bd.actionsRolledBack));
-  ds.put(static_cast<std::uint64_t>(bd.violationsSuppressed));
-  ds.put(static_cast<std::uint64_t>(bd.daemonRearms));
-  for (const auto& mapping : bd.mappings) {
-    for (const auto node : mapping) ds.put(static_cast<std::uint64_t>(node));
-  }
 }
 
 /// The SandboxRunner: one fork = restore + pinned injection + perturbation
@@ -311,13 +210,12 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
 
   WhatifConfig cfg = parentConfig;
   cfg.withDriver = false;  // forks never recurse into speculation
-  WhatifWorld w;
+  World w;
   const WhatifTestbed tb = buildWhatifWorld(w, cfg, /*armDaemons=*/false);
 
-  WhatifForkObserver obs;
-  obs.eng = &w.eng;
+  PopObserver obs;
   obs.cap = rq.maxEvents;
-  w.eng.setPopObserver(&WhatifForkObserver::observe, &obs);
+  obs.attach(w.eng);
 
   int baseGoverned = 0;
   bool restoredOk = false;
@@ -376,7 +274,7 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
       }
     }
 
-    // Ordinary restore-protocol arming (crash_sweep's runRestored order).
+    // The rest of bench::restore's sequence, with the perturbed schedule.
     w.chaos->armFrom(schedule, img.simTime);
     for (const auto& [node, trace] : w.traces) {
       grid::applyLoadTraceFrom(w.eng, w.g.node(node), trace, img.simTime);
@@ -386,10 +284,7 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
     baseGoverned =
         w.governor->stats().admitted + w.governor->stats().suppressed();
     restoredOk = true;
-    if (!w.mgr->isCompleted(rq.app)) {
-      w.eng.spawn(w.mgr->run(w.cop, &*w.rescheduler, w.mopts, &w.bd),
-                  w.cop.name);
-    }
+    spawnApps(w, /*restored=*/true);
     w.eng.runUntil(img.simTime + rq.horizonSec);
   } catch (const std::exception&) {
     // A sandbox that dies is a realized worst case, not a harness error:
@@ -411,9 +306,8 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
   std::vector<std::vector<grid::NodeId>> maps;
   maps.push_back(rq.current);
   maps.insert(maps.end(), w.bd.mappings.begin(), w.bd.mappings.end());
-  out.migrateBacks = countWhatifOscillations(maps);
-  foldWhatifBreakdown(obs.ds, w.bd);
-  obs.ds.put(static_cast<std::uint64_t>(w.chaos->counters().total()));
+  out.migrateBacks = countOscillations(maps);
+  foldOutcome(obs.ds, w);
   out.forkDigest = obs.ds.digest();
   return out;
 }
@@ -431,31 +325,23 @@ struct WhatifRunResult {
 };
 
 inline WhatifRunResult runWhatifScenario(const WhatifConfig& cfg) {
-  WhatifWorld w;
+  World w;
   buildWhatifWorld(w, cfg, /*armDaemons=*/true);
-  util::DigestStream ds;
-  w.eng.setPopObserver(
-      [](void* ctx, sim::Time t, std::uint64_t key, bool daemon) {
-        auto* s = static_cast<util::DigestStream*>(ctx);
-        s->put(t);
-        s->put(key);
-        s->put(static_cast<std::uint64_t>(daemon));
-      },
-      &ds);
-  w.eng.spawn(w.mgr->run(w.cop, &*w.rescheduler, w.mopts, &w.bd), w.cop.name);
+  PopObserver obs;
+  obs.attach(w.eng);
+  spawnApps(w, /*restored=*/false);
   w.eng.run();
   w.eng.rethrowIfFailed();
 
   WhatifRunResult res;
-  res.completed = w.mgr->isCompleted(w.cop.name);
+  res.completed = scenarioCompleted(w);
   res.bd = w.bd;
   res.journal = w.journal->records();
   res.governor = w.governor->stats();
   res.driver = w.fork->stats();
-  res.oscillations = countWhatifOscillations(w.bd.mappings);
-  foldWhatifBreakdown(ds, w.bd);
-  ds.put(static_cast<std::uint64_t>(w.chaos->counters().total()));
-  res.digest = ds.digest();
+  res.oscillations = countOscillations(w.bd.mappings);
+  foldOutcome(obs.ds, w);
+  res.digest = obs.ds.digest();
   return res;
 }
 

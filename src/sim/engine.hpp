@@ -26,7 +26,6 @@ class Task;
 ///
 /// Coroutine processes (sim::Task) are spawned onto the engine and interact
 /// with virtual time through awaitables (sleep, Event, Channel, PsResource).
-// grads: affinity(engine)
 class Engine {
  public:
   Engine();

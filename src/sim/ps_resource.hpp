@@ -27,7 +27,6 @@ namespace grads::sim {
 ///
 /// Shares are weighted: a job of weight w gets
 ///     rate = w * min(maxRatePerUnit, capacity / totalWeight).
-// grads: affinity(engine)
 class PsResource {
  public:
   using LoadId = std::uint64_t;

@@ -305,7 +305,7 @@ TEST(WhatifForks, SameImageCandidateAndSeedReplayBitIdentically) {
   bench::WhatifConfig cfg;
   cfg.seed = 77;
   cfg.withDriver = false;
-  bench::WhatifWorld w;
+  bench::World w;
   bench::buildWhatifWorld(w, cfg, /*armDaemons=*/true);
   std::vector<std::uint8_t> bytes;
   w.mgr->snapshotAt(200.0, [&bytes](core::SnapshotImage img) {

@@ -5,13 +5,13 @@
 // examples/ (comment- and string-aware, no compiler dependency) on a small
 // worker pool, runs the lexical rules R1–R6, and builds a per-file symbol
 // model (classes with data members, include graph, statics, engine-bound
-// lambda captures). Phase 2 runs the symbol rules R7–R11 over the merged
+// lambda captures). Phase 2 runs the symbol rules R7–R10 over the merged
 // model (see DESIGN.md §12). Inline waivers (`grads-lint: allow(RULE
 // reason)`) suppress a finding but stay visible in the printed inventory;
 // stale waivers are reported too.
 //
 // Usage: grads-lint [--root DIR] [--selfcheck] [--sarif FILE]
-//   --selfcheck  widen R7/R9/R11 from src/ to bench/ and tools/ as well
+//   --selfcheck  widen R7/R9 from src/ to bench/ and tools/ as well
 //   --sarif FILE also write the report as SARIF 2.1.0 (for GitHub inline
 //                PR annotations); suppressed findings carry inSource
 //                suppression objects

@@ -686,7 +686,7 @@ std::vector<Suppression> parseSuppressions(const std::string& relPath,
 }
 
 // ---------------------------------------------------------------------------
-// R7–R11 — shard-readiness rules over the phase-1 symbol model.
+// R7–R10 — tree-wide rules over the phase-1 symbol model.
 // ---------------------------------------------------------------------------
 
 void addSym(std::vector<Finding>& out, const std::string& file, int line,
@@ -866,63 +866,6 @@ void ruleR10(const FileSymbols& f, std::vector<Finding>& out) {
   }
 }
 
-// R11 — engine-affinity violations.
-
-void ruleR11(const std::vector<FileSymbols>& files, const AnalyzeOptions& opts,
-             std::vector<Finding>& out) {
-  std::vector<const ClassSym*> affine;
-  for (const FileSymbols& f : files) {
-    for (const ClassSym& c : f.classes) {
-      if (!c.affinity.empty()) affine.push_back(&c);
-    }
-  }
-  if (affine.empty()) return;
-
-  auto owner = [&affine](const std::string& name) -> const ClassSym* {
-    for (const ClassSym* c : affine) {
-      for (const MemberSym& m : c->members) {
-        if (m.name == name) return c;
-      }
-    }
-    return nullptr;
-  };
-
-  for (const FileSymbols& f : files) {
-    if (!symScope(f.path, opts)) continue;
-    for (const StaticFnSym& fn : f.staticFns) {
-      for (const auto& [name, line] : fn.memberAccesses) {
-        if (const ClassSym* c = owner(name)) {
-          addSym(out, f.path, line, "R11",
-                 "internal-linkage function '" + fn.name + "' touches '" +
-                     name + "' of engine-affine type '" + c->name +
-                     "' (affinity(" + c->affinity +
-                     ")) — route the access through the owning engine's "
-                     "context");
-        }
-      }
-    }
-    for (const ClassSym& cls : f.classes) {
-      if (cls.affinity.empty()) continue;
-      for (const auto& [name, line] : cls.memberAccesses) {
-        const ClassSym* c = owner(name);
-        if (c == nullptr || c == &cls || c->affinity == cls.affinity) continue;
-        // A same-named member of this class shadows the match: touching our
-        // own field through a pointer is not a cross-affinity access.
-        const bool own = std::any_of(
-            cls.members.begin(), cls.members.end(),
-            [&name](const MemberSym& m) { return m.name == name; });
-        if (own) continue;
-        addSym(out, f.path, line, "R11",
-               "type '" + cls.name + "' (affinity(" + cls.affinity +
-                   ")) touches '" + name + "' of '" + c->name +
-                   "' (affinity(" + c->affinity +
-                   ")) — cross-affinity state wants a message or a handle, "
-                   "not a member poke");
-      }
-    }
-  }
-}
-
 }  // namespace
 
 FileAnalysis analyzeFile(const std::string& relPath, std::string_view content,
@@ -956,7 +899,6 @@ void runTreeRules(const std::vector<FileSymbols>& files,
     ruleR10(f, out);
   }
   ruleR9(files, opts, out);
-  ruleR11(files, opts, out);
 }
 
 void matchSuppressions(std::vector<Finding>& findings,

@@ -13,7 +13,7 @@ namespace grads::lint {
 struct Finding {
   std::string file;  ///< repo-relative path, forward slashes
   int line = 0;
-  std::string rule;      ///< "R1".."R11"
+  std::string rule;      ///< "R1".."R10"
   std::string severity;  ///< "error" (all shipped rules fail CI)
   std::string message;
   bool suppressed = false;
@@ -35,8 +35,8 @@ struct FileReport {
   std::vector<Suppression> suppressions;
 };
 
-/// Per-run options. `selfcheck` widens the shard-readiness rules (R7, R9,
-/// R11) from src/ to bench/ and tools/ as well — the grads_lint_selfcheck
+/// Per-run options. `selfcheck` widens the symbol rules R7 and R9 from src/
+/// to bench/ and tools/ as well — the grads_lint_selfcheck
 /// ctest entry runs with it so the analyzer's own code and the benches obey
 /// the same invariants they enforce.
 struct AnalyzeOptions {
@@ -44,7 +44,7 @@ struct AnalyzeOptions {
 };
 
 /// Phase-1 output for one file: the lexical findings (R1–R6) plus the symbol
-/// model the tree-wide rules (R7–R11) consume. Suppressions are parsed but
+/// model the tree-wide rules (R7–R10) consume. Suppressions are parsed but
 /// not yet matched — matching happens after tree rules run, so waivers cover
 /// symbol-rule findings too (see matchSuppressions).
 struct FileAnalysis {
@@ -77,19 +77,15 @@ struct FileAnalysis {
 ///       `// grads: transient(reason)` annotation.
 ///   R10 by-reference lambda captures ([&] or &name, this excluded) in
 ///       callbacks handed to Engine scheduling/emission call sites.
-///   R11 engine-affinity: members of types annotated
-///       `// grads: affinity(tag)` must not be touched from
-///       internal-linkage free functions or from types with a different
-///       affinity tag.
 ///
 /// `relPath` selects which rules apply (src/ vs bench/ vs tests/ etc.) and
 /// which per-path allowlists fire; it must use forward slashes.
 FileAnalysis analyzeFile(const std::string& relPath, std::string_view content,
                          const AnalyzeOptions& opts = {});
 
-/// Phase 2: the symbol rules R7–R11 over every file's symbol model at once
-/// (R9 and R11 need cross-file joins: classes in headers, methods and
-/// free functions in .cpp files). Appends to `out`.
+/// Phase 2: the symbol rules R7–R10 over every file's symbol model at once
+/// (R9 needs a cross-file join: classes in headers, methods in .cpp files).
+/// Appends to `out`.
 void runTreeRules(const std::vector<FileSymbols>& files,
                   const AnalyzeOptions& opts, std::vector<Finding>& out);
 

@@ -24,7 +24,6 @@ constexpr RuleMeta kRules[] = {
     {"R8", "architecture layering DAG inversion"},
     {"R9", "snapshot field not covered by encodeState"},
     {"R10", "by-reference capture handed to the engine"},
-    {"R11", "engine-affinity violation"},
 };
 
 void writeEscaped(std::ostream& os, std::string_view s) {

@@ -41,19 +41,12 @@ constexpr string_view kEngineCallees[] = {
     "scheduleResume", "emit",
 };
 
-/// One parsed `grads:` annotation from the comment channel.
-struct Annotation {
-  std::string kind;    ///< "transient" | "affinity"
-  std::string detail;  ///< reason / tag text inside the parentheses
-};
-
-/// Comment-channel pass: collect `// grads: transient(...)` and
-/// `// grads: affinity(...)` annotations keyed by the comment's line. An
-/// annotation covers its own line and the next line, mirroring the waiver
-/// convention.
-std::map<int, std::vector<Annotation>> parseAnnotations(
-    const std::vector<Token>& comments) {
-  std::map<int, std::vector<Annotation>> out;
+/// Comment-channel pass: collect the reasons of `// grads: transient(...)`
+/// annotations keyed by the comment's line (the first one on a line wins).
+/// An annotation covers its own line and the next line, mirroring the
+/// waiver convention.
+std::map<int, std::string> parseTransients(const std::vector<Token>& comments) {
+  std::map<int, std::string> out;
   for (const Token& com : comments) {
     string_view text = com.text;
     std::size_t at = 0;
@@ -67,12 +60,10 @@ std::map<int, std::vector<Annotation>> parseAnnotations(
         ++j;
       }
       const string_view kind = text.substr(i, j - i);
-      if ((kind == "transient" || kind == "affinity") && j < text.size() &&
-          text[j] == '(') {
+      if (kind == "transient" && j < text.size() && text[j] == '(') {
         const std::size_t close = text.find(')', j);
         if (close != string_view::npos) {
-          std::string detail(text.substr(j + 1, close - j - 1));
-          out[com.line].push_back(Annotation{std::string(kind), detail});
+          out.emplace(com.line, text.substr(j + 1, close - j - 1));
         }
       }
       at = j;
@@ -81,22 +72,18 @@ std::map<int, std::vector<Annotation>> parseAnnotations(
   return out;
 }
 
-const Annotation* findAnnotation(
-    const std::map<int, std::vector<Annotation>>& anns, int line,
-    string_view kind) {
-  // Covers the declaration's own line and the line above it.
+/// The transient reason covering a declaration on `line`: an annotation on
+/// its own line or the line above it.
+const std::string* findTransient(const std::map<int, std::string>& reasons,
+                                 int line) {
   for (const int l : {line, line - 1}) {
-    const auto it = anns.find(l);
-    if (it == anns.end()) continue;
-    for (const Annotation& a : it->second) {
-      if (a.kind == kind) return &a;
-    }
+    const auto it = reasons.find(l);
+    if (it != reasons.end()) return &it->second;
   }
   return nullptr;
 }
 
-/// Token-range bookkeeping for bodies whose member accesses are collected in
-/// a post-pass (class bodies and internal-linkage function bodies).
+/// Token range of a class body or an internal-linkage function body.
 struct BodyRange {
   std::size_t open = 0;   ///< index of '{'
   std::size_t close = 0;  ///< index of matching '}'
@@ -105,20 +92,14 @@ struct BodyRange {
 class SymbolBuilder {
  public:
   SymbolBuilder(const std::string& relPath, const LexResult& lexed)
-      : toks_(lexed.tokens), anns_(parseAnnotations(lexed.comments)) {
+      : toks_(lexed.tokens), transients_(parseTransients(lexed.comments)) {
     out_.path = relPath;
   }
 
   FileSymbols run() {
     collectIncludes();
     walk();
-    for (std::size_t k = 0; k < out_.classes.size(); ++k) {
-      parseMembers(k);
-      collectAccesses(classBodies_[k], out_.classes[k].memberAccesses);
-    }
-    for (std::size_t k = 0; k < out_.staticFns.size(); ++k) {
-      collectAccesses(staticFnBodies_[k], out_.staticFns[k].memberAccesses);
-    }
+    for (std::size_t k = 0; k < out_.classes.size(); ++k) parseMembers(k);
     collectStatics();
     collectCaptures();
     collectMethods();
@@ -288,9 +269,6 @@ class SymbolBuilder {
           cls.file = out_.path;
           cls.line = t.line;
           cls.baseIdents = std::move(bases);
-          if (const Annotation* a = findAnnotation(anns_, t.line, "affinity")) {
-            cls.affinity = a->detail;
-          }
           out_.classes.push_back(std::move(cls));
           classBodies_.push_back(BodyRange{brace, closeBrace(brace)});
           pending[brace] = Scope{Scope::kClass, out_.classes.size() - 1};
@@ -334,8 +312,8 @@ class SymbolBuilder {
 
       // Internal-linkage free function definition: `name(` at namespace
       // scope whose parameter list is followed by a body, with `static` in
-      // the declaration or an anonymous namespace around it. These are the
-      // scopes R11 audits: they run outside any engine's context.
+      // the declaration or an anonymous namespace around it. classifyScope
+      // reads these body ranges to tell function-local statics apart.
       if (t.kind == Tok::kIdent && innermostClass() == nullptr &&
           atDeclScope() && i + 1 < size() && isP(tok(i + 1), "(") &&
           !isId(t, "operator")) {
@@ -351,13 +329,7 @@ class SymbolBuilder {
           for (std::size_t k = stmtStart; k < i && !isStatic; ++k) {
             if (isId(tok(k), "static")) isStatic = true;
           }
-          if (isStatic) {
-            StaticFnSym fn;
-            fn.name = std::string(t.text);
-            fn.line = t.line;
-            out_.staticFns.push_back(std::move(fn));
-            staticFnBodies_.push_back(BodyRange{j, closeBrace(j)});
-          }
+          if (isStatic) staticFnBodies_.push_back(BodyRange{j, closeBrace(j)});
         }
       }
     }
@@ -548,23 +520,11 @@ class SymbolBuilder {
     MemberSym m;
     m.name = name;
     m.line = line;
-    if (const Annotation* a = findAnnotation(anns_, line, "transient")) {
+    if (const std::string* reason = findTransient(transients_, line)) {
       m.transient = true;
-      m.transientReason = a->detail;
+      m.transientReason = *reason;
     }
     cls.members.push_back(std::move(m));
-  }
-
-  // -- Member accesses (`.x` / `->x` not followed by a call). --------------
-
-  void collectAccesses(const BodyRange& body,
-                       std::vector<std::pair<std::string, int>>& out) {
-    for (std::size_t j = body.open; j + 1 < body.close; ++j) {
-      if (!isP(tok(j), ".") && !isP(tok(j), "->")) continue;
-      if (tok(j + 1).kind != Tok::kIdent) continue;
-      if (j + 2 < body.close && isP(tok(j + 2), "(")) continue;  // method call
-      out.emplace_back(std::string(tok(j + 1).text), tok(j + 1).line);
-    }
   }
 
   // -- Static / thread_local variables (any scope). ------------------------
@@ -784,10 +744,10 @@ class SymbolBuilder {
   }
 
   const std::vector<Token>& toks_;
-  std::map<int, std::vector<Annotation>> anns_;
+  std::map<int, std::string> transients_;  ///< line -> transient reason
   std::vector<Scope> scopes_;
   std::vector<BodyRange> classBodies_;     ///< parallel to out_.classes
-  std::vector<BodyRange> staticFnBodies_;  ///< parallel to out_.staticFns
+  std::vector<BodyRange> staticFnBodies_;  ///< internal-linkage fn bodies
   std::vector<BodyRange> nsBodies_;        ///< namespace body ranges
   FileSymbols out_;
 };

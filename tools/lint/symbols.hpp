@@ -9,7 +9,7 @@
 namespace grads::lint {
 
 /// Phase-1 symbol model. Built per file over the lexer's token stream (still
-/// no libclang), then merged tree-wide so the shard-readiness rules R7–R11
+/// no libclang), then merged tree-wide so the symbol rules R7–R10
 /// can answer symbol questions the lexical rules R1–R6 cannot: which state is
 /// file-scope mutable, which class fields escape the snapshot, which layers
 /// depend on which, and what engine-scheduled lambdas capture.
@@ -32,10 +32,6 @@ struct ClassSym {
   int line = 0;
   std::vector<std::string> baseIdents;  ///< identifiers in the base-clause
   std::vector<MemberSym> members;       ///< non-static data members
-  std::string affinity;  ///< from `// grads: affinity(tag)`, empty if none
-  /// Identifiers accessed as `.x` / `->x` anywhere inside the class body
-  /// (method bodies included), with lines — R11's touch set.
-  std::vector<std::pair<std::string, int>> memberAccesses;
 };
 
 /// An encodeState/decodeState *definition* (in-class or out-of-line).
@@ -71,15 +67,6 @@ struct CaptureSym {
   std::vector<std::string> refCaptures;  ///< explicit &name captures
 };
 
-/// A namespace-scope `static` function definition (internal linkage) or a
-/// function inside an anonymous namespace — the scopes R11 audits for
-/// touching engine-affine state from outside any engine's context.
-struct StaticFnSym {
-  std::string name;
-  int line = 0;
-  std::vector<std::pair<std::string, int>> memberAccesses;  ///< `.x` / `->x`
-};
-
 struct FileSymbols {
   std::string path;
   std::vector<IncludeSym> includes;
@@ -87,7 +74,6 @@ struct FileSymbols {
   std::vector<MethodSym> methods;
   std::vector<StaticVarSym> statics;
   std::vector<CaptureSym> captures;
-  std::vector<StaticFnSym> staticFns;
 };
 
 /// Builds the symbol model for one translation unit. `relPath` must use
