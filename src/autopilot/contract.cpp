@@ -49,19 +49,15 @@ void ContractMonitor::attachTo(AutopilotManager& manager,
                  [this](const Reading& r) { onPhaseTime(r.value); });
 }
 
-void ContractMonitor::restoreRuntimeState(double upper, double lower,
-                                          std::size_t phase,
-                                          std::size_t violations,
-                                          double lastRatio,
-                                          std::deque<double> ratios) {
-  GRADS_REQUIRE(upper > 1.0 && lower > 0.0 && lower < 1.0,
+void ContractMonitor::restoreRuntimeState(MonitorBand band) {
+  GRADS_REQUIRE(band.upper > 1.0 && band.lower > 0.0 && band.lower < 1.0,
                 "ContractMonitor::restoreRuntimeState: bad tolerance band");
-  upper_ = upper;
-  lower_ = lower;
-  phase_ = phase;
-  violations_ = violations;
-  lastRatio_ = lastRatio;
-  ratios_ = std::move(ratios);
+  upper_ = band.upper;
+  lower_ = band.lower;
+  phase_ = band.phase;
+  violations_ = band.violations;
+  lastRatio_ = band.lastRatio;
+  ratios_ = std::move(band.ratios);
 }
 
 double ContractMonitor::averageRatio() const {

@@ -53,6 +53,25 @@ enum class RescheduleOutcome { kMigrated, kDeclined, kSuppressed };
 /// Decision procedure used to confirm a violation.
 enum class DecisionMode { kThresholdAverage, kFuzzy };
 
+/// A contract monitor's adaptive runtime state: tolerance band, phase
+/// cursor, violation tally, last ratio, and the ratio window backing the
+/// confirmation average. The application manager snapshots it per app, so
+/// a restored monitor confirms violations from the same evidence the
+/// pre-crash one held.
+struct MonitorBand {
+  double upper = 0.0;
+  double lower = 0.0;
+  std::size_t phase = 0;
+  std::size_t violations = 0;
+  double lastRatio = 1.0;
+  std::deque<double> ratios;
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.upper, s.lower, s.phase, s.violations, s.lastRatio, s.ratios);
+  }
+};
+
 /// The GrADS contract monitor (paper §4.1.1):
 ///  - takes periodic phase-time data from Autopilot sensors,
 ///  - computes ratio = actual / predicted,
@@ -96,11 +115,9 @@ class ContractMonitor {
   double lowerTolerance() const { return lower_; }
   std::size_t phasesSeen() const { return phase_; }
   std::size_t violationsRaised() const { return violations_; }
-  double lastRatio() const { return lastRatio_; }
-  /// Ratio window currently backing the confirmation average (snapshotted
-  /// by the application manager so a restored monitor confirms violations
-  /// from the same evidence the pre-crash one held).
-  const std::deque<double>& ratioWindow() const { return ratios_; }
+  MonitorBand runtimeState() const {
+    return {upper_, lower_, phase_, violations_, lastRatio_, ratios_};
+  }
 
   /// Pause/resume monitoring (during migrations the app reports nothing).
   void setEnabled(bool enabled) { enabled_ = enabled; }
@@ -109,12 +126,9 @@ class ContractMonitor {
 
   /// Restore-path adoption after a control-plane restart: a freshly
   /// constructed monitor for a resumed application takes over the pre-crash
-  /// adaptive tolerance band, phase cursor, violation tally, last ratio, and
-  /// confirmation window decoded from the snapshot (the application manager
-  /// owns the encoding — see core/app_manager).
-  void restoreRuntimeState(double upper, double lower, std::size_t phase,
-                           std::size_t violations, double lastRatio,
-                           std::deque<double> ratios);
+  /// runtime state decoded from the snapshot (the application manager owns
+  /// the encoding — see core/app_manager).
+  void restoreRuntimeState(MonitorBand band);
 
  private:
   double averageRatio() const;

@@ -24,33 +24,11 @@ void AutopilotManager::report(const std::string& channel, double value) {
   }
 }
 
-void AutopilotManager::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(history_.size());
-  for (const auto& [channel, readings] : history_) {
-    w.putStr(channel);
-    w.putU64(readings.size());
-    for (const auto& reading : readings) {
-      w.putF64(reading.value);
-      w.putF64(reading.time);
-    }
-  }
-  w.putU64(total_);
-}
-
 void AutopilotManager::decodeState(core::SnapshotReader& r) {
-  history_.clear();
-  const auto channels = r.getU64();
-  for (std::uint64_t c = 0; c < channels; ++c) {
-    const auto channel = r.getStr();
-    auto& readings = history_[channel];
-    readings.resize(r.getU64());
-    for (auto& reading : readings) {
-      reading.channel = channel;
-      reading.value = r.getF64();
-      reading.time = r.getF64();
-    }
+  snapshotIo(*this, r);
+  for (auto& [channel, readings] : history_) {
+    for (auto& reading : readings) reading.channel = channel;
   }
-  total_ = static_cast<std::size_t>(r.getU64());
 }
 
 const std::vector<Reading>& AutopilotManager::history(

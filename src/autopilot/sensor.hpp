@@ -13,9 +13,15 @@ namespace grads::autopilot {
 /// One sensor reading: a named channel, a value, and the virtual time it was
 /// produced.
 struct Reading {
+  // grads: transient(derived, the history key it is filed under)
   std::string channel;
   double value = 0.0;
   double time = 0.0;
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.value, s.time);
+  }
 };
 
 /// The Autopilot manager: a pub/sub registry connecting instrumented
@@ -33,7 +39,9 @@ class AutopilotManager : public core::Snapshottable {
   explicit AutopilotManager(sim::Engine& engine) : engine_(&engine) {}
 
   const char* snapshotSection() const override { return "autopilot.sensor"; }
-  void encodeState(core::SnapshotWriter& w) const override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
   void decodeState(core::SnapshotReader& r) override;
 
   using Listener = std::function<void(const Reading&)>;
@@ -51,6 +59,11 @@ class AutopilotManager : public core::Snapshottable {
   std::size_t totalReadings() const { return total_; }
 
  private:
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.history_, s.total_);
+  }
+
   struct Sub {
     std::string channel;
     Listener fn;

@@ -90,99 +90,30 @@ std::optional<AppManager::ResumeRecord> AppManager::takeResume(
 }
 
 void AppManager::encodeState(core::SnapshotWriter& w) const {
-  const auto putMonitor = [&w](bool present, double upper, double lower,
-                               std::size_t phase, std::size_t violations,
-                               double lastRatio,
-                               const std::deque<double>& ratios) {
-    w.putBool(present);
-    if (!present) return;
-    w.putF64(upper);
-    w.putF64(lower);
-    w.putU64(phase);
-    w.putU64(violations);
-    w.putF64(lastRatio);
-    w.putU64(ratios.size());
-    for (const double ratio : ratios) w.putF64(ratio);
-  };
-  const auto putScrub = [&w](const reschedule::DepotScrubber::Stats& s) {
-    w.putI64(s.scans);
-    w.putI64(s.slicesChecked);
-    w.putI64(s.corruptFound);
-    w.putI64(s.missingFound);
-    w.putI64(s.repaired);
-    w.putI64(s.unrepairable);
-    w.putI64(s.deferred);
-  };
-  // One encoder for both live runs and still-unadopted resume records, so
-  // a snapshot taken in the gap between restore and relaunch loses nothing.
-  const auto putApp = [&](const std::string& name,
-                          const reschedule::Rss& rss, bool monPresent,
-                          double upper, double lower, std::size_t phase,
-                          std::size_t violations, double lastRatio,
-                          const std::deque<double>& ratios,
-                          const reschedule::DepotScrubber::Stats& scrub) {
-    w.putStr(name);
-    rss.encodeState(w);
-    putMonitor(monPresent, upper, lower, phase, violations, lastRatio,
-               ratios);
-    putScrub(scrub);
-  };
-
-  w.putU64(completed_.size());
-  for (const auto& name : completed_) w.putStr(name);
-  w.putU64(live_->size() + resume_.size());
-  static const std::deque<double> kNoRatios;
+  // Live runs and still-unadopted resume records share one count and one
+  // record layout, so a snapshot taken in the gap between restore and
+  // relaunch loses nothing.
+  w(completed_, live_->size() + resume_.size());
   for (const auto& [name, rt] : *live_) {
-    const autopilot::ContractMonitor* mon = rt.monitor->get();
-    if (mon != nullptr) {
-      putApp(name, *rt.rss, true, mon->upperTolerance(),
-             mon->lowerTolerance(), mon->phasesSeen(),
-             mon->violationsRaised(), mon->lastRatio(), mon->ratioWindow(),
-             rt.scrubber->stats());
-    } else {
-      putApp(name, *rt.rss, false, 0.0, 0.0, 0, 0, 1.0, kNoRatios,
-             rt.scrubber->stats());
-    }
+    std::optional<autopilot::MonitorBand> band;
+    if (const auto* mon = rt.monitor->get()) band = mon->runtimeState();
+    w(name, AppRecord<const reschedule::Rss&>{*rt.rss, std::move(band),
+                                              rt.scrubber->stats()});
   }
-  for (const auto& [name, rec] : resume_) {
-    putApp(name, rec.rss, rec.hasMonitor, rec.monUpper, rec.monLower,
-           rec.monPhase, rec.monViolations, rec.monLastRatio, rec.monRatios,
-           rec.scrubStats);
-  }
+  for (const auto& [name, rec] : resume_) w(name, rec);
 }
 
 void AppManager::decodeState(core::SnapshotReader& r) {
   sim::Engine& eng = gis_->grid().engine();
-  completed_.clear();
   resume_.clear();
-  const auto nCompleted = r.getU64();
-  for (std::uint64_t i = 0; i < nCompleted; ++i) completed_.insert(r.getStr());
-  const auto nApps = r.getU64();
-  for (std::uint64_t i = 0; i < nApps; ++i) {
-    const auto name = r.getStr();
-    ResumeRecord rec{reschedule::Rss(eng, name), false, 0.0, 0.0,
-                     0,  0,    1.0, {}, {}};
-    rec.rss.decodeState(r);
-    rec.hasMonitor = r.getBool();
-    if (rec.hasMonitor) {
-      rec.monUpper = r.getF64();
-      rec.monLower = r.getF64();
-      rec.monPhase = static_cast<std::size_t>(r.getU64());
-      rec.monViolations = static_cast<std::size_t>(r.getU64());
-      rec.monLastRatio = r.getF64();
-      const auto nRatios = r.getU64();
-      for (std::uint64_t j = 0; j < nRatios; ++j) {
-        rec.monRatios.push_back(r.getF64());
-      }
-    }
-    rec.scrubStats.scans = static_cast<int>(r.getI64());
-    rec.scrubStats.slicesChecked = static_cast<int>(r.getI64());
-    rec.scrubStats.corruptFound = static_cast<int>(r.getI64());
-    rec.scrubStats.missingFound = static_cast<int>(r.getI64());
-    rec.scrubStats.repaired = static_cast<int>(r.getI64());
-    rec.scrubStats.unrepairable = static_cast<int>(r.getI64());
-    rec.scrubStats.deferred = static_cast<int>(r.getI64());
-    resume_.emplace(name, std::move(rec));
+  std::size_t nApps = 0;
+  r(completed_, nApps);
+  for (std::size_t i = 0; i < nApps; ++i) {
+    std::string name;
+    r(name);
+    ResumeRecord rec{reschedule::Rss(eng, name), std::nullopt, {}};
+    r(rec);
+    resume_.emplace(std::move(name), std::move(rec));
   }
 }
 
@@ -496,13 +427,10 @@ sim::Task AppManager::run(const Cop& cop,
         monitor->attachTo(*autopilot_,
                           autopilot::phaseTimeChannel(cop.name));
         monitor->setViewer(options.viewer);
-        if (resumedFromSnapshot && resumeRec->hasMonitor) {
+        if (resumedFromSnapshot && resumeRec->monitor) {
           // Re-adopt the pre-crash adaptive band and confirmation window;
           // the attachTo above is this monitor's single listener re-arm.
-          monitor->restoreRuntimeState(
-              resumeRec->monUpper, resumeRec->monLower, resumeRec->monPhase,
-              resumeRec->monViolations, resumeRec->monLastRatio,
-              std::move(resumeRec->monRatios));
+          monitor->restoreRuntimeState(std::move(*resumeRec->monitor));
           ++breakdown.daemonRearms;
         }
       } else {

@@ -234,18 +234,22 @@ class AppManager : public core::Snapshottable {
   /// from a map that outlives the manager.
   using LiveMap = std::map<std::string, AppRuntime>;
 
-  /// Decoded per-app state waiting for the app's relaunch.
-  struct ResumeRecord {
-    reschedule::Rss rss;
-    bool hasMonitor = false;
-    double monUpper = 0.0;
-    double monLower = 0.0;
-    std::size_t monPhase = 0;
-    std::size_t monViolations = 0;
-    double monLastRatio = 1.0;
-    std::deque<double> monRatios;
+  /// One app's record in the "core.apps" section, after its name. Decoded
+  /// records own their ledger and wait for the app's relaunch
+  /// (ResumeRecord); live runs are written through the same field list
+  /// with the ledger borrowed and the band read off the live monitor.
+  template <class Ledger>
+  struct AppRecord {
+    Ledger rss;
+    std::optional<autopilot::MonitorBand> monitor;
     reschedule::DepotScrubber::Stats scrubStats;
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.rss, s.monitor, s.scrubStats);
+    }
   };
+  using ResumeRecord = AppRecord<reschedule::Rss>;
 
   void scheduleSnapshotTick(double periodSec);
   std::optional<ResumeRecord> takeResume(const std::string& app);

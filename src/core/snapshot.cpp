@@ -41,6 +41,9 @@ double bitsF64(std::uint64_t bits) {
   return v;
 }
 
+/// Payload words holding `len` string bytes (no overflow near 2^64).
+std::uint64_t wordsFor(std::uint64_t len) { return len / 8 + (len % 8 != 0); }
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -69,7 +72,7 @@ void SnapshotWriter::putBool(bool v) {
 void SnapshotWriter::putStr(const std::string& s) {
   words_.push_back(kTagStr);
   words_.push_back(s.size());
-  const std::size_t nWords = (s.size() + 7) / 8;
+  const std::uint64_t nWords = wordsFor(s.size());
   for (std::size_t i = 0; i < nWords; ++i) {
     std::uint64_t w = 0;
     const std::size_t n = std::min<std::size_t>(8, s.size() - i * 8);
@@ -115,10 +118,24 @@ bool SnapshotReader::getBool() {
   return take("bool value") != 0;
 }
 
+std::uint64_t SnapshotReader::count() {
+  const std::uint64_t n = getU64();
+  if (n > remaining()) {
+    throw SnapshotError("snapshot container count " + std::to_string(n) +
+                        " exceeds the " + std::to_string(remaining()) +
+                        " words left in the section");
+  }
+  return n;
+}
+
 std::string SnapshotReader::getStr() {
   checkTag(take("str tag"), kTagStr);
   const std::uint64_t len = take("str length");
-  const std::size_t nWords = (len + 7) / 8;
+  const std::uint64_t nWords = wordsFor(len);
+  if (nWords > remaining()) {
+    throw SnapshotError("snapshot string of " + std::to_string(len) +
+                        " bytes overruns its section");
+  }
   std::string s(len, '\0');
   for (std::size_t i = 0; i < nWords; ++i) {
     const std::uint64_t w = take("str payload");
@@ -184,6 +201,17 @@ class WordCursor {
 
   bool done() const { return pos_ == bytes_->size(); }
 
+  /// Passes through a count of items that take at least one word each
+  /// (sections, name words, payload words), rejecting any count larger than
+  /// the words left before anything is sized from it.
+  std::uint64_t fits(const char* what, std::uint64_t n) const {
+    if (n > (bytes_->size() - pos_) / 8) {
+      throw SnapshotError(std::string("snapshot image ") + what + " " +
+                          std::to_string(n) + " overruns the image");
+    }
+    return n;
+  }
+
  private:
   const std::vector<std::uint8_t>* bytes_;
   std::size_t pos_ = 0;
@@ -199,7 +227,7 @@ std::vector<std::uint8_t> SnapshotImage::serialize() const {
   appendWord(out, sections_.size());
   for (const auto& s : sections_) {
     appendWord(out, s.name.size());
-    const std::size_t nameWords = (s.name.size() + 7) / 8;
+    const std::uint64_t nameWords = wordsFor(s.name.size());
     for (std::size_t i = 0; i < nameWords; ++i) {
       std::uint64_t w = 0;
       const std::size_t n = std::min<std::size_t>(8, s.name.size() - i * 8);
@@ -240,11 +268,13 @@ SnapshotImage SnapshotImage::parse(const std::vector<std::uint8_t>& bytes) {
   }
   SnapshotImage img;
   img.simTime = bitsF64(cur.next("sim time"));
-  const std::uint64_t nSections = cur.next("section count");
+  const std::uint64_t nSections =
+      cur.fits("section count", cur.next("section count"));
   for (std::uint64_t i = 0; i < nSections; ++i) {
     SnapshotSection sec;
     const std::uint64_t nameLen = cur.next("section name length");
-    const std::size_t nameWords = (nameLen + 7) / 8;
+    const std::uint64_t nameWords =
+        cur.fits("section name length", wordsFor(nameLen));
     sec.name.resize(nameLen);
     for (std::size_t j = 0; j < nameWords; ++j) {
       const std::uint64_t w = cur.next("section name");
@@ -252,7 +282,8 @@ SnapshotImage SnapshotImage::parse(const std::vector<std::uint8_t>& bytes) {
       std::memcpy(sec.name.data() + j * 8, &w, n);
     }
     sec.version = static_cast<std::uint32_t>(cur.next("section version"));
-    const std::uint64_t nWords = cur.next("section word count");
+    const std::uint64_t nWords =
+        cur.fits("section word count", cur.next("section word count"));
     sec.words.reserve(nWords);
     for (std::uint64_t j = 0; j < nWords; ++j) {
       sec.words.push_back(cur.next("section payload"));

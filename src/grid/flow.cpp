@@ -298,26 +298,4 @@ void FlowRegistry::setBulkWeight(double weight) {
   replan();
 }
 
-void FlowRegistry::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(static_cast<std::uint64_t>(mode_));
-  w.putBool(pacing_);
-  w.putF64(bulkWeight_);
-  w.putU64(flowsOpened_);
-  w.putU64(flowsCompleted_);
-  w.putF64(bytesCompleted_);
-  w.putU64(solves_);
-  w.putU64(peakConcurrent_);
-}
-
-void FlowRegistry::decodeState(core::SnapshotReader& r) {
-  mode_ = static_cast<SharingMode>(r.getU64());
-  pacing_ = r.getBool();
-  bulkWeight_ = r.getF64();
-  flowsOpened_ = r.getU64();
-  flowsCompleted_ = r.getU64();
-  bytesCompleted_ = r.getF64();
-  solves_ = r.getU64();
-  peakConcurrent_ = r.getU64();
-}
-
 }  // namespace grads::grid

@@ -107,10 +107,16 @@ class FlowRegistry {
   /// re-scaled by Grid's link decode; active flows live in coroutine frames
   /// and restart from checkpoints, exactly like PsResource jobs. What
   /// round-trips here is the sharing configuration and the counters.
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void encodeState(core::SnapshotWriter& w) const { snapshotIo(*this, w); }
+  void decodeState(core::SnapshotReader& r) { snapshotIo(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.mode_, s.pacing_, s.bulkWeight_, s.flowsOpened_, s.flowsCompleted_,
+      s.bytesCompleted_, s.solves_, s.peakConcurrent_);
+  }
+
   struct LinkState {
     double capacity = 0.0;
     double perFlowCap = 0.0;

@@ -218,32 +218,31 @@ double Grid::transferEstimateNow(NodeId src, NodeId dst, double bytes) const {
   return r.latencySec + bytes / bw;
 }
 
+namespace {
+constexpr const char* kTopologyMismatch =
+    "grid.fabric: snapshot topology does not match the rebuilt grid (was the "
+    "testbed builder changed?)";
+}  // namespace
+
+// Hand-written rather than a snapshotIo field list: links live behind
+// accessors, and decode must go through Link::setBandwidthScale, which
+// validates the scale and re-solves the flow shares.
 void Grid::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(nodes_.size());
-  w.putU64(links_.size());
-  w.putU64(clusters_.size());
-  for (const auto& link : links_) {
-    w.putBool(link->isUp());
-    w.putF64(link->bandwidthScale());
-  }
-  flows_->encodeState(w);
+  w.expect(kTopologyMismatch, nodes_.size(), links_.size(), clusters_.size());
+  for (const auto& link : links_) w(link->isUp(), link->bandwidthScale());
+  w(*flows_);
 }
 
 void Grid::decodeState(core::SnapshotReader& r) {
-  const std::uint64_t nNodes = r.getU64();
-  const std::uint64_t nLinks = r.getU64();
-  const std::uint64_t nClusters = r.getU64();
-  if (nNodes != nodes_.size() || nLinks != links_.size() ||
-      nClusters != clusters_.size()) {
-    throw core::SnapshotError(
-        "grid.fabric: snapshot topology does not match the rebuilt grid "
-        "(was the testbed builder changed?)");
-  }
+  r.expect(kTopologyMismatch, nodes_.size(), links_.size(), clusters_.size());
   for (const auto& link : links_) {
-    link->setUp(r.getBool());
-    link->setBandwidthScale(r.getF64());
+    bool up = true;
+    double scale = 1.0;
+    r(up, scale);
+    link->setUp(up);
+    link->setBandwidthScale(scale);
   }
-  flows_->decodeState(r);
+  r(*flows_);
 }
 
 }  // namespace grads::grid

@@ -785,146 +785,18 @@ void MetaScheduler::foldDigest(util::DigestStream& ds) const {
 
 // --- Snapshot participation. ---
 
-void MetaScheduler::encodeJobRecord(core::SnapshotWriter& w,
-                                    const Job& job) const {
-  w.putI64(job.tier);
-  w.putF64(job.sizeFlops);
-  w.putU64(job.phases);
-  w.putF64(job.submitAt);
-  w.putF64(job.dispatchAt);
-  w.putF64(job.lastStartAt);
-  w.putF64(job.parkedAt);
-  w.putI64(job.attempts);
-  w.putI64(job.sheds);
-  w.putI64(job.parks);
-  w.putI64(job.deferrals);
-  w.putI64(static_cast<std::int64_t>(job.state));
-  w.putU64(static_cast<std::uint64_t>(job.node));
-}
-
-MetaScheduler::Job MetaScheduler::decodeJobRecord(
-    core::SnapshotReader& r) const {
-  Job job;
-  job.tier = static_cast<int>(r.getI64());
-  job.sizeFlops = r.getF64();
-  job.phases = r.getU64();
-  job.submitAt = r.getF64();
-  job.dispatchAt = r.getF64();
-  job.lastStartAt = r.getF64();
-  job.parkedAt = r.getF64();
-  job.attempts = static_cast<int>(r.getI64());
-  job.sheds = static_cast<int>(r.getI64());
-  job.parks = static_cast<int>(r.getI64());
-  job.deferrals = static_cast<int>(r.getI64());
-  job.state = static_cast<JobState>(r.getI64());
-  job.node = static_cast<grid::NodeId>(r.getU64());
-  return job;
-}
-
-void MetaScheduler::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(ledgers_.size());
-  for (const TenantLedger& led : ledgers_) led.encodeState(w);
-  for (const TenantRuntime& rt : tenants_) {
-    const RngState st = rt.rng.state();
-    w.putU64(st.s[0]);
-    w.putU64(st.s[1]);
-    w.putU64(st.s[2]);
-    w.putU64(st.s[3]);
-    w.putBool(st.haveSpare);
-    w.putF64(st.spare);
-    w.putF64(rt.nextArrivalAt);
-    w.putU64(rt.nextSeq);
-    w.putF64(rt.stridePass);
-    w.putF64(rt.lastPreemptAt);
-  }
-  w.putU64(jobs_.size());
-  for (const auto& [key, job] : jobs_) {
-    w.putU64(key);
-    encodeJobRecord(w, job);
-  }
-  for (const auto& q : queues_) {
-    w.putU64(q.size());
-    for (const JobKey k : q) w.putU64(k);
-  }
-  w.putU64(resubmitAt_.size());
-  for (const auto& [key, due] : resubmitAt_) {
-    w.putU64(key);
-    w.putF64(due);
-  }
-  w.putU64(freeSlots_.size());
-  for (const grid::NodeId n : freeSlots_) {
-    w.putU64(static_cast<std::uint64_t>(n));
-  }
-  w.putI64(peakQueueDepth_);
-  w.putI64(peakInSystem_);
-  w.putF64(queueDepthSum_);
-  w.putI64(queueSamples_);
-  w.putF64(busySlotSec_);
-  w.putF64(busyStamp_);
-  w.putI64(busyCount_);
-  w.putBool(deadlineFired_);
-  brownout_.encodeState(w);
-}
-
 void MetaScheduler::decodeState(core::SnapshotReader& r) {
-  const std::uint64_t nTenants = r.getU64();
-  GRADS_REQUIRE(nTenants == ledgers_.size(),
-                "MetaScheduler::decodeState: tenant count mismatch");
-  for (TenantLedger& led : ledgers_) led.decodeState(r);
-  for (TenantRuntime& rt : tenants_) {
-    RngState st;
-    st.s[0] = r.getU64();
-    st.s[1] = r.getU64();
-    st.s[2] = r.getU64();
-    st.s[3] = r.getU64();
-    st.haveSpare = r.getBool();
-    st.spare = r.getF64();
-    rt.rng.setState(st);
-    rt.nextArrivalAt = r.getF64();
-    rt.nextSeq = static_cast<std::uint32_t>(r.getU64());
-    rt.stridePass = r.getF64();
-    rt.lastPreemptAt = r.getF64();
-  }
-  jobs_.clear();
-  const std::uint64_t nJobs = r.getU64();
-  for (std::uint64_t i = 0; i < nJobs; ++i) {
-    const JobKey key = r.getU64();
-    jobs_.emplace(key, decodeJobRecord(r));
-  }
+  snapshotIo(*this, r);
+  // Derived gauges rebuild from the queues and the job table; park-pending
+  // stops are runtime-only (journal recovery rolled their actions back).
   queuedTotal_ = 0;
   queuedFlops_ = 0.0;
-  for (auto& q : queues_) {
-    q.clear();
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const JobKey key = r.getU64();
-      q.push_back(key);
+  for (const auto& q : queues_) {
+    for (const JobKey key : q) {
       ++queuedTotal_;
       queuedFlops_ += jobs_.at(key).sizeFlops;
     }
   }
-  resubmitAt_.clear();
-  const std::uint64_t nResubmit = r.getU64();
-  for (std::uint64_t i = 0; i < nResubmit; ++i) {
-    const JobKey key = r.getU64();
-    resubmitAt_[key] = r.getF64();
-  }
-  freeSlots_.clear();
-  const std::uint64_t nSlots = r.getU64();
-  for (std::uint64_t i = 0; i < nSlots; ++i) {
-    freeSlots_.push_back(static_cast<grid::NodeId>(r.getU64()));
-  }
-  peakQueueDepth_ = r.getI64();
-  peakInSystem_ = r.getI64();
-  queueDepthSum_ = r.getF64();
-  queueSamples_ = r.getI64();
-  busySlotSec_ = r.getF64();
-  busyStamp_ = r.getF64();
-  busyCount_ = r.getI64();
-  deadlineFired_ = r.getBool();
-  brownout_.decodeState(r);
-  // Derived gauges rebuild from the job table; park-pending stops are
-  // runtime-only (journal recovery rolled their actions back).
   runningCount_ = 0;
   parkedCount_ = 0;
   for (const auto& [key, job] : jobs_) {

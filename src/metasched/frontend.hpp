@@ -179,7 +179,9 @@ class MetaScheduler : public core::Snapshottable {
 
   // --- Snapshot participation. ---
   const char* snapshotSection() const override { return "metasched.frontend"; }
-  void encodeState(core::SnapshotWriter& w) const override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
   void decodeState(core::SnapshotReader& r) override;
 
   /// Current admission pressure in [0, inf): max of queue-depth and
@@ -202,6 +204,13 @@ class MetaScheduler : public core::Snapshottable {
     int deferrals = 0;
     JobState state = JobState::kQueued;
     grid::NodeId node = grid::kNoId;
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.tier, s.sizeFlops, s.phases, s.submitAt, s.dispatchAt,
+        s.lastStartAt, s.parkedAt, s.attempts, s.sheds, s.parks, s.deferrals,
+        s.state, s.node);
+    }
   };
 
   /// Runtime-only control block (never serialized; rebuilt on restore).
@@ -219,13 +228,31 @@ class MetaScheduler : public core::Snapshottable {
     std::uint32_t nextSeq = 0;
     double stridePass = 0.0;
     double lastPreemptAt = -1e300;  ///< victim-side cooldown anchor
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.rng, s.nextArrivalAt, s.nextSeq, s.stridePass, s.lastPreemptAt);
+    }
   };
+
+  /// Ledgers, tenant streams and queues are fixed-shape (one per tenant or
+  /// tier, set at construction), so only the ledger count is written.
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a.expect("MetaScheduler::decodeState: tenant count mismatch",
+             s.ledgers_.size());
+    for (auto& led : s.ledgers_) a(led);
+    for (auto& rt : s.tenants_) a(rt);
+    a(s.jobs_);
+    for (auto& q : s.queues_) a(q);
+    a(s.resubmitAt_, s.freeSlots_, s.peakQueueDepth_, s.peakInSystem_,
+      s.queueDepthSum_, s.queueSamples_, s.busySlotSec_, s.busyStamp_,
+      s.busyCount_, s.deadlineFired_, s.brownout_);
+  }
 
   sim::Engine& engine() const;
   std::string appName(JobKey key) const;
   double idealSeconds(const Job& job) const;
-  void encodeJobRecord(core::SnapshotWriter& w, const Job& job) const;
-  Job decodeJobRecord(core::SnapshotReader& r) const;
 
   // Arrivals.
   double arrivalRate(const TenantSpec& spec, double t) const;

@@ -12,44 +12,6 @@ const char* brownoutLevelName(BrownoutLevel level) {
   return "?";
 }
 
-void TenantLedger::encodeState(core::SnapshotWriter& w) const {
-  w.putI64(submitted);
-  w.putI64(admitted);
-  w.putI64(shed);
-  w.putI64(resubmits);
-  w.putI64(abandoned);
-  w.putI64(dispatched);
-  w.putI64(completed);
-  w.putI64(failed);
-  w.putI64(preempted);
-  w.putI64(parks);
-  w.putI64(unparked);
-  w.putI64(deferrals);
-  w.putI64(unserved);
-  w.putU64(slowdowns.size());
-  for (const double s : slowdowns) w.putF64(s);
-}
-
-void TenantLedger::decodeState(core::SnapshotReader& r) {
-  submitted = r.getI64();
-  admitted = r.getI64();
-  shed = r.getI64();
-  resubmits = r.getI64();
-  abandoned = r.getI64();
-  dispatched = r.getI64();
-  completed = r.getI64();
-  failed = r.getI64();
-  preempted = r.getI64();
-  parks = r.getI64();
-  unparked = r.getI64();
-  deferrals = r.getI64();
-  unserved = r.getI64();
-  const std::uint64_t n = r.getU64();
-  slowdowns.clear();
-  slowdowns.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) slowdowns.push_back(r.getF64());
-}
-
 bool BrownoutController::update(double pressure, double now) {
   if (!opts_.enabled) return false;
   if (now - lastChangeAt_ < opts_.dwellSec) return false;
@@ -66,20 +28,6 @@ bool BrownoutController::update(double pressure, double now) {
     return true;
   }
   return false;
-}
-
-void BrownoutController::encodeState(core::SnapshotWriter& w) const {
-  w.putI64(level_);
-  w.putF64(lastChangeAt_);
-  w.putI64(escalations_);
-  w.putI64(deescalations_);
-}
-
-void BrownoutController::decodeState(core::SnapshotReader& r) {
-  level_ = static_cast<int>(r.getI64());
-  lastChangeAt_ = r.getF64();
-  escalations_ = r.getI64();
-  deescalations_ = r.getI64();
 }
 
 }  // namespace grads::metasched

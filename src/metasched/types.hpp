@@ -58,8 +58,12 @@ struct TenantLedger {
   /// (completion - submit) / ideal service time, one entry per completion.
   std::vector<double> slowdowns;
 
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.submitted, s.admitted, s.shed, s.resubmits, s.abandoned,
+      s.dispatched, s.completed, s.failed, s.preempted, s.parks, s.unparked,
+      s.deferrals, s.unserved, s.slowdowns);
+  }
 };
 
 /// Brownout ladder: each rung trades progressively more service for
@@ -103,8 +107,11 @@ class BrownoutController {
   /// rung changed.
   bool update(double pressure, double now);
 
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  /// Snapshot field list (core/snapshot.hpp).
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.level_, s.lastChangeAt_, s.escalations_, s.deescalations_);
+  }
 
  private:
   BrownoutOptions opts_;  // grads: transient(construction-time config)

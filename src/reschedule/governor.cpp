@@ -109,64 +109,4 @@ ViolationGovernor::Stats ViolationGovernor::statsFor(
   return it == perApp_.end() ? Stats{} : it->second;
 }
 
-namespace {
-
-void encodeStats(core::SnapshotWriter& w,
-                 const ViolationGovernor::Stats& s) {
-  w.putI64(s.admitted);
-  w.putI64(s.quorumPending);
-  w.putI64(s.insideHysteresis);
-  w.putI64(s.coolingDown);
-  w.putI64(s.concurrencyLimited);
-  w.putI64(s.mistrustHolds);
-}
-
-ViolationGovernor::Stats decodeStats(core::SnapshotReader& r) {
-  ViolationGovernor::Stats s;
-  s.admitted = static_cast<int>(r.getI64());
-  s.quorumPending = static_cast<int>(r.getI64());
-  s.insideHysteresis = static_cast<int>(r.getI64());
-  s.coolingDown = static_cast<int>(r.getI64());
-  s.concurrencyLimited = static_cast<int>(r.getI64());
-  s.mistrustHolds = static_cast<int>(r.getI64());
-  return s;
-}
-
-}  // namespace
-
-void ViolationGovernor::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(violatingPhases_.size());
-  for (const auto& [app, phases] : violatingPhases_) {
-    w.putStr(app);
-    w.putU64(phases.size());
-    for (const std::size_t phase : phases) w.putU64(phase);
-  }
-  encodeStats(w, total_);
-  w.putU64(perApp_.size());
-  for (const auto& [app, stats] : perApp_) {
-    w.putStr(app);
-    encodeStats(w, stats);
-  }
-}
-
-void ViolationGovernor::decodeState(core::SnapshotReader& r) {
-  violatingPhases_.clear();
-  const std::uint64_t nApps = r.getU64();
-  for (std::uint64_t i = 0; i < nApps; ++i) {
-    const std::string app = r.getStr();
-    auto& phases = violatingPhases_[app];
-    const std::uint64_t nPhases = r.getU64();
-    for (std::uint64_t j = 0; j < nPhases; ++j) {
-      phases.push_back(static_cast<std::size_t>(r.getU64()));
-    }
-  }
-  total_ = decodeStats(r);
-  perApp_.clear();
-  const std::uint64_t nPerApp = r.getU64();
-  for (std::uint64_t i = 0; i < nPerApp; ++i) {
-    const std::string app = r.getStr();
-    perApp_[app] = decodeStats(r);
-  }
-}
-
 }  // namespace grads::reschedule

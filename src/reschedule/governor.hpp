@@ -65,8 +65,10 @@ class ViolationGovernor : public core::Snapshottable {
     return "reschedule.governor";
   }
   std::uint32_t snapshotVersion() const override { return 2; }  // + holds
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
+  void decodeState(core::SnapshotReader& r) override { snapshotIo(*this, r); }
 
   /// Gate for one confirmed contract violation. kAdmit means the report may
   /// reach the rescheduler; anything else means suppress (and the contract
@@ -94,6 +96,12 @@ class ViolationGovernor : public core::Snapshottable {
       return quorumPending + insideHysteresis + coolingDown +
              concurrencyLimited;
     }
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.admitted, s.quorumPending, s.insideHysteresis, s.coolingDown,
+        s.concurrencyLimited, s.mistrustHolds);
+    }
   };
   const Stats& stats() const { return total_; }
   Stats statsFor(const std::string& app) const;
@@ -110,6 +118,11 @@ class ViolationGovernor : public core::Snapshottable {
   }
 
  private:
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.violatingPhases_, s.total_, s.perApp_);
+  }
+
   void count(Stats& s, GovernorVerdict verdict) const;
 
   sim::Engine* engine_;    // grads: transient(wiring, re-bound at construction)

@@ -165,51 +165,17 @@ int ActionJournal::recover(const std::string& note) {
   return static_cast<int>(unresolved.size());
 }
 
-void ActionJournal::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(records_.size());
-  for (const auto& rec : records_) {
-    w.putStr(rec.app);
-    w.putU64(static_cast<std::uint64_t>(rec.kind));
-    w.putU64(static_cast<std::uint64_t>(rec.state));
-    w.putF64(rec.openedAt);
-    w.putF64(rec.resolvedAt);
-    w.putU64(rec.prior.size());
-    for (const grid::NodeId id : rec.prior) w.putU64(id);
-    w.putU64(rec.target.size());
-    for (const grid::NodeId id : rec.target) w.putU64(id);
-    w.putStr(rec.note);
-    w.putBool(rec.pinned);
-  }
-  w.putI64(recoveries_);
-}
-
 void ActionJournal::decodeState(core::SnapshotReader& r) {
-  records_.clear();
+  snapshotIo(*this, r);
+  // Rebuild the ids and derived indexes from the log itself.
   openByApp_.clear();
   lastResolved_.clear();
   inFlight_ = 0;
   committed_ = 0;
   rolledBack_ = 0;
-  const std::uint64_t nRecords = r.getU64();
-  for (std::uint64_t i = 0; i < nRecords; ++i) {
-    ActionRecord rec;
-    rec.id = static_cast<int>(i) + 1;
-    rec.app = r.getStr();
-    rec.kind = static_cast<ActionKind>(r.getU64());
-    rec.state = static_cast<ActionState>(r.getU64());
-    rec.openedAt = r.getF64();
-    rec.resolvedAt = r.getF64();
-    const std::uint64_t nPrior = r.getU64();
-    for (std::uint64_t j = 0; j < nPrior; ++j) {
-      rec.prior.push_back(static_cast<grid::NodeId>(r.getU64()));
-    }
-    const std::uint64_t nTarget = r.getU64();
-    for (std::uint64_t j = 0; j < nTarget; ++j) {
-      rec.target.push_back(static_cast<grid::NodeId>(r.getU64()));
-    }
-    rec.note = r.getStr();
-    rec.pinned = r.getBool();
-    // Rebuild the derived indexes from the log itself.
+  int id = 0;
+  for (ActionRecord& rec : records_) {
+    rec.id = ++id;
     if (rec.state == ActionState::kPrepared ||
         rec.state == ActionState::kCommitting) {
       openByApp_[rec.app] = rec.id;
@@ -223,10 +189,8 @@ void ActionJournal::decodeState(core::SnapshotReader& r) {
         ++rolledBack_;
       }
     }
-    records_.push_back(std::move(rec));
   }
-  opened_ = static_cast<int>(records_.size());
-  recoveries_ = static_cast<int>(r.getI64());
+  opened_ = id;
 }
 
 }  // namespace grads::reschedule

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -12,7 +13,7 @@
 namespace grads::reschedule {
 
 /// What a journaled rescheduling action does to the application's mapping.
-enum class ActionKind {
+enum class ActionKind : std::uint8_t {
   kMigrate,  ///< stop/migrate/restart through the application manager
   kSwap,     ///< single-rank process swap through the SwapManager
   kPreempt,  ///< checkpoint-and-park a victim for the metascheduler
@@ -29,7 +30,12 @@ enum class ActionKind {
 /// (restore on the target / data moved to the new node); finalize closes the
 /// record. A fault in any phase before the commit point resolves the action
 /// as kRolledBack and the application resumes on its prior mapping.
-enum class ActionState { kPrepared, kCommitting, kCommitted, kRolledBack };
+enum class ActionState : std::uint8_t {
+  kPrepared,
+  kCommitting,
+  kCommitted,
+  kRolledBack,
+};
 
 const char* actionKindName(ActionKind kind);
 const char* actionStateName(ActionState state);
@@ -38,6 +44,7 @@ const char* actionStateName(ActionState state);
 /// target; `target` the intended post-action mapping (filled in when the
 /// commit-phase selection fixes it, for migrations).
 struct ActionRecord {
+  // grads: transient(derived, the record's 1-based position in the log)
   int id = 0;
   std::string app;
   ActionKind kind = ActionKind::kMigrate;
@@ -51,6 +58,12 @@ struct ActionRecord {
   /// or a sandbox candidate injection): the relaunch honors `target` verbatim
   /// instead of re-running mapper selection, as long as it stays reachable.
   bool pinned = false;
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.app, s.kind, s.state, s.openedAt, s.resolvedAt, s.prior, s.target,
+      s.note, s.pinned);
+  }
 };
 
 /// Persisted journal of rescheduling actions. "Persisted" in the simulation
@@ -73,7 +86,9 @@ class ActionJournal : public core::Snapshottable {
   /// disagrees with its own log.
   const char* snapshotSection() const override { return "reschedule.journal"; }
   std::uint32_t snapshotVersion() const override { return 2; }  // + pinned
-  void encodeState(core::SnapshotWriter& w) const override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
   void decodeState(core::SnapshotReader& r) override;
 
   /// Crash-recovery scan (presumed abort): every unresolved action — still
@@ -143,6 +158,11 @@ class ActionJournal : public core::Snapshottable {
   }
 
  private:
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.records_, s.recoveries_);
+  }
+
   ActionRecord& mutableRecord(int id);
   void resolve(ActionRecord& r, ActionState state, const std::string& note);
 

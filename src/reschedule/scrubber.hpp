@@ -35,6 +35,12 @@ class DepotScrubber {
     int repaired = 0;         ///< copies rewritten from the surviving copy
     int unrepairable = 0;     ///< slices with no good copy left (per scan)
     int deferred = 0;         ///< repairs skipped because a depot was dark
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.scans, s.slicesChecked, s.corruptFound, s.missingFound, s.repaired,
+        s.unrepairable, s.deferred);
+    }
   };
 
   DepotScrubber(sim::Engine& engine, services::Ibp& ibp, const Rss& rss);

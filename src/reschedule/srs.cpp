@@ -155,94 +155,6 @@ std::optional<Rss::CheckpointRecord> Rss::checkpointRecord(
   return it->second;
 }
 
-void Rss::encodeState(core::SnapshotWriter& w) const {
-  w.putStr(app_);
-  w.putBool(stopRequested_);
-  w.putBool(failureSignaled_);
-  w.putU64(failedNode_);
-  w.putI64(incarnation_);
-  w.putI64(previousProcs_);
-  w.putI64(currentProcs_);
-  w.putU64(storedIteration_);
-  w.putBool(hasCheckpoint_);
-  w.putU64(checkpoints_.size());
-  for (const auto& [gen, rec] : checkpoints_) {
-    w.putI64(gen);
-    w.putU64(rec.iteration);
-    w.putI64(rec.procs);
-  }
-  w.putU64(manifests_.size());
-  for (const auto& [gen, m] : manifests_) {
-    w.putI64(gen);
-    w.putU64(m.iteration);
-    w.putBool(m.iterationStored);
-    w.putI64(m.arraysPerRank);
-    w.putU64(m.slices.size());
-    for (const auto& [key, slice] : m.slices) {
-      w.putStr(key.first);
-      w.putI64(key.second);
-      w.putF64(slice.bytes);
-      w.putU64(slice.digest);
-      w.putU64(slice.primaryNode);
-      w.putU64(slice.replicaNode);
-    }
-  }
-  w.putU64(occupied_.size());
-  for (const grid::NodeId id : occupied_) w.putU64(id);
-  w.putU64(ignoredFailures_);
-  w.putU64(staleEpochRejects_);
-}
-
-void Rss::decodeState(core::SnapshotReader& r) {
-  const std::string app = r.getStr();
-  GRADS_REQUIRE(app == app_,
-                "Rss::decodeState: snapshot is for a different application");
-  stopRequested_ = r.getBool();
-  failureSignaled_ = r.getBool();
-  failedNode_ = static_cast<grid::NodeId>(r.getU64());
-  incarnation_ = static_cast<int>(r.getI64());
-  previousProcs_ = static_cast<int>(r.getI64());
-  currentProcs_ = static_cast<int>(r.getI64());
-  storedIteration_ = static_cast<std::size_t>(r.getU64());
-  hasCheckpoint_ = r.getBool();
-  checkpoints_.clear();
-  const std::uint64_t nCheckpoints = r.getU64();
-  for (std::uint64_t i = 0; i < nCheckpoints; ++i) {
-    const int gen = static_cast<int>(r.getI64());
-    CheckpointRecord rec;
-    rec.iteration = static_cast<std::size_t>(r.getU64());
-    rec.procs = static_cast<int>(r.getI64());
-    checkpoints_[gen] = rec;
-  }
-  manifests_.clear();
-  const std::uint64_t nManifests = r.getU64();
-  for (std::uint64_t i = 0; i < nManifests; ++i) {
-    const int gen = static_cast<int>(r.getI64());
-    Manifest& m = manifests_[gen];
-    m.iteration = static_cast<std::size_t>(r.getU64());
-    m.iterationStored = r.getBool();
-    m.arraysPerRank = static_cast<int>(r.getI64());
-    const std::uint64_t nSlices = r.getU64();
-    for (std::uint64_t j = 0; j < nSlices; ++j) {
-      const std::string array = r.getStr();
-      const int rank = static_cast<int>(r.getI64());
-      SliceEntry slice;
-      slice.bytes = r.getF64();
-      slice.digest = r.getU64();
-      slice.primaryNode = static_cast<grid::NodeId>(r.getU64());
-      slice.replicaNode = static_cast<grid::NodeId>(r.getU64());
-      m.slices[{array, rank}] = slice;
-    }
-  }
-  occupied_.clear();
-  const std::uint64_t nOccupied = r.getU64();
-  for (std::uint64_t i = 0; i < nOccupied; ++i) {
-    occupied_.insert(static_cast<grid::NodeId>(r.getU64()));
-  }
-  ignoredFailures_ = static_cast<std::size_t>(r.getU64());
-  staleEpochRejects_ = static_cast<std::size_t>(r.getU64());
-}
-
 Srs::Srs(services::Ibp& ibp, Rss& rss, vmpi::World& world)
     : ibp_(&ibp), rss_(&rss), world_(&world), epoch_(rss.incarnation()) {}
 

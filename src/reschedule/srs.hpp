@@ -93,6 +93,11 @@ class Rss {
   struct CheckpointRecord {
     std::size_t iteration = 0;
     int procs = 0;
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.iteration, s.procs);
+    }
   };
   std::optional<CheckpointRecord> checkpointRecord(int generation) const;
   int currentProcs() const { return currentProcs_; }
@@ -106,6 +111,11 @@ class Rss {
     std::uint64_t digest = 0;
     grid::NodeId primaryNode = grid::kNoId;
     grid::NodeId replicaNode = grid::kNoId;
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.bytes, s.digest, s.primaryNode, s.replicaNode);
+    }
   };
 
   struct Manifest {
@@ -113,6 +123,11 @@ class Rss {
     bool iterationStored = false;  ///< phase 2 (publish) happened
     int arraysPerRank = 0;         ///< slices each rank must stage
     std::map<std::pair<std::string, int>, SliceEntry> slices;
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.iteration, s.iterationStored, s.arraysPerRank, s.slices);
+    }
   };
 
   /// Phase 1: record a slice the writer just made durable. Rejected (false)
@@ -142,10 +157,20 @@ class Rss {
   /// manifests, stop/failure flags, occupancy, reject counters — round-
   /// trips. A restored manager relaunches the app from exactly this ledger;
   /// the incarnation bump at relaunch is what fences pre-crash zombies out.
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void encodeState(core::SnapshotWriter& w) const { snapshotIo(*this, w); }
+  void decodeState(core::SnapshotReader& r) { snapshotIo(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a.expect("Rss::decodeState: snapshot is for a different application",
+             s.app_);
+    a(s.stopRequested_, s.failureSignaled_, s.failedNode_, s.incarnation_,
+      s.previousProcs_, s.currentProcs_, s.storedIteration_,
+      s.hasCheckpoint_, s.checkpoints_, s.manifests_, s.occupied_,
+      s.ignoredFailures_, s.staleEpochRejects_);
+  }
+
   sim::Engine* engine_;  // grads: transient(wiring, re-bound at construction)
   std::string app_;
   bool stopRequested_ = false;

@@ -315,194 +315,10 @@ double ForkDriver::cooldownExtraFor(const std::string& app) const {
   return opts_.mistrustCooldownSec * avg;
 }
 
-namespace {
-
-void encodeNodes(core::SnapshotWriter& w, const std::vector<grid::NodeId>& v) {
-  w.putU64(v.size());
-  for (const grid::NodeId n : v) w.putU64(n);
-}
-
-std::vector<grid::NodeId> decodeNodes(core::SnapshotReader& r) {
-  std::vector<grid::NodeId> v;
-  const std::uint64_t n = r.getU64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    v.push_back(static_cast<grid::NodeId>(r.getU64()));
-  }
-  return v;
-}
-
-void encodeOutcome(core::SnapshotWriter& w, const ForkOutcome& o) {
-  w.putBool(o.aborted);
-  w.putBool(o.completed);
-  w.putF64(o.makespanSec);
-  w.putF64(o.progressSec);
-  w.putF64(o.checkpointCostSec);
-  w.putI64(o.violationRecurrences);
-  w.putI64(o.migrateBacks);
-  w.putU64(o.events);
-  w.putU64(o.forkDigest);
-}
-
-ForkOutcome decodeOutcome(core::SnapshotReader& r) {
-  ForkOutcome o;
-  o.aborted = r.getBool();
-  o.completed = r.getBool();
-  o.makespanSec = r.getF64();
-  o.progressSec = r.getF64();
-  o.checkpointCostSec = r.getF64();
-  o.violationRecurrences = static_cast<int>(r.getI64());
-  o.migrateBacks = static_cast<int>(r.getI64());
-  o.events = r.getU64();
-  o.forkDigest = r.getU64();
-  return o;
-}
-
-}  // namespace
-
-void ForkDriver::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(log_.size());
-  for (const DecisionRecord& rec : log_) {
-    w.putStr(rec.app);
-    w.putF64(rec.at);
-    w.putU64(rec.phase);
-    w.putBool(rec.modelWantedMigrate);
-    encodeNodes(w, rec.modelTarget);
-    w.putU64(rec.scores.size());
-    for (const CandidateScore& cs : rec.scores) {
-      w.putU64(static_cast<std::uint64_t>(cs.candidate.kind));
-      encodeNodes(w, cs.candidate.target);
-      w.putStr(cs.candidate.label);
-      w.putU64(cs.futures.size());
-      for (const FutureScore& fs : cs.futures) {
-        w.putU64(static_cast<std::uint64_t>(fs.perturbation.kind));
-        w.putU64(fs.perturbation.seed);
-        w.putF64(fs.perturbation.severity);
-        encodeOutcome(w, fs.outcome);
-        w.putF64(fs.harm);
-      }
-      w.putF64(cs.worstHarm);
-      w.putF64(cs.worstMakespanSec);
-      w.putF64(cs.totalProgressSec);
-      w.putF64(cs.totalCheckpointCostSec);
-    }
-    w.putI64(rec.chosen);
-    w.putStr(rec.fallbackReason);
-    w.putBool(rec.shadow);
-    w.putF64(rec.predictedWorstHarm);
-    w.putBool(rec.settled);
-    w.putBool(rec.diverged);
-  }
-  w.putU64(mistrust_.size());
-  for (const auto& [node, value] : mistrust_) {
-    w.putU64(node);
-    w.putF64(value);
-  }
-  w.putU64(pending_.size());
-  for (const Pending& p : pending_) {
-    w.putStr(p.app);
-    w.putI64(p.recordId);
-    w.putF64(p.expiresAt);
-    w.putF64(p.predictedHarm);
-    encodeNodes(w, p.nodes);
-  }
-  w.putU64(lastChosen_.size());
-  for (const auto& [app, nodes] : lastChosen_) {
-    w.putStr(app);
-    encodeNodes(w, nodes);
-  }
-  w.putI64(stats_.decisions);
-  w.putI64(stats_.forksRun);
-  w.putI64(stats_.fallbacks);
-  w.putI64(stats_.overrides);
-  w.putI64(stats_.suppressChosen);
-  w.putI64(stats_.divergences);
-  const RngState rs = rng_.state();
-  w.putU64(rs.s[0]);
-  w.putU64(rs.s[1]);
-  w.putU64(rs.s[2]);
-  w.putU64(rs.s[3]);
-  w.putBool(rs.haveSpare);
-  w.putF64(rs.spare);
-}
-
 void ForkDriver::decodeState(core::SnapshotReader& r) {
-  log_.clear();
-  const std::uint64_t nRecords = r.getU64();
-  for (std::uint64_t i = 0; i < nRecords; ++i) {
-    DecisionRecord rec;
-    rec.id = static_cast<int>(i) + 1;
-    rec.app = r.getStr();
-    rec.at = r.getF64();
-    rec.phase = static_cast<std::size_t>(r.getU64());
-    rec.modelWantedMigrate = r.getBool();
-    rec.modelTarget = decodeNodes(r);
-    const std::uint64_t nScores = r.getU64();
-    for (std::uint64_t j = 0; j < nScores; ++j) {
-      CandidateScore cs;
-      cs.candidate.kind = static_cast<CandidateKind>(r.getU64());
-      cs.candidate.target = decodeNodes(r);
-      cs.candidate.label = r.getStr();
-      const std::uint64_t nFutures = r.getU64();
-      for (std::uint64_t k = 0; k < nFutures; ++k) {
-        FutureScore fs;
-        fs.perturbation.kind = static_cast<PerturbationKind>(r.getU64());
-        fs.perturbation.seed = r.getU64();
-        fs.perturbation.severity = r.getF64();
-        fs.outcome = decodeOutcome(r);
-        fs.harm = r.getF64();
-        cs.futures.push_back(std::move(fs));
-      }
-      cs.worstHarm = r.getF64();
-      cs.worstMakespanSec = r.getF64();
-      cs.totalProgressSec = r.getF64();
-      cs.totalCheckpointCostSec = r.getF64();
-      rec.scores.push_back(std::move(cs));
-    }
-    rec.chosen = static_cast<int>(r.getI64());
-    rec.fallbackReason = r.getStr();
-    rec.shadow = r.getBool();
-    rec.predictedWorstHarm = r.getF64();
-    rec.settled = r.getBool();
-    rec.diverged = r.getBool();
-    log_.push_back(std::move(rec));
-  }
-  mistrust_.clear();
-  const std::uint64_t nMistrust = r.getU64();
-  for (std::uint64_t i = 0; i < nMistrust; ++i) {
-    const grid::NodeId node = static_cast<grid::NodeId>(r.getU64());
-    mistrust_[node] = r.getF64();
-  }
-  pending_.clear();
-  const std::uint64_t nPending = r.getU64();
-  for (std::uint64_t i = 0; i < nPending; ++i) {
-    Pending p;
-    p.app = r.getStr();
-    p.recordId = static_cast<int>(r.getI64());
-    p.expiresAt = r.getF64();
-    p.predictedHarm = r.getF64();
-    p.nodes = decodeNodes(r);
-    pending_.push_back(std::move(p));
-  }
-  lastChosen_.clear();
-  const std::uint64_t nLast = r.getU64();
-  for (std::uint64_t i = 0; i < nLast; ++i) {
-    const std::string app = r.getStr();
-    lastChosen_[app] = decodeNodes(r);
-  }
-  stats_.decisions = static_cast<int>(r.getI64());
-  stats_.forksRun = static_cast<int>(r.getI64());
-  stats_.fallbacks = static_cast<int>(r.getI64());
-  stats_.overrides = static_cast<int>(r.getI64());
-  stats_.suppressChosen = static_cast<int>(r.getI64());
-  stats_.divergences = static_cast<int>(r.getI64());
-  RngState rs;
-  rs.s[0] = r.getU64();
-  rs.s[1] = r.getU64();
-  rs.s[2] = r.getU64();
-  rs.s[3] = r.getU64();
-  rs.haveSpare = r.getBool();
-  rs.spare = r.getF64();
-  rng_.setState(rs);
+  snapshotIo(*this, r);
+  int id = 0;
+  for (DecisionRecord& rec : log_) rec.id = ++id;
 }
 
 }  // namespace grads::reschedule::whatif

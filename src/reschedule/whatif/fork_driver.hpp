@@ -14,7 +14,7 @@
 namespace grads::reschedule::whatif {
 
 /// A candidate action the fork driver can validate in a sandboxed future.
-enum class CandidateKind {
+enum class CandidateKind : std::uint8_t {
   kSuppress,  ///< stay on the current mapping (validated decline)
   kMigrate,   ///< stop/migrate/restart to `target`
   kSwap,      ///< single-rank process swap (recorded; no QR-path synthesis)
@@ -26,6 +26,11 @@ struct Candidate {
   CandidateKind kind = CandidateKind::kSuppress;
   std::vector<grid::NodeId> target;  ///< kMigrate / kSwap destination
   std::string label;                 ///< "model-target", "alternate", ...
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.kind, s.target, s.label);
+  }
 };
 
 /// Seeded pessimistic fault future a candidate is additionally scored
@@ -35,7 +40,7 @@ struct Candidate {
 /// outage). Severity units are kind-specific: competitor load weight for
 /// kTargetSlowdown, surviving bandwidth fraction for kLinkDegrade, outage
 /// seconds for kDepotOutage.
-enum class PerturbationKind {
+enum class PerturbationKind : std::uint8_t {
   kNone,            ///< the nominal (point-forecast) future
   kTargetSlowdown,
   kLinkDegrade,
@@ -48,6 +53,11 @@ struct Perturbation {
   PerturbationKind kind = PerturbationKind::kNone;
   std::uint64_t seed = 0;
   double severity = 0.0;
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.kind, s.seed, s.severity);
+  }
 };
 
 /// One sandboxed future to run: restore `image` onto a fresh control plane,
@@ -75,6 +85,13 @@ struct ForkOutcome {
   int migrateBacks = 0;           ///< oscillations realized inside the fork
   std::uint64_t events = 0;
   std::uint64_t forkDigest = 0;   ///< pop-stream digest (replay oracle)
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.aborted, s.completed, s.makespanSec, s.progressSec,
+      s.checkpointCostSec, s.violationRecurrences, s.migrateBacks, s.events,
+      s.forkDigest);
+  }
 };
 
 using SandboxRunner = std::function<ForkOutcome(const ForkRequest&)>;
@@ -121,6 +138,11 @@ struct FutureScore {
   Perturbation perturbation;
   ForkOutcome outcome;
   double harm = 0.0;
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.perturbation, s.outcome, s.harm);
+  }
 };
 
 /// Per-candidate aggregate: minimax — the candidate owns its *worst* future.
@@ -131,6 +153,12 @@ struct CandidateScore {
   double worstMakespanSec = 0.0;
   double totalProgressSec = 0.0;
   double totalCheckpointCostSec = 0.0;
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.candidate, s.futures, s.worstHarm, s.worstMakespanSec,
+      s.totalProgressSec, s.totalCheckpointCostSec);
+  }
 };
 
 /// The full audit record of one decision point: candidates, per-future
@@ -138,6 +166,7 @@ struct CandidateScore {
 /// persisted for replay; the chosen arm's summary also lands in the action
 /// journal note of the pinned record it commits.
 struct DecisionRecord {
+  // grads: transient(derived, the record's 1-based position in the log)
   int id = 0;
   std::string app;
   double at = 0.0;
@@ -151,6 +180,13 @@ struct DecisionRecord {
   double predictedWorstHarm = 0.0;
   bool settled = false;   ///< realized-outcome tracking resolved
   bool diverged = false;  ///< realized outcome defied the prediction
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.app, s.at, s.phase, s.modelWantedMigrate, s.modelTarget, s.scores,
+      s.chosen, s.fallbackReason, s.shadow, s.predictedWorstHarm, s.settled,
+      s.diverged);
+  }
 };
 
 struct DriverStats {
@@ -160,6 +196,12 @@ struct DriverStats {
   int overrides = 0;       ///< fork verdict contradicted the model
   int suppressChosen = 0;  ///< validated-suppress verdicts
   int divergences = 0;     ///< realized-vs-predicted mismatches
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.decisions, s.forksRun, s.fallbacks, s.overrides, s.suppressChosen,
+      s.divergences);
+  }
 };
 
 /// What-if fork driver (ROADMAP "What-if forked rescheduling"). At each
@@ -236,7 +278,9 @@ class ForkDriver : public core::Snapshottable {
   /// plane re-speculates bit-identically. The runner/source/hook callbacks
   /// are wiring, re-supplied at construction like every other component.
   const char* snapshotSection() const override { return "reschedule.whatif"; }
-  void encodeState(core::SnapshotWriter& w) const override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
   void decodeState(core::SnapshotReader& r) override;
 
  private:
@@ -246,7 +290,17 @@ class ForkDriver : public core::Snapshottable {
     double expiresAt = 0.0;
     double predictedHarm = 0.0;
     std::vector<grid::NodeId> nodes;
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.app, s.recordId, s.expiresAt, s.predictedHarm, s.nodes);
+    }
   };
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.log_, s.mistrust_, s.pending_, s.lastChosen_, s.stats_, s.rng_);
+  }
 
   Decision fallback(DecisionRecord rec, const DecisionInput& in,
                     const std::string& why);

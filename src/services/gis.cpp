@@ -84,44 +84,4 @@ std::vector<grid::NodeId> Gis::availableNodes() const {
   return out;
 }
 
-void Gis::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(software_.size());
-  for (const auto& [node, packages] : software_) {
-    w.putU64(node);
-    w.putU64(packages.size());
-    for (const auto& [pkg, path] : packages) {
-      w.putStr(pkg);
-      w.putStr(path);
-    }
-  }
-  w.putU64(down_.size());
-  for (const grid::NodeId id : down_) w.putU64(id);
-  w.putU64(unreachable_.size());
-  for (const grid::NodeId id : unreachable_) w.putU64(id);
-}
-
-void Gis::decodeState(core::SnapshotReader& r) {
-  software_.clear();
-  const std::uint64_t nNodes = r.getU64();
-  for (std::uint64_t i = 0; i < nNodes; ++i) {
-    const auto node = static_cast<grid::NodeId>(r.getU64());
-    auto& packages = software_[node];
-    const std::uint64_t nPkgs = r.getU64();
-    for (std::uint64_t j = 0; j < nPkgs; ++j) {
-      const std::string pkg = r.getStr();
-      packages[pkg] = r.getStr();
-    }
-  }
-  down_.clear();
-  const std::uint64_t nDown = r.getU64();
-  for (std::uint64_t i = 0; i < nDown; ++i) {
-    down_.insert(static_cast<grid::NodeId>(r.getU64()));
-  }
-  unreachable_.clear();
-  const std::uint64_t nUnreachable = r.getU64();
-  for (std::uint64_t i = 0; i < nUnreachable; ++i) {
-    unreachable_.insert(static_cast<grid::NodeId>(r.getU64()));
-  }
-}
-
 }  // namespace grads::services

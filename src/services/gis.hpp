@@ -31,8 +31,10 @@ class Gis : public core::Snapshottable {
   /// reported up/down set, ground-truth reachability) is logical state and
   /// round-trips exactly.
   const char* snapshotSection() const override { return "services.gis"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
+  void decodeState(core::SnapshotReader& r) override { snapshotIo(*this, r); }
 
   /// Registers a software package as installed on a node, at a path.
   void installSoftware(grid::NodeId node, const std::string& package,
@@ -70,6 +72,11 @@ class Gis : public core::Snapshottable {
   const grid::Grid& grid() const { return *grid_; }
 
  private:
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.software_, s.down_, s.unreachable_);
+  }
+
   const grid::Grid* grid_;  // grads: transient(wiring, re-bound at construction)
   std::map<grid::NodeId, std::map<std::string, std::string>> software_;
   std::set<grid::NodeId> down_;         ///< reported (directory) state

@@ -182,49 +182,4 @@ void Ibp::remove(const std::string& key) {
   GRADS_REQUIRE(erased == 1, "Ibp::remove: unknown object " + key);
 }
 
-void Ibp::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(objects_.size());
-  for (const auto& [key, obj] : objects_) {
-    w.putStr(key);
-    w.putF64(obj.bytes);
-    w.putU64(obj.node);
-    w.putU64(obj.digest);
-    w.putBool(obj.torn);
-  }
-  w.putU64(downDepots_.size());
-  for (const grid::NodeId id : downDepots_) w.putU64(id);
-  w.putU64(fences_.size());
-  for (const auto& [domain, epoch] : fences_) {
-    w.putStr(domain);
-    w.putI64(epoch);
-  }
-  w.putU64(staleEpochRejects_);
-}
-
-void Ibp::decodeState(core::SnapshotReader& r) {
-  objects_.clear();
-  const std::uint64_t nObjects = r.getU64();
-  for (std::uint64_t i = 0; i < nObjects; ++i) {
-    const std::string key = r.getStr();
-    Object obj;
-    obj.bytes = r.getF64();
-    obj.node = static_cast<grid::NodeId>(r.getU64());
-    obj.digest = r.getU64();
-    obj.torn = r.getBool();
-    objects_[key] = obj;
-  }
-  downDepots_.clear();
-  const std::uint64_t nDown = r.getU64();
-  for (std::uint64_t i = 0; i < nDown; ++i) {
-    downDepots_.insert(static_cast<grid::NodeId>(r.getU64()));
-  }
-  fences_.clear();
-  const std::uint64_t nFences = r.getU64();
-  for (std::uint64_t i = 0; i < nFences; ++i) {
-    const std::string domain = r.getStr();
-    fences_[domain] = static_cast<int>(r.getI64());
-  }
-  staleEpochRejects_ = r.getU64();
-}
-
 }  // namespace grads::services

@@ -76,8 +76,10 @@ class Ibp : public core::Snapshottable {
   /// recreated) and in-flight transfers belong to coroutine frames, which
   /// restart from checkpoints instead of being serialized.
   const char* snapshotSection() const override { return "services.ibp"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
+  void decodeState(core::SnapshotReader& r) override { snapshotIo(*this, r); }
 
   /// Stores `bytes` under `key` in the depot co-located with `atNode`,
   /// written by a process running on `fromNode` (kNoId = atNode): a remote
@@ -160,7 +162,17 @@ class Ibp : public core::Snapshottable {
     grid::NodeId node = grid::kNoId;
     std::uint64_t digest = 0;
     bool torn = false;
+
+    template <class Self, class Ar>
+    static void snapshotIo(Self& s, Ar& a) {
+      a(s.bytes, s.node, s.digest, s.torn);
+    }
   };
+
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.objects_, s.downDepots_, s.fences_, s.staleEpochRejects_);
+  }
 
   const Object& require(const std::string& key, const char* op) const;
 

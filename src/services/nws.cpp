@@ -1,6 +1,7 @@
 #include "services/nws.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -8,21 +9,33 @@ namespace grads::services {
 
 namespace {
 
-class LastValue final : public Forecaster {
+/// A forecaster's codec, from the field list its subclass declares.
+template <class Derived>
+class ListedForecaster : public Forecaster {
+ public:
+  void encodeState(core::SnapshotWriter& w) const override {
+    Derived::snapshotIo(static_cast<const Derived&>(*this), w);
+  }
+  void decodeState(core::SnapshotReader& r) override {
+    Derived::snapshotIo(static_cast<Derived&>(*this), r);
+  }
+};
+
+class LastValue final : public ListedForecaster<LastValue> {
  public:
   void update(double v) override { last_ = v; }
   double forecast() const override { return last_; }
   const char* name() const override { return "last-value"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putF64(last_);
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.last_);
   }
-  void decodeState(core::SnapshotReader& r) override { last_ = r.getF64(); }
 
  private:
   double last_ = 0.0;
 };
 
-class RunningMean final : public Forecaster {
+class RunningMean final : public ListedForecaster<RunningMean> {
  public:
   void update(double v) override {
     ++n_;
@@ -30,13 +43,9 @@ class RunningMean final : public Forecaster {
   }
   double forecast() const override { return mean_; }
   const char* name() const override { return "running-mean"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putU64(n_);
-    w.putF64(mean_);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    n_ = r.getU64();
-    mean_ = r.getF64();
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.n_, s.mean_);
   }
 
  private:
@@ -44,7 +53,7 @@ class RunningMean final : public Forecaster {
   double mean_ = 0.0;
 };
 
-class SlidingMedian final : public Forecaster {
+class SlidingMedian final : public ListedForecaster<SlidingMedian> {
  public:
   explicit SlidingMedian(std::size_t window) : window_(window) {
     GRADS_REQUIRE(window >= 1, "SlidingMedian: empty window");
@@ -61,14 +70,9 @@ class SlidingMedian final : public Forecaster {
     return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
   }
   const char* name() const override { return "sliding-median"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putU64(values_.size());
-    for (const double v : values_) w.putF64(v);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    values_.clear();
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) values_.push_back(r.getF64());
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.values_);
   }
 
  private:
@@ -76,7 +80,7 @@ class SlidingMedian final : public Forecaster {
   std::deque<double> values_;
 };
 
-class ExpSmoothing final : public Forecaster {
+class ExpSmoothing final : public ListedForecaster<ExpSmoothing> {
  public:
   explicit ExpSmoothing(double alpha) : alpha_(alpha) {
     GRADS_REQUIRE(alpha > 0.0 && alpha <= 1.0, "ExpSmoothing: bad alpha");
@@ -87,13 +91,9 @@ class ExpSmoothing final : public Forecaster {
   }
   double forecast() const override { return value_; }
   const char* name() const override { return "exp-smoothing"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putF64(value_);
-    w.putBool(first_);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    value_ = r.getF64();
-    first_ = r.getBool();
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.value_, s.first_);
   }
 
  private:
@@ -102,7 +102,7 @@ class ExpSmoothing final : public Forecaster {
   bool first_ = true;
 };
 
-class SlidingMean final : public Forecaster {
+class SlidingMean final : public ListedForecaster<SlidingMean> {
  public:
   explicit SlidingMean(std::size_t window) : window_(window) {
     GRADS_REQUIRE(window >= 1, "SlidingMean: empty window");
@@ -119,19 +119,13 @@ class SlidingMean final : public Forecaster {
     return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
   }
   const char* name() const override { return "sliding-mean"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putU64(values_.size());
-    for (const double v : values_) w.putF64(v);
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.values_);
   }
   void decodeState(core::SnapshotReader& r) override {
-    values_.clear();
-    sum_ = 0.0;
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const double v = r.getF64();
-      values_.push_back(v);
-      sum_ += v;
-    }
+    snapshotIo(*this, r);
+    sum_ = std::accumulate(values_.begin(), values_.end(), 0.0);
   }
 
  private:
@@ -140,7 +134,7 @@ class SlidingMean final : public Forecaster {
   double sum_ = 0.0;  // grads: transient(derived running sum, rebuilt from values_ on decode)
 };
 
-class Ar1 final : public Forecaster {
+class Ar1 final : public ListedForecaster<Ar1> {
  public:
   void update(double v) override {
     if (n_ > 0) {
@@ -163,23 +157,9 @@ class Ar1 final : public Forecaster {
     return a * prev_ + b;
   }
   const char* name() const override { return "ar1"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putF64(prev_);
-    w.putU64(n_);
-    w.putF64(pairs_);
-    w.putF64(sx_);
-    w.putF64(sy_);
-    w.putF64(sxx_);
-    w.putF64(sxy_);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    prev_ = r.getF64();
-    n_ = r.getU64();
-    pairs_ = r.getF64();
-    sx_ = r.getF64();
-    sy_ = r.getF64();
-    sxx_ = r.getF64();
-    sxy_ = r.getF64();
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.prev_, s.n_, s.pairs_, s.sx_, s.sy_, s.sxx_, s.sxy_);
   }
 
  private:
@@ -268,33 +248,6 @@ double ForecasterBattery::bestError() const {
                             : e.absErrorSum / static_cast<double>(e.predictions);
 }
 
-void ForecasterBattery::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(count_);
-  w.putF64(last_);
-  w.putU64(entries_.size());
-  for (const auto& e : entries_) {
-    w.putF64(e.absErrorSum);
-    w.putU64(e.predictions);
-    e.forecaster->encodeState(w);
-  }
-}
-
-void ForecasterBattery::decodeState(core::SnapshotReader& r) {
-  count_ = r.getU64();
-  last_ = r.getF64();
-  const std::uint64_t n = r.getU64();
-  if (n != entries_.size()) {
-    throw core::SnapshotError(
-        "ForecasterBattery: snapshot battery shape does not match (the "
-        "forecaster roster is configuration, not state)");
-  }
-  for (auto& e : entries_) {
-    e.absErrorSum = r.getF64();
-    e.predictions = r.getU64();
-    e.forecaster->decodeState(r);
-  }
-}
-
 Nws::Nws(sim::Engine& engine, grid::Grid& grid, double periodSec,
          double relativeNoise, std::uint64_t seed)
     : engine_(&engine),
@@ -313,67 +266,8 @@ void Nws::start() {
   sampleAll();  // take an immediate reading, then rearm periodically
 }
 
-namespace {
-
-void encodeSeriesMap(core::SnapshotWriter& w,
-                     const std::map<grid::NodeId, ForecasterBattery>& m) {
-  w.putU64(m.size());
-  for (const auto& [key, battery] : m) {
-    w.putU64(key);
-    battery.encodeState(w);
-  }
-}
-
-void decodeSeriesMap(core::SnapshotReader& r,
-                     std::map<grid::NodeId, ForecasterBattery>& m) {
-  m.clear();
-  const std::uint64_t n = r.getU64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto key = static_cast<grid::NodeId>(r.getU64());
-    m[key].decodeState(r);  // operator[] default-constructs the battery
-  }
-}
-
-}  // namespace
-
-void Nws::encodeState(core::SnapshotWriter& w) const {
-  w.putF64(period_);
-  w.putF64(noise_);
-  const RngState rs = rng_.state();
-  for (const std::uint64_t s : rs.s) w.putU64(s);
-  w.putBool(rs.haveSpare);
-  w.putF64(rs.spare);
-  w.putBool(dark_);
-  w.putF64(staleAfter_);
-  w.putF64(lastSample_);
-  w.putU64(samples_);
-  encodeSeriesMap(w, cpu_);
-  encodeSeriesMap(w, incumbent_);
-  encodeSeriesMap(w, bw_);
-  encodeSeriesMap(w, util_);
-}
-
 void Nws::decodeState(core::SnapshotReader& r) {
-  const double period = r.getF64();
-  const double noise = r.getF64();
-  if (period != period_ || noise != noise_) {
-    throw core::SnapshotError(
-        "services.nws: snapshot sensing configuration (period/noise) does "
-        "not match the rebuilt service");
-  }
-  RngState rs;
-  for (std::uint64_t& s : rs.s) s = r.getU64();
-  rs.haveSpare = r.getBool();
-  rs.spare = r.getF64();
-  rng_.setState(rs);
-  dark_ = r.getBool();
-  staleAfter_ = r.getF64();
-  lastSample_ = r.getF64();
-  samples_ = r.getU64();
-  decodeSeriesMap(r, cpu_);
-  decodeSeriesMap(r, incumbent_);
-  decodeSeriesMap(r, bw_);
-  decodeSeriesMap(r, util_);
+  snapshotIo(*this, r);
   // The sampling daemon is never serialized: restore happens into a fresh
   // engine and the restore protocol re-arms exactly one sampler via
   // start(). Leaving running_ set here would make that start() a no-op and

@@ -57,11 +57,18 @@ class ForecasterBattery {
   std::size_t measurements() const { return count_; }
   double lastValue() const { return last_; }
 
-  /// Persists measurement count, last value, and every forecaster's fitted
-  /// state + error score. decode requires the battery shape (entry count)
-  /// to match — the battery roster is configuration, not state.
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  /// Snapshot field list (core/snapshot.hpp): measurement count, last
+  /// value, and every forecaster's error score + fitted state. Decode
+  /// requires the battery shape (entry count) to match — the battery roster
+  /// is configuration, not state.
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a(s.count_, s.last_);
+    a.expect("ForecasterBattery: snapshot battery shape does not match (the "
+             "forecaster roster is configuration, not state)",
+             s.entries_.size());
+    for (auto& e : s.entries_) a(e.absErrorSum, e.predictions, *e.forecaster);
+  }
 
  private:
   struct Entry {
@@ -91,7 +98,9 @@ class Nws : public core::Snapshottable {
   /// with one explicit start() (which is idempotent, so the sampler can
   /// never be armed twice).
   const char* snapshotSection() const override { return "services.nws"; }
-  void encodeState(core::SnapshotWriter& w) const override;
+  void encodeState(core::SnapshotWriter& w) const override {
+    snapshotIo(*this, w);
+  }
   void decodeState(core::SnapshotReader& r) override;
 
   /// Begins periodic monitoring of every node and link in the grid.
@@ -152,6 +161,15 @@ class Nws : public core::Snapshottable {
   const ForecasterBattery& cpuSeries(grid::NodeId node) const;
 
  private:
+  template <class Self, class Ar>
+  static void snapshotIo(Self& s, Ar& a) {
+    a.expect("services.nws: snapshot sensing configuration (period/noise) "
+             "does not match the rebuilt service",
+             s.period_, s.noise_);
+    a(s.rng_, s.dark_, s.staleAfter_, s.lastSample_, s.samples_, s.cpu_,
+      s.incumbent_, s.bw_, s.util_);
+  }
+
   void sampleAll();
   std::optional<double> serve(const std::map<grid::NodeId, ForecasterBattery>&
                                   series,

@@ -64,41 +64,12 @@ void World::abortRetarget(int rank) {
   ++retargetsAborted_;
 }
 
-void World::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(nodes_.size());
-  for (const auto n : nodes_) w.putU64(n);
-  w.putU64(stagedRetargets_.size());
-  for (const auto& [rank, to] : stagedRetargets_) {
-    w.putI64(rank);
-    w.putU64(to);
-  }
-  w.putU64(retargetsCommitted_);
-  w.putU64(retargetsAborted_);
-  w.putF64(bytesSent_);
-  w.putU64(messagesSent_);
-}
-
 void World::decodeState(core::SnapshotReader& r) {
-  const auto rankCount = r.getU64();
-  if (rankCount != nodes_.size()) {
-    throw core::SnapshotError(
-        "vmpi.world: snapshot rank count does not match this communicator");
-  }
-  for (auto& n : nodes_) {
-    n = static_cast<grid::NodeId>(r.getU64());
+  snapshotIo(*this, r);
+  for (const auto n : nodes_) {
     GRADS_REQUIRE(n < grid_->nodeCount(),
                   "World::decodeState: unknown node in mapping");
   }
-  stagedRetargets_.clear();
-  const auto staged = r.getU64();
-  for (std::uint64_t i = 0; i < staged; ++i) {
-    const auto rank = static_cast<int>(r.getI64());
-    stagedRetargets_[rank] = static_cast<grid::NodeId>(r.getU64());
-  }
-  retargetsCommitted_ = static_cast<std::size_t>(r.getU64());
-  retargetsAborted_ = static_cast<std::size_t>(r.getU64());
-  bytesSent_ = r.getF64();
-  messagesSent_ = static_cast<std::size_t>(r.getU64());
 }
 
 World::Mailbox& World::mailbox(int dst, int tag) {

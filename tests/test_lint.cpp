@@ -1,4 +1,5 @@
-// Unit fixtures for grads-lint (rules R1–R6, suppressions, lexer traps) and
+// Unit fixtures for grads-lint (rules R1–R5 and R7–R10, suppressions, SARIF,
+// lexer traps) and
 // digest-stability checks for the replay-divergence oracle's primitives.
 //
 // Every rule gets: a positive fixture (must flag), a negative fixture (must
@@ -366,207 +367,6 @@ TEST(LintR5, LeadingCommentBeforePragmaIsFine) {
 }
 
 // ---------------------------------------------------------------------------
-// R6 — snapshot encode/decode field symmetry.
-// ---------------------------------------------------------------------------
-
-TEST(LintR6, FlagsAsymmetricEncodeDecode) {
-  const auto r = lintOne("src/core/foo.cpp", R"cpp(
-    void Foo::encodeState(core::SnapshotWriter& w) const {
-      w.putU64(a_);
-      w.putF64(b_);
-      w.putStr(name_);
-    }
-    void Foo::decodeState(core::SnapshotReader& r) {
-      a_ = r.getU64();
-      b_ = r.getF64();
-    }
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 1);
-}
-
-TEST(LintR6, SilentOnSymmetricPairsAndDelegation) {
-  const auto r = lintOne("src/core/foo.cpp", R"cpp(
-    void Foo::encodeState(core::SnapshotWriter& w) const {
-      w.putU64(items_.size());
-      for (const auto& it : items_) w.putF64(it);
-      inner_.encodeState(w);  // delegation: counted where it is defined
-    }
-    void Foo::decodeState(core::SnapshotReader& r) {
-      const auto n = r.getU64();
-      items_.clear();
-      for (std::uint64_t i = 0; i < n; ++i) items_.push_back(r.getF64());
-      inner_.decodeState(r);
-    }
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 0);
-}
-
-TEST(LintR6, AttributesInClassDefinitionsToTheRightType) {
-  // Two inline definitions in one file (the nws.cpp forecaster shape): the
-  // symmetric class must not mask or borrow from the asymmetric one.
-  const auto r = lintOne("src/services/foo.cpp", R"cpp(
-    class Good : public core::Snapshottable {
-      void encodeState(core::SnapshotWriter& w) const override {
-        w.putF64(x_);
-      }
-      void decodeState(core::SnapshotReader& r) override { x_ = r.getF64(); }
-    };
-    struct Bad : core::Snapshottable {
-      void encodeState(core::SnapshotWriter& w) const override {
-        w.putF64(x_);
-        w.putBool(flag_);
-      }
-      void decodeState(core::SnapshotReader& r) override { x_ = r.getF64(); }
-    };
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 1);
-}
-
-TEST(LintR6, DeclarationsAndSplitDefinitionsAreSilent) {
-  // A header declares both; only one side is defined in this file. Per-file
-  // analysis cannot compare across files, so no finding.
-  const auto r = lintOne("src/core/foo.hpp", R"cpp(#pragma once
-    class Foo : public core::Snapshottable {
-      void encodeState(core::SnapshotWriter& w) const override;
-      void decodeState(core::SnapshotReader& r) override;
-    };
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 0);
-  const auto half = lintOne("src/core/foo.cpp", R"cpp(
-    void Foo::encodeState(core::SnapshotWriter& w) const { w.putU64(a_); }
-  )cpp");
-  EXPECT_EQ(countRule(half, "R6"), 0);
-}
-
-TEST(LintR6, TenantLedgerShapeWithVectorTailIsSymmetric) {
-  // The metasched tenant-ledger shape: a run of scalar counters followed by
-  // a length-prefixed vector. Encode writes size+loop, decode reads
-  // size+resize+loop — call-site counts match per type, so R6 is silent.
-  const auto r = lintOne("src/metasched/bar.cpp", R"cpp(
-    void Ledger::encodeState(core::SnapshotWriter& w) const {
-      w.putI64(submitted);
-      w.putI64(admitted);
-      w.putI64(shed);
-      w.putU64(slowdowns.size());
-      for (const double s : slowdowns) w.putF64(s);
-    }
-    void Ledger::decodeState(core::SnapshotReader& r) {
-      submitted = r.getI64();
-      admitted = r.getI64();
-      shed = r.getI64();
-      slowdowns.resize(r.getU64());
-      for (double& s : slowdowns) s = r.getF64();
-    }
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 0);
-}
-
-TEST(LintR6, TenantLedgerDroppedCounterIsFlagged) {
-  // Same shape, but decode forgets one scalar: every later field shifts one
-  // word and the vector length is garbage. R6 catches the count mismatch.
-  const auto r = lintOne("src/metasched/bar.cpp", R"cpp(
-    void Ledger::encodeState(core::SnapshotWriter& w) const {
-      w.putI64(submitted);
-      w.putI64(admitted);
-      w.putI64(shed);
-      w.putU64(slowdowns.size());
-      for (const double s : slowdowns) w.putF64(s);
-    }
-    void Ledger::decodeState(core::SnapshotReader& r) {
-      submitted = r.getI64();
-      admitted = r.getI64();
-      slowdowns.resize(r.getU64());
-      for (double& s : slowdowns) s = r.getF64();
-    }
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 1);
-}
-
-TEST(LintR6, ForkDriverNestedDecisionLogIsSymmetric) {
-  // The fork-driver shape: a length-prefixed decision log with a nested
-  // per-candidate loop, followed by scalar stats and an Rng-state tail.
-  // Per-type call-site counts match, so R6 stays silent.
-  const auto r = lintOne("src/reschedule/whatif/foo.cpp", R"cpp(
-    void Driver::encodeState(core::SnapshotWriter& w) const {
-      w.putU64(log_.size());
-      for (const auto& rec : log_) {
-        w.putStr(rec.app);
-        w.putF64(rec.at);
-        w.putU64(rec.scores.size());
-        for (const auto& cs : rec.scores) {
-          w.putU64(static_cast<std::uint64_t>(cs.kind));
-          w.putF64(cs.worstHarm);
-        }
-        w.putBool(rec.diverged);
-      }
-      w.putI64(stats_.decisions);
-      w.putU64(rngState_);
-    }
-    void Driver::decodeState(core::SnapshotReader& r) {
-      log_.clear();
-      const std::uint64_t n = r.getU64();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        Record rec;
-        rec.app = r.getStr();
-        rec.at = r.getF64();
-        const std::uint64_t m = r.getU64();
-        for (std::uint64_t j = 0; j < m; ++j) {
-          Score cs;
-          cs.kind = static_cast<Kind>(r.getU64());
-          cs.worstHarm = r.getF64();
-          rec.scores.push_back(cs);
-        }
-        rec.diverged = r.getBool();
-        log_.push_back(rec);
-      }
-      stats_.decisions = static_cast<int>(r.getI64());
-      rngState_ = r.getU64();
-    }
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 0);
-}
-
-TEST(LintR6, ForkDriverDroppedDivergedFlagIsFlagged) {
-  // Same shape, but decode forgets the per-record diverged bool: every
-  // subsequent record's first word is misread. R6 catches the bool-count
-  // mismatch before the determinism probe has to.
-  const auto r = lintOne("src/reschedule/whatif/foo.cpp", R"cpp(
-    void Driver::encodeState(core::SnapshotWriter& w) const {
-      w.putU64(log_.size());
-      for (const auto& rec : log_) {
-        w.putStr(rec.app);
-        w.putF64(rec.at);
-        w.putBool(rec.diverged);
-      }
-    }
-    void Driver::decodeState(core::SnapshotReader& r) {
-      log_.clear();
-      const std::uint64_t n = r.getU64();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        Record rec;
-        rec.app = r.getStr();
-        rec.at = r.getF64();
-        log_.push_back(rec);
-      }
-    }
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6"), 1);
-}
-
-TEST(LintR6, Suppressed) {
-  const auto r = lintOne("src/core/foo.cpp", R"cpp(
-    void Foo::encodeState(core::SnapshotWriter& w) const { w.putU64(a_); }
-    // grads-lint: allow(R6 decode intentionally versioned, reads one field)
-    void Foo::decodeState(core::SnapshotReader& r) {
-      a_ = r.getU64();
-      b_ = r.getU64();
-    }
-  )cpp");
-  EXPECT_EQ(countRule(r, "R6", /*suppressed=*/false), 0);
-  EXPECT_EQ(countRule(r, "R6", /*suppressed=*/true), 1);
-}
-
-// ---------------------------------------------------------------------------
 // R7 — mutable static / thread_local state.
 // ---------------------------------------------------------------------------
 
@@ -786,6 +586,73 @@ TEST(LintR9, DelegatedEncodeCountsAsCoverage) {
     };
   )cpp");
   EXPECT_EQ(countRule(r, "R9"), 0);
+}
+
+TEST(LintR9, FieldListDrivesCoverage) {
+  // encodeState/decodeState only call the field list; R9 reads snapshotIo.
+  const auto r = lintOne("src/core/counter.hpp", R"cpp(
+    #pragma once
+    class Counter : public core::Snapshottable {
+     public:
+      void encodeState(core::SnapshotWriter& w) const override {
+        snapshotIo(*this, w);
+      }
+      void decodeState(core::SnapshotReader& r) override {
+        snapshotIo(*this, r);
+        rebuilt_ = count_ * 2.0;
+      }
+
+     private:
+      template <class Self, class Ar>
+      static void snapshotIo(Self& s, Ar& a) {
+        a(s.count_);
+      }
+      double count_ = 0.0;
+      double missed_ = 0.0;
+      double rebuilt_ = 0.0;  // grads: transient(derived from count_ on decode)
+    };
+  )cpp");
+  EXPECT_EQ(countRule(r, "R9"), 1);
+  EXPECT_TRUE(ruleMessageContains(r, "R9", "missed_"));
+  EXPECT_TRUE(ruleMessageContains(r, "R9", "Counter::snapshotIo"));
+}
+
+TEST(LintR9, NestedRecordMissingFromItsFieldListIsCaught) {
+  // A record walked inside its owner's section: it has no encodeState of
+  // its own, only a snapshotIo, and R9 still checks it.
+  const auto r = grads::lint::lintSources({
+      {"src/reschedule/log.hpp",
+       "#pragma once\n"
+       "struct Entry {\n"
+       "  std::string app;\n"
+       "  double at = 0.0;\n"
+       "  bool settled = false;\n"
+       "  template <class Self, class Ar>\n"
+       "  static void snapshotIo(Self& s, Ar& a) { a(s.app, s.at); }\n"
+       "};\n"
+       "class Log : public core::Snapshottable {\n"
+       " public:\n"
+       "  void encodeState(core::SnapshotWriter& w) const override;\n"
+       "  void decodeState(core::SnapshotReader& r) override;\n"
+       " private:\n"
+       "  template <class Self, class Ar>\n"
+       "  static void snapshotIo(Self& s, Ar& a);\n"
+       "  std::vector<Entry> entries_;\n"
+       "};\n"},
+      {"src/reschedule/log.cpp",
+       "#include \"reschedule/log.hpp\"\n"
+       "template <class Self, class Ar>\n"
+       "void Log::snapshotIo(Self& s, Ar& a) { a(s.entries_); }\n"
+       "void Log::encodeState(core::SnapshotWriter& w) const {\n"
+       "  snapshotIo(*this, w);\n"
+       "}\n"
+       "void Log::decodeState(core::SnapshotReader& r) {\n"
+       "  snapshotIo(*this, r);\n"
+       "}\n"},
+  });
+  EXPECT_EQ(countRule(r, "R9"), 1);
+  EXPECT_TRUE(ruleMessageContains(r, "R9", "'settled' of 'Entry'"));
+  EXPECT_TRUE(ruleMessageContains(r, "R9", "Entry::snapshotIo"));
 }
 
 TEST(LintR9, TestFixturesAreOutOfScope) {
@@ -1022,11 +889,13 @@ TEST(Sarif, EmitsRulesResultsAndSuppressions) {
   EXPECT_NE(s.find("sarif-2.1.0.json"), std::string::npos);
   EXPECT_NE(s.find("\"name\": \"grads-lint\""), std::string::npos);
   // Every rule id is present in the driver metadata.
-  for (int i = 1; i <= 10; ++i) {
-    EXPECT_NE(s.find("{\"id\": \"R" + std::to_string(i) + "\""),
+  for (const char* id :
+       {"R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9", "R10"}) {
+    EXPECT_NE(s.find(std::string("{\"id\": \"") + id + "\""),
               std::string::npos)
-        << "driver rule R" << i;
+        << "driver rule " << id;
   }
+  EXPECT_EQ(s.find("{\"id\": \"R6\""), std::string::npos);
   // The finding: id, location, line, and JSON-escaped message.
   EXPECT_NE(s.find("\"ruleId\": \"R1\""), std::string::npos);
   EXPECT_NE(s.find("\"uri\": \"src/core/foo.cpp\""), std::string::npos);

@@ -82,10 +82,10 @@ TEST(Brownout, SnapshotRoundTrip) {
   a.update(5.0, 0.0);
   a.update(5.0, 10.0);
   core::SnapshotWriter w;
-  a.encodeState(w);
+  w(a);
   metasched::BrownoutController b(ladderOpts());
   core::SnapshotReader r(w.words());
-  b.decodeState(r);
+  r(b);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(b.level(), metasched::BrownoutLevel::kPark);
   EXPECT_EQ(b.escalations(), 2);
@@ -102,10 +102,10 @@ TEST(TenantLedger, SnapshotRoundTrip) {
   a.completed = 5;
   a.slowdowns = {1.5, 2.25, 4.0};
   core::SnapshotWriter w;
-  a.encodeState(w);
+  w(a);
   metasched::TenantLedger b;
   core::SnapshotReader r(w.words());
-  b.decodeState(r);
+  r(b);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(b.submitted, 10);
   EXPECT_EQ(b.admitted, 7);

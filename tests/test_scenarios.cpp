@@ -1,11 +1,15 @@
 // Scenario catalog (bench/scenarios.hpp): the outcome fold that
-// crash_sweep, determinism_probe and the what-if oracles all digest.
+// crash_sweep, determinism_probe and the what-if oracles all digest, and
+// the snapshot wire format pinned on the catalog's own images.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "core/app_manager.hpp"
+#include "core/snapshot.hpp"
 #include "scenarios.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -76,6 +80,75 @@ TEST(ScenarioCatalog, UnknownNameIsRejected) {
   bench::World w;
   EXPECT_THROW(bench::build(w, "no-such-scenario", 1, false),
                InvalidArgument);
+}
+
+using Image = std::vector<std::uint8_t>;
+
+/// Runs scenario `sc` uncrashed with crash_sweep's snapshot cadence: one
+/// image at t=0, then one every 90 s until the run ends.
+std::vector<Image> catalogImages(const bench::Scenario& sc) {
+  std::vector<Image> images;
+  bench::World w;
+  bench::build(w, sc.name, sc.seed, true);
+  const auto sink = [&images](core::SnapshotImage img) {
+    images.push_back(img.serialize());
+  };
+  bench::spawnApps(w, false);
+  w.mgr->armSnapshotDaemon(90.0, sink);
+  sink(w.mgr->snapshotNow());
+  w.eng.run();
+  w.eng.rethrowIfFailed();
+  return images;
+}
+
+// Every image the catalog writes, digested and compared with values recorded
+// before the per-type field lists replaced the hand-written codecs. A field
+// reordered in both halves of a codec round-trips, so only a pin on the
+// bytes themselves catches it. Each image is then decoded onto a freshly
+// built world (no journal recovery or re-arming: both legitimately rewrite
+// their sections) and must re-encode to the same bytes.
+TEST(SnapshotWireFormat, CatalogImagesArePinnedAndReencodeIdentically) {
+  const struct {
+    std::string_view name;
+    std::size_t images;
+    std::size_t bytes;
+    std::uint64_t digest;
+  } kPinned[] = {
+      {"chaos-qr", 8, 326552, 0x65ee3cf8bfad278aULL},
+      {"integrity-qr", 7, 290824, 0xc9c6b27a04847a2cULL},
+      {"thrash-governed", 7, 214872, 0x83a4c78d79fe129eULL},
+      {"tenant-overload", 27, 593248, 0xf1f164c2d1f20c73ULL},
+      {"whatif-forked", 16, 789184, 0xb8e3564b1adc5cc7ULL},
+  };
+  ASSERT_EQ(std::size(kPinned), std::size(bench::kScenarios));
+  for (std::size_t s = 0; s < std::size(kPinned); ++s) {
+    const bench::Scenario& sc = bench::kScenarios[s];
+    SCOPED_TRACE(sc.name);
+    ASSERT_EQ(kPinned[s].name, sc.name);
+    const std::vector<Image> images = catalogImages(sc);
+
+    util::DigestStream ds;
+    std::size_t bytes = 0;
+    for (const Image& img : images) {
+      ds.put(util::fnv1a64(img.data(), img.size()));
+      bytes += img.size();
+    }
+    EXPECT_EQ(images.size(), kPinned[s].images);
+    EXPECT_EQ(bytes, kPinned[s].bytes);
+    EXPECT_EQ(ds.digest(), kPinned[s].digest)
+        << std::hex << "digest 0x" << ds.digest();
+
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      bench::World w;
+      bench::build(w, sc.name, sc.seed, false);
+      const auto img = core::SnapshotImage::parse(images[i]);
+      w.eng.runUntil(img.simTime);
+      w.mgr->restoreFrom(img);
+      EXPECT_TRUE(w.mgr->snapshotNow().serialize() == images[i])
+          << "image " << i << " (t=" << img.simTime
+          << ") re-encodes to different bytes";
+    }
+  }
 }
 
 }  // namespace

@@ -292,8 +292,8 @@ TEST(ForkDriver, StateRoundTripsThroughSnapshot) {
   EXPECT_EQ(back.mistrustOf(1), drv.mistrustOf(1));
   EXPECT_EQ(back.cooldownExtraFor("qr"), drv.cooldownExtraFor("qr"));
 
-  // Encode/decode symmetry (grads-lint R6, proven at runtime): re-encoding
-  // the decoded state reproduces the exact words.
+  // Encode/decode symmetry, proven at runtime: re-encoding the decoded
+  // state reproduces the exact words.
   core::SnapshotWriter w2;
   back.encodeState(w2);
   EXPECT_EQ(w2.words(), w.words());

@@ -27,7 +27,7 @@ TreeReport lintTree(const std::filesystem::path& root,
                     const AnalyzeOptions& opts = {});
 
 /// Lints in-memory (path, content) pairs — the unit-test entry point.
-/// Runs the same two-phase pipeline (R1–R6 per file, then R7–R10 over the
+/// Runs the same two-phase pipeline (R1–R5 per file, then R7–R10 over the
 /// merged symbol models) sequentially.
 TreeReport lintSources(
     const std::vector<std::pair<std::string, std::string>>& files,

@@ -496,150 +496,6 @@ void ruleR5(Ctx& c) {
 }
 
 // ---------------------------------------------------------------------------
-// R6 — snapshot encode/decode field symmetry.
-// ---------------------------------------------------------------------------
-
-/// The SnapshotWriter/SnapshotReader call vocabularies. encodeState and
-/// decodeState of the same class must contain the same number of these call
-/// sites (see core/snapshot.hpp): the reader's tag check catches a *type*
-/// mismatch at restore time, but a dropped or doubled field of the right
-/// type round-trips silently and only surfaces as replay divergence. Loop
-/// bodies count once per call site on both sides, so symmetric encoders
-/// stay symmetric by construction.
-constexpr string_view kPutCalls[] = {"putU64", "putI64", "putF64", "putBool",
-                                     "putStr"};
-constexpr string_view kGetCalls[] = {"getU64", "getI64", "getF64", "getBool",
-                                     "getStr"};
-
-void ruleR6(Ctx& c) {
-  if (!c.inSrc) return;
-
-  struct Sym {
-    int puts = -1;  ///< -1 = no encodeState definition seen in this file
-    int gets = -1;
-    int encodeLine = 0;
-    int decodeLine = 0;
-  };
-  std::vector<std::pair<std::string, Sym>> classes;
-  auto symFor = [&classes](const std::string& name) -> Sym& {
-    for (auto& [n, s] : classes) {
-      if (n == name) return s;
-    }
-    classes.emplace_back(name, Sym{});
-    return classes.back().second;
-  };
-
-  // Class-context stack so in-class (inline) definitions attribute to the
-  // right type; out-of-line `Type::encodeState` qualifies itself.
-  struct ClassCtx {
-    string_view name;
-    int depth;  ///< brace depth outside the class body
-  };
-  std::vector<ClassCtx> stack;
-  int depth = 0;
-
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    const Token& t = c.tok(i);
-    if (isP(t, "{")) ++depth;
-    if (isP(t, "}")) {
-      --depth;
-      while (!stack.empty() && depth <= stack.back().depth) stack.pop_back();
-    }
-
-    // Track `class X ... {` / `struct X ... {` definitions. `enum class`,
-    // forward declarations, and template parameters must not push context.
-    if ((isId(t, "class") || isId(t, "struct")) &&
-        !(i > 0 && isId(c.tok(i - 1), "enum"))) {
-      std::size_t n = i + 1;
-      while (n < c.size() && c.tok(n).kind == Tok::kIdent &&
-             isId(c.tok(n), "alignas")) {
-        ++n;
-      }
-      if (n >= c.size() || c.tok(n).kind != Tok::kIdent) continue;
-      const string_view name = c.tok(n).text;
-      std::size_t j = n + 1;
-      bool isDef = false;
-      while (j < c.size()) {
-        if (isP(c.tok(j), "<")) {
-          j = c.skipAngles(j);
-          continue;
-        }
-        if (isP(c.tok(j), "{")) {
-          isDef = true;
-          break;
-        }
-        if (isP(c.tok(j), ";") || isP(c.tok(j), ">") || isP(c.tok(j), ",") ||
-            isP(c.tok(j), ")") || isP(c.tok(j), "=")) {
-          break;
-        }
-        ++j;
-      }
-      if (isDef) stack.push_back(ClassCtx{name, depth});
-      continue;
-    }
-
-    const bool isEncode = isId(t, "encodeState");
-    const bool isDecode = isId(t, "decodeState");
-    if ((!isEncode && !isDecode) || i + 1 >= c.size() ||
-        !isP(c.tok(i + 1), "(")) {
-      continue;
-    }
-    // `x.encodeState(w)` / `rec.rss.decodeState(r)` are delegation calls,
-    // not definitions — their fields are counted where they are defined.
-    if (i > 0 && (isP(c.tok(i - 1), ".") || isP(c.tok(i - 1), "->"))) {
-      continue;
-    }
-
-    std::string cls;
-    if (i >= 2 && isP(c.tok(i - 1), "::") && c.tok(i - 2).kind == Tok::kIdent) {
-      cls = std::string(c.tok(i - 2).text);
-    } else if (!stack.empty()) {
-      cls = std::string(stack.back().name);
-    } else {
-      continue;  // free function of the same name — not our interface
-    }
-
-    const std::size_t close = c.closeParen(i + 1);
-    std::size_t j = close + 1;
-    while (j < c.size() &&
-           (isId(c.tok(j), "const") || isId(c.tok(j), "override") ||
-            isId(c.tok(j), "final") || isId(c.tok(j), "noexcept"))) {
-      ++j;
-    }
-    if (j >= c.size() || !isP(c.tok(j), "{")) continue;  // declaration only
-    const std::size_t end = c.closeBrace(j);
-
-    int count = 0;
-    const auto& vocab = isEncode ? kPutCalls : kGetCalls;
-    for (std::size_t k = j + 1; k < end; ++k) {
-      if (c.tok(k).kind == Tok::kIdent && contains(vocab, c.tok(k).text) &&
-          k + 1 < end && isP(c.tok(k + 1), "(")) {
-        ++count;
-      }
-    }
-    Sym& sym = symFor(cls);
-    if (isEncode) {
-      sym.puts = count;
-      sym.encodeLine = t.line;
-    } else {
-      sym.gets = count;
-      sym.decodeLine = t.line;
-    }
-  }
-
-  for (const auto& [name, sym] : classes) {
-    if (sym.puts < 0 || sym.gets < 0) continue;  // split across files
-    if (sym.puts == sym.gets) continue;
-    c.add(sym.decodeLine, "R6",
-          name + "::decodeState has " + std::to_string(sym.gets) +
-              " get* call site(s) but encodeState (line " +
-              std::to_string(sym.encodeLine) + ") has " +
-              std::to_string(sym.puts) +
-              " put* — snapshot fields must round-trip one-for-one");
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Suppressions: `grads-lint: allow(RULE reason text)`; covers the
 // annotation's own line and the next line, one rule id per allow().
 // ---------------------------------------------------------------------------
@@ -723,9 +579,10 @@ void ruleR7(const FileSymbols& f, const AnalyzeOptions& opts,
                                          : "function-local static";
     addSym(out, f.path, s.line, "R7",
            std::string(scope) + " '" + s.name +
-               "' is shared mutable state — future shards would race on it; "
-               "move it into an engine-owned type (documented singletons "
-               "may carry a waiver)");
+               "' is process-wide mutable state — snapshots never see it and "
+               "every engine in the process (what-if sandboxes included) "
+               "shares it; move it into an engine-owned type (documented "
+               "singletons may carry a waiver)");
   }
 }
 
@@ -803,9 +660,16 @@ void ruleR9(const std::vector<FileSymbols>& files, const AnalyzeOptions& opts,
   for (const FileSymbols& f : files) {
     for (const ClassSym& c : f.classes) classes.push_back(&c);
   }
+  // A class's field lists (its snapshotIo, and its encodeState: a
+  // hand-written codec or the call into snapshotIo) pool their identifiers.
+  struct Coverage {
+    const ClassSym* cls;
+    const MethodSym* cite;  ///< named in findings; snapshotIo when present
+    std::vector<std::string> idents;
+  };
+  std::vector<Coverage> lists;
   for (const FileSymbols& f : files) {
     for (const MethodSym& m : f.methods) {
-      if (m.name != "encodeState") continue;
       // Join the definition back to its class: same-file wins, otherwise a
       // unique cross-file match (header class, out-of-line methods); an
       // ambiguous name is skipped rather than guessed.
@@ -820,25 +684,33 @@ void ruleR9(const std::vector<FileSymbols>& files, const AnalyzeOptions& opts,
       }
       const ClassSym* cls = sameFile ? sameFile : (count == 1 ? any : nullptr);
       if (cls == nullptr || !symScope(cls->file, opts)) continue;
+      auto it = std::find_if(lists.begin(), lists.end(),
+                             [cls](const Coverage& l) { return l.cls == cls; });
+      if (it == lists.end()) it = lists.insert(lists.end(), {cls, &m, {}});
+      if (m.name == "snapshotIo") it->cite = &m;
+      it->idents.insert(it->idents.end(), m.bodyIdents.begin(),
+                        m.bodyIdents.end());
+    }
+  }
 
-      for (const MemberSym& mem : cls->members) {
-        if (mem.transient) {
-          if (mem.transientReason.empty()) {
-            addSym(out, cls->file, mem.line, "R9",
-                   "transient annotation on '" + mem.name +
-                       "' needs a reason: `// grads: transient(why)`");
-          }
-          continue;
+  for (const Coverage& l : lists) {
+    for (const MemberSym& mem : l.cls->members) {
+      if (mem.transient) {
+        if (mem.transientReason.empty()) {
+          addSym(out, l.cls->file, mem.line, "R9",
+                 "transient annotation on '" + mem.name +
+                     "' needs a reason: `// grads: transient(why)`");
         }
-        if (std::find(m.bodyIdents.begin(), m.bodyIdents.end(), mem.name) ==
-            m.bodyIdents.end()) {
-          addSym(out, cls->file, mem.line, "R9",
-                 "field '" + mem.name + "' of '" + cls->name +
-                     "' is not referenced in " + cls->name +
-                     "::encodeState (" + m.file + ":" +
-                     std::to_string(m.line) +
-                     ") — snapshot it or mark `// grads: transient(reason)`");
-        }
+        continue;
+      }
+      if (std::find(l.idents.begin(), l.idents.end(), mem.name) ==
+          l.idents.end()) {
+        addSym(out, l.cls->file, mem.line, "R9",
+               "field '" + mem.name + "' of '" + l.cls->name +
+                   "' is not referenced in " + l.cls->name +
+                   "::" + l.cite->name + " (" + l.cite->file + ":" +
+                   std::to_string(l.cite->line) +
+                   ") — snapshot it or mark `// grads: transient(reason)`");
       }
     }
   }
@@ -884,7 +756,6 @@ FileAnalysis analyzeFile(const std::string& relPath, std::string_view content,
   ruleR3(c);
   ruleR4(c);
   ruleR5(c);
-  ruleR6(c);
 
   a.report.suppressions = parseSuppressions(relPath, lexed.comments);
   a.symbols = buildSymbols(relPath, lexed);

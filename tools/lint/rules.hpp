@@ -13,7 +13,7 @@ namespace grads::lint {
 struct Finding {
   std::string file;  ///< repo-relative path, forward slashes
   int line = 0;
-  std::string rule;      ///< "R1".."R10"
+  std::string rule;      ///< "R1".."R5", "R7".."R10"
   std::string severity;  ///< "error" (all shipped rules fail CI)
   std::string message;
   bool suppressed = false;
@@ -43,7 +43,7 @@ struct AnalyzeOptions {
   bool selfcheck = false;
 };
 
-/// Phase-1 output for one file: the lexical findings (R1–R6) plus the symbol
+/// Phase-1 output for one file: the lexical findings (R1–R5) plus the symbol
 /// model the tree-wide rules (R7–R10) consume. Suppressions are parsed but
 /// not yet matched — matching happens after tree rules run, so waivers cover
 /// symbol-rule findings too (see matchSuppressions).
@@ -52,7 +52,7 @@ struct FileAnalysis {
   FileSymbols symbols;
 };
 
-/// Rule catalogue (see DESIGN.md §12 "Static shard-readiness invariants"):
+/// Rule catalogue (DESIGN.md §7 for R1–R5, §12 for R7–R10):
 ///   R1  wall-clock & ambient randomness banned in src/ (only util/rng
 ///       produces randomness; bench/ owns its own timing).
 ///   R2  address-order nondeterminism: pointer-keyed associative containers,
@@ -64,17 +64,16 @@ struct FileAnalysis {
 ///       engine hot paths already converted to sim::InlineFn.
 ///   R5  include hygiene: banned headers in src/, #pragma once in headers,
 ///       no parent-relative includes, no using-namespace in headers.
-///   R6  snapshot put*/get* call-site symmetry between encodeState and
-///       decodeState of the same class (core/snapshot.hpp).
-///   R7  mutable static / thread_local state in src/ — shared mutable
-///       statics are the shard-killer; const/constexpr are exempt,
-///       documented singletons carry waivers.
+///   R7  mutable static / thread_local state in src/ — process-wide state
+///       escapes snapshots and is shared by every engine in the process;
+///       const/constexpr are exempt, documented singletons carry waivers.
 ///   R8  architecture layering DAG over the include graph: an include may
 ///       only point at the same or a lower layer (util → sim → core → grid
-///       → ... → apps); upward or cyclic includes break the shard seam.
-///   R9  snapshot field coverage: every data member of a class defining
-///       encodeState must be referenced in its body or carry a
-///       `// grads: transient(reason)` annotation.
+///       → ... → apps); upward or cyclic includes are flagged.
+///   R9  snapshot field coverage: every data member of a class with a
+///       field list (snapshotIo, or a hand-written encodeState) must be
+///       referenced in it or carry a `// grads: transient(reason)`
+///       annotation.
 ///   R10 by-reference lambda captures ([&] or &name, this excluded) in
 ///       callbacks handed to Engine scheduling/emission call sites.
 ///
@@ -84,7 +83,7 @@ FileAnalysis analyzeFile(const std::string& relPath, std::string_view content,
                          const AnalyzeOptions& opts = {});
 
 /// Phase 2: the symbol rules R7–R10 over every file's symbol model at once
-/// (R9 needs a cross-file join: classes in headers, methods in .cpp files).
+/// (R9 needs a cross-file join: classes in headers, codecs in .cpp files).
 /// Appends to `out`.
 void runTreeRules(const std::vector<FileSymbols>& files,
                   const AnalyzeOptions& opts, std::vector<Finding>& out);

@@ -19,10 +19,9 @@ constexpr RuleMeta kRules[] = {
     {"R3", "side effect inside a check macro"},
     {"R4", "raw allocation or type-erased callback on the hot path"},
     {"R5", "include hygiene violation"},
-    {"R6", "snapshot put*/get* call-site asymmetry"},
     {"R7", "mutable static or thread_local shared state"},
     {"R8", "architecture layering DAG inversion"},
-    {"R9", "snapshot field not covered by encodeState"},
+    {"R9", "snapshot field missing from its type's field list"},
     {"R10", "by-reference capture handed to the engine"},
 };
 

@@ -199,9 +199,9 @@ class SymbolBuilder {
     return nullptr;
   }
 
-  /// Classifies class/struct/union heads exactly like rule R6: a definition
-  /// is a head whose lookahead reaches "{" before any of ";>,)=" — forward
-  /// declarations, template parameters, and enum class never push scope.
+  /// Classifies class/struct/union heads: a definition is a head whose
+  /// lookahead reaches "{" before any of ";>,)=" — forward declarations,
+  /// template parameters, and enum class never push scope.
   bool classDefAt(std::size_t i, std::string* name, std::size_t* bracePos,
                   std::vector<std::string>* bases) const {
     std::size_t n = i + 1;
@@ -691,18 +691,16 @@ class SymbolBuilder {
     }
   }
 
-  // -- encodeState / decodeState definition bodies. ------------------------
+  // -- snapshotIo / encodeState definition bodies. -------------------------
 
   void collectMethods() {
-    // Mirrors rule R6's attribution: out-of-line `Type::encodeState`
-    // qualifies itself; in-class definitions attribute to the innermost
-    // enclosing class body range.
+    // Out-of-line `Type::snapshotIo` qualifies itself; in-class definitions
+    // attribute to the innermost enclosing class body range. Calls
+    // (`snapshotIo(*this, w);`, `inner_.encodeState(w)`) have no body.
     for (std::size_t i = 0; i < size(); ++i) {
       const Token& t = tok(i);
-      const bool isEncode = isId(t, "encodeState");
-      const bool isDecode = isId(t, "decodeState");
-      if ((!isEncode && !isDecode) || i + 1 >= size() ||
-          !isP(tok(i + 1), "(")) {
+      if ((!isId(t, "snapshotIo") && !isId(t, "encodeState")) ||
+          i + 1 >= size() || !isP(tok(i + 1), "(")) {
         continue;
       }
       if (i > 0 && (isP(tok(i - 1), ".") || isP(tok(i - 1), "->"))) {
@@ -731,7 +729,7 @@ class SymbolBuilder {
 
       MethodSym m;
       m.className = cls;
-      m.name = isEncode ? "encodeState" : "decodeState";
+      m.name = std::string(t.text);
       m.file = out_.path;
       m.line = t.line;
       for (std::size_t k = j + 1; k < end; ++k) {

@@ -10,7 +10,7 @@ namespace grads::lint {
 
 /// Phase-1 symbol model. Built per file over the lexer's token stream (still
 /// no libclang), then merged tree-wide so the symbol rules R7–R10
-/// can answer symbol questions the lexical rules R1–R6 cannot: which state is
+/// can answer symbol questions the lexical rules R1–R5 cannot: which state is
 /// file-scope mutable, which class fields escape the snapshot, which layers
 /// depend on which, and what engine-scheduled lambdas capture.
 ///
@@ -34,10 +34,12 @@ struct ClassSym {
   std::vector<MemberSym> members;       ///< non-static data members
 };
 
-/// An encodeState/decodeState *definition* (in-class or out-of-line).
+/// A snapshot field-list *definition* (in-class or out-of-line): the
+/// type's snapshotIo, or its encodeState (hand-written codec or the call
+/// into snapshotIo).
 struct MethodSym {
   std::string className;
-  std::string name;  ///< "encodeState" | "decodeState"
+  std::string name;  ///< "snapshotIo" | "encodeState"
   std::string file;
   int line = 0;
   std::vector<std::string> bodyIdents;  ///< every identifier in the body
