@@ -10,19 +10,16 @@ namespace grads::bench {
 
 /// Shared command-line options for the bench drivers. Every campaign had
 /// grown its own copy of the same loop (--quick here, a positional seed
-/// count there, --out/--check in the perf harness); this is the one parser
-/// they all share. Semantics are the least common denominator the drivers
-/// already agreed on:
+/// count there); this is the one parser they all share. Semantics are the
+/// least common denominator the drivers already agreed on:
 ///
 ///   --quick        reduced scale for ctest / CI smoke runs
 ///   --out FILE     report path override (drivers that emit a report)
-///   --check FILE   compare against a prior report (perf harness)
 ///   --arm NAME     restrict to one campaign arm (repeatable; default all)
 ///   N              one optional positional integer (seed / scenario count)
 struct CliOptions {
   bool quick = false;
   std::string out;
-  std::string check;
   std::vector<std::string> arms;
   long long count = -1;  ///< the positional integer; -1 when absent
 };
@@ -38,8 +35,6 @@ inline bool parseCli(int argc, char** argv, CliOptions& opts,
       opts.quick = true;
     } else if (arg == "--out" && i + 1 < argc) {
       opts.out = argv[++i];
-    } else if (arg == "--check" && i + 1 < argc) {
-      opts.check = argv[++i];
     } else if (arg == "--arm" && i + 1 < argc) {
       opts.arms.push_back(argv[++i]);
     } else if (!arg.empty() && arg[0] != '-' && opts.count < 0) {

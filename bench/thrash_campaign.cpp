@@ -146,8 +146,9 @@ FaultOutcome runMidActionFault(std::uint64_t seed, bool killTarget) {
   auto watch = std::make_shared<Watch>();
   const double killDelay = 1.0 + static_cast<double>(seed % 4) * 2.0;
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&eng, &journal, &injector, watch, poll, killTarget, killDelay,
-           appName = cop.name] {
+  // A non-owning self pointer: owning itself would leak the callback.
+  *poll = [&eng, &journal, &injector, watch, self = poll.get(), killTarget,
+           killDelay, appName = cop.name] {
     if (!watch->armed) {
       if (const auto* rec = journal.openAction(appName)) {
         const auto& nodes = killTarget ? rec->target : rec->prior;
@@ -162,7 +163,7 @@ FaultOutcome runMidActionFault(std::uint64_t seed, bool killTarget) {
           return;
         }
       }
-      eng.scheduleDaemon(1.0, *poll);
+      eng.scheduleDaemon(1.0, *self);
     }
   };
   eng.scheduleDaemon(1.0, *poll);

@@ -73,8 +73,9 @@ wan lab farm 0.020 4194304
   }(g2));
   engine2.runUntil(10.0);
   std::cout << "mid-transfer, NWS forecasts lab0->farm0 for 8 MB: "
-            << nws.transferTime(*g2.findNode("lab0"), *g2.findNode("farm0"),
-                                8.0 * 1024 * 1024)
+            << nws.transferTimeDegraded(*g2.findNode("lab0"),
+                                        *g2.findNode("farm0"),
+                                        8.0 * 1024 * 1024)
             << " s (congested)\n";
   engine2.run();
   std::cout << "transfer done at t=" << engine2.now() << " s\n";

@@ -56,7 +56,7 @@ int main() {
 
   std::cout << "Finished at t=" << engine.now() << " s\n";
   std::cout << "NWS now sees utk0 availability = "
-            << nws.cpuAvailability(tb.utkNodes[0])
+            << nws.tryCpuAvailability(tb.utkNodes[0]).value()
             << " (degraded by the injected load)\n";
   return 0;
 }

@@ -171,8 +171,9 @@ class MetaScheduler : public core::Snapshottable {
     onJobComplete_ = std::move(fn);
   }
   /// Fired on every frontend state transition ("admit", "shed", "dispatch",
-  /// "preempt", "park", "unpark", "brownout") — the crash-point sweep's
-  /// kill hook, mirroring ActionJournal::setOnTransition.
+  /// "preempt", "park", "unpark", "brownout") — a kill hook for the
+  /// benchmark's crash-restart workload, mirroring
+  /// ActionJournal::setOnTransition.
   void setOnTransition(std::function<void(const char*)> fn) {
     onTransition_ = std::move(fn);
   }

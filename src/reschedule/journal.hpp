@@ -151,8 +151,9 @@ class ActionJournal : public core::Snapshottable {
 
   /// Called on *every* state transition (open, beginCommit, commit,
   /// rollback) with the record as it stands after the transition. The
-  /// crash-point sweep uses this to kill the control plane at each journal
-  /// transition; unlike setOnResolve it also sees opens and commit-begins.
+  /// benchmark's crash-restart workload uses this to kill the control plane
+  /// at a journal transition; unlike setOnResolve it also sees opens and
+  /// commit-begins.
   void setOnTransition(std::function<void(const ActionRecord&)> fn) {
     onTransition_ = std::move(fn);
   }

@@ -205,14 +205,15 @@ void SwapManager::evaluate() {
 void SwapManager::start() {
   if (running_) return;
   running_ = true;
-  sim::Engine& eng = world_->engine();
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, &eng, tick] {
+  scheduleTick();
+}
+
+void SwapManager::scheduleTick() {
+  world_->engine().scheduleDaemon(cfg_.checkPeriodSec, [this] {
     if (!running_) return;
     evaluate();
-    eng.scheduleDaemon(cfg_.checkPeriodSec, *tick);
-  };
-  eng.scheduleDaemon(cfg_.checkPeriodSec, *tick);
+    scheduleTick();
+  });
 }
 
 sim::Task SwapManager::atIterationBoundary(int rank) {

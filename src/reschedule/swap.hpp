@@ -94,6 +94,8 @@ class SwapManager {
   void evaluate();
 
  private:
+  /// Arms the next policy tick, which evaluates and re-arms from here.
+  void scheduleTick();
   std::vector<grid::NodeId> inactiveNodes() const;
   void enqueue(int rank, grid::NodeId to);
   bool reachable(grid::NodeId node) const;

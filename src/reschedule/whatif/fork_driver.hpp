@@ -257,8 +257,8 @@ class ForkDriver : public core::Snapshottable {
   double mistrustOf(grid::NodeId node) const;
 
   /// Fired at each speculation boundary ("decision", "fork-start",
-  /// "fork-done", "verdict") — the crash-point sweep kills the control plane
-  /// here to prove mid-fork crashes leave the live mapping untouched.
+  /// "fork-done", "verdict") — the benchmark's crash-restart workload kills
+  /// the control plane here.
   void setOnFork(std::function<void(const char*)> fn) {
     onFork_ = std::move(fn);
   }

@@ -379,68 +379,4 @@ double Nws::transferTimeDegraded(grid::NodeId src, grid::NodeId dst,
   return route.latencySec + bytes / minBw;
 }
 
-double Nws::cpuAvailability(grid::NodeId node) const {
-  const auto it = cpu_.find(node);
-  GRADS_REQUIRE(it != cpu_.end() && it->second.measurements() > 0,
-                "Nws: no CPU measurements for node");
-  return it->second.forecast();
-}
-
-double Nws::bandwidth(grid::LinkId link) const {
-  const auto it = bw_.find(link);
-  GRADS_REQUIRE(it != bw_.end() && it->second.measurements() > 0,
-                "Nws: no bandwidth measurements for link");
-  return it->second.forecast();
-}
-
-double Nws::linkUtilization(grid::LinkId link) const {
-  const auto it = util_.find(link);
-  GRADS_REQUIRE(it != util_.end() && it->second.measurements() > 0,
-                "Nws: no utilization measurements for link");
-  return it->second.forecast();
-}
-
-double Nws::latency(grid::LinkId link) const {
-  return grid_->link(link).latency();
-}
-
-double Nws::transferTime(grid::NodeId src, grid::NodeId dst,
-                         double bytes) const {
-  const auto route = grid_->route(src, dst);
-  if (route.links.empty()) return 0.0;
-  double minBw = std::numeric_limits<double>::infinity();
-  for (const auto lid : route.links) {
-    // Forecasts are clamped to the per-flow cap for the same reason as the
-    // degraded path: no forecast can promise more than one flow can carry.
-    minBw = std::min(minBw,
-                     std::min(bandwidth(lid),
-                              grid_->link(lid).spec().perFlowCapBytesPerSec));
-  }
-  if (minBw <= 0.0) return std::numeric_limits<double>::infinity();
-  return route.latencySec + bytes / minBw;
-}
-
-double Nws::incumbentAvailability(grid::NodeId node) const {
-  const auto it = incumbent_.find(node);
-  GRADS_REQUIRE(it != incumbent_.end() && it->second.measurements() > 0,
-                "Nws: no incumbent measurements for node");
-  return it->second.forecast();
-}
-
-double Nws::effectiveRate(grid::NodeId node) const {
-  return cpuAvailability(node) *
-         grid_->node(node).spec().effectiveFlopsPerCpu();
-}
-
-double Nws::incumbentRate(grid::NodeId node) const {
-  return incumbentAvailability(node) *
-         grid_->node(node).spec().effectiveFlopsPerCpu();
-}
-
-const ForecasterBattery& Nws::cpuSeries(grid::NodeId node) const {
-  const auto it = cpu_.find(node);
-  GRADS_REQUIRE(it != cpu_.end(), "Nws: node not monitored");
-  return it->second;
-}
-
 }  // namespace grads::services

@@ -108,57 +108,44 @@ class Nws : public core::Snapshottable {
   void stop() { running_ = false; }
 
   /// Sensor outage: while dark the daemon keeps ticking but records
-  /// nothing, so forecasts age and eventually go stale. Consumers that use
-  /// the try* accessors degrade instead of failing.
+  /// nothing, so forecasts age and eventually go stale, and the accessors
+  /// below degrade instead of failing.
   void setDark(bool dark) { dark_ = dark; }
   bool dark() const { return dark_; }
 
   /// Seconds since the last successful measurement sweep (infinity before
   /// the first one).
   double lastSampleAgeSec() const;
-  /// Forecasts older than this are served as raw last-known values instead
-  /// of battery forecasts (the middle rung of live -> last-known -> static).
-  void setStaleAfterSec(double sec) { staleAfter_ = sec; }
+  /// Forecasts older than three sensing periods are served as raw
+  /// last-known values instead of battery forecasts (the middle rung of
+  /// live -> last-known -> static).
   bool stale() const { return lastSampleAgeSec() > staleAfter_; }
 
-  /// Forecast CPU availability (fraction of one CPU) for a *new* process.
-  double cpuAvailability(grid::NodeId node) const;
-  /// Forecast share (fraction of one CPU) an *incumbent* process keeps.
-  double incumbentAvailability(grid::NodeId node) const;
-  /// Forecast available bandwidth (bytes/s) on a link.
-  double bandwidth(grid::LinkId link) const;
-  /// Forecast link utilization (allocated fraction of capacity, [0, 1]) —
-  /// a real congestion signal sampled from the flow registry, not a synthetic
-  /// series: the forecasters finally see genuine transfer dynamics.
-  double linkUtilization(grid::LinkId link) const;
-  /// Measured latency of a link (assumed stable; sensed once).
-  double latency(grid::LinkId link) const;
+  // Every forecast is the battery's best forecast while the series is
+  // fresh, the raw last-known value once it is stale, and nullopt when no
+  // measurement was ever taken (callers fall back to static node specs).
 
-  /// Degraded-mode accessors: like the throwing variants, but serve raw
-  /// last-known values once the series is stale and return nullopt when no
-  /// measurement was ever taken (callers fall back to static node specs).
+  /// CPU availability (fraction of one CPU) for a *new* process.
   std::optional<double> tryCpuAvailability(grid::NodeId node) const;
+  /// Share (fraction of one CPU) an *incumbent* process keeps.
   std::optional<double> tryIncumbentAvailability(grid::NodeId node) const;
+  /// Available bandwidth (bytes/s) on a link.
   std::optional<double> tryBandwidth(grid::LinkId link) const;
+  /// Link utilization (allocated fraction of capacity, [0, 1]) — a real
+  /// congestion signal sampled from the flow registry, not a synthetic
+  /// series: the forecasters see genuine transfer dynamics.
   std::optional<double> tryLinkUtilization(grid::LinkId link) const;
-  /// Degraded effectiveRate()/incumbentRate(): nullopt when dark so long
-  /// that nothing was ever measured for the node.
+  /// Flop rate a newly placed process would obtain on a node.
   std::optional<double> tryEffectiveRate(grid::NodeId node) const;
+  /// Flop rate an already-running process keeps on a node.
   std::optional<double> tryIncumbentRate(grid::NodeId node) const;
-  /// Degraded transferTime(): falls back to link specs for unmeasured links.
+  /// End-to-end transfer time for `bytes` between two nodes over the
+  /// route's bottleneck link, each link's rate clamped to its per-flow cap;
+  /// falls back to link specs for unmeasured links.
   double transferTimeDegraded(grid::NodeId src, grid::NodeId dst,
                               double bytes) const;
 
-  /// Forecast end-to-end transfer time for `bytes` between two nodes using
-  /// current link forecasts (bottleneck model).
-  double transferTime(grid::NodeId src, grid::NodeId dst, double bytes) const;
-  /// Forecast flop rate a newly placed process would obtain on a node.
-  double effectiveRate(grid::NodeId node) const;
-  /// Forecast flop rate an already-running process keeps on a node.
-  double incumbentRate(grid::NodeId node) const;
-
   std::size_t samplesTaken() const { return samples_; }
-  const ForecasterBattery& cpuSeries(grid::NodeId node) const;
 
  private:
   template <class Self, class Ar>

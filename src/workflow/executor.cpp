@@ -16,6 +16,9 @@ struct WorkflowExecutor::RunState {
     }
     runs.resize(n);
   }
+  // The pending rescheduling tick reads this state, so it goes with it:
+  // when the workflow returns, throws, or dies with the engine.
+  ~RunState() { tick.cancel(); }
 
   ExecutionOptions options;
   std::vector<grid::NodeId> placement;          // current target per component
@@ -24,7 +27,7 @@ struct WorkflowExecutor::RunState {
   std::vector<bool> started;
   std::vector<ComponentRun> runs;
   int rescheduleRounds = 0;
-  bool finished = false;
+  sim::Engine::EventHandle tick;
   Rng retryRng{0};
   int launchFailures = 0;
   int transferRetries = 0;
@@ -186,6 +189,16 @@ void WorkflowExecutor::rescheduleUnstarted(const Dag& dag, RunState& state) {
   }
 }
 
+void WorkflowExecutor::scheduleRescheduleTick(const Dag& dag,
+                                              RunState& state) {
+  state.tick = grid_->engine().scheduleDaemon(
+      state.options.rescheduleCheckSec,
+      [this, dagPtr = &dag, statePtr = &state] {
+        rescheduleUnstarted(*dagPtr, *statePtr);
+        scheduleRescheduleTick(*dagPtr, *statePtr);
+      });
+}
+
 sim::Task WorkflowExecutor::execute(const Dag& dag, ExecutionOptions options,
                                     ExecutionResult* result) {
   GRADS_REQUIRE(dag.size() > 0, "WorkflowExecutor: empty DAG");
@@ -209,24 +222,13 @@ sim::Task WorkflowExecutor::execute(const Dag& dag, ExecutionOptions options,
   state.initialPlacement = state.placement;
 
   // Optional rescheduling loop (daemon: dies with the run).
-  if (options.reschedule) {
-    auto tick = std::make_shared<std::function<void()>>();
-    auto* statePtr = &state;
-    const Dag* dagPtr = &dag;
-    *tick = [this, statePtr, dagPtr, tick, &eng, options] {
-      if (statePtr->finished) return;
-      rescheduleUnstarted(*dagPtr, *statePtr);
-      eng.scheduleDaemon(options.rescheduleCheckSec, *tick);
-    };
-    eng.scheduleDaemon(options.rescheduleCheckSec, *tick);
-  }
+  if (options.reschedule) scheduleRescheduleTick(dag, state);
 
   sim::JoinSet components(eng);
   for (ComponentId c = 0; c < dag.size(); ++c) {
     components.spawn(runComponent(dag, c, state));
   }
   co_await components.join();
-  state.finished = true;
 
   if (result != nullptr) {
     result->runs = std::move(state.runs);

@@ -72,6 +72,9 @@ class WorkflowExecutor {
   struct RunState;
 
   sim::Task runComponent(const Dag& dag, ComponentId c, RunState& state);
+  /// Arms the next rescheduling tick, which reschedules and re-arms from
+  /// here; the pending tick is cancelled when `state` is destroyed.
+  void scheduleRescheduleTick(const Dag& dag, RunState& state);
   void rescheduleUnstarted(const Dag& dag, RunState& state);
 
   grid::Grid* grid_;

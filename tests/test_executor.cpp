@@ -143,6 +143,24 @@ TEST(Executor, NoReschedulingWhenNothingChanges) {
   EXPECT_EQ(result.remappedComponents, 0);  // idle grid → keep the plan
 }
 
+TEST(Executor, ReschedulingTickEndsWithTheWorkflow) {
+  // The tick reads the run's state, which dies when the workflow returns.
+  // Running the engine on afterwards must fire only the NWS sampler: a
+  // tick still pending would read freed memory.
+  Fixture f;
+  const auto dag = makeChain(3, 1e10, kMB);
+  ExecutionOptions opts;
+  opts.reschedule = true;
+  opts.rescheduleCheckSec = 5.0;
+  const auto result = f.run(dag, opts);
+  ASSERT_EQ(result.runs.size(), 3u);
+  const std::size_t events = f.eng.processedEvents();
+  const std::size_t samples = f.nws->samplesTaken();
+  f.eng.runUntil(f.eng.now() + 100.0);
+  EXPECT_EQ(f.eng.processedEvents() - events,
+            f.nws->samplesTaken() - samples);
+}
+
 TEST(Executor, SensorsReportComponentTimes) {
   Fixture f;
   autopilot::AutopilotManager autopilot(f.eng);

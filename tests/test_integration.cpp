@@ -102,12 +102,14 @@ struct SwapRun {
   double finishedAt = 0.0;
 };
 
-SwapRun runSwapScenario(reschedule::SwapPolicy policy) {
+/// The Figure-4 scenario, on the MicroGrid emulation (virtualization
+/// overheads on) or, with `emulated` = false, directly simulated.
+SwapRun runSwapScenario(reschedule::SwapPolicy policy, bool emulated = true) {
   sim::Engine eng;
   grid::Grid g(eng);
   const microgrid::EmulationOptions emu;
   microgrid::instantiate(g, microgrid::parseDml(microgrid::swapExperimentDml()),
-                         &emu);
+                         emulated ? &emu : nullptr);
   services::Nws nws(eng, g, 10.0, 0.01, 7);
   nws.start();
   const auto utk = g.clusterNodes(*g.findCluster("utk"));
@@ -186,39 +188,12 @@ TEST(Fig4, SwappingBeatsNoSwapping) {
 }
 
 TEST(MicrogridFidelity, EmulationTracksDirectSimulation) {
-  // Run the Fig-4 scenario once without emulation overheads by hand.
-  auto runDirect = [] {
-    sim::Engine eng;
-    grid::Grid g(eng);
-    microgrid::instantiate(
-        g, microgrid::parseDml(microgrid::swapExperimentDml()));
-    services::Nws nws(eng, g, 10.0, 0.01, 7);
-    nws.start();
-    const auto utk = g.clusterNodes(*g.findCluster("utk"));
-    const auto uiuc = g.clusterNodes(*g.findCluster("uiuc"));
-    grid::applyLoadTrace(eng, g.node(utk[0]),
-                         grid::LoadTrace::stepAt(80.0, 2.0));
-    apps::NBodyConfig cfg;
-    cfg.particles = 10000;
-    cfg.iterations = 100;
-    vmpi::World world(g, {utk[0], utk[1], utk[2]}, "nbody");
-    std::vector<grid::NodeId> pool = utk;
-    pool.insert(pool.end(), uiuc.begin(), uiuc.end());
-    reschedule::SwapConfig scfg;
-    scfg.policy = reschedule::SwapPolicy::kModelBased;
-    scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
-    reschedule::SwapManager swap(world, pool, &nws, scfg);
-    swap.start();
-    for (int r = 0; r < 3; ++r) {
-      eng.spawn(apps::nbodyRank(world, &swap, cfg, r, nullptr, "nb", nullptr));
-    }
-    eng.run();
-    return std::pair{eng.now(), swap.history().size()};
-  };
-  const auto [directTime, directSwaps] = runDirect();
+  // The same Fig-4 scenario with and without emulation overheads.
+  const auto direct =
+      runSwapScenario(reschedule::SwapPolicy::kModelBased, false);
   const auto emulated = runSwapScenario(reschedule::SwapPolicy::kModelBased);
-  EXPECT_EQ(directSwaps, emulated.swaps.size());  // same decisions
-  EXPECT_NEAR(emulated.finishedAt, directTime, 0.05 * directTime);
+  EXPECT_EQ(direct.swaps.size(), emulated.swaps.size());  // same decisions
+  EXPECT_NEAR(emulated.finishedAt, direct.finishedAt, 0.05 * direct.finishedAt);
 }
 
 }  // namespace

@@ -592,7 +592,8 @@ MidActionFaultRun runMigrationWithMidActionKill(bool killTarget) {
   // stale-GIS window makes the relaunch bind hit the corpse.
   auto killed = std::make_shared<bool>(false);
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&eng, &journal, &injector, killed, poll, killTarget,
+  // A non-owning self pointer: owning itself would leak the callback.
+  *poll = [&eng, &journal, &injector, killed, self = poll.get(), killTarget,
            appName = cop.name] {
     if (*killed) return;
     if (const auto* rec = journal.openAction(appName)) {
@@ -606,7 +607,7 @@ MidActionFaultRun runMigrationWithMidActionKill(bool killTarget) {
         return;
       }
     }
-    eng.scheduleDaemon(1.0, *poll);
+    eng.scheduleDaemon(1.0, *self);
   };
   eng.scheduleDaemon(1.0, *poll);
 

@@ -75,7 +75,7 @@ TEST(Nws, SensesIdleGridAsFullyAvailable) {
   nws.start();
   eng.runUntil(100.0);
   EXPECT_GE(nws.samplesTaken(), 10u);
-  EXPECT_NEAR(nws.cpuAvailability(tb.utkNodes[0]), 1.0, 1e-9);
+  EXPECT_NEAR(nws.tryCpuAvailability(tb.utkNodes[0]).value(), 1.0, 1e-9);
 }
 
 TEST(Nws, DetectsInjectedLoad) {
@@ -88,8 +88,8 @@ TEST(Nws, DetectsInjectedLoad) {
   grid::applyLoadTrace(eng, g.node(tb.uiucNodes[0]),
                        grid::LoadTrace::stepAt(50.0, 1.0));
   eng.runUntil(300.0);
-  EXPECT_NEAR(nws.cpuAvailability(tb.uiucNodes[0]), 0.5, 0.05);
-  EXPECT_NEAR(nws.cpuAvailability(tb.uiucNodes[1]), 1.0, 1e-9);
+  EXPECT_NEAR(nws.tryCpuAvailability(tb.uiucNodes[0]).value(), 0.5, 0.05);
+  EXPECT_NEAR(nws.tryCpuAvailability(tb.uiucNodes[1]).value(), 1.0, 1e-9);
 }
 
 TEST(Nws, TransferTimeMatchesGridEstimate) {
@@ -99,7 +99,8 @@ TEST(Nws, TransferTimeMatchesGridEstimate) {
   Nws nws(eng, g, 10.0, 0.0);
   nws.start();
   eng.runUntil(50.0);
-  const double est = nws.transferTime(tb.utkNodes[0], tb.uiucNodes[0], 3 * kMB);
+  const double est =
+      nws.transferTimeDegraded(tb.utkNodes[0], tb.uiucNodes[0], 3 * kMB);
   EXPECT_NEAR(est, g.transferEstimate(tb.utkNodes[0], tb.uiucNodes[0], 3 * kMB),
               0.2);
 }
@@ -133,11 +134,11 @@ TEST(Nws, SamplesLinkUtilizationFromFlowRegistry) {
   }(g, tb.utkNodes[0], tb.uiucNodes[0]),
             "long-xfer");
   eng.runUntil(5.0);
-  EXPECT_DOUBLE_EQ(nws.linkUtilization(wan), 1.0);
   ASSERT_TRUE(nws.tryLinkUtilization(wan).has_value());
+  EXPECT_DOUBLE_EQ(*nws.tryLinkUtilization(wan), 1.0);
   // Drained: subsequent sweeps see the link idle again.
   eng.runUntil(30.0);
-  EXPECT_DOUBLE_EQ(nws.linkUtilization(wan), 0.0);
+  EXPECT_DOUBLE_EQ(nws.tryLinkUtilization(wan).value(), 0.0);
 }
 
 TEST(Nws, EffectiveRateScalesWithAvailability) {
@@ -149,7 +150,7 @@ TEST(Nws, EffectiveRateScalesWithAvailability) {
   g.node(tb.uiucNodes[0]).injectLoad(1.0);
   eng.runUntil(50.0);
   const auto& spec = g.node(tb.uiucNodes[0]).spec();
-  EXPECT_NEAR(nws.effectiveRate(tb.uiucNodes[0]),
+  EXPECT_NEAR(nws.tryEffectiveRate(tb.uiucNodes[0]).value(),
               0.5 * spec.effectiveFlopsPerCpu(), 1e3);
 }
 

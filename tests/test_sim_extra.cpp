@@ -15,11 +15,12 @@ namespace {
 TEST(EngineDaemon, RunReturnsWhenOnlyDaemonEventsRemain) {
   Engine eng;
   int daemonTicks = 0;
-  // A self-rearming daemon (like NWS sampling).
+  // A self-rearming daemon (like NWS sampling). It holds a non-owning
+  // pointer to itself: owning itself would leak the callback.
   auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&eng, &daemonTicks, tick] {
+  *tick = [&eng, &daemonTicks, self = tick.get()] {
     ++daemonTicks;
-    eng.scheduleDaemon(10.0, *tick);
+    eng.scheduleDaemon(10.0, *self);
   };
   eng.scheduleDaemon(10.0, *tick);
   bool workDone = false;
@@ -54,9 +55,9 @@ TEST(EngineDaemon, CancelledRealEventStillAllowsTermination) {
   h.cancel();
   auto tick = std::make_shared<std::function<void()>>();
   int daemonTicks = 0;
-  *tick = [&eng, &daemonTicks, tick] {
+  *tick = [&eng, &daemonTicks, self = tick.get()] {
     ++daemonTicks;
-    eng.scheduleDaemon(1.0, *tick);
+    eng.scheduleDaemon(1.0, *self);
   };
   eng.scheduleDaemon(1.0, *tick);
   eng.run();  // terminates once the cancelled slot at t=5 is drained

@@ -1,13 +1,11 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 namespace grads::lint {
 
@@ -30,38 +28,6 @@ std::string slurp(const fs::path& p) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-/// Phase 2 + report assembly: merge the per-file analyses (already in
-/// sorted-path order), run the tree-wide symbol rules, match waivers, and
-/// give the findings one deterministic global order.
-TreeReport assemble(std::vector<FileAnalysis>&& files,
-                    const AnalyzeOptions& opts) {
-  TreeReport tree;
-  std::vector<FileSymbols> symbols;
-  symbols.reserve(files.size());
-  for (FileAnalysis& a : files) {
-    tree.findings.insert(tree.findings.end(),
-                         std::make_move_iterator(a.report.findings.begin()),
-                         std::make_move_iterator(a.report.findings.end()));
-    tree.suppressions.insert(
-        tree.suppressions.end(),
-        std::make_move_iterator(a.report.suppressions.begin()),
-        std::make_move_iterator(a.report.suppressions.end()));
-    symbols.push_back(std::move(a.symbols));
-  }
-  tree.filesScanned = static_cast<int>(files.size());
-
-  runTreeRules(symbols, opts, tree.findings);
-  matchSuppressions(tree.findings, tree.suppressions);
-
-  std::sort(tree.findings.begin(), tree.findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.file != b.file) return a.file < b.file;
-              if (a.line != b.line) return a.line < b.line;
-              return a.rule < b.rule;
-            });
-  return tree;
 }
 
 }  // namespace
@@ -89,45 +55,52 @@ TreeReport lintTree(const fs::path& root, const AnalyzeOptions& opts) {
   }
   std::sort(files.begin(), files.end());  // directory order is OS-dependent
 
-  // Worker pool over the sorted list: workers pull indices from an atomic
-  // counter and write into per-index slots, so the merged result is
-  // identical to a sequential scan no matter how the pool interleaves.
   const auto start = std::chrono::steady_clock::now();
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned workers = std::max(1u, std::min(hw == 0 ? 1u : hw, 8u));
-  std::vector<FileAnalysis> results(files.size());
-  std::atomic<std::size_t> next{0};
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= files.size()) return;
-      const std::string rel = fs::relative(files[i], root).generic_string();
-      results[i] = analyzeFile(rel, slurp(files[i]), opts);
-    }
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain);
-  drain();
-  for (std::thread& th : pool) th.join();
+  std::vector<std::pair<std::string, std::string>> sources;
+  sources.reserve(files.size());
+  for (const fs::path& f : files) {
+    sources.emplace_back(fs::relative(f, root).generic_string(), slurp(f));
+  }
+  TreeReport tree = lintSources(sources, opts);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
-
-  TreeReport tree = assemble(std::move(results), opts);
   // Wall time goes to stderr: stdout is the canonical, diffable report.
-  std::cerr << "grads-lint: scanned " << tree.filesScanned << " files on "
-            << workers << " worker(s) in " << elapsed.count() << " ms\n";
+  std::cerr << "grads-lint: scanned " << tree.filesScanned << " files in "
+            << elapsed.count() << " ms\n";
   return tree;
 }
 
 TreeReport lintSources(
     const std::vector<std::pair<std::string, std::string>>& files,
     const AnalyzeOptions& opts) {
-  std::vector<FileAnalysis> results;
-  results.reserve(files.size());
+  // Phase 1 per file, then phase 2 over the merged symbol models: tree-wide
+  // symbol rules, waiver matching, and one deterministic global order.
+  TreeReport tree;
+  std::vector<FileSymbols> symbols;
+  symbols.reserve(files.size());
   for (const auto& [path, content] : files) {
-    results.push_back(analyzeFile(path, content, opts));
+    FileAnalysis a = analyzeFile(path, content, opts);
+    tree.findings.insert(tree.findings.end(),
+                         std::make_move_iterator(a.report.findings.begin()),
+                         std::make_move_iterator(a.report.findings.end()));
+    tree.suppressions.insert(
+        tree.suppressions.end(),
+        std::make_move_iterator(a.report.suppressions.begin()),
+        std::make_move_iterator(a.report.suppressions.end()));
+    symbols.push_back(std::move(a.symbols));
   }
-  return assemble(std::move(results), opts);
+  tree.filesScanned = static_cast<int>(files.size());
+
+  runTreeRules(symbols, opts, tree.findings);
+  matchSuppressions(tree.findings, tree.suppressions);
+
+  std::sort(tree.findings.begin(), tree.findings.end(),
+            [](const Finding& a, const Finding& b) {
+              if (a.file != b.file) return a.file < b.file;
+              if (a.line != b.line) return a.line < b.line;
+              return a.rule < b.rule;
+            });
+  return tree;
 }
 
 int printReport(std::ostream& os, const TreeReport& report) {

@@ -19,16 +19,15 @@ struct TreeReport {
 };
 
 /// Lints every .hpp/.cpp under the scan roots (src, bench, tests, tools,
-/// examples) of `root`. Paths in findings are repo-relative. File lexing and
-/// per-file analysis run on a small worker pool; output is deterministic
-/// (files are processed into slots in sorted-path order, findings get a
-/// final global sort), and the wall time is reported on stderr.
+/// examples) of `root`: reads them in sorted-path order and hands them to
+/// lintSources. Paths in findings are repo-relative; the wall time is
+/// reported on stderr.
 TreeReport lintTree(const std::filesystem::path& root,
                     const AnalyzeOptions& opts = {});
 
-/// Lints in-memory (path, content) pairs — the unit-test entry point.
-/// Runs the same two-phase pipeline (R1–R5 per file, then R7–R10 over the
-/// merged symbol models) sequentially.
+/// Lints in-memory (path, content) pairs: R1–R5 per file, then R7–R10 over
+/// the merged symbol models, and findings get a final global sort. The one
+/// pipeline behind lintTree and the unit tests.
 TreeReport lintSources(
     const std::vector<std::pair<std::string, std::string>>& files,
     const AnalyzeOptions& opts = {});

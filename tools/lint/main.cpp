@@ -1,8 +1,8 @@
 // grads-lint — determinism & layering static analysis for the GrADS tree.
 //
 // Phase 1 tokenizes every .hpp/.cpp under src/ bench/ tests/ tools/
-// examples/ (comment- and string-aware, no compiler dependency) on a small
-// worker pool, runs the lexical rules R1–R5, and builds a per-file symbol
+// examples/ (comment- and string-aware, no compiler dependency) in sorted
+// path order, runs the lexical rules R1–R5, and builds a per-file symbol
 // model (classes with data members, include graph, statics, engine-bound
 // lambda captures). Phase 2 runs the symbol rules R7–R10 over the merged
 // model (see DESIGN.md §12). Inline waivers (`grads-lint: allow(RULE
