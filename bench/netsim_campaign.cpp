@@ -28,9 +28,8 @@
 //                 Pacing is the difference between contract traffic at ~2x
 //                 its solo latency and ~1.25x.
 //
-// Usage: netsim_campaign [--quick] [--out FILE]
-// Output: netsim_campaign.csv + BENCH_9.json under the bench output dir
-//         (or --out for the JSON).
+// Usage: netsim_campaign [--quick]
+// Output: netsim_campaign.csv + BENCH_9.json under the bench output dir.
 
 #include <cstdint>
 #include <fstream>
@@ -192,13 +191,11 @@ ScrubResult runScrubber(const Arm& arm, int contracts) {
 
 int main(int argc, char** argv) {
   grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli,
-                              "netsim_campaign [--quick] [--out FILE]")) {
+  if (!grads::bench::parseCli(argc, argv, cli, "netsim_campaign [--quick]")) {
     return 2;
   }
   const bool quick = cli.quick;
-  const std::string outPath =
-      cli.out.empty() ? bench::outputPath("BENCH_9.json") : cli.out;
+  const std::string outPath = bench::outputPath("BENCH_9.json");
 
   const int incastSources = quick ? 4 : 7;
   const double incastBytes = quick ? 1.2 * kMB : 2.4 * kMB;
@@ -231,7 +228,6 @@ int main(int argc, char** argv) {
   bool singleIdentical = true;
   bool digestsMatch = true;
   for (const Arm& arm : kArms) {
-    if (!bench::armSelected(cli, arm.name)) continue;
     const SingleFlowResult r1 = runSingleFlow(arm);
     const SingleFlowResult r2 = runSingleFlow(arm);
     if (r1.digest != r2.digest) {
@@ -255,12 +251,11 @@ int main(int argc, char** argv) {
   }
 
   // --- incast. ---
-  double incastStatic = -1.0;
-  double incastMaxmin = -1.0;
-  double contractMaxmin = -1.0;
-  double contractPaced = -1.0;
+  double incastStatic = 0.0;
+  double incastMaxmin = 0.0;
+  double contractMaxmin = 0.0;
+  double contractPaced = 0.0;
   for (const Arm& arm : kArms) {
-    if (!bench::armSelected(cli, arm.name)) continue;
     const IncastResult r = runIncast(arm, incastSources, incastBytes);
     if (std::string(arm.name) == "static") incastStatic = r.makespan;
     if (std::string(arm.name) == "maxmin") {
@@ -277,18 +272,15 @@ int main(int argc, char** argv) {
     jrows.push_back(
         {"incast", arm.name, r.makespan, r.contract, r.throughput / kMB});
   }
-  if (incastStatic > 0.0 && incastMaxmin > 0.0) {
-    // The static fiction must be visibly cheaper than physics: N flows
-    // through one pipe cannot finish in one flow's time.
-    if (incastStatic * 1.5 > incastMaxmin) {
-      std::cout << "VIOLATION: incast static makespan (" << incastStatic
-                << ") is not clearly below the max-min cost (" << incastMaxmin
-                << ") — the contention model changed nothing\n";
-      ok = false;
-    }
+  // The static fiction must be visibly cheaper than physics: N flows
+  // through one pipe cannot finish in one flow's time.
+  if (incastStatic * 1.5 > incastMaxmin) {
+    std::cout << "VIOLATION: incast static makespan (" << incastStatic
+              << ") is not clearly below the max-min cost (" << incastMaxmin
+              << ") — the contention model changed nothing\n";
+    ok = false;
   }
-  if (contractMaxmin > 0.0 && contractPaced > 0.0 &&
-      contractPaced >= contractMaxmin) {
+  if (contractPaced >= contractMaxmin) {
     std::cout << "VIOLATION: pacing did not improve the mid-incast contract "
               << "transfer (" << contractPaced << " >= " << contractMaxmin
               << ")\n";
@@ -296,10 +288,9 @@ int main(int argc, char** argv) {
   }
 
   // --- scrubber. ---
-  double scrubContractMaxmin = -1.0;
-  double scrubContractPaced = -1.0;
+  double scrubContractMaxmin = 0.0;
+  double scrubContractPaced = 0.0;
   for (const Arm& arm : kArms) {
-    if (!bench::armSelected(cli, arm.name)) continue;
     const ScrubResult r = runScrubber(arm, contracts);
     if (std::string(arm.name) == "maxmin") scrubContractMaxmin =
         r.contractMean;
@@ -309,21 +300,18 @@ int main(int argc, char** argv) {
                   std::string("mean contract latency vs bulk stream")});
     jrows.push_back({"scrubber", arm.name, r.scrubDone, r.contractMean, 0.0});
   }
-  if (scrubContractMaxmin > 0.0 && scrubContractPaced > 0.0) {
-    if (scrubContractPaced >= scrubContractMaxmin) {
-      std::cout << "VIOLATION: pacing did not restore contract latency under "
-                << "the scrub stream (" << scrubContractPaced
-                << " >= " << scrubContractMaxmin << ")\n";
-      ok = false;
-    }
-    // Paced contract traffic runs at weight 1 vs 0.25: it keeps 1/1.25 of
-    // the pipe, i.e. ~1.25x solo latency — call it restored below 1.5x.
-    if (scrubContractPaced > soloContract * 1.5) {
-      std::cout << "VIOLATION: paced contract latency ("
-                << scrubContractPaced << ") is not within 1.5x of solo ("
-                << soloContract << ")\n";
-      ok = false;
-    }
+  if (scrubContractPaced >= scrubContractMaxmin) {
+    std::cout << "VIOLATION: pacing did not restore contract latency under "
+              << "the scrub stream (" << scrubContractPaced
+              << " >= " << scrubContractMaxmin << ")\n";
+    ok = false;
+  }
+  // Paced contract traffic runs at weight 1 vs 0.25: it keeps 1/1.25 of
+  // the pipe, i.e. ~1.25x solo latency — call it restored below 1.5x.
+  if (scrubContractPaced > soloContract * 1.5) {
+    std::cout << "VIOLATION: paced contract latency (" << scrubContractPaced
+              << ") is not within 1.5x of solo (" << soloContract << ")\n";
+    ok = false;
   }
 
   table.print(std::cout,

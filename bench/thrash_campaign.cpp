@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -190,8 +191,14 @@ FaultOutcome runMidActionFault(std::uint64_t seed, bool killTarget) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage = "thrash_campaign [N]";
   grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli, "thrash_campaign [N]")) {
+  if (!grads::bench::parseCli(argc, argv, cli, kUsage)) return 2;
+  // N counts seeds: at least one, since the determinism check replays the
+  // first, and no more than the int loop below can count.
+  if (cli.count >= 0 &&
+      (cli.count < 1 || cli.count > std::numeric_limits<int>::max())) {
+    std::cerr << "usage: " << kUsage << "\n";
     return 2;
   }
   const int nSeeds = cli.count >= 0 ? static_cast<int>(cli.count) : 3;

@@ -20,9 +20,8 @@
 // The acceptance bar: the forked arm commits strictly fewer harmful actions
 // than the model arm in the chaos-perturbed scenarios, and never more.
 //
-// Usage: whatif_campaign [--quick] [--out FILE]
-// Output: whatif_campaign.csv + BENCH_8.json under the bench output dir
-//         (or --out for the JSON).
+// Usage: whatif_campaign [--quick]
+// Output: whatif_campaign.csv + BENCH_8.json under the bench output dir.
 
 #include <cstdint>
 #include <fstream>
@@ -60,13 +59,11 @@ ArmResult runArm(const bench::WhatifConfig& cfg) {
 
 int main(int argc, char** argv) {
   grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli,
-                              "whatif_campaign [--quick] [--out FILE]")) {
+  if (!grads::bench::parseCli(argc, argv, cli, "whatif_campaign [--quick]")) {
     return 2;
   }
   const bool quick = cli.quick;
-  const std::string outPath =
-      cli.out.empty() ? bench::outputPath("BENCH_8.json") : cli.out;
+  const std::string outPath = bench::outputPath("BENCH_8.json");
 
   struct Scen {
     const char* name;

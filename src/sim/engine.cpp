@@ -1,8 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "sim/task.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -29,56 +26,6 @@ struct Engine::RootProcess {
     if (handle) handle.destroy();
   }
 };
-
-void Engine::EventQueue::refill() {
-  GRADS_ASSERT(!far_.empty(), "EventQueue::refill on empty far tier");
-  // One sequential pass to learn the time distribution of the far tier.
-  Time minT = far_.front().t;
-  Time maxT = minT;
-  for (const QueueEntry& e : far_) {
-    if (e.t < minT) minT = e.t;
-    if (e.t > maxT) maxT = e.t;
-  }
-  Time limit;
-  // Drain a constant *fraction* of the far tier per refill (never less than
-  // kNearTarget): with a fixed-size slice each refill rescans nearly the
-  // whole tier and total refill work is O(n²/slice); a proportional slice
-  // makes the rescans geometric, i.e. O(n) over the simulation.
-  const std::size_t take =
-      std::max(kNearTarget, far_.size() / kDrainShift);
-  if (far_.size() <= take || minT == maxT) {
-    // Small or degenerate tier: take everything; future pushes strictly
-    // after the current horizon keep landing in the far tier.
-    limit = std::nextafter(maxT, kInfTime);
-  } else {
-    // Adaptive horizon sized so roughly `take` entries move down, assuming
-    // times are locally uniform. Guarantee progress even when the
-    // distribution is extremely skewed (limit collapses onto minT).
-    const Time width = (maxT - minT) * (static_cast<double>(take) /
-                                        static_cast<double>(far_.size()));
-    limit = minT + width;
-    if (limit <= minT) limit = std::nextafter(minT, kInfTime);
-  }
-  // Partition in place: entries below the horizon move into the near run,
-  // the rest compact to the front of the far tier.
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < far_.size(); ++i) {
-    if (far_[i].t < limit) {
-      near_.push_back(far_[i]);
-    } else {
-      far_[keep++] = far_[i];
-    }
-  }
-  far_.resize(keep);
-  // Sort descending so pops are pop_back(); one bulk sort of 16-byte PODs is
-  // cheaper than heapifying them one at a time, and the resulting run is
-  // what makes the engine's K-ahead node prefetch possible.
-  std::sort(near_.begin(), near_.end(),
-            [](const QueueEntry& a, const QueueEntry& b) {
-              return before(b, a);
-            });
-  nearLimit_ = limit;
-}
 
 Engine::Engine() = default;
 
@@ -120,7 +67,10 @@ std::uint32_t Engine::acquireNode(InlineFn fn, bool daemon) {
     index = poolSize_;
     GRADS_ASSERT(index < (1u << kNodeBits), "Engine: event pool exhausted");
     if ((index >> kChunkBits) == chunks_.size()) {
-      chunks_.emplace_back(new Node[std::size_t{1} << kChunkBits]);
+      // Default-initialised: make_unique would zero the 256 KiB chunk
+      // before constructing every node.
+      chunks_.push_back(
+          std::make_unique_for_overwrite<Node[]>(std::size_t{1} << kChunkBits));
     }
     ++poolSize_;
     Node& node = nodeAt(index);
@@ -169,7 +119,7 @@ Engine::EventHandle Engine::scheduleItem(const char* caller, Time t,
   GRADS_REQUIRE(t < kInfTime, std::string(caller) + ": infinite time");
   const std::uint32_t index = acquireNode(std::move(fn), daemon);
   GRADS_ASSERT(seq_ <= kMaxSeq, "Engine: event sequence space exhausted");
-  queue_.push(QueueEntry{t, (seq_++ << kNodeBits) | index});
+  queue_.push(QueueEntry{t, (seq_++ << kNodeBits) | index}, now_);
   if (!daemon) ++nonDaemonPending_;
   return EventHandle{this, index, nodeAt(index).generation()};
 }
@@ -181,8 +131,8 @@ Engine::EventHandle Engine::scheduleResume(Time delay,
                       InlineFn([h] { h.resume(); }), /*daemon=*/false);
 }
 
-bool Engine::popAndFire(QueueEntry top) {
-  queue_.pop();
+bool Engine::popAndFire() {
+  const QueueEntry top = queue_.pop();
   const std::uint32_t index = top.node();
   Node& node = nodeAt(index);
   if (node.cancelled()) {
@@ -202,15 +152,6 @@ bool Engine::popAndFire(QueueEntry top) {
   // and is free to schedule new events while it runs; its own node is
   // neither free nor queued until the guard recycles it afterwards.
   node.bits = (node.generation() + 1) & Node::kGenMask;
-  // Start pulling a future event's pooled node into cache: with 100k+
-  // pending events the pool is far larger than cache and the cold node
-  // fetch otherwise dominates the fire path. One prefetch per pop at a
-  // fixed depth keeps kPrefetchDepth loads in flight down the sorted near
-  // run, enough to cover DRAM latency.
-  static constexpr std::size_t kPrefetchDepth = 6;
-  if (const QueueEntry* ahead = queue_.lookahead(kPrefetchDepth)) {
-    __builtin_prefetch(&nodeAt(ahead->node()));
-  }
   ++processed_;
   // Recycle after the callback returns or unwinds (the generation was
   // already bumped above, so no second bump here).
@@ -232,7 +173,7 @@ bool Engine::popAndFire(QueueEntry top) {
 void Engine::run() {
   stopped_ = false;
   while (!queue_.empty() && nonDaemonPending_ > 0 && !stopped_) {
-    popAndFire(queue_.top());
+    popAndFire();
   }
   reapFinished();
   rethrowIfFailed();
@@ -242,7 +183,7 @@ void Engine::runUntil(Time t) {
   GRADS_REQUIRE(t >= now_, "Engine::runUntil: time in the past");
   stopped_ = false;
   while (!queue_.empty() && !stopped_ && queue_.top().t <= t) {
-    popAndFire(queue_.top());
+    popAndFire();
   }
   if (!stopped_) now_ = t;
   reapFinished();

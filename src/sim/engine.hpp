@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,8 +23,9 @@ class Task;
 ///
 /// The hot path is allocation-free: callbacks live in pooled event nodes
 /// (sim::InlineFn small-buffer storage, free-list recycling) and cancellation
-/// is a generation check instead of a shared_ptr control block. The heap is
-/// only touched when the pool grows or a callable outgrows the inline buffer.
+/// is a generation check instead of a shared_ptr control block. The engine
+/// only allocates when the pool or the queue grows, or a callable outgrows
+/// the inline buffer.
 ///
 /// Coroutine processes (sim::Task) are spawned onto the engine and interact
 /// with virtual time through awaitables (sleep, Event, Channel, PsResource).
@@ -156,123 +159,73 @@ class Engine {
   static constexpr unsigned kNodeBits = 24;
   static constexpr std::uint64_t kMaxSeq = (1ull << (64 - kNodeBits)) - 1;
 
-  /// Two-tier ladder queue on (t, key) order.
+  /// Binary min-heap on (t, key) order, plus a FIFO run for events
+  /// scheduled at the current instant.
   ///
-  /// A single heap over 100k+ pending events pays O(log n) cache misses per
-  /// operation across a multi-megabyte array; that, per GridSim, is what
-  /// bounds a Grid simulator's usable experiment scale. Instead (following
-  /// the classic ladder-queue shape — sorted bottom rung, unsorted rungs
-  /// above):
-  ///
-  ///  - `near_` is a slice of entries with t < nearLimit_, kept sorted in
-  ///    *descending* (t, key) order so top()/pop() read from the back. A
-  ///    sorted run also makes the fire path prefetchable: the node the
-  ///    engine will need K pops from now is `near_[size-1-K]`, which no heap
-  ///    layout can tell you.
-  ///  - `live_` is a small binary min-heap catching pushes that land below
-  ///    the current horizon while the near run drains — zero-delay coroutine
-  ///    resumes live here and stay cache-hot. top() is the min of the two.
-  ///  - `far_` is an unsorted vector for entries at t >= nearLimit_: a push
-  ///    is one sequential append. When both low tiers drain, one linear scan
-  ///    re-partitions the far tier around an adaptive time horizon and sorts
-  ///    the slice that moved down.
-  ///
-  /// Every ordering decision uses the same strict-weak (t, key) order a
-  /// global heap would use — keys are unique, so the total order is unique —
-  /// meaning the deterministic FIFO contract is bit-for-bit unchanged; the
-  /// tiers only change *when* entries are compared, never how. Degenerate
-  /// time distributions (everything at one instant) collapse to one sorted
-  /// run.
+  /// Zero-delay pushes (coroutine resumes and spawns) are 42-47% of all
+  /// pushes in the crash-restart and tenant-overload benchmark workloads;
+  /// the run takes them without a heap sift. Its invariant: every run entry
+  /// was pushed with t == now(), and now() cannot advance while the run is
+  /// non-empty (its head is due no later than anything in the heap). So the
+  /// run holds one t, its keys arrive in increasing order, and it is sorted
+  /// as pushed. top() is the smaller of the run's head and the heap's root
+  /// under the same total (t, key) order a single heap would use — keys are
+  /// unique — so the pop sequence is exactly a single heap's, and the
+  /// deterministic FIFO contract holds bit for bit.
   class EventQueue {
    public:
-    bool empty() const {
-      return near_.empty() && live_.empty() && far_.empty();
-    }
-    std::size_t size() const {
-      return near_.size() + live_.size() + far_.size();
+    bool empty() const { return heap_.empty() && head_ == run_.size(); }
+    std::size_t size() const { return heap_.size() + run_.size() - head_; }
+
+    const QueueEntry& top() const {
+      return runFirst() ? run_[head_] : heap_.front();
     }
 
-    /// May re-partition the far tier (hence non-const).
-    const QueueEntry& top() {
-      if (near_.empty() && live_.empty()) refill();
-      if (live_.empty()) return near_.back();
-      if (near_.empty()) return live_.front();
-      return before(near_.back(), live_.front()) ? near_.back()
-                                                 : live_.front();
-    }
-
-    void push(QueueEntry e) {
-      if (e.t < nearLimit_) {
-        pushLive(e);
+    /// Entries due at `now` join the run; later ones go to the heap.
+    void push(QueueEntry e, Time now) {
+      if (e.t == now) {
+        run_.push_back(e);
       } else {
-        far_.push_back(e);
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), after);
       }
     }
 
-    void pop() {
-      if (near_.empty() && live_.empty()) refill();
-      if (!near_.empty() &&
-          (live_.empty() || before(near_.back(), live_.front()))) {
-        near_.pop_back();
-      } else {
-        popLive();
+    /// Removes and returns top().
+    QueueEntry pop() {
+      if (!runFirst()) {
+        std::pop_heap(heap_.begin(), heap_.end(), after);
+        const QueueEntry e = heap_.back();
+        heap_.pop_back();
+        return e;
       }
-    }
-
-    /// Entry that will surface k pops from now *if only the near run is
-    /// consumed*; a prefetch hint, not a guarantee (live-heap interleaving
-    /// shifts it by a few slots, which a hint tolerates).
-    const QueueEntry* lookahead(std::size_t k) const {
-      return near_.size() > k ? &near_[near_.size() - 1 - k] : nullptr;
+      const QueueEntry e = run_[head_++];
+      // Drop the consumed prefix once it is half the run: that is a clear
+      // when the run drains, and amortised O(1) when an instant keeps it
+      // from draining.
+      if (2 * head_ >= run_.size()) {
+        run_.erase(run_.begin(),
+                   run_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+      return e;
     }
 
    private:
-    static constexpr std::size_t kNearTarget = 2048;
-    /// Each refill drains at least 1/kDrainShift of the far tier, keeping
-    /// total refill work linear in the number of events.
-    static constexpr std::size_t kDrainShift = 8;
-
-    static bool before(const QueueEntry& a, const QueueEntry& b) {
-      if (a.t != b.t) return a.t < b.t;
-      return a.key < b.key;
+    /// The std heap algorithms keep the comparator's greatest element at
+    /// the root, so ordering by `after` makes heap_ a min-heap.
+    static bool after(const QueueEntry& a, const QueueEntry& b) {
+      if (a.t != b.t) return a.t > b.t;
+      return a.key > b.key;
+    }
+    bool runFirst() const {
+      return head_ != run_.size() &&
+             (heap_.empty() || after(heap_.front(), run_[head_]));
     }
 
-    void pushLive(QueueEntry e) {
-      std::size_t i = live_.size();
-      live_.push_back(e);
-      while (i > 0) {
-        const std::size_t parent = (i - 1) >> 1;
-        if (!before(e, live_[parent])) break;
-        live_[i] = live_[parent];
-        i = parent;
-      }
-      live_[i] = e;
-    }
-
-    void popLive() {
-      const QueueEntry last = live_.back();
-      live_.pop_back();
-      const std::size_t n = live_.size();
-      if (n == 0) return;
-      std::size_t i = 0;
-      for (;;) {
-        std::size_t child = (i << 1) + 1;
-        if (child >= n) break;
-        if (child + 1 < n && before(live_[child + 1], live_[child])) ++child;
-        if (!before(live_[child], last)) break;
-        live_[i] = live_[child];
-        i = child;
-      }
-      live_[i] = last;
-    }
-
-    /// Moves the earliest slice of the far tier into the (drained) near run.
-    void refill();
-
-    std::vector<QueueEntry> near_;  // sorted descending, all t < nearLimit_
-    std::vector<QueueEntry> live_;  // binary min-heap, all t < nearLimit_
-    std::vector<QueueEntry> far_;   // unsorted, all t >= nearLimit_
-    Time nearLimit_ = 0.0;
+    std::vector<QueueEntry> heap_;
+    std::vector<QueueEntry> run_;  // FIFO from head_, every entry at one t
+    std::size_t head_ = 0;
   };
 
   void reapFinished();
@@ -283,12 +236,12 @@ class Engine {
   void recycleNode(std::uint32_t index);
   /// Pops the top entry and runs it if live; returns false for a drained
   /// cancelled corpse (caller loops without touching the clock).
-  bool popAndFire(QueueEntry top);
+  bool popAndFire();
 
   /// Node storage grows in place as fixed chunks: addresses are stable for
   /// the engine's lifetime (callbacks run in place, no relocation when the
   /// pool grows) and index -> address is one load from the tiny chunk table
-  /// plus arithmetic, which keeps the fire-path prefetch effective.
+  /// plus arithmetic.
   static constexpr unsigned kChunkBits = 12;  // 4096 nodes = 256 KiB / chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
   Node& nodeAt(std::uint32_t index) {

@@ -1,5 +1,6 @@
 // Tests for the pooled, allocation-free event engine: the golden firing
-// order captured from the pre-pool queue, eager cancellation keepalive
+// order captured from the pre-pool queue, a seeded (t, key) order oracle
+// over more than 10,000 events, eager cancellation keepalive
 // semantics, handle staleness across node recycling, live pending-event
 // accounting, and high-volume pool churn (the ASan CI leg runs this file to
 // catch node lifetime bugs).
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,6 +17,7 @@
 #include "sim/engine.hpp"
 #include "sim/inline_fn.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 using namespace grads;
 
@@ -88,6 +91,104 @@ TEST(EnginePool, GoldenMixedWorkloadOrder) {
   EXPECT_EQ(fired, golden);
   EXPECT_DOUBLE_EQ(eng.now(), 8.0);
   EXPECT_EQ(eng.processedEvents(), 15u);
+}
+
+// The golden order above pins 15 events; this pins the same (t, key)
+// contract over more than 10,000. A seeded driver keeps thousands of events
+// pending on an integer time grid, and each fired event may add a zero-delay
+// successor, an on-grid successor (sharing an instant with events scheduled
+// earlier), an off-grid successor, or cancel a random handle. The run is
+// also cut by runUntil() at an off-grid time followed by zero-delay pushes,
+// and by a stop() in the middle of an instant. Every fired event must come
+// strictly after the previous one in (t, key) order.
+TEST(EnginePool, FiresInStrictTimeKeyOrder) {
+  constexpr std::size_t kBudget = 14000;  // caps successors
+  struct Driver {
+    sim::Engine eng;
+    Rng rng{0x5eed};
+    std::vector<sim::Engine::EventHandle> handles;
+    std::size_t scheduled = 0;
+    std::size_t cancelled = 0;
+
+    void add(sim::Time t) {
+      handles.push_back(eng.scheduleAt(t, [this] { fire(); }));
+      ++scheduled;
+    }
+    void fire() {
+      if (scheduled >= kBudget) return;
+      const sim::Time now = eng.now();
+      const auto onGrid = [&] {
+        add(std::floor(now) + 1.0 + static_cast<double>(rng.next() % 4));
+      };
+      switch (rng.next() % 8) {
+        case 0:
+        case 1:
+          add(now);
+          break;
+        case 2:
+        case 3:
+          onGrid();
+          break;
+        case 4:
+          add(now + 0.25 + rng.uniform());
+          break;
+        case 5:
+          if (auto& h = handles[rng.next() % handles.size()]; h.pending()) {
+            h.cancel();
+            ++cancelled;
+          }
+          break;
+        case 6:
+          add(now);
+          onGrid();
+          break;
+        default:
+          break;
+      }
+    }
+  } d;
+
+  struct Order {
+    sim::Time t = 0.0;
+    std::uint64_t key = 0;
+    std::size_t fired = 0;
+    std::size_t inversions = 0;
+  } order;
+  d.eng.setPopObserver(
+      [](void* ctx, sim::Time t, std::uint64_t key, bool) {
+        auto& o = *static_cast<Order*>(ctx);
+        if (o.fired > 0 && (t < o.t || (t == o.t && key <= o.key))) {
+          ++o.inversions;
+        }
+        o.t = t;
+        o.key = key;
+        ++o.fired;
+      },
+      &order);
+
+  for (int i = 0; i < 4000; ++i) {
+    d.add(static_cast<double>(d.rng.next() % 40));
+  }
+  // Not in `handles`, so no random cancel can take it.
+  d.eng.scheduleAt(20.0, [&d] {
+    for (int i = 0; i < 16; ++i) d.add(d.eng.now());
+    d.eng.stop();
+  });
+  ++d.scheduled;
+
+  d.eng.runUntil(10.5);
+  EXPECT_DOUBLE_EQ(d.eng.now(), 10.5);
+  for (int i = 0; i < 16; ++i) d.add(d.eng.now());
+  d.eng.run();
+  EXPECT_DOUBLE_EQ(d.eng.now(), 20.0);
+  EXPECT_GE(d.eng.pendingEvents(), 16u);
+  d.eng.run();
+
+  EXPECT_EQ(order.inversions, 0u);
+  EXPECT_GT(order.fired, 10000u);
+  EXPECT_EQ(order.fired, d.eng.processedEvents());
+  EXPECT_EQ(order.fired + d.cancelled, d.scheduled);
+  EXPECT_EQ(d.eng.pendingEvents(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -402,11 +402,11 @@ void ruleR3(Ctx& c) {
 // R4 — raw allocation and type-erased callbacks on the hot path.
 // ---------------------------------------------------------------------------
 
-/// The only files allowed to say `new`/`delete`: the event-node pool and the
-/// InlineFn small-buffer fallback. Everything else in src/ uses containers
-/// or smart pointers, so ownership bugs stay impossible by construction.
-constexpr string_view kPoolInternals[] = {"src/sim/engine.cpp",
-                                          "src/sim/inline_fn.hpp"};
+/// The only file allowed to say `new`/`delete`: the InlineFn small-buffer
+/// fallback. Everything else in src/ (the event-node pool included) uses
+/// containers or smart pointers, so ownership bugs stay impossible by
+/// construction.
+constexpr string_view kPoolInternals[] = {"src/sim/inline_fn.hpp"};
 
 void ruleR4(Ctx& c) {
   if (!c.inSrc) return;
