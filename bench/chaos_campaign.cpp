@@ -8,20 +8,17 @@
 // across seeds and mean slowdown relative to the fault-free baseline.
 //
 // Every campaign is deterministic in its seed: repeating a seed reproduces
-// the identical schedule and the identical simulated run.
+// the identical schedule and the identical simulated run. Exits 1 when a
+// repeated seed diverges, when a mitigated campaign of either app is lost,
+// or when the raw arm of either app loses none.
 
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_paths.hpp"
-#include "apps/qr.hpp"
-#include "core/app_manager.hpp"
 #include "grid/testbeds.hpp"
-#include "reschedule/chaos.hpp"
-#include "reschedule/failure.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
+#include "scenarios.hpp"
 #include "util/table.hpp"
 #include "workflow/builders.hpp"
 #include "workflow/executor.hpp"
@@ -41,80 +38,37 @@ struct RunOutcome {
 // Scenario 1: QR via the application manager (checkpoints, restarts).
 // ---------------------------------------------------------------------------
 
+/// The catalog's chaos-qr world: QR on UIUC with UTK marked down, one mid-run
+/// fail-stop behind a stale GIS window, depot and NWS outages and WAN
+/// degrades. The raw arm drops the launch and depot retries and the replica
+/// depot.
 RunOutcome runQr(std::uint64_t seed, bool faults, bool mitigate) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  // Confine compute to UIUC (cross-WAN restores dwarf everything else on
-  // this testbed); UTK stays reachable and serves as the replica site.
-  for (const auto node : tb.utkNodes) gis.setNodeUp(node, false);
-  services::Nws nws(eng, g, 10.0, 0.0, 9);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  reschedule::FailureInjector injector(eng, gis);
-  reschedule::ChaosDriver chaos(eng, g, injector, &nws, &ibp);
-
-  const grid::NodeId depot = tb.uiucNodes[7];
-  if (faults) {
-    reschedule::CampaignConfig cc;
-    cc.seed = seed;
-    cc.horizonSec = 450.0;  // inside the ~550 s run: faults hit mid-flight
-    cc.nodeFailures = 1;
-    cc.nodeOutageSec = 400.0;
-    cc.detectionDelaySec = 5.0;
-    cc.gisLagSec = 45.0;  // stale-directory window: relaunches hit the corpse
-    cc.candidateNodes.assign(tb.uiucNodes.begin(), tb.uiucNodes.begin() + 6);
-    cc.depotOutages = 2;
-    cc.depotOutageSec = 200.0;
-    cc.candidateDepots = {depot};
-    cc.nwsOutages = 1;
-    cc.nwsOutageSec = 300.0;
-    chaos.armAll(reschedule::makeCampaign(cc));
+  bench::World w;
+  bench::build(w, "chaos-qr", seed, /*armDaemons=*/false);
+  if (!faults) w.schedule.clear();  // fault-free baseline: chaos unarmed
+  if (!mitigate) {
+    w.mopts.launchRetry = util::RetryPolicy::none();
+    w.mopts.depotRetry = util::RetryPolicy::none();
+    w.mopts.replicaDepot = grid::kNoId;
   }
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  cfg.checkpointEveryPanels = 8;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.monitorContract = false;
-  mopts.stableDepot = depot;
-  mopts.failures = &injector;
-  mopts.retrySeed = seed;
-  if (mitigate) {
-    mopts.depotRetry.maxAttempts = 3;
-    mopts.depotRetry.baseDelaySec = 20.0;
-    mopts.replicaDepot = tb.uiucNodes[6];  // second depot on the same LAN
-  } else {
-    mopts.launchRetry = util::RetryPolicy::none();
-    mopts.depotRetry = util::RetryPolicy::none();
-  }
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, nullptr, mopts, &bd), "qr");
+  bench::startDaemons(w);
+  bench::spawnApps(w, /*restored=*/false);
   RunOutcome out;
   try {
-    eng.run();
-    eng.rethrowIfFailed();
-    if (bd.totalSeconds > 0.0) {
+    w.eng.run();
+    w.eng.rethrowIfFailed();
+    if (w.bd.totalSeconds > 0.0) {
       out.completed = true;
-      out.seconds = bd.totalSeconds;
+      out.seconds = w.bd.totalSeconds;
     } else {
       out.error = "run stalled (manager never completed)";
-      out.seconds = eng.now();
+      out.seconds = w.eng.now();
     }
   } catch (const std::exception& e) {
     out.error = e.what();
-    out.seconds = eng.now();
+    out.seconds = w.eng.now();
   }
-  out.faultsApplied = chaos.counters().total();
+  out.faultsApplied = w.chaos->counters().total();
   return out;
 }
 
@@ -199,8 +153,12 @@ RunOutcome runWorkflow(std::uint64_t seed, bool faults, bool mitigate) {
 
 using Scenario = RunOutcome (*)(std::uint64_t, bool, bool);
 
-void report(util::Table& table, const char* app, Scenario run,
+/// Runs both arms of `app` over `seeds` and adds their rows to `table`.
+/// Returns false (after printing why) unless every mitigated campaign
+/// completed and the raw arm lost at least one.
+bool report(util::Table& table, const char* app, Scenario run,
             const std::vector<std::uint64_t>& seeds) {
+  bool shapeHolds = true;
   for (const bool mitigate : {true, false}) {
     // Fault-free baseline of the *same* configuration, so the slowdown
     // isolates the faults' cost (the mitigated arm pays its replica writes
@@ -227,7 +185,15 @@ void report(util::Table& table, const char* app, Scenario run,
                   100.0 * completed / static_cast<double>(seeds.size()),
                   completed > 0 ? slowdownSum / completed : 0.0,
                   baseline.seconds});
+    const int total = static_cast<int>(seeds.size());
+    if (mitigate ? completed != total : completed == total) {
+      std::cout << "VIOLATION: " << app << (mitigate ? " mitigated" : " raw")
+                << " arm completed " << completed << "/" << total
+                << " campaigns\n";
+      shapeHolds = false;
+    }
   }
+  return shapeHolds;
 }
 
 }  // namespace
@@ -250,8 +216,8 @@ int main() {
 
   util::Table table({"app", "mitigations", "campaigns", "faults", "completed",
                      "completion_pct", "mean_slowdown", "baseline_s"});
-  report(table, "qr", &runQr, seeds);
-  report(table, "workflow", &runWorkflow, seeds);
+  const bool qrHolds = report(table, "qr", &runQr, seeds);
+  const bool workflowHolds = report(table, "workflow", &runWorkflow, seeds);
   table.print(std::cout,
               "Chaos campaigns — node/link/NWS/depot faults, mitigations "
               "on vs off (slowdown vs fault-free baseline)");
@@ -263,5 +229,5 @@ int main() {
                "mitigations off, stale-GIS launches and partitioned links "
                "kill runs outright and dark depots force scratch "
                "restarts.\n";
-  return 0;
+  return qrHolds && workflowHolds ? 0 : 1;
 }

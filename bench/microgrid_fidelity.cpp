@@ -31,8 +31,7 @@ RunOutput runOn(bool emulated) {
   sim::Engine eng;
   grid::Grid g(eng);
   const auto spec = microgrid::parseDml(microgrid::swapExperimentDml());
-  const microgrid::EmulationOptions emu;
-  microgrid::instantiate(g, spec, emulated ? &emu : nullptr);
+  microgrid::instantiate(g, spec, emulated);
   services::Nws nws(eng, g, 10.0, 0.01, 7);
   nws.start();
 

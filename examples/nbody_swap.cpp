@@ -35,10 +35,9 @@ int main(int argc, char** argv) {
 
   // The §4.2.2 MicroGrid virtual grid, straight from its DML description.
   grid::Grid grid(engine);
-  microgrid::EmulationOptions emu;  // emulated, as in the paper
   microgrid::instantiate(grid,
                          microgrid::parseDml(microgrid::swapExperimentDml()),
-                         &emu);
+                         true);  // emulated, as in the paper
   services::Nws nws(engine, grid, 10.0, 0.01);
   nws.start();
 

@@ -3,38 +3,37 @@
 namespace grads::apps {
 
 namespace {
-double img2(const EmanConfig& cfg) {
-  return static_cast<double>(cfg.imageSize) *
-         static_cast<double>(cfg.imageSize);
-}
+constexpr double kProjections = 72;  ///< reference projections per round
+constexpr double kImageSize = 128;   ///< pixels per image edge
+constexpr double kImagePixels = kImageSize * kImageSize;
 }  // namespace
 
-double emanProc3dFlops(const EmanConfig& cfg) {
+double emanProc3dFlops(const EmanConfig& /*cfg*/) {
   // Volume preprocessing: a few passes over the n³ voxel volume.
-  const double n = static_cast<double>(cfg.imageSize);
+  const double n = kImageSize;
   return 20.0 * n * n * n;
 }
 
-double emanProject3dFlops(const EmanConfig& cfg) {
+double emanProject3dFlops(const EmanConfig& /*cfg*/) {
   // One projection ≈ a rotation + sum through the volume per output pixel.
-  const double n = static_cast<double>(cfg.imageSize);
-  return static_cast<double>(cfg.projections) * img2(cfg) * n * 8.0;
+  const double n = kImageSize;
+  return kProjections * kImagePixels * n * 8.0;
 }
 
 double emanClassesbymraFlops(const EmanConfig& cfg) {
   // Multi-reference alignment: every particle is rotationally/translationally
   // matched against every projection — the dominant stage by far.
-  return static_cast<double>(cfg.particles) *
-         static_cast<double>(cfg.projections) * img2(cfg) * 40.0;
+  return static_cast<double>(cfg.particles) * kProjections * kImagePixels *
+         40.0;
 }
 
 double emanClassalign2Flops(const EmanConfig& cfg) {
-  return static_cast<double>(cfg.particles) * img2(cfg) * 60.0;
+  return static_cast<double>(cfg.particles) * kImagePixels * 60.0;
 }
 
 double emanMake3dFlops(const EmanConfig& cfg) {
-  const double n = static_cast<double>(cfg.imageSize);
-  return static_cast<double>(cfg.particles) * img2(cfg) * 10.0 +
+  const double n = kImageSize;
+  return static_cast<double>(cfg.particles) * kImagePixels * 10.0 +
          50.0 * n * n * n;
 }
 
@@ -43,7 +42,7 @@ double emanEotestFlops(const EmanConfig& cfg) {
 }
 
 double emanStackBytes(const EmanConfig& cfg) {
-  return static_cast<double>(cfg.particles) * img2(cfg) * 4.0;  // float px
+  return static_cast<double>(cfg.particles) * kImagePixels * 4.0;  // float px
 }
 
 workflow::Dag buildEmanRefinementDag(const EmanConfig& cfg) {
@@ -57,17 +56,14 @@ workflow::Dag buildEmanRefinementDag(const EmanConfig& cfg) {
     return c;
   };
 
-  const double volBytes = static_cast<double>(cfg.imageSize) *
-                          static_cast<double>(cfg.imageSize) *
-                          static_cast<double>(cfg.imageSize) * 4.0;
+  const double volBytes = kImageSize * kImageSize * kImageSize * 4.0;
   const double stack = emanStackBytes(cfg);
 
   const auto proc3d =
       dag.add(seq("proc3d", emanProc3dFlops(cfg), volBytes));
 
   workflow::Component project = seq("project3d", emanProject3dFlops(cfg),
-                                    static_cast<double>(cfg.projections) *
-                                        img2(cfg) * 4.0);
+                                    kProjections * kImagePixels * 4.0);
   const auto projectIds =
       dag.addParallelStage(project, cfg.parallelism, {proc3d}, volBytes);
 
@@ -77,8 +73,7 @@ workflow::Dag buildEmanRefinementDag(const EmanConfig& cfg) {
   const auto classIds = dag.addParallelStage(
       classes, cfg.parallelism, projectIds,
       // each classifier reads the projections + its slice of the stack
-      static_cast<double>(cfg.projections) * img2(cfg) * 4.0 +
-          stack / cfg.parallelism);
+      kProjections * kImagePixels * 4.0 + stack / cfg.parallelism);
 
   workflow::Component align =
       seq("classalign2", emanClassalign2Flops(cfg), stack * 0.05);

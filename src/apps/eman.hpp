@@ -11,8 +11,6 @@ namespace grads::apps {
 ///   proc3d → project3d‖ → classesbymra‖ → classalign2‖ → make3d → eotest
 struct EmanConfig {
   std::size_t particles = 20000;   ///< particle images in the stack
-  std::size_t projections = 72;    ///< reference projections per round
-  std::size_t imageSize = 128;     ///< pixels per image edge
   int parallelism = 16;            ///< instances per parallelizable stage
   /// Require the heavy classification stage to run on IA-64 nodes (the
   /// SC2003 demo split EMAN across IA-32 and IA-64 machines).

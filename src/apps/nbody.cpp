@@ -2,9 +2,14 @@
 
 namespace grads::apps {
 
+namespace {
+constexpr double kFlopsPerPair = 20.0;
+constexpr double kBytesPerParticle = 24.0;  ///< 3 doubles of position
+}  // namespace
+
 double nbodyIterationFlopsPerRank(const NBodyConfig& cfg, int worldSize) {
   const double n = static_cast<double>(cfg.particles);
-  return cfg.flopsPerPair * n * (n - 1.0) / static_cast<double>(worldSize);
+  return kFlopsPerPair * n * (n - 1.0) / static_cast<double>(worldSize);
 }
 
 sim::Task nbodyRank(vmpi::World& world, reschedule::SwapManager* swap,
@@ -13,7 +18,7 @@ sim::Task nbodyRank(vmpi::World& world, reschedule::SwapManager* swap,
                     std::string appName, NBodyProgress* progress) {
   const int p = world.size();
   const double exchangeBytes =
-      static_cast<double>(cfg.particles) * cfg.bytesPerParticle /
+      static_cast<double>(cfg.particles) * kBytesPerParticle /
       static_cast<double>(p);
 
   co_await world.barrier(rank);

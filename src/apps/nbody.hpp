@@ -15,8 +15,6 @@ namespace grads::apps {
 struct NBodyConfig {
   std::size_t particles = 12000;
   std::size_t iterations = 60;
-  double flopsPerPair = 20.0;
-  double bytesPerParticle = 24.0;  ///< 3 doubles of position
 };
 
 /// Progress trace: (virtual time, completed iteration) samples — the series

@@ -12,6 +12,10 @@
 
 namespace grads::apps {
 
+namespace {
+constexpr double kBytesPerElement = 8.0;
+}  // namespace
+
 std::size_t qrPanelCount(const QrConfig& cfg) {
   GRADS_REQUIRE(cfg.n > 0 && cfg.panel > 0, "QrConfig: bad dimensions");
   return (cfg.n + cfg.panel - 1) / cfg.panel;
@@ -30,12 +34,12 @@ double qrPanelBytes(const QrConfig& cfg, std::size_t k) {
   const double rem =
       static_cast<double>(cfg.n) - static_cast<double>(k * cfg.panel);
   if (rem <= 0.0) return 0.0;
-  return rem * static_cast<double>(cfg.panel) * cfg.bytesPerElement;
+  return rem * static_cast<double>(cfg.panel) * kBytesPerElement;
 }
 
 double qrCheckpointBytes(const QrConfig& cfg) {
   const double n = static_cast<double>(cfg.n);
-  return n * n * cfg.bytesPerElement + n * cfg.bytesPerElement;
+  return n * n * kBytesPerElement + n * kBytesPerElement;
 }
 
 QrPerfModel::QrPerfModel(const grid::Grid& grid, QrConfig cfg)
@@ -180,8 +184,8 @@ core::Cop makeQrCop(const grid::Grid& grid, QrConfig cfg) {
                           services::software::kAutopilotSensors};
   const double n = static_cast<double>(cfg.n);
   cop.checkpointArrays = {
-      {"A", n * n * cfg.bytesPerElement},
-      {"B", n * cfg.bytesPerElement},
+      {"A", n * n * kBytesPerElement},
+      {"B", n * kBytesPerElement},
   };
   return cop;
 }

@@ -12,7 +12,6 @@ namespace grads::apps {
 struct QrConfig {
   std::size_t n = 8000;        ///< matrix dimension
   std::size_t panel = 64;      ///< block size nb
-  double bytesPerElement = 8.0;
   /// Periodic checkpoint interval in panels (0 = only checkpoint when the
   /// rescheduler stops the app). Enables fail-stop fault tolerance: a
   /// failed incarnation restarts from the last periodic checkpoint.

@@ -7,6 +7,14 @@
 
 namespace grads::autopilot {
 
+namespace {
+constexpr std::size_t kWindow = 5;  ///< ratios averaged for confirmation
+/// Action score that triggers a request.
+constexpr double kFuzzyThreshold = 0.5;
+
+static_assert(kWindow >= 1, "ContractMonitor: empty window");
+}  // namespace
+
 PerformanceContract::PerformanceContract(std::string app, Predictor predictor)
     : app_(std::move(app)), predictor_(std::move(predictor)) {
   GRADS_REQUIRE(static_cast<bool>(predictor_),
@@ -40,7 +48,6 @@ ContractMonitor::ContractMonitor(sim::Engine& engine,
                 "ContractMonitor: upper tolerance must exceed 1");
   GRADS_REQUIRE(opts_.lowerTolerance > 0.0 && opts_.lowerTolerance < 1.0,
                 "ContractMonitor: lower tolerance must be in (0,1)");
-  GRADS_REQUIRE(opts_.window >= 1, "ContractMonitor: empty window");
 }
 
 void ContractMonitor::attachTo(AutopilotManager& manager,
@@ -82,7 +89,7 @@ void ContractMonitor::confirmAndRaise(double ratio) {
     confirmed = avg > upper_;
   } else {
     const double score = fuzzy_.infer({avg, trend()});
-    confirmed = score >= opts_.fuzzyThreshold;
+    confirmed = score >= kFuzzyThreshold;
   }
   if (!confirmed) return;
 
@@ -125,7 +132,7 @@ void ContractMonitor::onPhaseTime(double actualSeconds) {
                                                      ratio, upper_, lower_});
   }
   ratios_.push_back(ratio);
-  if (ratios_.size() > opts_.window) ratios_.pop_front();
+  if (ratios_.size() > kWindow) ratios_.pop_front();
   ++phase_;
 
   if (ratio > upper_) {

@@ -90,9 +90,7 @@ class ContractMonitor {
   struct Options {
     double upperTolerance = 1.5;
     double lowerTolerance = 0.6;
-    std::size_t window = 5;        ///< ratios averaged for confirmation
     DecisionMode mode = DecisionMode::kThresholdAverage;
-    double fuzzyThreshold = 0.5;   ///< action score that triggers a request
   };
 
   ContractMonitor(sim::Engine& engine, PerformanceContract contract);

@@ -45,8 +45,6 @@ class FuzzyEngine {
   /// Firing strength of rule r for the given inputs (for tests/diagnosis).
   double ruleStrength(std::size_t r, const std::vector<double>& inputs) const;
 
-  std::size_t ruleCount() const { return rules_.size(); }
-
  private:
   std::vector<FuzzyVariable> inputs_;
   FuzzyVariable output_;

@@ -12,6 +12,12 @@
 
 namespace grads::core {
 
+namespace {
+/// Consecutive failed restores tolerated before the manager abandons the
+/// checkpoint and restarts from scratch.
+constexpr int kMaxRestoreFailures = 2;
+}  // namespace
+
 double RunBreakdown::sumSegment(const std::vector<double>& v) const {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
@@ -422,8 +428,7 @@ sim::Task AppManager::run(const Cop& cop,
     if (options.monitorContract) {
       if (!monitor) {
         monitor = std::make_unique<autopilot::ContractMonitor>(
-            eng, autopilot::PerformanceContract(cop.name, predictor),
-            options.contract);
+            eng, autopilot::PerformanceContract(cop.name, predictor));
         monitor->attachTo(*autopilot_,
                           autopilot::phaseTimeChannel(cop.name));
         monitor->setViewer(options.viewer);
@@ -528,7 +533,7 @@ sim::Task AppManager::run(const Cop& cop,
       // from scratch rather than loop forever.
       ++breakdown.restoreFailures;
       ++consecutiveRestoreFailures;
-      if (consecutiveRestoreFailures > options.maxRestoreFailures) {
+      if (consecutiveRestoreFailures > kMaxRestoreFailures) {
         GRADS_WARN("app-manager")
             << cop.name << ": " << consecutiveRestoreFailures
             << " consecutive failed restores, abandoning checkpoint";

@@ -31,7 +31,6 @@ struct ManagerOptions {
   double appStartPerRankSec = 0.4;    ///< spawn + MPI global sync per rank
 
   bool monitorContract = true;
-  autopilot::ContractMonitor::Options contract;
   /// Mark this app's nodes unavailable in the GIS while it runs, so other
   /// application managers do not co-schedule onto them (exclusive
   /// space-sharing; needed for opportunistic-rescheduling scenarios).
@@ -59,9 +58,6 @@ struct ManagerOptions {
   /// Second depot every checkpoint object is mirrored to (kNoId = no
   /// replica): a single depot outage then cannot strand the application.
   grid::NodeId replicaDepot = grid::kNoId;
-  /// Consecutive failed restores tolerated before the manager abandons the
-  /// checkpoint and restarts from scratch.
-  int maxRestoreFailures = 2;
 
   // --- Checkpoint integrity. ---
   /// Verify restored slices (and restore pre-flights) against the RSS

@@ -8,24 +8,27 @@
 
 namespace grads::core {
 
-Binder::Binder(sim::Engine& engine, const services::Gis& gis)
-    : Binder(engine, gis, BinderOptions{}) {}
+namespace {
+constexpr double kGisQuerySec = 0.4;  ///< one GIS lookup round-trip
+constexpr double kInstrumentSec = 0.8;  ///< Autopilot sensor insertion per node
+constexpr double kConfigureSec = 1.0;  ///< per-node configure step
+constexpr double kCompileSecIa32 = 4.0;  ///< compile the IR on an IA-32 node
+constexpr double kCompileSecIa64 = 6.5;  ///< IA-64 compiles are slower
+}  // namespace
 
-Binder::Binder(sim::Engine& engine, const services::Gis& gis,
-               BinderOptions options)
-    : engine_(&engine), gis_(&gis), opts_(options) {}
+Binder::Binder(sim::Engine& engine, const services::Gis& gis)
+    : engine_(&engine), gis_(&gis) {}
 
 sim::Task Binder::localBind(grid::NodeId node, std::size_t libraries) {
   // GIS lookups for each application library, then instrument + configure +
   // target-side compile.
   co_await sim::sleepFor(*engine_,
-                         opts_.gisQuerySec * static_cast<double>(libraries));
-  co_await sim::sleepFor(*engine_, opts_.instrumentSec);
-  co_await sim::sleepFor(*engine_, opts_.configureSec);
+                         kGisQuerySec * static_cast<double>(libraries));
+  co_await sim::sleepFor(*engine_, kInstrumentSec);
+  co_await sim::sleepFor(*engine_, kConfigureSec);
   const auto arch = gis_->grid().node(node).spec().arch;
-  co_await sim::sleepFor(*engine_, arch == grid::Arch::kIA64
-                                       ? opts_.compileSecIa64
-                                       : opts_.compileSecIa32);
+  co_await sim::sleepFor(*engine_, arch == grid::Arch::kIA64 ? kCompileSecIa64
+                                                             : kCompileSecIa32);
 }
 
 sim::Task Binder::bind(const Cop& cop, std::vector<grid::NodeId> mapping,
@@ -35,7 +38,7 @@ sim::Task Binder::bind(const Cop& cop, std::vector<grid::NodeId> mapping,
 
   // Global binder: locate the local binder code on every scheduled node.
   std::set<grid::NodeId> distinct(mapping.begin(), mapping.end());
-  co_await sim::sleepFor(*engine_, opts_.gisQuerySec);  // locate binder itself
+  co_await sim::sleepFor(*engine_, kGisQuerySec);  // locate binder itself
   for (const auto node : distinct) {
     // A node the directory still lists as up may in truth be unreachable
     // (GIS staleness window): the launch attempt fails here, and the caller

@@ -13,14 +13,6 @@ class BindError : public Error {
   explicit BindError(const std::string& what) : Error(what) {}
 };
 
-struct BinderOptions {
-  double gisQuerySec = 0.4;      ///< one GIS lookup round-trip
-  double instrumentSec = 0.8;    ///< Autopilot sensor insertion per node
-  double configureSec = 1.0;     ///< per-node configure step
-  double compileSecIa32 = 4.0;   ///< compile the IR on an IA-32 node
-  double compileSecIa64 = 6.5;   ///< IA-64 compiles are slower
-};
-
 struct BindReport {
   double seconds = 0.0;   ///< wall time of the whole distributed bind
   int nodesBound = 0;
@@ -35,7 +27,6 @@ struct BindReport {
 class Binder {
  public:
   Binder(sim::Engine& engine, const services::Gis& gis);
-  Binder(sim::Engine& engine, const services::Gis& gis, BinderOptions options);
 
   /// Binds the COP onto the mapping; throws BindError if any node lacks the
   /// local binder or a required library. Fills `report` if non-null.
@@ -47,7 +38,6 @@ class Binder {
 
   sim::Engine* engine_;
   const services::Gis* gis_;
-  BinderOptions opts_;
 };
 
 }  // namespace grads::core

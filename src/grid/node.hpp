@@ -88,9 +88,6 @@ class Node {
   /// model needs to predict the remaining time of an executing application.
   double incumbentAvailability() const;
 
-  /// Effective flop rate a single new process would get right now.
-  double currentRatePerProcess() const { return cpu_->ratePerUnit(); }
-
  private:
   NodeId id_;
   NodeSpec spec_;

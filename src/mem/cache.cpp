@@ -36,17 +36,4 @@ TraceSink LruCacheSim::sink() {
   return [this](const MemRef& r) { access(r.block); };
 }
 
-double LruCacheSim::missRatio() const {
-  const auto n = accesses();
-  return n == 0 ? 0.0 : static_cast<double>(misses_) / static_cast<double>(n);
-}
-
-LruCacheSim LruCacheSim::forGeometry(const grid::CacheGeometry& g) {
-  return LruCacheSim(g.lines(), g.associativity);
-}
-
-LruCacheSim LruCacheSim::fullyAssociative(const grid::CacheGeometry& g) {
-  return LruCacheSim(g.lines(), g.lines());
-}
-
 }  // namespace grads::mem

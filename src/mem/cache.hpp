@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "grid/node.hpp"
 #include "mem/trace.hpp"
 
 namespace grads::mem {
@@ -25,14 +24,9 @@ class LruCacheSim {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t accesses() const { return hits_ + misses_; }
-  double missRatio() const;
 
   std::size_t lines() const { return lines_; }
   std::size_t sets() const { return sets_.size(); }
-
-  static LruCacheSim forGeometry(const grid::CacheGeometry& g);
-  /// Fully-associative variant with the same capacity.
-  static LruCacheSim fullyAssociative(const grid::CacheGeometry& g);
 
  private:
   // Determinism audit (grads-lint R2): eviction picks the LRU list's back,

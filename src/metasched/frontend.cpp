@@ -12,6 +12,8 @@ namespace grads::metasched {
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
+/// Bytes each job checkpoints at a stop.
+constexpr double kCheckpointBytes = 1 << 20;
 
 /// Dedicated single-rank prediction: the job's remaining flops at the slot
 /// node's effective rate (NWS forecast when available).
@@ -374,7 +376,7 @@ sim::Task MetaScheduler::runJob(JobKey key, std::shared_ptr<JobControl> ctrl) {
   cop.isMpi = false;
   cop.requiredSoftware = {services::software::kLocalBinder,
                           services::software::kSrsLibrary};
-  cop.checkpointArrays = {{"state", opts_.checkpointBytes}};
+  cop.checkpointArrays = {{"state", kCheckpointBytes}};
   cop.perfModel = std::make_shared<SlotPerfModel>(*grid_, phases, perPhase);
   cop.mapper = std::make_shared<PinnedMapper>(ctrl->slot);
   cop.code = [phases, perPhase](core::LaunchContext& ctx, int rank) {

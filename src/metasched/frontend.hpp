@@ -66,7 +66,6 @@ struct FrontendOptions {
   /// Checkpoint quantum: jobs poll the RSS stop flag every ~this many flops,
   /// bounding preemption latency to one phase + one checkpoint write.
   double flopsPerPhase = 1e9;
-  double checkpointBytes = 1 << 20;
   /// Ideal service rate used as the slowdown denominator.
   double refFlopsPerSec = 1e9;
   AdmissionOptions admission;
@@ -140,10 +139,6 @@ class MetaScheduler : public core::Snapshottable {
   // --- Observability. ---
   FrontendTotals totals() const;
   const std::vector<TenantLedger>& ledgers() const { return ledgers_; }
-  BrownoutLevel brownoutLevel() const { return brownout_.level(); }
-  std::int64_t queueDepth() const { return queuedTotal_; }
-  std::int64_t runningJobs() const { return runningCount_; }
-  std::int64_t parkedJobs() const { return parkedCount_; }
   std::int64_t jobsInSystem() const {
     return static_cast<std::int64_t>(jobs_.size());
   }

@@ -149,8 +149,14 @@ VirtualGridSpec parseDml(const std::string& text) {
   return spec;
 }
 
-void instantiate(grid::Grid& grid, const VirtualGridSpec& spec,
-                 const EmulationOptions* emulation) {
+namespace {
+/// Fraction of CPU lost to virtualization.
+constexpr double kCpuOverhead = 0.03;
+constexpr double kLatencyOverhead = 0.05;  ///< added fractional network latency
+constexpr double kBandwidthLoss = 0.03;    ///< fraction of bandwidth lost
+}  // namespace
+
+void instantiate(grid::Grid& grid, const VirtualGridSpec& spec, bool emulated) {
   GRADS_REQUIRE(!spec.clusters.empty(), "instantiate: empty spec");
   for (const auto& c : spec.clusters) {
     int lanNodes = 0;
@@ -163,10 +169,10 @@ void instantiate(grid::Grid& grid, const VirtualGridSpec& spec,
     } else {
       lan = grid::gigabitLan(c.name + ".lan", lanNodes);
     }
-    if (emulation != nullptr) {
-      lan.latencySec *= 1.0 + emulation->latencyOverhead;
-      lan.bandwidthBytesPerSec *= 1.0 - emulation->bandwidthLoss;
-      lan.perFlowCapBytesPerSec *= 1.0 - emulation->bandwidthLoss;
+    if (emulated) {
+      lan.latencySec *= 1.0 + kLatencyOverhead;
+      lan.bandwidthBytesPerSec *= 1.0 - kBandwidthLoss;
+      lan.perFlowCapBytesPerSec *= 1.0 - kBandwidthLoss;
     }
     const auto cid = grid.addCluster(grid::ClusterSpec{c.name, c.site, lan});
     int index = 0;
@@ -178,9 +184,7 @@ void instantiate(grid::Grid& grid, const VirtualGridSpec& spec,
         ns.cpus = g.cpus;
         ns.flopsPerCycle = g.flopsPerCycle;
         ns.efficiency = g.efficiency;
-        if (emulation != nullptr) {
-          ns.efficiency *= 1.0 - emulation->cpuOverhead;
-        }
+        if (emulated) ns.efficiency *= 1.0 - kCpuOverhead;
         grid.addNode(cid, ns);
       }
     }
@@ -198,9 +202,9 @@ void instantiate(grid::Grid& grid, const VirtualGridSpec& spec,
     grid::LinkSpec wan = grid::internetWan(w.a + "-" + w.b + ".wan",
                                            w.latencySec,
                                            w.bandwidthBytesPerSec);
-    if (emulation != nullptr) {
-      wan.latencySec *= 1.0 + emulation->latencyOverhead;
-      wan.bandwidthBytesPerSec *= 1.0 - emulation->bandwidthLoss;
+    if (emulated) {
+      wan.latencySec *= 1.0 + kLatencyOverhead;
+      wan.bandwidthBytesPerSec *= 1.0 - kBandwidthLoss;
       wan.perFlowCapBytesPerSec = wan.bandwidthBytesPerSec;
     }
     grid.connectClusters(*a, *b, wan);

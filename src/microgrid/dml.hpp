@@ -60,21 +60,14 @@ struct VirtualGridSpec {
 /// malformed input.
 VirtualGridSpec parseDml(const std::string& text);
 
-/// MicroGrid virtualization overheads: emulated resources run slightly
-/// slower than the hardware they model.
-struct EmulationOptions {
-  double cpuOverhead = 0.03;      ///< fraction of CPU lost to virtualization
-  double latencyOverhead = 0.05;  ///< added fractional network latency
-  double bandwidthLoss = 0.03;    ///< fraction of bandwidth lost
-};
-
 /// Builds the virtual grid into `grid` and schedules any declared
-/// background-load traces on its engine. With `emulation` non-null, applies
-/// MicroGrid virtualization overheads to every resource (the emulated grid);
-/// with null, resources match the hardware description exactly (the
+/// background-load traces on its engine. With `emulated` set, applies
+/// MicroGrid virtualization overheads to every resource (the emulated grid):
+/// emulated resources run slightly slower than the hardware they model.
+/// Unset, resources match the hardware description exactly (the
 /// "MacroGrid" reference for fidelity comparisons).
 void instantiate(grid::Grid& grid, const VirtualGridSpec& spec,
-                 const EmulationOptions* emulation = nullptr);
+                 bool emulated = false);
 
 /// The §4.2.2 virtual grid (UTK 3×550 MHz, UIUC 3×450 MHz, UCSD Athlon) as a
 /// DML document — the MicroGrid configuration used for Figure 4.

@@ -64,8 +64,6 @@ class KernelModel {
   /// of §3.2.
   double predictSeconds(double n, const grid::NodeSpec& node) const;
 
-  std::size_t siteCount() const { return sites_.size(); }
-
  private:
   stats::PolyFit flops_;
   std::map<std::uint32_t, SiteModel> sites_;

@@ -8,14 +8,10 @@
 
 namespace grads::reschedule {
 
-const char* reschedulerModeName(ReschedulerMode m) {
-  switch (m) {
-    case ReschedulerMode::kDefault: return "default";
-    case ReschedulerMode::kForcedMigrate: return "forced-migrate";
-    case ReschedulerMode::kForcedStay: return "forced-stay";
-  }
-  return "?";
-}
+namespace {
+/// Required predicted benefit margin before migrating.
+constexpr double kMinBenefitSec = 0.0;
+}  // namespace
 
 StopRestartRescheduler::StopRestartRescheduler(const services::Gis& gis,
                                                const services::Nws* nws,
@@ -47,7 +43,7 @@ MigrationDecision StopRestartRescheduler::evaluate(
                          (d.remainingOnTargetSec + d.assumedMigrationCostSec);
   switch (opts_.mode) {
     case ReschedulerMode::kDefault:
-      d.migrate = !sameResources && benefit > opts_.minBenefitSec;
+      d.migrate = !sameResources && benefit > kMinBenefitSec;
       d.reason = d.migrate
                      ? "predicted benefit " + std::to_string(benefit) + " s"
                      : (sameResources ? "best resources are current ones"

@@ -23,16 +23,12 @@ class ForkDriver;
 /// rescheduler was operated in two modes — default and forced").
 enum class ReschedulerMode { kDefault, kForcedMigrate, kForcedStay };
 
-const char* reschedulerModeName(ReschedulerMode m);
-
 struct ReschedulerOptions {
   ReschedulerMode mode = ReschedulerMode::kDefault;
   /// "the rescheduler assumed an experimentally-determined worst-case
   /// rescheduling cost of 900 seconds" — the pessimistic constant that
   /// produces the wrong decision at N=8000 in Figure 3.
   double worstCaseMigrationSec = 900.0;
-  /// Required predicted benefit margin before migrating.
-  double minBenefitSec = 0.0;
   /// Enables opportunistic rescheduling on app-completion events (§4.1.1).
   bool opportunistic = false;
 };

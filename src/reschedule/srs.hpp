@@ -100,7 +100,6 @@ class Rss {
     }
   };
   std::optional<CheckpointRecord> checkpointRecord(int generation) const;
-  int currentProcs() const { return currentProcs_; }
 
   // --- Checkpoint manifests (two-phase commit, epoch-fenced). ---
 
@@ -258,8 +257,6 @@ class Srs {
 
   bool restoredThisIncarnation() const { return restored_; }
 
-  /// Ranks that completed restoreCheckpoint() this incarnation.
-  int ranksRestored() const { return ranksRestored_; }
   /// Fires once, when the last rank finishes restoring — the commit point of
   /// a journaled migration: every rank is live on the new mapping, so the
   /// action can no longer be rolled back.

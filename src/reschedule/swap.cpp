@@ -8,6 +8,13 @@
 
 namespace grads::reschedule {
 
+namespace {
+/// Active node is "slow" when its availability drops below this.
+constexpr double kDegradeThreshold = 0.75;
+/// A candidate must beat the slow node's rate by this factor.
+constexpr double kImproveMargin = 1.15;
+}  // namespace
+
 const char* swapPolicyName(SwapPolicy p) {
   switch (p) {
     case SwapPolicy::kNever: return "never";
@@ -112,9 +119,9 @@ void SwapManager::evaluate() {
                 ? nws_->tryIncumbentAvailability(cur).value_or(
                       node.incumbentAvailability())
                 : node.incumbentAvailability();
-        if (avail >= cfg_.degradeThreshold) continue;
+        if (avail >= kDegradeThreshold) continue;
         grid::NodeId best = grid::kNoId;
-        double bestRate = nodeRate(cur) * cfg_.improveMargin;
+        double bestRate = nodeRate(cur) * kImproveMargin;
         for (const auto cand : idle) {
           if (nodeRate(cand) > bestRate) {
             bestRate = nodeRate(cand);
@@ -180,7 +187,7 @@ void SwapManager::evaluate() {
         candidates.emplace_back(nodes.begin(),
                                 nodes.begin() + static_cast<std::ptrdiff_t>(k));
       }
-      double bestTime = predictIterationSeconds(mapping) / cfg_.improveMargin;
+      double bestTime = predictIterationSeconds(mapping) / kImproveMargin;
       const std::vector<grid::NodeId>* best = nullptr;
       for (std::size_t i = 1; i < candidates.size(); ++i) {
         const double t = predictIterationSeconds(candidates[i]);

@@ -24,10 +24,6 @@ const char* swapPolicyName(SwapPolicy p);
 struct SwapConfig {
   SwapPolicy policy = SwapPolicy::kGreedy;
   double checkPeriodSec = 10.0;
-  /// Active node is "slow" when its availability drops below this.
-  double degradeThreshold = 0.75;
-  /// A candidate must beat the slow node's rate by this factor.
-  double improveMargin = 1.15;
   /// Per-process working-set size moved on a swap (the data allocation
   /// itself cannot be modified, §4.2.1 — only relocated).
   double perProcessDataBytes = 8.0 * 1024 * 1024;

@@ -8,6 +8,28 @@
 
 namespace grads::reschedule::whatif {
 
+namespace {
+/// Per-fork sandbox event cap, the stand-in for a wall-clock timeout.
+constexpr std::uint64_t kMaxEventsPerFork = 400000;
+/// Severity ranges the pessimistic futures draw from (units per
+/// PerturbationKind).
+constexpr double kSlowdownSeverityMin = 1.5;
+constexpr double kSlowdownSeverityMax = 3.0;
+constexpr double kDegradeScaleMin = 0.15;
+constexpr double kDegradeScaleMax = 0.5;
+constexpr double kDepotOutageSecMin = 120.0;
+constexpr double kDepotOutageSecMax = 300.0;
+/// Harm weights for scoring a realized future.
+constexpr double kMigrateBackWeight = 3.0;
+constexpr double kAbortPenalty = 1000.0;
+/// Seed of the driver's future-drawing Rng stream.
+constexpr std::uint64_t kSeed = 0x5eedf0c5ULL;
+
+static_assert(ForkDriver::kMistrustDecay >= 0.0 &&
+                  ForkDriver::kMistrustDecay <= 1.0,
+              "ForkDriver: mistrust decay must be in [0,1]");
+}  // namespace
+
 const char* candidateKindName(CandidateKind kind) {
   switch (kind) {
     case CandidateKind::kSuppress: return "suppress";
@@ -28,21 +50,19 @@ const char* perturbationKindName(PerturbationKind kind) {
 }
 
 ForkDriver::ForkDriver(sim::Engine& engine, DriverOptions options)
-    : engine_(&engine), opts_(options), rng_(options.seed) {
+    : engine_(&engine), opts_(options), rng_(kSeed) {
   GRADS_REQUIRE(opts_.budget.maxForks >= 0,
                 "ForkDriver: negative fork budget");
   GRADS_REQUIRE(opts_.budget.horizonSec > 0.0,
                 "ForkDriver: non-positive horizon");
   GRADS_REQUIRE(opts_.budget.pessimisticFutures >= 0,
                 "ForkDriver: negative future count");
-  GRADS_REQUIRE(opts_.mistrustDecay >= 0.0 && opts_.mistrustDecay <= 1.0,
-                "ForkDriver: mistrust decay must be in [0,1]");
 }
 
 double ForkDriver::harmOf(const ForkOutcome& o) const {
   double harm = static_cast<double>(o.violationRecurrences) +
-                opts_.migrateBackWeight * static_cast<double>(o.migrateBacks);
-  if (o.aborted) harm += opts_.abortPenalty;
+                kMigrateBackWeight * static_cast<double>(o.migrateBacks);
+  if (o.aborted) harm += kAbortPenalty;
   return harm;
 }
 
@@ -73,15 +93,13 @@ std::vector<Perturbation> ForkDriver::drawFutures() {
     p.seed = rng_.next();
     switch (p.kind) {
       case PerturbationKind::kTargetSlowdown:
-        p.severity =
-            rng_.uniform(opts_.slowdownSeverityMin, opts_.slowdownSeverityMax);
+        p.severity = rng_.uniform(kSlowdownSeverityMin, kSlowdownSeverityMax);
         break;
       case PerturbationKind::kLinkDegrade:
-        p.severity = rng_.uniform(opts_.degradeScaleMin, opts_.degradeScaleMax);
+        p.severity = rng_.uniform(kDegradeScaleMin, kDegradeScaleMax);
         break;
       case PerturbationKind::kDepotOutage:
-        p.severity =
-            rng_.uniform(opts_.depotOutageSecMin, opts_.depotOutageSecMax);
+        p.severity = rng_.uniform(kDepotOutageSecMin, kDepotOutageSecMax);
         break;
       case PerturbationKind::kNone: break;
     }
@@ -161,7 +179,7 @@ ForkDriver::Decision ForkDriver::decide(const DecisionInput& in) {
       rq.candidate = cand;
       rq.perturbation = fut;
       rq.horizonSec = opts_.budget.horizonSec;
-      rq.maxEvents = opts_.budget.maxEventsPerFork;
+      rq.maxEvents = kMaxEventsPerFork;
       FutureScore fs;
       fs.perturbation = fut;
       fs.outcome = runner_(rq);
@@ -264,7 +282,7 @@ void ForkDriver::settle(const std::string& app, double now, bool violated) {
           log_[static_cast<std::size_t>(it->recordId) - 1].diverged = true;
         }
         for (const grid::NodeId n : it->nodes) {
-          mistrust_[n] += opts_.mistrustBump;
+          mistrust_[n] += kMistrustBump;
         }
         GRADS_INFO("whatif")
             << log::appAt(app, now) << "prediction #" << it->recordId
@@ -283,7 +301,7 @@ void ForkDriver::settle(const std::string& app, double now, bool violated) {
       for (const grid::NodeId n : it->nodes) {
         auto mit = mistrust_.find(n);
         if (mit != mistrust_.end()) {
-          mit->second *= opts_.mistrustDecay;
+          mit->second *= kMistrustDecay;
           if (mit->second < 1e-9) mistrust_.erase(mit);
         }
       }
@@ -312,7 +330,7 @@ double ForkDriver::cooldownExtraFor(const std::string& app) const {
   double sum = 0.0;
   for (const grid::NodeId n : it->second) sum += mistrustOf(n);
   const double avg = sum / static_cast<double>(it->second.size());
-  return opts_.mistrustCooldownSec * avg;
+  return kMistrustCooldownSec * avg;
 }
 
 void ForkDriver::decodeState(core::SnapshotReader& r) {

@@ -97,14 +97,13 @@ struct ForkOutcome {
 using SandboxRunner = std::function<ForkOutcome(const ForkRequest&)>;
 using SnapshotSource = std::function<std::vector<std::uint8_t>()>;
 
-/// Hard speculation budget. All three knobs are virtual / deterministic —
+/// Hard speculation budget. Every knob is virtual / deterministic —
 /// grads-lint R1 bans wall-clock in src, so the wall-clock timeout of the
-/// classic what-if literature is stood in for by the per-fork event cap
+/// classic what-if literature is stood in for by a fixed per-fork event cap
 /// (events are the unit the engine actually spends).
 struct ForkBudget {
   int maxForks = 12;          ///< per decision, across candidates x futures
   double horizonSec = 240.0;  ///< virtual look-ahead per fork
-  std::uint64_t maxEventsPerFork = 400000;
   int pessimisticFutures = 2; ///< per candidate, beyond the nominal future
 };
 
@@ -115,22 +114,6 @@ struct DriverOptions {
   /// then bit-identical to a driver-less run — the zero-live-state-
   /// divergence oracle compares exactly this.
   bool shadowOnly = false;
-  double slowdownSeverityMin = 1.5;
-  double slowdownSeverityMax = 3.0;
-  double degradeScaleMin = 0.15;
-  double degradeScaleMax = 0.5;
-  double depotOutageSecMin = 120.0;
-  double depotOutageSecMax = 300.0;
-  /// Harm weights for scoring a realized future.
-  double migrateBackWeight = 3.0;
-  double abortPenalty = 1000.0;
-  /// Mistrust ledger: bump per realized prediction divergence, multiplicative
-  /// decay per prediction that held, and the governor-cooldown extension per
-  /// unit of mistrust on the app's last chosen nodes.
-  double mistrustBump = 1.0;
-  double mistrustDecay = 0.5;
-  double mistrustCooldownSec = 120.0;
-  std::uint64_t seed = 0x5eedf0c5ULL;
 };
 
 /// Per-future realized score inside one decision record.
@@ -219,6 +202,13 @@ struct DriverStats {
 /// bit-identical to a driver-less run.
 class ForkDriver : public core::Snapshottable {
  public:
+  /// Mistrust ledger: bump per realized prediction divergence, multiplicative
+  /// decay per prediction that held, and the governor-cooldown extension per
+  /// unit of mistrust on the app's last chosen nodes.
+  static constexpr double kMistrustBump = 1.0;
+  static constexpr double kMistrustDecay = 0.5;
+  static constexpr double kMistrustCooldownSec = 120.0;
+
   ForkDriver(sim::Engine& engine, DriverOptions options);
 
   void setRunner(SandboxRunner runner) { runner_ = std::move(runner); }
@@ -265,7 +255,6 @@ class ForkDriver : public core::Snapshottable {
 
   const std::vector<DecisionRecord>& decisions() const { return log_; }
   const DriverStats& stats() const { return stats_; }
-  const DriverOptions& options() const { return opts_; }
 
   /// Harm of one realized future: violation recurrences, weighted
   /// migrate-backs, and a large penalty for an aborted sandbox. Exposed so

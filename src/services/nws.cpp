@@ -242,12 +242,6 @@ std::string ForecasterBattery::bestName() const {
   return entries_[bestIndex()].forecaster->name();
 }
 
-double ForecasterBattery::bestError() const {
-  const auto& e = entries_[bestIndex()];
-  return e.predictions == 0 ? 0.0
-                            : e.absErrorSum / static_cast<double>(e.predictions);
-}
-
 Nws::Nws(sim::Engine& engine, grid::Grid& grid, double periodSec,
          double relativeNoise, std::uint64_t seed)
     : engine_(&engine),

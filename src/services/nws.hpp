@@ -52,8 +52,6 @@ class ForecasterBattery {
   double forecast() const;
   /// Name of the forecaster currently selected as best.
   std::string bestName() const;
-  /// Mean absolute forecast error of the best forecaster so far.
-  double bestError() const;
   std::size_t measurements() const { return count_; }
   double lastValue() const { return last_; }
 

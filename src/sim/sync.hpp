@@ -127,7 +127,6 @@ class Gate {
     waiters_.clear();
   }
   void close() { open_ = false; }
-  bool isOpen() const { return open_; }
 
   auto wait() {
     struct Awaiter {

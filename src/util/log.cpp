@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "util/error.hpp"
-
 namespace grads::log {
 
 Config& config() {
@@ -25,16 +23,6 @@ const char* levelName(Level level) {
     case Level::kOff: return "OFF";
   }
   return "?";
-}
-
-Level parseLevel(const std::string& name) {
-  if (name == "trace") return Level::kTrace;
-  if (name == "debug") return Level::kDebug;
-  if (name == "info") return Level::kInfo;
-  if (name == "warn") return Level::kWarn;
-  if (name == "error") return Level::kError;
-  if (name == "off") return Level::kOff;
-  throw InvalidArgument("unknown log level: " + name);
 }
 
 std::string appAt(const std::string& app, double tSec) {

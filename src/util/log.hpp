@@ -24,9 +24,6 @@ void write(Level level, const std::string& component, const std::string& msg);
 
 const char* levelName(Level level);
 
-/// Parses "trace" | "debug" | "info" | "warn" | "error" | "off".
-Level parseLevel(const std::string& name);
-
 /// Uniform attribution prefix for trace lines: "qr@t=123.4s: ". Campaign
 /// logs interleave many apps across thousands of virtual seconds; every
 /// rescheduling-path message leads with this so a grep for one app (or one

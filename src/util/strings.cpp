@@ -43,15 +43,4 @@ std::string formatBytes(double bytes) {
   return buf;
 }
 
-std::string formatSeconds(double seconds) {
-  char buf[48];
-  if (seconds >= 120.0) {
-    const int m = static_cast<int>(seconds / 60.0);
-    std::snprintf(buf, sizeof buf, "%dm %04.1fs", m, seconds - 60.0 * m);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.1f s", seconds);
-  }
-  return buf;
-}
-
 }  // namespace grads::util

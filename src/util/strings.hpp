@@ -17,7 +17,4 @@ bool startsWith(std::string_view s, std::string_view prefix);
 /// Human-readable byte count, e.g. "512.0 MB".
 std::string formatBytes(double bytes);
 
-/// Human-readable duration, e.g. "2m 05s" or "431.2 s".
-std::string formatSeconds(double seconds);
-
 }  // namespace grads::util

@@ -38,10 +38,6 @@ void World::beginRetarget(int rank, grid::NodeId to) {
   stagedRetargets_[rank] = to;
 }
 
-bool World::retargetPending(int rank) const {
-  return stagedRetargets_.count(rank) > 0;
-}
-
 grid::NodeId World::stagedTarget(int rank) const {
   const auto it = stagedRetargets_.find(rank);
   return it == stagedRetargets_.end() ? grid::kNoId : it->second;

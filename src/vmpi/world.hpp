@@ -71,7 +71,6 @@ class World {
   /// happened. setNodeOf refuses to bypass an open retarget, so a staged
   /// rank cannot be doubly mapped.
   void beginRetarget(int rank, grid::NodeId to);
-  bool retargetPending(int rank) const;
   /// Staged target of an open retarget (kNoId when none).
   grid::NodeId stagedTarget(int rank) const;
   void commitRetarget(int rank);

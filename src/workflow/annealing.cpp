@@ -6,6 +6,13 @@
 
 namespace grads::workflow {
 
+namespace {
+/// Initial temperature as a fraction of the starting makespan.
+constexpr double kInitialTempFraction = 0.2;
+/// Restart from the best-so-far state when stuck this many rejections.
+constexpr int kRestartAfterRejections = 400;
+}  // namespace
+
 Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
                                     const std::vector<grid::NodeId>& resources,
                                     AnnealingOptions options,
@@ -40,7 +47,7 @@ Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
   st.initialMakespan = cost;
 
   Rng rng(options.seed);
-  double temperature = cost * options.initialTempFraction;
+  double temperature = cost * kInitialTempFraction;
   int rejectionStreak = 0;
 
   auto slotOf = [&state](ComponentId c) -> Assignment& {
@@ -77,7 +84,7 @@ Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
       }
     } else {
       slot.node = old;
-      if (++rejectionStreak >= options.restartAfterRejections) {
+      if (++rejectionStreak >= kRestartAfterRejections) {
         state = best;
         cost = bestCost;
         rejectionStreak = 0;

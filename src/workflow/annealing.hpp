@@ -15,12 +15,8 @@ namespace grads::workflow {
 /// schedule.
 struct AnnealingOptions {
   int iterations = 4000;
-  /// Initial temperature as a fraction of the starting makespan.
-  double initialTempFraction = 0.2;
   double coolingRate = 0.998;
   std::uint64_t seed = 1;
-  /// Restart from the best-so-far state when stuck this many rejections.
-  int restartAfterRejections = 400;
 };
 
 struct AnnealingStats {

@@ -8,6 +8,13 @@
 
 namespace grads::workflow {
 
+namespace {
+constexpr Heuristic kHeuristic = Heuristic::kBestOfThree;
+/// Only adopt a remap when the re-estimated makespan improves by this
+/// factor (guards against churn on NWS noise).
+constexpr double kImproveMargin = 1.05;
+}  // namespace
+
 struct WorkflowExecutor::RunState {
   RunState(sim::Engine& engine, std::size_t n) {
     done.reserve(n);
@@ -145,12 +152,11 @@ void WorkflowExecutor::rescheduleUnstarted(const Dag& dag, RunState& state) {
   // remapped with fresh NWS information.
   ++state.rescheduleRounds;
   GridEstimator estimator(*gis_, nws_);
-  WorkflowScheduler scheduler(estimator, gis_->availableNodes(),
-                              state.options.weights);
+  WorkflowScheduler scheduler(estimator, gis_->availableNodes());
 
   Schedule fresh;
   try {
-    fresh = scheduler.schedule(dag, state.options.heuristic);
+    fresh = scheduler.schedule(dag, kHeuristic);
   } catch (const Error&) {
     return;  // e.g. no feasible resources right now — keep current placement
   }
@@ -172,7 +178,7 @@ void WorkflowExecutor::rescheduleUnstarted(const Dag& dag, RunState& state) {
   }
   const double newCost = evaluateMapping(dag, estimator, fresh.assignments)
                              .makespan;
-  if (newCost * state.options.improveMargin >= curCost) return;
+  if (newCost * kImproveMargin >= curCost) return;
 
   int changed = 0;
   for (const auto& a : fresh.assignments) {
@@ -212,9 +218,8 @@ sim::Task WorkflowExecutor::execute(const Dag& dag, ExecutionOptions options,
 
   // Initial schedule from current NWS information.
   GridEstimator estimator(*gis_, nws_);
-  WorkflowScheduler scheduler(estimator, gis_->availableNodes(),
-                              options.weights);
-  const Schedule initial = scheduler.schedule(dag, options.heuristic);
+  WorkflowScheduler scheduler(estimator, gis_->availableNodes());
+  const Schedule initial = scheduler.schedule(dag, kHeuristic);
   state.placement.assign(dag.size(), grid::kNoId);
   for (const auto& a : initial.assignments) {
     state.placement[a.component] = a.node;

@@ -11,17 +11,12 @@ namespace grads::workflow {
 
 /// Options for executing a scheduled workflow on the (simulated) Grid.
 struct ExecutionOptions {
-  Heuristic heuristic = Heuristic::kBestOfThree;
-  RankWeights weights{};
   /// Workflow-level rescheduling — the marriage of the paper's two threads
   /// (§5 future work, realized in VGrADS): periodically re-run the
   /// scheduler for components that have not started yet, using fresh NWS
   /// information, and adopt the new placements.
   bool reschedule = false;
   double rescheduleCheckSec = 30.0;
-  /// Only adopt a remap when the re-estimated makespan improves by this
-  /// factor (guards against churn on NWS noise).
-  double improveMargin = 1.05;
   /// Autopilot channel for per-component completion sensors ("" = off).
   std::string sensorChannel;
 

@@ -107,9 +107,8 @@ struct SwapRun {
 SwapRun runSwapScenario(reschedule::SwapPolicy policy, bool emulated = true) {
   sim::Engine eng;
   grid::Grid g(eng);
-  const microgrid::EmulationOptions emu;
   microgrid::instantiate(g, microgrid::parseDml(microgrid::swapExperimentDml()),
-                         emulated ? &emu : nullptr);
+                         emulated);
   services::Nws nws(eng, g, 10.0, 0.01, 7);
   nws.start();
   const auto utk = g.clusterNodes(*g.findCluster("utk"));

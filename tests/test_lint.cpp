@@ -90,7 +90,7 @@ TEST(LintR1, UtilRngItselfIsAllowed) {
 }
 
 TEST(LintR1, BenchIsAllowlisted) {
-  const auto r = lintOne("bench/micro_engine.cpp", R"cpp(
+  const auto r = lintOne("bench/perfmodel_accuracy.cpp", R"cpp(
     #include <chrono>
     using Clock = std::chrono::steady_clock;
   )cpp");

@@ -117,8 +117,7 @@ TEST(Dml, EmulationOverheadsSlowResources) {
   grid::Grid emulated(eng2);
   const auto spec = parseDml(swapExperimentDml());
   instantiate(direct, spec);
-  EmulationOptions emu;
-  instantiate(emulated, spec, &emu);
+  instantiate(emulated, spec, true);
   const auto n1 = direct.clusterNodes(*direct.findCluster("utk"))[0];
   const auto n2 = emulated.clusterNodes(*emulated.findCluster("utk"))[0];
   EXPECT_LT(emulated.node(n2).spec().effectiveFlops(),
@@ -140,8 +139,7 @@ TEST(Dml, EmulatedRunTracksDirectRunClosely) {
     sim::Engine eng;
     grid::Grid g(eng);
     const auto spec = parseDml(swapExperimentDml());
-    const EmulationOptions emu;
-    instantiate(g, spec, emulated ? &emu : nullptr);
+    instantiate(g, spec, emulated);
     const auto node = g.clusterNodes(*g.findCluster("utk"))[0];
     eng.spawn([](grid::Grid& g, grid::NodeId n) -> sim::Task {
       co_await g.node(n).compute(1e10);

@@ -217,10 +217,11 @@ TEST(ForkDriver, DivergenceBumpsMistrustAndExtendsCooldown) {
   // cooldown for this app stretches.
   drv.noteViolation("qr", 50.0);
   EXPECT_EQ(drv.stats().divergences, 1);
-  EXPECT_EQ(drv.mistrustOf(5), f.opts.mistrustBump);
-  EXPECT_EQ(drv.mistrustOf(6), f.opts.mistrustBump);
-  EXPECT_DOUBLE_EQ(drv.cooldownExtraFor("qr"),
-                   f.opts.mistrustCooldownSec * f.opts.mistrustBump);
+  EXPECT_EQ(drv.mistrustOf(5), ForkDriver::kMistrustBump);
+  EXPECT_EQ(drv.mistrustOf(6), ForkDriver::kMistrustBump);
+  EXPECT_DOUBLE_EQ(
+      drv.cooldownExtraFor("qr"),
+      ForkDriver::kMistrustCooldownSec * ForkDriver::kMistrustBump);
   ASSERT_EQ(drv.decisions().size(), 1u);
   EXPECT_TRUE(drv.decisions()[0].settled);
   EXPECT_TRUE(drv.decisions()[0].diverged);
@@ -239,7 +240,7 @@ TEST(ForkDriver, CleanHorizonDecaysMistrust) {
   f.eng.runUntil(100.0);
   (void)drv.decide(DriverFixture::migrateInput());
   drv.noteViolation("qr", 100.0 + f.opts.budget.horizonSec + 1.0);
-  EXPECT_DOUBLE_EQ(drv.mistrustOf(5), bumped * f.opts.mistrustDecay);
+  EXPECT_DOUBLE_EQ(drv.mistrustOf(5), bumped * ForkDriver::kMistrustDecay);
   EXPECT_EQ(drv.stats().divergences, 1);  // no new divergence charged
 }
 
