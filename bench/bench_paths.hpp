@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 namespace grads::bench {
@@ -19,6 +21,18 @@ inline std::string outputPath(const std::string& filename) {
 #else
   return filename;
 #endif
+}
+
+/// Opens `path` (an outputPath) for writing. Benches open their reports
+/// before they run, so a missing or unwritable output directory fails in
+/// milliseconds: the bench names the path on stderr and exits 1.
+inline std::ofstream openOutput(const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  return out;
 }
 
 }  // namespace grads::bench

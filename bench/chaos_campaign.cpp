@@ -11,11 +11,15 @@
 // the identical schedule and the identical simulated run. Exits 1 when a
 // repeated seed diverges, when a mitigated campaign of either app is lost,
 // or when the raw arm of either app loses none.
+//
+// Usage: chaos_campaign (takes no options)
 
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_cli.hpp"
 #include "bench_paths.hpp"
 #include "grid/testbeds.hpp"
 #include "scenarios.hpp"
@@ -198,7 +202,11 @@ bool report(util::Table& table, const char* app, Scenario run,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  grads::bench::CliOptions cli;
+  if (!grads::bench::parseCli(argc, argv, cli, "chaos_campaign")) return 2;
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("chaos_campaign.csv"));
   const std::vector<std::uint64_t> seeds = {11, 22, 33, 44, 55};
 
   // Determinism: the same seed must reproduce the identical run.
@@ -221,7 +229,7 @@ int main() {
   table.print(std::cout,
               "Chaos campaigns — node/link/NWS/depot faults, mitigations "
               "on vs off (slowdown vs fault-free baseline)");
-  table.saveCsv(bench::outputPath("chaos_campaign.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nExpected shape: with mitigations on, every campaign "
                "completes (bounded retries + replicas + generation "

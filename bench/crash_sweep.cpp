@@ -130,6 +130,8 @@ int main(int argc, char**) {
     std::fprintf(stderr, "usage: crash_sweep (takes no options)\n");
     return 2;
   }
+  const std::string csvPath = bench::outputPath("crash_sweep.csv");
+  std::ofstream csv = bench::openOutput(csvPath);
   std::cout << "crash-restart sweep: for every snapshot image, kill a fresh "
                "run right after it is taken,\nrequire the same bytes, and "
                "restore them twice: both restores must complete with\n"
@@ -164,8 +166,6 @@ int main(int argc, char**) {
               << scenarioFailures << " failure(s)\n";
   }
 
-  const std::string csvPath = bench::outputPath("crash_sweep.csv");
-  std::ofstream csv(csvPath);
   csv << "scenario,state,snapshot_time_s,image_digest,reproduced,completed,"
          "digest_first,digest_second,match\n";
   for (const Row& r : rows) {

@@ -14,19 +14,21 @@
 //
 // Eight rows: three probe-local (engine-churn, sched-dags,
 // netsim-contended) and the five catalog scenarios (scenarios.hpp), run
-// with the same worlds and seeds as crash_sweep.
+// with the same worlds and seeds as crash_sweep. Each row's digest is also
+// pinned (kPinned): every build and compiler must print the same eight.
 //
-// Usage: determinism_probe [--quick]
-//   --quick: the probe-local rows plus tenant-overload
-// Exit:  0 = all digests bit-identical, 1 = divergence (prints offender).
+// Usage: determinism_probe (takes no options)
+// Exit:  0 = all digests bit-identical and equal to their pins,
+//        1 = divergence or pin mismatch (prints offender).
 
 #include <cstdint>
+#include <cstdio>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string_view>
 #include <vector>
 
-#include "bench_cli.hpp"
 #include "grid/testbeds.hpp"
 #include "scenarios.hpp"
 #include "services/gis.hpp"
@@ -40,6 +42,31 @@ using namespace grads;
 namespace {
 
 constexpr double kMB = 1024.0 * 1024.0;
+
+/// The digest every row must print, on every build and compiler. A change
+/// that moves one changed the event stream or a scenario outcome.
+struct Pin {
+  std::string_view row;
+  std::uint64_t digest;
+};
+constexpr Pin kPinned[] = {
+    {"engine-churn", 0x4fd9a1893e19d274ULL},
+    {"sched-dags", 0x33c52b3eedd74699ULL},
+    {"netsim-contended", 0x7cf6e5752a9ad997ULL},
+    {"chaos-qr", 0x7d45b7ab3b200afcULL},
+    {"integrity-qr", 0xbc81fd5c0c4b781eULL},
+    {"thrash-governed", 0xce2b24326cb14a0dULL},
+    {"tenant-overload", 0x6c093f3e7c03ac3eULL},
+    {"whatif-forked", 0x2b7bc9584eff2076ULL},
+};
+
+/// The pinned digest of `row`; 0 when the row has no pin.
+std::uint64_t pinnedDigest(std::string_view row) {
+  for (const Pin& p : kPinned) {
+    if (p.row == row) return p.digest;
+  }
+  return 0;
+}
 
 // ---------------------------------------------------------------------------
 // Probe 1: raw engine churn — schedule/cancel/daemon mix driven by Rng.
@@ -184,13 +211,11 @@ std::uint64_t probeScenario(const bench::Scenario& sc) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli,
-                              "determinism_probe [--quick]")) {
+int main(int argc, char**) {
+  if (argc != 1) {
+    std::fprintf(stderr, "usage: determinism_probe (takes no options)\n");
     return 2;
   }
-  const bool quick = cli.quick;
 
   std::cout << "replay-divergence oracle: each scenario runs twice with a "
                "fresh engine;\ndigests must match bit-for-bit.\n\n";
@@ -199,7 +224,9 @@ int main(int argc, char** argv) {
             << "verdict\n";
 
   int divergences = 0;
-  const auto replay = [&divergences](const char* name, const auto& run) {
+  std::ostringstream mismatches;
+  const auto replay = [&divergences, &mismatches](const char* name,
+                                                   const auto& run) {
     const std::uint64_t d1 = run();
     const std::uint64_t d2 = run();
     const bool ok = d1 == d2;
@@ -207,21 +234,27 @@ int main(int argc, char** argv) {
     std::cout << std::left << std::setw(18) << name << std::setw(20)
               << std::hex << d1 << std::setw(20) << d2 << std::dec
               << (ok ? "identical" : "DIVERGED") << "\n";
+    const std::uint64_t pinned = pinnedDigest(name);
+    if (d1 != pinned) {
+      mismatches << name << ": expected digest " << std::hex << pinned
+                 << ", got " << d1 << std::dec << "\n";
+    }
   };
   replay("engine-churn", [] { return probeEngineChurn(1234); });
   replay("sched-dags", [] { return probeSchedDags(2024); });
   replay("netsim-contended", [] { return probeNetsim(61); });
-  // The ctest gate (--quick) keeps one catalog row; CI's lint job runs all.
   for (const bench::Scenario& sc : bench::kScenarios) {
-    if (quick && std::string_view(sc.name) != "tenant-overload") continue;
     replay(sc.name, [&sc] { return probeScenario(sc); });
   }
   if (divergences > 0) {
     std::cout << "\n" << divergences
               << " scenario(s) diverged between identical runs — "
                  "nondeterminism reached the event stream.\n";
-    return 1;
   }
+  if (!mismatches.str().empty()) {
+    std::cout << "\npinned digest mismatch:\n" << mismatches.str();
+  }
+  if (divergences > 0 || !mismatches.str().empty()) return 1;
   std::cout << "\nall probed scenarios replay bit-identically.\n";
   return 0;
 }

@@ -150,18 +150,17 @@ void zombieDemo(bool fence) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::vector<std::uint64_t> seeds = {11, 22, 33, 44, 55};
   grads::bench::CliOptions cli;
+  cli.count = static_cast<long long>(seeds.size());
   if (!grads::bench::parseCli(argc, argv, cli, "integrity_campaign [1..5]")) {
     return 1;
   }
-  std::vector<std::uint64_t> seeds = {11, 22, 33, 44, 55};
-  if (cli.count >= 0) {
-    if (cli.count < 1 || cli.count > static_cast<long long>(seeds.size())) {
-      std::cerr << "usage: integrity_campaign [1.." << seeds.size() << "]\n";
-      return 1;
-    }
-    seeds.resize(static_cast<std::size_t>(cli.count));
+  if (cli.count < 1 || cli.count > static_cast<long long>(seeds.size())) {
+    std::cerr << "usage: integrity_campaign [1.." << seeds.size() << "]\n";
+    return 1;
   }
+  seeds.resize(static_cast<std::size_t>(cli.count));
 
   // Determinism: the same seed must reproduce the identical run.
   {

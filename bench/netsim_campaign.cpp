@@ -196,6 +196,7 @@ int main(int argc, char** argv) {
   }
   const bool quick = cli.quick;
   const std::string outPath = bench::outputPath("BENCH_9.json");
+  std::ofstream json = bench::openOutput(outPath);
 
   const int incastSources = quick ? 4 : 7;
   const double incastBytes = quick ? 1.2 * kMB : 2.4 * kMB;
@@ -319,7 +320,6 @@ int main(int argc, char** argv) {
               "sharing vs max-min + bulk pacing");
   table.saveCsv(bench::outputPath("netsim_campaign.csv"));
 
-  std::ofstream json(outPath);
   json << "{\n  \"bench_id\": 9,\n  \"mode\": \""
        << (quick ? "quick" : "full")
        << "\",\n  \"single_flow_bit_exact\": "

@@ -193,11 +193,10 @@ struct ArmResult {
 };
 
 ArmResult runArm(const CampaignConfig& cfg, bool mitigated,
-                 const std::string& csvPath) {
+                 std::ofstream& csv) {
   bench::World w;
   buildWorld(w, cfg, mitigated);
 
-  std::ofstream csv(csvPath);
   csv << "t_s,queued,running,parked,pressure,brownout_level\n";
   w.meta->setOnSample([&csv](double t, std::int64_t queued,
                              std::int64_t running, std::int64_t parked,
@@ -282,6 +281,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool quick = cli.quick;
+  std::ofstream unCsv =
+      bench::openOutput(bench::outputPath("tenant_campaign_unmitigated.csv"));
+  std::ofstream miCsv =
+      bench::openOutput(bench::outputPath("tenant_campaign_mitigated.csv"));
+  const std::string jsonPath = bench::outputPath("BENCH_7.json");
+  std::ofstream json = bench::openOutput(jsonPath);
   const CampaignConfig cfg = quick ? quickConfig() : fullConfig();
   const std::int64_t minPeakInSystem = quick ? 300 : 10000;
 
@@ -291,10 +296,8 @@ int main(int argc, char** argv) {
             << cfg.horizonSec << " s, deadline " << cfg.deadlineSec
             << " s\n\n";
 
-  const ArmResult un =
-      runArm(cfg, false, bench::outputPath("tenant_campaign_unmitigated.csv"));
-  const ArmResult mi =
-      runArm(cfg, true, bench::outputPath("tenant_campaign_mitigated.csv"));
+  const ArmResult un = runArm(cfg, false, unCsv);
+  const ArmResult mi = runArm(cfg, true, miCsv);
 
   for (const ArmResult* r : {&un, &mi}) {
     const metasched::FrontendTotals& t = r->totals;
@@ -339,8 +342,6 @@ int main(int argc, char** argv) {
   check(mi.totals.peakQueueDepth * 2 < un.totals.peakQueueDepth,
         "bounded queue vs unmitigated unbounded growth");
 
-  const std::string jsonPath = bench::outputPath("BENCH_7.json");
-  std::ofstream json(jsonPath);
   json << std::setprecision(10);
   json << "{\n  \"bench\": \"tenant_campaign\",\n"
        << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"

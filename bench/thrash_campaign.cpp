@@ -193,15 +193,15 @@ FaultOutcome runMidActionFault(std::uint64_t seed, bool killTarget) {
 int main(int argc, char** argv) {
   constexpr const char* kUsage = "thrash_campaign [N]";
   grads::bench::CliOptions cli;
+  cli.count = 3;
   if (!grads::bench::parseCli(argc, argv, cli, kUsage)) return 2;
   // N counts seeds: at least one, since the determinism check replays the
   // first, and no more than the int loop below can count.
-  if (cli.count >= 0 &&
-      (cli.count < 1 || cli.count > std::numeric_limits<int>::max())) {
+  if (cli.count < 1 || cli.count > std::numeric_limits<int>::max()) {
     std::cerr << "usage: " << kUsage << "\n";
     return 2;
   }
-  const int nSeeds = cli.count >= 0 ? static_cast<int>(cli.count) : 3;
+  const int nSeeds = static_cast<int>(cli.count);
   std::vector<std::uint64_t> seeds;
   for (int i = 0; i < nSeeds; ++i) seeds.push_back(17 + 10 * i);
 

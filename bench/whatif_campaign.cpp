@@ -47,8 +47,8 @@ struct ArmResult {
 ArmResult runArm(const bench::WhatifConfig& cfg) {
   ArmResult a;
   a.run = bench::runWhatifScenario(cfg);
-  a.harmful =
-      bench::countHarmfulCommits(a.run.journal, cfg.driver.budget.horizonSec);
+  a.harmful = bench::countHarmfulCommits(
+      a.run.journal, reschedule::whatif::ForkDriver::kHorizonSec);
   for (const auto& r : a.run.journal) {
     if (r.state == reschedule::ActionState::kCommitted) ++a.commits;
   }
@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
   }
   const bool quick = cli.quick;
   const std::string outPath = bench::outputPath("BENCH_8.json");
+  std::ofstream json = bench::openOutput(outPath);
 
   struct Scen {
     const char* name;
@@ -195,7 +196,6 @@ int main(int argc, char** argv) {
               "migrate-back, within the speculation horizon)");
   table.saveCsv(bench::outputPath("whatif_campaign.csv"));
 
-  std::ofstream json(outPath);
   json << "{\n  \"bench_id\": 8,\n  \"mode\": \""
        << (quick ? "quick" : "full") << "\",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < jrows.size(); ++i) {

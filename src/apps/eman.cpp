@@ -69,7 +69,6 @@ workflow::Dag buildEmanRefinementDag(const EmanConfig& cfg) {
 
   workflow::Component classes =
       seq("classesbymra", emanClassesbymraFlops(cfg), stack * 0.1);
-  if (cfg.classesOnIa64) classes.requiredArch = grid::Arch::kIA64;
   const auto classIds = dag.addParallelStage(
       classes, cfg.parallelism, projectIds,
       // each classifier reads the projections + its slice of the stack

@@ -12,9 +12,6 @@ namespace grads::apps {
 struct EmanConfig {
   std::size_t particles = 20000;   ///< particle images in the stack
   int parallelism = 16;            ///< instances per parallelizable stage
-  /// Require the heavy classification stage to run on IA-64 nodes (the
-  /// SC2003 demo split EMAN across IA-32 and IA-64 machines).
-  bool classesOnIa64 = false;
 };
 
 /// Per-component flop totals (before parallel splitting); exposed so tests

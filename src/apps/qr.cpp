@@ -14,27 +14,28 @@ namespace grads::apps {
 
 namespace {
 constexpr double kBytesPerElement = 8.0;
+constexpr std::size_t kPanel = 64;  ///< block size nb
 }  // namespace
 
 std::size_t qrPanelCount(const QrConfig& cfg) {
-  GRADS_REQUIRE(cfg.n > 0 && cfg.panel > 0, "QrConfig: bad dimensions");
-  return (cfg.n + cfg.panel - 1) / cfg.panel;
+  GRADS_REQUIRE(cfg.n > 0, "QrConfig: bad dimensions");
+  return (cfg.n + kPanel - 1) / kPanel;
 }
 
 double qrPanelFlops(const QrConfig& cfg, std::size_t k) {
   // Right-looking update at step k touches the trailing (N − k·nb) square:
   // ~4·nb·rem² flops, which telescopes to ≈ 4/3·N³ across all panels.
   const double rem =
-      static_cast<double>(cfg.n) - static_cast<double>(k * cfg.panel);
+      static_cast<double>(cfg.n) - static_cast<double>(k * kPanel);
   if (rem <= 0.0) return 0.0;
-  return 4.0 * static_cast<double>(cfg.panel) * rem * rem;
+  return 4.0 * static_cast<double>(kPanel) * rem * rem;
 }
 
 double qrPanelBytes(const QrConfig& cfg, std::size_t k) {
   const double rem =
-      static_cast<double>(cfg.n) - static_cast<double>(k * cfg.panel);
+      static_cast<double>(cfg.n) - static_cast<double>(k * kPanel);
   if (rem <= 0.0) return 0.0;
-  return rem * static_cast<double>(cfg.panel) * kBytesPerElement;
+  return rem * static_cast<double>(kPanel) * kBytesPerElement;
 }
 
 double qrCheckpointBytes(const QrConfig& cfg) {

@@ -11,7 +11,6 @@ namespace grads::apps {
 /// including the matrix A and the right-hand side vector B").
 struct QrConfig {
   std::size_t n = 8000;        ///< matrix dimension
-  std::size_t panel = 64;      ///< block size nb
   /// Periodic checkpoint interval in panels (0 = only checkpoint when the
   /// rescheduler stops the app). Enables fail-stop fault tolerance: a
   /// failed incarnation restarts from the last periodic checkpoint.

@@ -9,10 +9,15 @@ namespace grads::autopilot {
 
 namespace {
 constexpr std::size_t kWindow = 5;  ///< ratios averaged for confirmation
-/// Action score that triggers a request.
-constexpr double kFuzzyThreshold = 0.5;
+/// Initial tolerance band on actual / predicted phase time.
+constexpr double kUpperTolerance = 1.5;
+constexpr double kLowerTolerance = 0.6;
 
 static_assert(kWindow >= 1, "ContractMonitor: empty window");
+static_assert(kUpperTolerance > 1.0,
+              "ContractMonitor: upper tolerance must exceed 1");
+static_assert(kLowerTolerance > 0.0 && kLowerTolerance < 1.0,
+              "ContractMonitor: lower tolerance must be in (0,1)");
 }  // namespace
 
 PerformanceContract::PerformanceContract(std::string app, Predictor predictor)
@@ -35,20 +40,10 @@ void PerformanceContract::updateTerms(Predictor predictor) {
 
 ContractMonitor::ContractMonitor(sim::Engine& engine,
                                  PerformanceContract contract)
-    : ContractMonitor(engine, std::move(contract), Options{}) {}
-
-ContractMonitor::ContractMonitor(sim::Engine& engine,
-                                 PerformanceContract contract, Options options)
     : engine_(&engine),
       contract_(std::move(contract)),
-      opts_(options),
-      upper_(options.upperTolerance),
-      lower_(options.lowerTolerance) {
-  GRADS_REQUIRE(opts_.upperTolerance > 1.0,
-                "ContractMonitor: upper tolerance must exceed 1");
-  GRADS_REQUIRE(opts_.lowerTolerance > 0.0 && opts_.lowerTolerance < 1.0,
-                "ContractMonitor: lower tolerance must be in (0,1)");
-}
+      upper_(kUpperTolerance),
+      lower_(kLowerTolerance) {}
 
 void ContractMonitor::attachTo(AutopilotManager& manager,
                                const std::string& channel) {
@@ -73,24 +68,12 @@ double ContractMonitor::averageRatio() const {
          static_cast<double>(ratios_.size());
 }
 
-double ContractMonitor::trend() const {
-  if (ratios_.size() < 2) return 0.0;
-  return (ratios_.back() - ratios_.front()) /
-         static_cast<double>(ratios_.size() - 1);
-}
-
 void ContractMonitor::confirmAndRaise(double ratio) {
   const double avg = averageRatio();
-  bool confirmed = false;
-  if (opts_.mode == DecisionMode::kThresholdAverage) {
-    // Paper §4.1.1: "the contract monitor calculates the average of the
-    // computed ratios. If the average is greater than the upper tolerance
-    // limit, it contacts the rescheduler."
-    confirmed = avg > upper_;
-  } else {
-    const double score = fuzzy_.infer({avg, trend()});
-    confirmed = score >= kFuzzyThreshold;
-  }
+  // Paper §4.1.1: "the contract monitor calculates the average of the
+  // computed ratios. If the average is greater than the upper tolerance
+  // limit, it contacts the rescheduler."
+  const bool confirmed = avg > upper_;
   if (!confirmed) return;
 
   ++violations_;

@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 
-#include "autopilot/fuzzy.hpp"
 #include "autopilot/viewer.hpp"
 #include "autopilot/sensor.hpp"
 
@@ -50,9 +49,6 @@ struct ViolationReport {
 /// is waiting to confirm.
 enum class RescheduleOutcome { kMigrated, kDeclined, kSuppressed };
 
-/// Decision procedure used to confirm a violation.
-enum class DecisionMode { kThresholdAverage, kFuzzy };
-
 /// A contract monitor's adaptive runtime state: tolerance band, phase
 /// cursor, violation tally, last ratio, and the ratio window backing the
 /// confirmation average. The application manager snapshots it per app, so
@@ -79,23 +75,12 @@ struct MonitorBand {
 ///    average triggers the rescheduler (transient noise is forgiven),
 ///  - if the rescheduler declines to migrate, widens its tolerance limits,
 ///  - on ratio < lower tolerance, tightens the limits.
-///
-/// DecisionMode::kFuzzy instead drives the confirmation step through the
-/// Autopilot fuzzy decision engine.
 class ContractMonitor {
  public:
   using RescheduleRequest =
       std::function<RescheduleOutcome(const ViolationReport&)>;
 
-  struct Options {
-    double upperTolerance = 1.5;
-    double lowerTolerance = 0.6;
-    DecisionMode mode = DecisionMode::kThresholdAverage;
-  };
-
   ContractMonitor(sim::Engine& engine, PerformanceContract contract);
-  ContractMonitor(sim::Engine& engine, PerformanceContract contract,
-                  Options options);
 
   /// Wires the monitor to a sensor channel on the Autopilot manager.
   void attachTo(AutopilotManager& manager, const std::string& channel);
@@ -130,12 +115,10 @@ class ContractMonitor {
 
  private:
   double averageRatio() const;
-  double trend() const;
   void confirmAndRaise(double ratio);
 
   sim::Engine* engine_;
   PerformanceContract contract_;
-  Options opts_;
   double upper_;
   double lower_;
   std::deque<double> ratios_;
@@ -145,7 +128,6 @@ class ContractMonitor {
   bool enabled_ = true;
   RescheduleRequest request_;
   ContractViewer* viewer_ = nullptr;
-  FuzzyEngine fuzzy_ = makeContractFuzzyEngine();
 };
 
 }  // namespace grads::autopilot

@@ -197,15 +197,11 @@ sim::Task FlowRegistry::transfer(std::vector<LinkId> links, double bytes,
   co_await done.wait();
 }
 
-double FlowRegistry::probeShare(const std::vector<LinkId>& links,
-                                double weight) const {
-  GRADS_REQUIRE(!links.empty(), "FlowRegistry::probeShare: empty route");
-  GRADS_REQUIRE(weight > 0.0, "FlowRegistry::probeShare: weight must be > 0");
-  for (const LinkId l : links) {
-    GRADS_REQUIRE(l < links_.size(), "FlowRegistry::probeShare: unknown link");
-  }
+double FlowRegistry::probeShare(LinkId link) const {
+  GRADS_REQUIRE(link < links_.size(), "FlowRegistry::probeShare: unknown link");
+  const std::vector<LinkId> route{link};
   if (mode_ == SharingMode::kStatic || flows_.empty()) {
-    return soloRate(links);
+    return soloRate(route);
   }
   std::vector<Demand> demands;
   demands.reserve(flows_.size() + 1);
@@ -219,11 +215,9 @@ double FlowRegistry::probeShare(const std::vector<LinkId>& links,
     demands.push_back(d);
   }
   Demand phantom;
-  phantom.links = &links;
-  phantom.weight = weight;
-  double cap = sim::kInfTime;
-  for (const LinkId l : links) cap = std::min(cap, links_[l].perFlowCap);
-  phantom.soloCap = cap;
+  phantom.links = &route;
+  phantom.weight = 1.0;
+  phantom.soloCap = links_[link].perFlowCap;
   demands.push_back(phantom);
   computeShares(demands);
   return demands.back().rate;

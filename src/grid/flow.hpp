@@ -66,11 +66,10 @@ class FlowRegistry {
   sim::Task transfer(std::vector<LinkId> links, double bytes,
                      TransferClass cls);
 
-  /// Rate a phantom flow of `weight` over `links` would be allocated right
-  /// now, without admitting it — what transferEstimateNow and the NWS
-  /// bandwidth sensor read. On an idle route this is exactly
-  /// min(perFlowCap, capacity) over the links.
-  double probeShare(const std::vector<LinkId>& links, double weight) const;
+  /// Rate a new unit-weight flow over `link` would be allocated right now,
+  /// without admitting it — what the NWS bandwidth sensor reads. On an idle
+  /// link this is exactly min(perFlowCap, capacity).
+  double probeShare(LinkId link) const;
 
   // --- Congestion gauges (NWS measurement inputs). ---
   /// Fraction of the link's capacity currently allocated to flows [0, 1].

@@ -19,7 +19,7 @@ Link::Link(FlowRegistry& flows, LinkId id, LinkSpec spec)
 
 double Link::availableBandwidth() const {
   if (!up_) return 0.0;
-  return flows_->probeShare({id_}, 1.0);
+  return flows_->probeShare(id_);
 }
 
 void Link::setBandwidthScale(double scale) {
@@ -202,19 +202,6 @@ double Grid::transferEstimate(NodeId src, NodeId dst, double bytes) const {
     bw = std::min(bw, std::min(links_[l]->spec().bandwidthBytesPerSec,
                                links_[l]->spec().perFlowCapBytesPerSec));
   }
-  return r.latencySec + bytes / bw;
-}
-
-double Grid::transferEstimateNow(NodeId src, NodeId dst, double bytes) const {
-  const Route r = route(src, dst);
-  if (r.links.empty()) return 0.0;
-  for (const LinkId l : r.links) {
-    if (!links_[l]->isUp()) return sim::kInfTime;
-  }
-  // Route-level probe, not a per-link minimum: the share a new flow would
-  // actually be allocated, clamped by every link's per-flow cap — on an
-  // idle route this agrees exactly with transferEstimate.
-  const double bw = flows_->probeShare(r.links, 1.0);
   return r.latencySec + bytes / bw;
 }
 

@@ -143,11 +143,6 @@ class Grid : public core::Snapshottable {
   /// scheduler computes from NWS forecasts of latency and bandwidth.
   double transferEstimate(NodeId src, NodeId dst, double bytes) const;
 
-  /// Estimate using the share the flow registry would actually allocate a
-  /// new flow over the route right now (contended bandwidth, clamped by
-  /// every link's per-flow cap). Infinite when the route is partitioned.
-  double transferEstimateNow(NodeId src, NodeId dst, double bytes) const;
-
   /// The flow-level network model behind transfer(): congestion gauges,
   /// pacing configuration, ablation modes.
   FlowRegistry& flows() { return *flows_; }

@@ -1,6 +1,7 @@
 #include "grid/load.hpp"
 
 #include <memory>
+#include <optional>
 
 #include "util/error.hpp"
 

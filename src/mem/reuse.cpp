@@ -57,17 +57,6 @@ std::uint64_t ReuseHistogram::quantile(double q) const {
   return buckets_.empty() ? 0 : bucketUpperEdge(static_cast<int>(buckets_.size()) - 1);
 }
 
-void ReuseHistogram::merge(const ReuseHistogram& other) {
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (std::size_t b = 0; b < other.buckets_.size(); ++b) {
-    buckets_[b] += other.buckets_[b];
-  }
-  cold_ += other.cold_;
-  total_ += other.total_;
-}
-
 ReuseDistanceAnalyzer::ReuseDistanceAnalyzer() = default;
 
 void ReuseDistanceAnalyzer::fenwickAdd(std::size_t pos, std::int64_t delta) {

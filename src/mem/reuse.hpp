@@ -32,9 +32,6 @@ class ReuseHistogram {
   /// (upper edge of the containing log2 bucket).
   std::uint64_t quantile(double q) const;
 
-  /// Merges another histogram into this one.
-  void merge(const ReuseHistogram& other);
-
  private:
   static int bucketOf(std::uint64_t d);
   static std::uint64_t bucketUpperEdge(int b);

@@ -4,6 +4,16 @@
 
 namespace grads::metasched {
 
+namespace {
+/// Retry-after hint: clamp(factor * backlogSec, min, max). Proportional
+/// to the backlog so a deep queue pushes retries further out instead of
+/// inviting a synchronized stampede the moment pressure dips.
+constexpr double kRetryAfterFactor = 0.5;
+/// Tiers >= this are admitted even at the kShed brownout rung (queue and
+/// backlog bounds still apply — shedding never unbounds the queue).
+constexpr int kShedProtectTier = 2;
+}  // namespace
+
 double AdmissionController::capacityFlops() const {
   double total = 0.0;
   for (const grid::NodeId n : slots_) {
@@ -25,9 +35,9 @@ AdmissionDecision AdmissionController::decide(int tier,
                                               BrownoutLevel level) const {
   if (!opts_.enabled) return {true, 0.0, "open"};
   const double hint =
-      std::clamp(opts_.retryAfterFactor * backlogSec, opts_.retryAfterMinSec,
+      std::clamp(kRetryAfterFactor * backlogSec, opts_.retryAfterMinSec,
                  opts_.retryAfterMaxSec);
-  if (level == BrownoutLevel::kShed && tier < opts_.shedProtectTier) {
+  if (level == BrownoutLevel::kShed && tier < kShedProtectTier) {
     return {false, hint, "brownout-shed"};
   }
   if (tenantDepth >= opts_.maxQueuedPerTenant) {

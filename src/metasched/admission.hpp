@@ -19,15 +19,10 @@ struct AdmissionOptions {
   /// Reject when the queued work, at current estimated capacity, already
   /// represents more than this many seconds of backlog.
   double maxBacklogSec = 3600.0;
-  /// Retry-after hint: clamp(factor * backlogSec, min, max). Proportional
-  /// to the backlog so a deep queue pushes retries further out instead of
-  /// inviting a synchronized stampede the moment pressure dips.
-  double retryAfterFactor = 0.5;
+  /// Retry-after hint bounds: clamp(kRetryAfterFactor * backlogSec, min,
+  /// max) (admission.cpp).
   double retryAfterMinSec = 30.0;
   double retryAfterMaxSec = 1800.0;
-  /// Tiers >= this are admitted even at the kShed brownout rung (queue and
-  /// backlog bounds still apply — shedding never unbounds the queue).
-  int shedProtectTier = 2;
 };
 
 struct AdmissionDecision {

@@ -81,11 +81,6 @@ const char* brownoutLevelName(BrownoutLevel level);
 
 struct BrownoutOptions {
   bool enabled = true;
-  /// Pressure thresholds to enter rung i+1 from rung i...
-  double enterPressure[3] = {0.35, 0.65, 0.90};
-  /// ...and to drop back below rung i+1. exit < enter gives the hysteresis
-  /// band that keeps the ladder from flapping on a noisy pressure signal.
-  double exitPressure[3] = {0.25, 0.50, 0.75};
   /// Minimum dwell on a rung before the next transition (either way).
   double dwellSec = 120.0;
 };

@@ -130,12 +130,6 @@ double KernelModel::predictMisses(double n,
   return misses;
 }
 
-double KernelModel::predictMissRatio(double n,
-                                     const grid::CacheGeometry& cache) const {
-  const double acc = predictAccesses(n);
-  return acc > 0.0 ? predictMisses(n, cache) / acc : 0.0;
-}
-
 double KernelModel::predictSeconds(double n, const grid::NodeSpec& node) const {
   const double compute = predictFlops(n) / node.effectiveFlopsPerCpu();
   const double stall = predictMisses(n, node.cache) * node.cacheMissPenaltySec;

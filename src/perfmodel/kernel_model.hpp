@@ -53,9 +53,6 @@ class KernelModel {
   /// LRU approximation; capacity counted in 64 B model blocks).
   double predictMisses(double n, const grid::CacheGeometry& cache) const;
 
-  /// Predicted miss ratio (misses / accesses).
-  double predictMissRatio(double n, const grid::CacheGeometry& cache) const;
-
   double predictAccesses(double n) const;
 
   /// ecost: predicted execution time of the kernel at size n on one node —

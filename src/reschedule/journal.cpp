@@ -105,7 +105,6 @@ void ActionJournal::resolve(ActionRecord& r, ActionState state,
   GRADS_INFO("journal") << log::appAt(r.app, engine_->now()) << "action #"
                         << r.id << " " << actionStateName(state)
                         << (note.empty() ? "" : " (" + note + ")");
-  if (onResolve_) onResolve_(r);
   if (onTransition_) onTransition_(r);
 }
 

@@ -143,17 +143,10 @@ class ActionJournal : public core::Snapshottable {
   int committedFor(const std::string& app) const;
   int rolledBackFor(const std::string& app) const;
 
-  /// Called on every resolve (commit or rollback) with the final record —
-  /// fault-campaign drivers watch this to time mid-action injections.
-  void setOnResolve(std::function<void(const ActionRecord&)> fn) {
-    onResolve_ = std::move(fn);
-  }
-
   /// Called on *every* state transition (open, beginCommit, commit,
   /// rollback) with the record as it stands after the transition. The
   /// benchmark's crash-restart workload uses this to kill the control plane
-  /// at a journal transition; unlike setOnResolve it also sees opens and
-  /// commit-begins.
+  /// at a journal transition.
   void setOnTransition(std::function<void(const ActionRecord&)> fn) {
     onTransition_ = std::move(fn);
   }
@@ -177,7 +170,6 @@ class ActionJournal : public core::Snapshottable {
   int committed_ = 0;   // grads: transient(derived counter, rebuilt from records_ on decode)
   int rolledBack_ = 0;  // grads: transient(derived counter, rebuilt from records_ on decode)
   int recoveries_ = 0;
-  std::function<void(const ActionRecord&)> onResolve_;     // grads: transient(observer callback, re-registered by the owner)
   std::function<void(const ActionRecord&)> onTransition_;  // grads: transient(observer callback, re-registered by the owner)
 };
 

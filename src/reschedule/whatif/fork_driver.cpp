@@ -28,6 +28,8 @@ constexpr std::uint64_t kSeed = 0x5eedf0c5ULL;
 static_assert(ForkDriver::kMistrustDecay >= 0.0 &&
                   ForkDriver::kMistrustDecay <= 1.0,
               "ForkDriver: mistrust decay must be in [0,1]");
+static_assert(ForkDriver::kHorizonSec > 0.0,
+              "ForkDriver: non-positive horizon");
 }  // namespace
 
 const char* candidateKindName(CandidateKind kind) {
@@ -53,8 +55,6 @@ ForkDriver::ForkDriver(sim::Engine& engine, DriverOptions options)
     : engine_(&engine), opts_(options), rng_(kSeed) {
   GRADS_REQUIRE(opts_.budget.maxForks >= 0,
                 "ForkDriver: negative fork budget");
-  GRADS_REQUIRE(opts_.budget.horizonSec > 0.0,
-                "ForkDriver: non-positive horizon");
   GRADS_REQUIRE(opts_.budget.pessimisticFutures >= 0,
                 "ForkDriver: negative future count");
 }
@@ -178,7 +178,7 @@ ForkDriver::Decision ForkDriver::decide(const DecisionInput& in) {
       rq.current = in.current;
       rq.candidate = cand;
       rq.perturbation = fut;
-      rq.horizonSec = opts_.budget.horizonSec;
+      rq.horizonSec = kHorizonSec;
       rq.maxEvents = kMaxEventsPerFork;
       FutureScore fs;
       fs.perturbation = fut;
@@ -257,7 +257,7 @@ ForkDriver::Decision ForkDriver::decide(const DecisionInput& in) {
   Pending p;
   p.app = in.app;
   p.recordId = d.recordId;
-  p.expiresAt = engine_->now() + opts_.budget.horizonSec;
+  p.expiresAt = engine_->now() + kHorizonSec;
   p.predictedHarm = log_.back().predictedWorstHarm;
   p.nodes = chosen.kind == CandidateKind::kMigrate ? chosen.target : in.current;
   lastChosen_[in.app] = p.nodes;

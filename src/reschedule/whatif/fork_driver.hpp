@@ -103,7 +103,6 @@ using SnapshotSource = std::function<std::vector<std::uint8_t>()>;
 /// (events are the unit the engine actually spends).
 struct ForkBudget {
   int maxForks = 12;          ///< per decision, across candidates x futures
-  double horizonSec = 240.0;  ///< virtual look-ahead per fork
   int pessimisticFutures = 2; ///< per candidate, beyond the nominal future
 };
 
@@ -208,6 +207,7 @@ class ForkDriver : public core::Snapshottable {
   static constexpr double kMistrustBump = 1.0;
   static constexpr double kMistrustDecay = 0.5;
   static constexpr double kMistrustCooldownSec = 120.0;
+  static constexpr double kHorizonSec = 240.0;  ///< virtual look-ahead per fork
 
   ForkDriver(sim::Engine& engine, DriverOptions options);
 

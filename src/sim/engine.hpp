@@ -28,7 +28,7 @@ class Task;
 /// the inline buffer.
 ///
 /// Coroutine processes (sim::Task) are spawned onto the engine and interact
-/// with virtual time through awaitables (sleep, Event, Channel, PsResource).
+/// with virtual time through awaitables (sleep, Event, Gate, PsResource).
 class Engine {
  public:
   Engine();

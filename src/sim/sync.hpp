@@ -1,8 +1,6 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -51,67 +49,6 @@ class Event {
   Engine* engine_;
   bool set_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// Unbounded FIFO channel: the message-passing primitive underneath vmpi.
-template <typename T>
-class Channel {
- public:
-  explicit Channel(Engine& engine) : engine_(&engine) {}
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-
-  void send(T value) {
-    if (!waiters_.empty()) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
-      *w.slot = std::move(value);
-      engine_->scheduleResume(0.0, w.handle);
-    } else {
-      items_.push_back(std::move(value));
-    }
-  }
-
-  auto recv() {
-    struct Awaiter {
-      Channel* ch;
-      std::optional<T> value;
-      bool await_ready() {
-        if (!ch->items_.empty()) {
-          value = std::move(ch->items_.front());
-          ch->items_.pop_front();
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        ch->waiters_.push_back(Waiter{h, &value});
-      }
-      T await_resume() { return std::move(*value); }
-    };
-    return Awaiter{this, std::nullopt};
-  }
-
-  /// Non-blocking receive.
-  std::optional<T> tryRecv() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
-  }
-
-  std::size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-  std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::optional<T>* slot;
-  };
-  Engine* engine_;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
 };
 
 /// Level-triggered gate: await passes immediately while open, blocks while

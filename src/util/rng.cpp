@@ -88,17 +88,6 @@ double Rng::pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> p(n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = i;
-  for (std::size_t i = n; i > 1; --i) {
-    const auto j =
-        static_cast<std::size_t>(uniformInt(0, static_cast<std::int64_t>(i) - 1));
-    std::swap(p[i - 1], p[j]);
-  }
-  return p;
-}
-
 Rng Rng::split() { return Rng(next()); }
 
 RngState Rng::state() const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace grads {
 
@@ -42,9 +41,6 @@ class Rng {
   double exponential(double rate);
   /// Pareto-distributed heavy-tail sample with scale xm and shape alpha.
   double pareto(double xm, double alpha);
-
-  /// Fisher–Yates shuffle of indices [0, n).
-  std::vector<std::size_t> permutation(std::size_t n);
 
   /// Derives an independent stream (for per-component randomness).
   Rng split();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace grads::vmpi {
 
@@ -114,13 +113,9 @@ sim::Task World::send(int from, int to, double bytes, int tag,
   GRADS_REQUIRE(from >= 0 && from < size(), "World::send: bad source rank");
   GRADS_REQUIRE(to >= 0 && to < size(), "World::send: bad dest rank");
   GRADS_REQUIRE(bytes >= 0.0, "World::send: negative size");
-  const double start = engine().now();
   co_await grid_->transfer(nodeOf(from), nodeOf(to), bytes);
   bytesSent_ += bytes;
   ++messagesSent_;
-  if (profiler_ != nullptr) {
-    profiler_->onSend(from, to, bytes, start, engine().now());
-  }
   deliver(to, Message{from, tag, bytes, std::move(payload)});
 }
 
@@ -129,59 +124,14 @@ sim::Task World::recv(int rank, int src, int tag, Message* out) {
   GRADS_REQUIRE(out != nullptr, "World::recv: null output");
   Mailbox& box = mailbox(rank, tag);
   co_await RecvAwaiterImpl{&box, src, out};
-  if (profiler_ != nullptr) {
-    profiler_->onRecv(rank, out->src, out->bytes, engine().now());
-  }
-}
-
-World::Request World::isend(int from, int to, double bytes, int tag,
-                            std::any payload) {
-  Request req;
-  req.done_ = std::make_shared<sim::Event>(engine());
-  engine().spawn(
-      [](World* w, int from, int to, double bytes, int tag, std::any payload,
-         std::shared_ptr<sim::Event> done) -> sim::Task {
-        co_await w->send(from, to, bytes, tag, std::move(payload));
-        done->set();
-      }(this, from, to, bytes, tag, std::move(payload), req.done_),
-      "isend");
-  return req;
-}
-
-World::Request World::irecv(int rank, int src, int tag, Message* out) {
-  GRADS_REQUIRE(out != nullptr, "World::irecv: null output");
-  Request req;
-  req.done_ = std::make_shared<sim::Event>(engine());
-  engine().spawn(
-      [](World* w, int rank, int src, int tag, Message* out,
-         std::shared_ptr<sim::Event> done) -> sim::Task {
-        co_await w->recv(rank, src, tag, out);
-        done->set();
-      }(this, rank, src, tag, out, req.done_),
-      "irecv");
-  return req;
-}
-
-sim::Task World::wait(Request request) {
-  GRADS_REQUIRE(request.valid(), "World::wait: invalid request");
-  co_await request.done_->wait();
-}
-
-sim::Task World::waitAll(std::vector<Request> requests) {
-  for (auto& r : requests) co_await wait(r);
 }
 
 sim::Task World::compute(int rank, double flops) {
-  const double start = engine().now();
   co_await grid_->node(nodeOf(rank)).compute(flops);
-  if (profiler_ != nullptr) {
-    profiler_->onCompute(rank, flops, start, engine().now());
-  }
 }
 
 sim::Task World::barrier(int rank) {
   GRADS_REQUIRE(rank >= 0 && rank < size(), "World::barrier: bad rank");
-  const double start = engine().now();
   const std::uint64_t gen = barrierGeneration_;
   auto it = barrierEvents_.find(gen);
   if (it == barrierEvents_.end()) {
@@ -198,13 +148,9 @@ sim::Task World::barrier(int rank) {
   } else {
     co_await ev->wait();
   }
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("barrier", rank, 0.0, start, engine().now());
-  }
 }
 
 sim::Task World::bcast(int rank, int root, double bytes) {
-  const double start = engine().now();
   const int p = size();
   const int vr = vrank(rank, root);
   // MPICH-style binomial tree.
@@ -226,14 +172,10 @@ sim::Task World::bcast(int rank, int root, double bytes) {
     }
     mask >>= 1;
   }
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("bcast", rank, bytes, start, engine().now());
-  }
 }
 
 sim::Task World::allreduce(int rank, double bytes, double contribution,
                            double* reduced) {
-  const double start = engine().now();
   const int p = size();
   double value = contribution;
   // Binomial reduce to rank 0 (max-combine), then binomial bcast back.
@@ -273,30 +215,9 @@ sim::Task World::allreduce(int rank, double bytes, double contribution,
     mask >>= 1;
   }
   if (reduced != nullptr) *reduced = value;
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("allreduce", rank, bytes, start, engine().now());
-  }
-}
-
-sim::Task World::gather(int rank, int root, double bytesPerRank) {
-  const double start = engine().now();
-  if (rank == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      Message m;
-      co_await recv(rank, r, tags::kGather, &m);
-    }
-  } else {
-    co_await send(rank, root, bytesPerRank, tags::kGather);
-  }
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("gather", rank, bytesPerRank, start,
-                            engine().now());
-  }
 }
 
 sim::Task World::allgather(int rank, double bytesPerRank) {
-  const double start = engine().now();
   const int p = size();
   // Ring: in step s every rank forwards the block it received in step s−1
   // to its right neighbour; after p−1 steps everyone holds every block.
@@ -306,58 +227,6 @@ sim::Task World::allgather(int rank, double bytesPerRank) {
     co_await send(rank, right, bytesPerRank, tags::kAllgather);
     Message m;
     co_await recv(rank, left, tags::kAllgather, &m);
-  }
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("allgather", rank, bytesPerRank, start,
-                            engine().now());
-  }
-}
-
-sim::Task World::alltoall(int rank, double bytesPerPair) {
-  const double start = engine().now();
-  const int p = size();
-  // Linear personalized exchange; sends are buffered in mailboxes, so the
-  // send-all-then-receive-all order cannot deadlock here.
-  for (int offset = 1; offset < p; ++offset) {
-    const int dst = (rank + offset) % p;
-    co_await send(rank, dst, bytesPerPair, tags::kAlltoall);
-  }
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank - offset + p) % p;
-    Message m;
-    co_await recv(rank, src, tags::kAlltoall, &m);
-  }
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("alltoall", rank, bytesPerPair, start,
-                            engine().now());
-  }
-}
-
-sim::Task World::reduceScatter(int rank, double bytesPerRank) {
-  const double start = engine().now();
-  // Reduce the whole vector to rank 0, then scatter the per-rank pieces.
-  co_await allreduce(rank, bytesPerRank * static_cast<double>(size()));
-  co_await scatter(rank, 0, bytesPerRank);
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("reduce-scatter", rank, bytesPerRank, start,
-                            engine().now());
-  }
-}
-
-sim::Task World::scatter(int rank, int root, double bytesPerRank) {
-  const double start = engine().now();
-  if (rank == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      co_await send(rank, r, bytesPerRank, tags::kScatter);
-    }
-  } else {
-    Message m;
-    co_await recv(rank, root, tags::kScatter, &m);
-  }
-  if (profiler_ != nullptr) {
-    profiler_->onCollective("scatter", rank, bytesPerRank, start,
-                            engine().now());
   }
 }
 

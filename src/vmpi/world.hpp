@@ -28,20 +28,6 @@ struct Message {
   std::any payload;
 };
 
-/// PMPI-style profiling seam: the Autopilot binder inserts sensors here
-/// ("captured via PAPI and the MPI profiling interface with automatically-
-/// inserted sensors", paper §5).
-class CommProfiler {
- public:
-  virtual ~CommProfiler() = default;
-  virtual void onSend(int from, int to, double bytes, double start,
-                      double end) = 0;
-  virtual void onRecv(int rank, int src, double bytes, double time) = 0;
-  virtual void onCollective(const std::string& op, int rank, double bytes,
-                            double start, double end) = 0;
-  virtual void onCompute(int rank, double flops, double start, double end) = 0;
-};
-
 /// Virtual MPI communicator: a set of ranks mapped onto grid nodes.
 ///
 /// The rank→node mapping is *mutable* (setNodeOf): the process-swapping
@@ -78,35 +64,11 @@ class World {
   std::size_t retargetsCommitted() const { return retargetsCommitted_; }
   std::size_t retargetsAborted() const { return retargetsAborted_; }
 
-  void setProfiler(CommProfiler* profiler) { profiler_ = profiler; }
-
   /// Point-to-point send: pays the network cost, then delivers.
   sim::Task send(int from, int to, double bytes, int tag = 0,
                  std::any payload = {});
   /// Blocks until a message from `src` (or kAnySource) with `tag` arrives.
   sim::Task recv(int rank, int src, int tag, Message* out);
-
-  /// Non-blocking completion handle (MPI_Request); await with wait().
-  class Request {
-   public:
-    Request() = default;
-    bool valid() const { return static_cast<bool>(done_); }
-    bool complete() const { return done_ && done_->isSet(); }
-
-   private:
-    friend class World;
-    std::shared_ptr<sim::Event> done_;
-  };
-
-  /// Starts a send in the background; the caller keeps computing.
-  Request isend(int from, int to, double bytes, int tag = 0,
-                std::any payload = {});
-  /// Posts a receive in the background into *out (out must stay alive).
-  Request irecv(int rank, int src, int tag, Message* out);
-  /// Suspends until the request completes (MPI_Wait).
-  sim::Task wait(Request request);
-  /// Suspends until every request completes (MPI_Waitall).
-  sim::Task waitAll(std::vector<Request> requests);
 
   /// Runs `flops` of computation on the rank's current node.
   sim::Task compute(int rank, double flops);
@@ -118,14 +80,8 @@ class World {
   /// combines a per-rank double contribution with max().
   sim::Task allreduce(int rank, double bytes, double contribution = 0.0,
                       double* reduced = nullptr);
-  sim::Task gather(int rank, int root, double bytesPerRank);
-  sim::Task scatter(int rank, int root, double bytesPerRank);
   /// Ring allgather: p−1 steps, each shipping one rank's block around.
   sim::Task allgather(int rank, double bytesPerRank);
-  /// Linear all-to-all personalized exchange (`bytesPerPair` to each peer).
-  sim::Task alltoall(int rank, double bytesPerPair);
-  /// Reduce-scatter built from the binomial reduce plus a scatter.
-  sim::Task reduceScatter(int rank, double bytesPerRank);
 
   /// Totals for tests/sensors.
   double bytesSent() const { return bytesSent_; }
@@ -133,8 +89,8 @@ class World {
 
   /// Snapshot support (DESIGN.md, snapshot/restore invariants): encodes the
   /// *logical* communicator state — the rank→node mapping, any staged
-  /// retargets, the retarget tallies, and the traffic totals. Mailboxes,
-  /// in-flight requests, and barrier bookkeeping are deliberately excluded:
+  /// retargets, the retarget tallies, and the traffic totals. Mailboxes and
+  /// barrier bookkeeping are deliberately excluded:
   /// snapshots are taken at quiescent boundaries where no message is in
   /// flight, and a restored application rebuilds its World at relaunch and
   /// adopts this state onto it.
@@ -180,8 +136,6 @@ class World {
   grid::Grid* grid_;  // grads: transient(wiring, re-bound at construction)
   std::vector<grid::NodeId> nodes_;
   std::string name_;  // grads: transient(construction-time config)
-  // grads: transient(observer hook, re-attached by the application)
-  CommProfiler* profiler_ = nullptr;
   // grads: transient(in-flight messages, none at a quiescent boundary)
   std::map<MailboxKey, Mailbox> boxes_;
   std::map<int, grid::NodeId> stagedRetargets_;
@@ -204,10 +158,7 @@ class World {
 namespace tags {
 inline constexpr int kBcast = 1000000;
 inline constexpr int kReduce = 1000001;
-inline constexpr int kGather = 1000002;
-inline constexpr int kScatter = 1000003;
 inline constexpr int kAllgather = 1000004;
-inline constexpr int kAlltoall = 1000005;
 inline constexpr int kAllreduceBase = 2000000;  // + round number
 }  // namespace tags
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace grads::workflow {
 
@@ -11,6 +12,13 @@ namespace {
 constexpr double kInitialTempFraction = 0.2;
 /// Restart from the best-so-far state when stuck this many rejections.
 constexpr int kRestartAfterRejections = 400;
+/// Geometric cooling: the temperature is multiplied by this every iteration.
+constexpr double kCoolingRate = 0.998;
+/// Seed of the perturbation and acceptance stream.
+constexpr std::uint64_t kSeed = 1;
+
+static_assert(kCoolingRate > 0.0 && kCoolingRate < 1.0,
+              "annealing: cooling rate must be in (0,1)");
 }  // namespace
 
 Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
@@ -18,8 +26,6 @@ Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
                                     AnnealingOptions options,
                                     AnnealingStats* stats) {
   GRADS_REQUIRE(options.iterations >= 0, "annealing: negative iterations");
-  GRADS_REQUIRE(options.coolingRate > 0.0 && options.coolingRate < 1.0,
-                "annealing: cooling rate must be in (0,1)");
 
   // Eligible resources per component (rank = ∞ placements are never legal).
   std::vector<std::vector<grid::NodeId>> eligible(dag.size());
@@ -46,7 +52,7 @@ Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
   AnnealingStats st;
   st.initialMakespan = cost;
 
-  Rng rng(options.seed);
+  Rng rng(kSeed);
   double temperature = cost * kInitialTempFraction;
   int rejectionStreak = 0;
 
@@ -90,7 +96,7 @@ Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
         rejectionStreak = 0;
       }
     }
-    temperature *= options.coolingRate;
+    temperature *= kCoolingRate;
   }
 
   Schedule out = evaluateMapping(dag, estimator, best);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "util/rng.hpp"
 #include "workflow/scheduler.hpp"
 
 namespace grads::workflow {
@@ -15,8 +14,6 @@ namespace grads::workflow {
 /// schedule.
 struct AnnealingOptions {
   int iterations = 4000;
-  double coolingRate = 0.998;
-  std::uint64_t seed = 1;
 };
 
 struct AnnealingStats {

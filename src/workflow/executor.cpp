@@ -41,9 +41,8 @@ struct WorkflowExecutor::RunState {
 };
 
 WorkflowExecutor::WorkflowExecutor(grid::Grid& grid, const services::Gis& gis,
-                                   const services::Nws* nws,
-                                   autopilot::AutopilotManager* autopilot)
-    : grid_(&grid), gis_(&gis), nws_(nws), autopilot_(autopilot) {}
+                                   const services::Nws* nws)
+    : grid_(&grid), gis_(&gis), nws_(nws) {}
 
 sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
                                          RunState& state) {
@@ -140,9 +139,6 @@ sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
   co_await grid_->node(node).compute(flops);
 
   run.finish = grid_->engine().now();
-  if (autopilot_ != nullptr && !state.options.sensorChannel.empty()) {
-    autopilot_->report(state.options.sensorChannel, run.finish - run.start);
-  }
   state.done[c]->set();
 }
 

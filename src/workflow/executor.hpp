@@ -1,6 +1,5 @@
 #pragma once
 
-#include "autopilot/sensor.hpp"
 #include "services/gis.hpp"
 #include "services/nws.hpp"
 #include "sim/sync.hpp"
@@ -17,8 +16,6 @@ struct ExecutionOptions {
   /// information, and adopt the new placements.
   bool reschedule = false;
   double rescheduleCheckSec = 30.0;
-  /// Autopilot channel for per-component completion sensors ("" = off).
-  std::string sensorChannel;
 
   /// Degraded-mode execution: re-check that a component's target node is
   /// actually reachable at launch time (the GIS directory may be stale) and
@@ -56,8 +53,7 @@ struct ExecutionResult {
 class WorkflowExecutor {
  public:
   WorkflowExecutor(grid::Grid& grid, const services::Gis& gis,
-                   const services::Nws* nws,
-                   autopilot::AutopilotManager* autopilot = nullptr);
+                   const services::Nws* nws);
 
   /// Runs the whole workflow; resolves when the last component finishes.
   sim::Task execute(const Dag& dag, ExecutionOptions options,
@@ -75,7 +71,6 @@ class WorkflowExecutor {
   grid::Grid* grid_;
   const services::Gis* gis_;
   const services::Nws* nws_;
-  autopilot::AutopilotManager* autopilot_;
 };
 
 }  // namespace grads::workflow

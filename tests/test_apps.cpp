@@ -17,7 +17,6 @@ namespace {
 TEST(QrMath, PanelFlopsSumToQrTotal) {
   QrConfig cfg;
   cfg.n = 4000;
-  cfg.panel = 50;
   double total = 0.0;
   for (std::size_t k = 0; k < qrPanelCount(cfg); ++k) {
     total += qrPanelFlops(cfg, k);
@@ -204,17 +203,6 @@ TEST(Eman, AllComponentsRequireEmanSoftware) {
   }
 }
 
-TEST(Eman, Ia64ConstraintPropagatesToClassifiers) {
-  EmanConfig cfg;
-  cfg.classesOnIa64 = true;
-  const auto dag = buildEmanRefinementDag(cfg);
-  int constrained = 0;
-  for (workflow::ComponentId c = 0; c < dag.size(); ++c) {
-    if (dag.component(c).requiredArch == grid::Arch::kIA64) ++constrained;
-  }
-  EXPECT_EQ(constrained, cfg.parallelism);
-}
-
 TEST(Eman, SchedulesOntoHeterogeneousTestbed) {
   // §3.3: the workflow scheduler + binder heterogeneity let EMAN use both
   // IA-32 and IA-64 machines.
@@ -242,6 +230,8 @@ TEST(Eman, SchedulesOntoHeterogeneousTestbed) {
 }
 
 TEST(Eman, Ia64ConstraintPinsClassifiersToIa64) {
+  // The SC2003 demo split EMAN across IA-32 and IA-64 machines, with the
+  // heavy classification stage required to run on IA-64 nodes.
   sim::Engine eng;
   grid::Grid g(eng);
   grid::buildEmanTestbed(g);
@@ -249,8 +239,16 @@ TEST(Eman, Ia64ConstraintPinsClassifiersToIa64) {
   gis.installEverywhere("eman");
   workflow::GridEstimator truth(gis, nullptr);
   EmanConfig cfg;
-  cfg.classesOnIa64 = true;
-  const auto dag = buildEmanRefinementDag(cfg);
+  auto dag = buildEmanRefinementDag(cfg);
+  int constrained = 0;
+  for (workflow::ComponentId c = 0; c < dag.size(); ++c) {
+    workflow::Component& comp = dag.component(c);
+    if (comp.name.rfind("classesbymra", 0) == 0) {
+      comp.requiredArch = grid::Arch::kIA64;
+      ++constrained;
+    }
+  }
+  ASSERT_EQ(constrained, cfg.parallelism);
   workflow::WorkflowScheduler ws(truth, g.allNodes());
   const auto s = ws.schedule(dag, workflow::Heuristic::kMinMin);
   for (workflow::ComponentId c = 0; c < dag.size(); ++c) {

@@ -3,66 +3,11 @@
 #include <sstream>
 
 #include "autopilot/contract.hpp"
-#include "autopilot/fuzzy.hpp"
 #include "autopilot/sensor.hpp"
 #include "autopilot/viewer.hpp"
-#include "util/error.hpp"
 
 namespace grads::autopilot {
 namespace {
-
-TEST(TriangularMf, GradesCorrectly) {
-  TriangularMf mf{0.0, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(mf.grade(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(mf.grade(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(mf.grade(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(mf.grade(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(mf.grade(1.5), 0.5);
-  EXPECT_DOUBLE_EQ(mf.grade(2.5), 0.0);
-}
-
-TEST(TriangularMf, ShoulderShapes) {
-  // Left shoulder: a == b.
-  TriangularMf left{0.0, 0.0, 1.0};
-  EXPECT_DOUBLE_EQ(left.grade(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(left.grade(0.5), 0.5);
-  // Right shoulder: b == c.
-  TriangularMf right{1.0, 2.0, 2.0};
-  EXPECT_DOUBLE_EQ(right.grade(2.0), 1.0);
-  EXPECT_DOUBLE_EQ(right.grade(1.5), 0.5);
-}
-
-TEST(FuzzyEngine, ValidatesRules) {
-  FuzzyVariable in{"x", 0.0, 1.0, {{"low", {0.0, 0.0, 1.0}}}};
-  FuzzyVariable out{"y", 0.0, 1.0, {{"high", {0.0, 1.0, 1.0}}}};
-  EXPECT_THROW(FuzzyEngine({in}, out, {{{"nope"}, "high"}}), InvalidArgument);
-  EXPECT_THROW(FuzzyEngine({in}, out, {{{"low"}, "nope"}}), InvalidArgument);
-  EXPECT_THROW(FuzzyEngine({in}, out, {{{"low", "low"}, "high"}}),
-               InvalidArgument);
-}
-
-TEST(ContractFuzzy, NominalRatioMeansNoAction) {
-  const auto fis = makeContractFuzzyEngine();
-  EXPECT_LT(fis.infer({1.0, 0.0}), 0.5);
-}
-
-TEST(ContractFuzzy, VerySlowTriggersReschedule) {
-  const auto fis = makeContractFuzzyEngine();
-  EXPECT_GE(fis.infer({3.0, 0.0}), 0.5);
-}
-
-TEST(ContractFuzzy, SlowAndDegradingTriggers) {
-  const auto fis = makeContractFuzzyEngine();
-  EXPECT_GE(fis.infer({1.8, 0.5}), 0.5);
-}
-
-TEST(ContractFuzzy, SlowButImprovingWatches) {
-  const auto fis = makeContractFuzzyEngine();
-  const double improving = fis.infer({1.8, -0.8});
-  const double degrading = fis.infer({1.8, 0.8});
-  EXPECT_LT(improving, degrading);
-  EXPECT_LT(improving, 0.55);
-}
 
 TEST(Autopilot, ReportReachesListeners) {
   sim::Engine eng;
@@ -98,13 +43,11 @@ TEST(Autopilot, HistoryStampsVirtualTime) {
   EXPECT_TRUE(mgr.history("unknown").empty());
 }
 
-ContractMonitor makeMonitor(sim::Engine& eng, double predicted = 10.0,
-                            ContractMonitor::Options opts = {}) {
+ContractMonitor makeMonitor(sim::Engine& eng, double predicted = 10.0) {
   return ContractMonitor(
       eng, PerformanceContract("qr", [predicted](std::size_t) {
         return predicted;
-      }),
-      opts);
+      }));
 }
 
 TEST(ContractMonitor, NoViolationWithinTolerance) {
@@ -185,20 +128,6 @@ TEST(ContractMonitor, DisabledMonitorIgnoresReports) {
   EXPECT_EQ(mon.phasesSeen(), 0u);
 }
 
-TEST(ContractMonitor, FuzzyModeTriggersOnSustainedSlowdown) {
-  sim::Engine eng;
-  ContractMonitor::Options opts;
-  opts.mode = DecisionMode::kFuzzy;
-  auto mon = makeMonitor(eng, 10.0, opts);
-  int requests = 0;
-  mon.setRescheduleRequest([&](const ViolationReport&) {
-    ++requests;
-    return RescheduleOutcome::kMigrated;
-  });
-  for (int i = 0; i < 6; ++i) mon.onPhaseTime(28.0);
-  EXPECT_GE(requests, 1);
-}
-
 TEST(ContractMonitor, AttachToManagerEndToEnd) {
   sim::Engine eng;
   AutopilotManager mgr(eng);
@@ -225,16 +154,6 @@ TEST(ContractMonitor, UpdateTermsResetsExpectations) {
   mon.contract().updateTerms([](std::size_t) { return 25.0; });
   for (int i = 0; i < 10; ++i) mon.onPhaseTime(25.0);
   EXPECT_EQ(requests, 0);
-}
-
-TEST(ContractMonitor, RejectsBadOptions) {
-  sim::Engine eng;
-  ContractMonitor::Options bad;
-  bad.upperTolerance = 0.9;
-  EXPECT_THROW(makeMonitor(eng, 10.0, bad), InvalidArgument);
-  bad = {};
-  bad.lowerTolerance = 1.2;
-  EXPECT_THROW(makeMonitor(eng, 10.0, bad), InvalidArgument);
 }
 
 TEST(ContractViewer, RecordsPhasesAndViolations) {

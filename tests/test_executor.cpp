@@ -161,19 +161,6 @@ TEST(Executor, ReschedulingTickEndsWithTheWorkflow) {
             f.nws->samplesTaken() - samples);
 }
 
-TEST(Executor, SensorsReportComponentTimes) {
-  Fixture f;
-  autopilot::AutopilotManager autopilot(f.eng);
-  WorkflowExecutor exec(f.g, *f.gis, f.nws.get(), &autopilot);
-  const auto dag = makeChain(3, 1e10, kMB);
-  ExecutionOptions opts;
-  opts.sensorChannel = "wf.component-time";
-  ExecutionResult result;
-  f.eng.spawn(exec.execute(dag, opts, &result), "wf");
-  f.eng.run();
-  EXPECT_EQ(autopilot.history("wf.component-time").size(), 3u);
-}
-
 TEST(Executor, EmptyDagRejected) {
   Fixture f;
   Dag dag;

@@ -118,14 +118,14 @@ TEST(FlowModel, EstimateNowAgreesWithContendedActual) {
   double longDone = -1.0;
   double probeDone = -1.0;
   double estimate = -1.0;
-  // A long flow owns the pipe; mid-flight we estimate and then launch a
-  // second flow. The estimate must predict the contended (half-share)
-  // completion, not the uncontended one.
+  // A long flow owns the pipe; mid-flight we estimate from the WAN's
+  // available bandwidth and then launch a second flow. The estimate must
+  // predict the contended (half-share) completion, not the uncontended one.
   f.eng.spawn(xfer(&f.g, f.tb.utkNodes[0], f.tb.uiucNodes[0], 24.0 * kMB,
                    TransferClass::kInteractive, &longDone));
   f.eng.schedule(1.0, [&] {
-    estimate =
-        f.g.transferEstimateNow(f.tb.utkNodes[1], f.tb.uiucNodes[1], 1.2 * kMB);
+    estimate = f.wanRouteLatency() +
+               1.2 * kMB / f.g.link(f.wan()).availableBandwidth();
     f.eng.spawn(xfer(&f.g, f.tb.utkNodes[1], f.tb.uiucNodes[1], 1.2 * kMB,
                      TransferClass::kInteractive, &probeDone));
   });

@@ -92,21 +92,19 @@ TEST(Journal, RecoveryScanFindsOnlyUnresolvedActions) {
   EXPECT_EQ(j.inFlight(), 1);
 }
 
-TEST(Journal, OnResolveFiresForCommitAndRollback) {
+TEST(Journal, OnTransitionFiresOnEveryTransition) {
   sim::Engine eng;
   ActionJournal j(eng);
-  int resolves = 0;
-  ActionState last = ActionState::kPrepared;
-  j.setOnResolve([&](const ActionRecord& r) {
-    ++resolves;
-    last = r.state;
-  });
-  j.commit(j.open("a", ActionKind::kMigrate, {1}));
-  EXPECT_EQ(resolves, 1);
-  EXPECT_EQ(last, ActionState::kCommitted);
+  std::vector<ActionState> seen;
+  j.setOnTransition([&](const ActionRecord& r) { seen.push_back(r.state); });
+  const int a = j.open("a", ActionKind::kMigrate, {1});
+  j.beginCommit(a);
+  j.commit(a);
   j.rollback(j.open("a", ActionKind::kMigrate, {1}), "fault");
-  EXPECT_EQ(resolves, 2);
-  EXPECT_EQ(last, ActionState::kRolledBack);
+  EXPECT_EQ(seen, (std::vector<ActionState>{
+                      ActionState::kPrepared, ActionState::kCommitting,
+                      ActionState::kCommitted, ActionState::kPrepared,
+                      ActionState::kRolledBack}));
 }
 
 // ---------------------------------------------------------------------------

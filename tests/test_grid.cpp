@@ -134,20 +134,19 @@ TEST(Grid, IntraClusterTransferPinnedToLatencyPlusBytesOverBw) {
                    lan.latencySec + kMB / lan.perFlowCapBytesPerSec);
 }
 
-TEST(Grid, TransferEstimateNowClampsToPerFlowCap) {
+TEST(Grid, TransferEstimateClampsToPerFlowCap) {
   sim::Engine eng;
   Grid g(eng);
   const auto tb = buildQrTestbed(g);
   // The switched LAN backplane is 25 MB/s but any single flow is capped at
-  // wire speed (12.5 MB/s); the estimate must quote the capped rate.
-  const LinkSpec& lan = g.link(g.cluster(tb.utk).lan).spec();
-  ASSERT_GT(lan.bandwidthBytesPerSec, lan.perFlowCapBytesPerSec);
-  EXPECT_DOUBLE_EQ(g.transferEstimateNow(tb.utkNodes[0], tb.utkNodes[1], kMB),
-                   lan.latencySec + kMB / lan.perFlowCapBytesPerSec);
-  // On an idle route the live estimate agrees exactly with the static one.
-  EXPECT_DOUBLE_EQ(
-      g.transferEstimateNow(tb.utkNodes[0], tb.uiucNodes[0], kMB),
-      g.transferEstimate(tb.utkNodes[0], tb.uiucNodes[0], kMB));
+  // wire speed (12.5 MB/s); the estimate and the idle LAN's live bandwidth
+  // must both quote the capped rate.
+  const Link& lan = g.link(g.cluster(tb.utk).lan);
+  const double cap = lan.spec().perFlowCapBytesPerSec;
+  ASSERT_GT(lan.spec().bandwidthBytesPerSec, cap);
+  EXPECT_DOUBLE_EQ(g.transferEstimate(tb.utkNodes[0], tb.utkNodes[1], kMB),
+                   lan.spec().latencySec + kMB / cap);
+  EXPECT_DOUBLE_EQ(lan.availableBandwidth(), cap);
 }
 
 TEST(Grid, TransferEstimateUsesBottleneck) {

@@ -105,17 +105,6 @@ TEST(ReuseHistogram, QuantileMonotone) {
   EXPECT_LE(h.quantile(0.5), h.quantile(0.9));
 }
 
-TEST(ReuseHistogram, MergeAddsCounts) {
-  ReuseHistogram a;
-  ReuseHistogram b;
-  a.add(4);
-  a.add(kColdMiss);
-  b.add(100);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.coldMisses(), 1u);
-}
-
 TEST(LruCache, HitsOnImmediateReuse) {
   LruCacheSim c(4, 4);
   EXPECT_FALSE(c.access(1));

@@ -33,12 +33,6 @@ namespace {
 
 metasched::BrownoutOptions ladderOpts() {
   metasched::BrownoutOptions o;
-  o.enterPressure[0] = 0.3;
-  o.enterPressure[1] = 0.6;
-  o.enterPressure[2] = 0.9;
-  o.exitPressure[0] = 0.2;
-  o.exitPressure[1] = 0.5;
-  o.exitPressure[2] = 0.8;
   o.dwellSec = 10.0;
   return o;
 }
@@ -67,10 +61,10 @@ TEST(Brownout, DwellBlocksImmediateTransitions) {
 
 TEST(Brownout, HysteresisBandHoldsTheRung) {
   metasched::BrownoutController c(ladderOpts());
-  EXPECT_TRUE(c.update(0.4, 0.0));  // above enter[0]
-  // Pressure between exit[0]=0.2 and enter[1]=0.6: neither direction moves.
-  EXPECT_FALSE(c.update(0.25, 20.0));
-  EXPECT_FALSE(c.update(0.55, 40.0));
+  EXPECT_TRUE(c.update(0.4, 0.0));  // above enter[0]=0.35
+  // Pressure between exit[0]=0.25 and enter[1]=0.65: neither direction moves.
+  EXPECT_FALSE(c.update(0.3, 20.0));
+  EXPECT_FALSE(c.update(0.6, 40.0));
   EXPECT_EQ(c.level(), metasched::BrownoutLevel::kDeferLow);
   EXPECT_TRUE(c.update(0.1, 60.0));  // below exit[0]: de-escalate
   EXPECT_EQ(c.level(), metasched::BrownoutLevel::kFull);
@@ -150,7 +144,6 @@ TEST(Admission, QueueAndBacklogBoundsShedWithHints) {
   o.maxQueuedPerTenant = 4;
   o.maxQueuedTotal = 10;
   o.maxBacklogSec = 100.0;
-  o.retryAfterFactor = 0.5;
   o.retryAfterMinSec = 30.0;
   o.retryAfterMaxSec = 200.0;
   metasched::AdmissionController c(rig.g, *rig.gis, nullptr, rig.slots, o);
@@ -168,7 +161,7 @@ TEST(Admission, QueueAndBacklogBoundsShedWithHints) {
       c.decide(0, 1, 1, 150.0, metasched::BrownoutLevel::kFull);
   EXPECT_FALSE(backlog.admit);
   EXPECT_STREQ(backlog.reason, "backlog");
-  // Hint = clamp(factor * backlog, min, max).
+  // Hint = clamp(0.5 * backlog, min, max).
   EXPECT_DOUBLE_EQ(backlog.retryAfterSec, 75.0);
   EXPECT_DOUBLE_EQ(tenantFull.retryAfterSec, 30.0);   // clamped up
   const auto huge = c.decide(0, 4, 5, 1e6, metasched::BrownoutLevel::kFull);
@@ -178,7 +171,6 @@ TEST(Admission, QueueAndBacklogBoundsShedWithHints) {
 TEST(Admission, ShedRungProtectsHighTier) {
   AdmissionRig rig(2);
   metasched::AdmissionOptions o;
-  o.shedProtectTier = 2;
   metasched::AdmissionController c(rig.g, *rig.gis, nullptr, rig.slots, o);
   EXPECT_FALSE(c.decide(0, 0, 0, 0.0, metasched::BrownoutLevel::kShed).admit);
   EXPECT_FALSE(c.decide(1, 0, 0, 0.0, metasched::BrownoutLevel::kShed).admit);

@@ -89,9 +89,9 @@ TEST(KernelModel, MissRatioBetweenZeroAndOne) {
   const auto m = trainMatmulModel();
   grid::CacheGeometry c{256 * 1024, 64, 8};
   for (double n : {64.0, 128.0, 512.0}) {
-    const double r = m.predictMissRatio(n, c);
-    EXPECT_GE(r, 0.0);
-    EXPECT_LE(r, 1.0);
+    const double misses = m.predictMisses(n, c);
+    EXPECT_GE(misses, 0.0);
+    EXPECT_LE(misses, m.predictAccesses(n));
   }
 }
 

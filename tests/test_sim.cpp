@@ -185,49 +185,6 @@ TEST(Sync, EventResetRequiresNoWaiters) {
   EXPECT_FALSE(ev.isSet());
 }
 
-Task producer(Engine& eng, Channel<int>& ch, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await sleepFor(eng, 1.0);
-    ch.send(i);
-  }
-}
-
-Task consumer(Channel<int>& ch, int n, std::vector<int>* out) {
-  for (int i = 0; i < n; ++i) {
-    const int v = co_await ch.recv();
-    out->push_back(v);
-  }
-}
-
-TEST(Sync, ChannelDeliversInOrder) {
-  Engine eng;
-  Channel<int> ch(eng);
-  std::vector<int> got;
-  eng.spawn(consumer(ch, 5, &got));
-  eng.spawn(producer(eng, ch, 5));
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Sync, ChannelBuffersWhenNoReceiver) {
-  Engine eng;
-  Channel<int> ch(eng);
-  ch.send(10);
-  ch.send(11);
-  EXPECT_EQ(ch.size(), 2u);
-  EXPECT_EQ(ch.tryRecv(), std::optional<int>(10));
-  std::vector<int> got;
-  eng.spawn(consumer(ch, 1, &got));
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{11}));
-}
-
-TEST(Sync, TryRecvOnEmptyReturnsNullopt) {
-  Engine eng;
-  Channel<int> ch(eng);
-  EXPECT_EQ(ch.tryRecv(), std::nullopt);
-}
-
 Task gateWaiter(Gate& g, Engine& eng, double* t) {
   co_await g.wait();
   *t = eng.now();

@@ -161,20 +161,5 @@ TEST(PsResourceExtra, ManySimultaneousFinishers) {
   EXPECT_DOUBLE_EQ(eng.now(), 640.0 / 64.0);
 }
 
-TEST(ChannelExtra, InterleavedSendersPreserveFifoPerChannel) {
-  Engine eng;
-  Channel<int> ch(eng);
-  std::vector<int> got;
-  eng.spawn([](Channel<int>& ch, std::vector<int>* got) -> Task {
-    for (int i = 0; i < 6; ++i) got->push_back(co_await ch.recv());
-  }(ch, &got));
-  for (int i = 0; i < 6; ++i) {
-    eng.schedule(static_cast<double>(6 - i) * 0.0,  // same time, spawn order
-                 [&ch, i] { ch.send(i); });
-  }
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
 }  // namespace
 }  // namespace grads::sim

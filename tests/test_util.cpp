@@ -69,17 +69,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(acc.mean(), 2.0, 0.1);
 }
 
-TEST(Rng, PermutationIsPermutation) {
-  Rng r(5);
-  auto p = r.permutation(50);
-  std::vector<bool> seen(50, false);
-  for (auto i : p) {
-    ASSERT_LT(i, 50u);
-    EXPECT_FALSE(seen[i]);
-    seen[i] = true;
-  }
-}
-
 TEST(Rng, SplitStreamsAreIndependentlySeeded) {
   Rng a(42);
   Rng c = a.split();

@@ -28,7 +28,6 @@ struct DriverFixture {
 
   DriverFixture() {
     opts.budget.maxForks = 12;
-    opts.budget.horizonSec = 200.0;
     opts.budget.pessimisticFutures = 1;
   }
 
@@ -239,7 +238,7 @@ TEST(ForkDriver, CleanHorizonDecaysMistrust) {
   // horizon): the expiry settles first and decays the nodes' mistrust.
   f.eng.runUntil(100.0);
   (void)drv.decide(DriverFixture::migrateInput());
-  drv.noteViolation("qr", 100.0 + f.opts.budget.horizonSec + 1.0);
+  drv.noteViolation("qr", 100.0 + ForkDriver::kHorizonSec + 1.0);
   EXPECT_DOUBLE_EQ(drv.mistrustOf(5), bumped * ForkDriver::kMistrustDecay);
   EXPECT_EQ(drv.stats().divergences, 1);  // no new divergence charged
 }
