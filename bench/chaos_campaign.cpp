@@ -202,9 +202,8 @@ bool report(util::Table& table, const char* app, Scenario run,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli, "chaos_campaign")) return 2;
+int main(int argc, char**) {
+  if (!bench::noArguments(argc, "chaos_campaign")) return 2;
   std::ofstream csv =
       bench::openOutput(bench::outputPath("chaos_campaign.csv"));
   const std::vector<std::uint64_t> seeds = {11, 22, 33, 44, 55};

@@ -29,13 +29,13 @@
 //         identically.
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_cli.hpp"
 #include "bench_paths.hpp"
 #include "core/snapshot.hpp"
 #include "scenarios.hpp"
@@ -126,10 +126,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char**) {
-  if (argc != 1) {
-    std::fprintf(stderr, "usage: crash_sweep (takes no options)\n");
-    return 2;
-  }
+  if (!bench::noArguments(argc, "crash_sweep")) return 2;
   const std::string csvPath = bench::outputPath("crash_sweep.csv");
   std::ofstream csv = bench::openOutput(csvPath);
   std::cout << "crash-restart sweep: for every snapshot image, kill a fresh "

@@ -22,13 +22,13 @@
 //        1 = divergence or pin mismatch (prints offender).
 
 #include <cstdint>
-#include <cstdio>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string_view>
 #include <vector>
 
+#include "bench_cli.hpp"
 #include "grid/testbeds.hpp"
 #include "scenarios.hpp"
 #include "services/gis.hpp"
@@ -212,10 +212,7 @@ std::uint64_t probeScenario(const bench::Scenario& sc) {
 }  // namespace
 
 int main(int argc, char**) {
-  if (argc != 1) {
-    std::fprintf(stderr, "usage: determinism_probe (takes no options)\n");
-    return 2;
-  }
+  if (!bench::noArguments(argc, "determinism_probe")) return 2;
 
   std::cout << "replay-divergence oracle: each scenario runs twice with a "
                "fresh engine;\ndigests must match bit-for-bit.\n\n";

@@ -6,6 +6,7 @@
 // the paper actually used, and DAGMan-style / random / round-robin
 // baselines that lack performance models.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
@@ -18,6 +19,7 @@
 using namespace grads;
 
 int main() {
+  std::ofstream csv = bench::openOutput(bench::outputPath("eman_workflow.csv"));
   sim::Engine eng;
   grid::Grid g(eng);
   const auto tb = grid::buildEmanTestbed(g);
@@ -68,7 +70,7 @@ int main() {
   table.print(std::cout,
               "§3.3 — EMAN refinement workflow on the heterogeneous "
               "(IA-32 + IA-64) testbed");
-  table.saveCsv(bench::outputPath("eman_workflow.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nPaper's qualitative result: the GrADS workflow scheduler "
                "(best-of-three over min-min/max-min/sufferage, guided by "

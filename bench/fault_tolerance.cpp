@@ -5,6 +5,7 @@
 // tradeoff: frequent checkpoints cost overhead when nothing fails but bound
 // the lost work when something does.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
@@ -61,6 +62,8 @@ double runScenario(std::size_t ckptEveryPanels, bool injectFailure,
 }  // namespace
 
 int main() {
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("fault_tolerance.csv"));
   util::Table table({"ckpt_every_panels", "no_failure_s", "with_failure_s",
                      "failure_overhead_s", "incarnations"});
   for (const std::size_t every : {std::size_t{0}, std::size_t{32},
@@ -75,7 +78,7 @@ int main() {
   table.print(std::cout,
               "Fault tolerance — QR (N=6000) with periodic SRS checkpoints, "
               "fail-stop at t=250 s (0 = checkpointing off)");
-  table.saveCsv(bench::outputPath("fault_tolerance.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nExpected shape: without checkpoints a failure restarts the"
                " whole factorization; as the interval shrinks the failure"

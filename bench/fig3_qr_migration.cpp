@@ -10,92 +10,33 @@
 // everywhere except N=8000, where the pessimistic 900 s worst-case cost
 // estimate masked an actual ~420 s cost).
 
+#include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "bench_paths.hpp"
-#include "apps/qr.hpp"
-#include "core/app_manager.hpp"
-#include "grid/load.hpp"
-#include "grid/testbeds.hpp"
-#include "reschedule/rescheduler.hpp"
-#include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
+#include "scenarios.hpp"
 #include "util/table.hpp"
-
-namespace {
 
 using namespace grads;
 
-struct RunResult {
-  core::RunBreakdown breakdown;
-  std::vector<reschedule::MigrationDecision> decisions;
-};
-
-RunResult runScenario(std::size_t n, reschedule::ReschedulerMode mode,
-                      double loadAtSec, double loadWeight) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-
-  services::Nws nws(eng, g, 10.0, 0.01, 42);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-
-  grid::applyLoadTrace(eng, g.node(tb.utkNodes[0]),
-                       grid::LoadTrace::stepAt(loadAtSec, loadWeight));
-
-  apps::QrConfig cfg;
-  cfg.n = n;
-  core::Cop cop = apps::makeQrCop(g, cfg);
-
-  reschedule::ReschedulerOptions ropts;
-  ropts.mode = mode;
-  ropts.worstCaseMigrationSec = 900.0;
-  reschedule::StopRestartRescheduler rescheduler(gis, &nws, ropts);
-
-  core::AppManager manager(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-
-  RunResult result;
-  eng.spawn(manager.run(cop, &rescheduler, mopts, &result.breakdown),
-            "app-manager");
-  eng.run();
-  result.decisions = rescheduler.decisions();
-  return result;
-}
-
-}  // namespace
-
 int main() {
-  const double loadAt = 300.0;
-  const double loadWeight = 2.65;
-
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("fig3_qr_migration.csv"));
   util::Table table({"N", "stay_total_s", "migrate_total_s", "ckpt_write_s",
                      "ckpt_read_s", "overhead_s", "default_decision",
                      "actual_best", "decision_correct"});
 
   for (std::size_t n = 6000; n <= 12000; n += 1000) {
     const auto stay =
-        runScenario(n, reschedule::ReschedulerMode::kForcedStay, loadAt,
-                    loadWeight);
+        bench::runQrMigration(n, reschedule::ReschedulerMode::kForcedStay);
     const auto migrate =
-        runScenario(n, reschedule::ReschedulerMode::kForcedMigrate, loadAt,
-                    loadWeight);
-    const auto dflt = runScenario(n, reschedule::ReschedulerMode::kDefault,
-                                  loadAt, loadWeight);
+        bench::runQrMigration(n, reschedule::ReschedulerMode::kForcedMigrate);
+    const auto dflt =
+        bench::runQrMigration(n, reschedule::ReschedulerMode::kDefault);
 
     const double tStay = stay.breakdown.totalSeconds;
     const double tMig = migrate.breakdown.totalSeconds;
-    const bool migrated = dflt.breakdown.incarnations > 1;
+    const bool migrated = dflt.migrated();
     const bool migrationWins = tMig < tStay;
     const bool correct = migrated == migrationWins;
 
@@ -115,7 +56,7 @@ int main() {
   table.print(std::cout,
               "Figure 3 — QR stop/migrate/restart vs problem size "
               "(left bar = no rescheduling, right bar = rescheduling)");
-  table.saveCsv(bench::outputPath("fig3_qr_migration.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nPaper's qualitative result: migration pays off for large N"
                " (crossover near N≈8000), checkpoint *read* dominates the"

@@ -9,87 +9,23 @@
 // rescheduler detects the slowdown and migrates all three workers to the
 // UIUC cluster (~t = 150 s), after which progress speeds back up.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
-#include "apps/nbody.hpp"
-#include "grid/load.hpp"
-#include "microgrid/dml.hpp"
-#include "reschedule/swap.hpp"
-#include "services/nws.hpp"
-#include "sim/sync.hpp"
+#include "scenarios.hpp"
 #include "util/table.hpp"
-
-namespace {
 
 using namespace grads;
 
-struct RunOutput {
-  apps::NBodyProgress progress;
-  std::vector<reschedule::SwapManager::SwapEvent> swaps;
-  double finishedAt = 0.0;
-};
-
-RunOutput runSwapDemo(reschedule::SwapPolicy policy, bool emulated) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto spec = microgrid::parseDml(microgrid::swapExperimentDml());
-  microgrid::instantiate(g, spec, emulated);
-
-  services::Nws nws(eng, g, 10.0, 0.01, 7);
-  nws.start();
-
-  const auto utkNodes = g.clusterNodes(*g.findCluster("utk"));
-  const auto uiucNodes = g.clusterNodes(*g.findCluster("uiuc"));
-
-  // Two competitive processes on one UTK machine at t = 80 s.
-  grid::applyLoadTrace(eng, g.node(utkNodes[0]),
-                       grid::LoadTrace::stepAt(80.0, 2.0));
-
-  apps::NBodyConfig cfg;
-  cfg.particles = 10000;
-  cfg.iterations = 100;
-
-  // All three active processes start on the UTK nodes; the UIUC nodes form
-  // the inactive pool.
-  vmpi::World world(g, {utkNodes[0], utkNodes[1], utkNodes[2]}, "nbody");
-  std::vector<grid::NodeId> pool = utkNodes;
-  pool.insert(pool.end(), uiucNodes.begin(), uiucNodes.end());
-
-  reschedule::SwapConfig scfg;
-  scfg.policy = policy;
-  scfg.checkPeriodSec = 10.0;
-  scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
-  scfg.messagesPerIteration = 4.0;
-  scfg.perProcessDataBytes = 8.0 * 1024 * 1024;
-  reschedule::SwapManager swap(world, pool, &nws, scfg);
-  swap.start();
-
-  RunOutput out;
-  autopilot::AutopilotManager autopilot(eng);
-  sim::JoinSet ranks(eng);
-  for (int r = 0; r < 3; ++r) {
-    ranks.spawn(apps::nbodyRank(world, &swap, cfg, r, &autopilot, "nbody",
-                                &out.progress));
-  }
-  eng.spawn(
-      [](sim::JoinSet& js, RunOutput* out, sim::Engine& e) -> sim::Task {
-        co_await js.join();
-        out->finishedAt = e.now();
-      }(ranks, &out, eng),
-      "driver");
-  eng.run();
-  out.swaps = swap.history();
-  return out;
-}
-
-}  // namespace
-
 int main() {
-  const auto swapRun =
-      runSwapDemo(reschedule::SwapPolicy::kModelBased, /*emulated=*/true);
+  std::ofstream csvOut =
+      bench::openOutput(bench::outputPath("fig4_nbody_swap.csv"));
+  const auto swapRun = bench::runSwapExperiment(
+      reschedule::SwapPolicy::kModelBased, /*emulated=*/true);
   const auto noSwapRun =
-      runSwapDemo(reschedule::SwapPolicy::kNever, /*emulated=*/true);
+      bench::runSwapExperiment(reschedule::SwapPolicy::kNever,
+                               /*emulated=*/true);
 
   // Both runs complete the same 100 iterations; align the series on the
   // iteration index (the paper plots iteration vs time for the swap run).
@@ -109,7 +45,7 @@ int main() {
   for (const auto& [t, iter] : swapRun.progress.samples) {
     csv.addRow({t, static_cast<std::int64_t>(iter)});
   }
-  csv.saveCsv(bench::outputPath("fig4_nbody_swap.csv"));
+  csv.writeCsv(csvOut);
 
   std::cout << "\nSwap events:\n";
   for (const auto& e : swapRun.swaps) {

@@ -7,69 +7,25 @@
 // points are compared.
 
 #include <cmath>
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
-#include "apps/nbody.hpp"
-#include "grid/load.hpp"
-#include "microgrid/dml.hpp"
-#include "reschedule/swap.hpp"
-#include "services/nws.hpp"
+#include "scenarios.hpp"
 #include "util/table.hpp"
 
 using namespace grads;
 
-namespace {
-
-struct RunOutput {
-  apps::NBodyProgress progress;
-  double firstSwapAt = -1.0;
-  double finishedAt = 0.0;
-};
-
-RunOutput runOn(bool emulated) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto spec = microgrid::parseDml(microgrid::swapExperimentDml());
-  microgrid::instantiate(g, spec, emulated);
-  services::Nws nws(eng, g, 10.0, 0.01, 7);
-  nws.start();
-
-  const auto utkNodes = g.clusterNodes(*g.findCluster("utk"));
-  const auto uiucNodes = g.clusterNodes(*g.findCluster("uiuc"));
-  grid::applyLoadTrace(eng, g.node(utkNodes[0]),
-                       grid::LoadTrace::stepAt(80.0, 2.0));
-
-  apps::NBodyConfig cfg;
-  cfg.particles = 10000;
-  cfg.iterations = 100;
-  vmpi::World world(g, {utkNodes[0], utkNodes[1], utkNodes[2]}, "nbody");
-  std::vector<grid::NodeId> pool = utkNodes;
-  pool.insert(pool.end(), uiucNodes.begin(), uiucNodes.end());
-
-  reschedule::SwapConfig scfg;
-  scfg.policy = reschedule::SwapPolicy::kModelBased;
-  scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
-  scfg.messagesPerIteration = 4.0;
-  reschedule::SwapManager swap(world, pool, &nws, scfg);
-  swap.start();
-
-  RunOutput out;
-  for (int r = 0; r < 3; ++r) {
-    eng.spawn(apps::nbodyRank(world, &swap, cfg, r, nullptr, "nbody",
-                              &out.progress));
-  }
-  eng.run();
-  out.finishedAt = eng.now();
-  if (!swap.history().empty()) out.firstSwapAt = swap.history()[0].time;
-  return out;
-}
-
-}  // namespace
-
 int main() {
-  const auto direct = runOn(false);
-  const auto emulated = runOn(true);
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("microgrid_fidelity.csv"));
+  const auto direct = bench::runSwapExperiment(
+      reschedule::SwapPolicy::kModelBased, /*emulated=*/false);
+  const auto emulated = bench::runSwapExperiment(
+      reschedule::SwapPolicy::kModelBased, /*emulated=*/true);
+  const auto firstSwapAt = [](const bench::SwapExperimentRun& r) {
+    return r.swaps.empty() ? -1.0 : r.swaps.front().time;
+  };
 
   util::Table table({"metric", "direct(MacroGrid)", "emulated(MicroGrid)",
                      "relative_diff_pct"});
@@ -77,8 +33,8 @@ int main() {
     table.addRow({name, a, b, a > 0.0 ? 100.0 * std::fabs(b - a) / a : 0.0});
   };
   row("completion_s", direct.finishedAt, emulated.finishedAt);
-  row("first_swap_at_s", direct.firstSwapAt, emulated.firstSwapAt);
-  auto timeAtIter = [](const RunOutput& r, int iter) {
+  row("first_swap_at_s", firstSwapAt(direct), firstSwapAt(emulated));
+  auto timeAtIter = [](const bench::SwapExperimentRun& r, int iter) {
     for (const auto& [t, i] : r.progress.samples) {
       if (i >= iter) return t;
     }
@@ -91,7 +47,7 @@ int main() {
   table.print(std::cout,
               "MicroGrid fidelity — Figure-4 scenario, direct simulation vs "
               "emulation with virtualization overheads");
-  table.saveCsv(bench::outputPath("microgrid_fidelity.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nExpected shape: the emulated run tracks the direct run "
                "within a few percent everywhere, and both make the same "

@@ -28,7 +28,7 @@
 //                 Pacing is the difference between contract traffic at ~2x
 //                 its solo latency and ~1.25x.
 //
-// Usage: netsim_campaign [--quick]
+// Usage: netsim_campaign
 // Output: netsim_campaign.csv + BENCH_9.json under the bench output dir.
 
 #include <cstdint>
@@ -51,6 +51,9 @@ namespace {
 
 constexpr double kMB = 1024.0 * 1024.0;
 constexpr double kWanBw = 1.2 * kMB;  // utk-uiuc.wan: one shared pipe
+constexpr int kIncastSources = 7;
+constexpr double kIncastBytes = 2.4 * kMB;  // per source
+constexpr int kContracts = 8;               // scrubber-scenario transfers
 
 struct Arm {
   const char* name;
@@ -120,13 +123,13 @@ struct IncastResult {
   double throughput = 0.0;    ///< burst bytes / makespan
 };
 
-IncastResult runIncast(const Arm& arm, int sources, double bytesPer) {
+IncastResult runIncast(const Arm& arm) {
   FlowWorld w(arm);
-  std::vector<double> done(static_cast<std::size_t>(sources), -1.0);
-  for (int i = 0; i < sources; ++i) {
+  std::vector<double> done(kIncastSources, -1.0);
+  for (int i = 0; i < kIncastSources; ++i) {
     // Migration data movement is a bulk-class background mover.
     w.eng.spawn(timedTransfer(&w.g, w.tb.uiucNodes[i % 8], w.tb.utkNodes[0],
-                              bytesPer, grid::TransferClass::kBulk,
+                              kIncastBytes, grid::TransferClass::kBulk,
                               &done[static_cast<std::size_t>(i)]),
                 "incast-src");
   }
@@ -141,7 +144,7 @@ IncastResult runIncast(const Arm& arm, int sources, double bytesPer) {
   w.eng.run();
   for (const double d : done) r.makespan = std::max(r.makespan, d);
   r.contract = contractDone - 1.0;
-  r.throughput = sources * bytesPer / r.makespan;
+  r.throughput = kIncastSources * kIncastBytes / r.makespan;
   return r;
 }
 
@@ -155,18 +158,18 @@ struct ScrubResult {
   double contractMean = -1.0;   ///< mean contract transfer latency
 };
 
-ScrubResult runScrubber(const Arm& arm, int contracts) {
+ScrubResult runScrubber(const Arm& arm) {
   FlowWorld w(arm);
   ScrubResult r;
   // The scrubber re-replicates a large object across the WAN: one bulk flow
   // long enough to overlap every contract transfer below.
-  const double scrubBytes = (contracts * 10.0 + 20.0) * 1.2 * kMB;
+  const double scrubBytes = (kContracts * 10.0 + 20.0) * 1.2 * kMB;
   w.eng.spawn(timedTransfer(&w.g, w.tb.utkNodes[0], w.tb.uiucNodes[0],
                             scrubBytes, grid::TransferClass::kBulk,
                             &r.scrubDone),
               "scrub-stream");
-  std::vector<double> lat(static_cast<std::size_t>(contracts), -1.0);
-  for (int i = 0; i < contracts; ++i) {
+  std::vector<double> lat(kContracts, -1.0);
+  for (int i = 0; i < kContracts; ++i) {
     const double at = 5.0 + 10.0 * i;
     double* slot = &lat[static_cast<std::size_t>(i)];
     w.eng.schedule(at, [&w, slot, at] {
@@ -183,24 +186,18 @@ ScrubResult runScrubber(const Arm& arm, int contracts) {
   w.eng.run();
   double sum = 0.0;
   for (const double l : lat) sum += l;
-  r.contractMean = sum / contracts;
+  r.contractMean = sum / kContracts;
   return r;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli, "netsim_campaign [--quick]")) {
-    return 2;
-  }
-  const bool quick = cli.quick;
+int main(int argc, char**) {
+  if (!bench::noArguments(argc, "netsim_campaign")) return 2;
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("netsim_campaign.csv"));
   const std::string outPath = bench::outputPath("BENCH_9.json");
   std::ofstream json = bench::openOutput(outPath);
-
-  const int incastSources = quick ? 4 : 7;
-  const double incastBytes = quick ? 1.2 * kMB : 2.4 * kMB;
-  const int contracts = quick ? 3 : 8;
 
   // Closed forms the arms are judged against. The single-flow time must be
   // *exactly* this double; contended shapes get small float tolerances.
@@ -257,7 +254,7 @@ int main(int argc, char** argv) {
   double contractMaxmin = 0.0;
   double contractPaced = 0.0;
   for (const Arm& arm : kArms) {
-    const IncastResult r = runIncast(arm, incastSources, incastBytes);
+    const IncastResult r = runIncast(arm);
     if (std::string(arm.name) == "static") incastStatic = r.makespan;
     if (std::string(arm.name) == "maxmin") {
       incastMaxmin = r.makespan;
@@ -292,7 +289,7 @@ int main(int argc, char** argv) {
   double scrubContractMaxmin = 0.0;
   double scrubContractPaced = 0.0;
   for (const Arm& arm : kArms) {
-    const ScrubResult r = runScrubber(arm, contracts);
+    const ScrubResult r = runScrubber(arm);
     if (std::string(arm.name) == "maxmin") scrubContractMaxmin =
         r.contractMean;
     if (std::string(arm.name) == "paced") scrubContractPaced = r.contractMean;
@@ -318,11 +315,9 @@ int main(int argc, char** argv) {
   table.print(std::cout,
               "Congestion-aware network model — static pipes vs max-min "
               "sharing vs max-min + bulk pacing");
-  table.saveCsv(bench::outputPath("netsim_campaign.csv"));
+  table.writeCsv(csv);
 
-  json << "{\n  \"bench_id\": 9,\n  \"mode\": \""
-       << (quick ? "quick" : "full")
-       << "\",\n  \"single_flow_bit_exact\": "
+  json << "{\n  \"bench_id\": 9,\n  \"single_flow_bit_exact\": "
        << (singleIdentical ? "true" : "false")
        << ",\n  \"single_flow_digests_match\": "
        << (digestsMatch ? "true" : "false") << ",\n  \"scenarios\": [\n";

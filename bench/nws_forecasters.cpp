@@ -4,6 +4,7 @@
 // Weather Service papers the GrADS schedulers rely on ([25]).
 
 #include <cmath>
+#include <fstream>
 #include <iostream>
 #include <numbers>
 
@@ -91,6 +92,8 @@ double batteryMae(const Series& s) {
 }  // namespace
 
 int main() {
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("nws_forecasters.csv"));
   constexpr std::size_t kLen = 600;
   Rng rng(2003);
   const std::vector<std::pair<std::string, Series>> series{
@@ -116,7 +119,7 @@ int main() {
   table.print(std::cout,
               "NWS forecaster battery — mean absolute error by series "
               "dynamics (lower is better)");
-  table.saveCsv(bench::outputPath("nws_forecasters.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nExpected shape: no single forecaster wins everywhere"
                " (median on spikes, AR(1) on mean-reversion, windowed means"

@@ -9,6 +9,7 @@
 // rescheduler migrates A onto the freed UTK nodes. We compare A's total
 // time with opportunism on and off.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
@@ -96,6 +97,7 @@ Outcome runScenario(bool opportunistic) {
 }  // namespace
 
 int main() {
+  std::ofstream csv = bench::openOutput(bench::outputPath("opportunistic.csv"));
   const auto off = runScenario(false);
   const auto on = runScenario(true);
 
@@ -109,7 +111,7 @@ int main() {
   table.print(std::cout,
               "Opportunistic rescheduling — app A migrates onto resources "
               "freed by app B's completion");
-  table.saveCsv(bench::outputPath("opportunistic.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nExpected shape: with opportunism on, app A restarts once "
                "(2 incarnations) onto the freed UTK cluster and finishes "

@@ -3,6 +3,7 @@
 // predictions from memory-reuse-distance scaling models, evaluated against
 // exact counts / direct cache simulation at larger, unseen problem sizes.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
@@ -27,6 +28,10 @@ struct Kernel {
 }  // namespace
 
 int main() {
+  std::ofstream flopsCsv =
+      bench::openOutput(bench::outputPath("perfmodel_flops.csv"));
+  std::ofstream missCsv =
+      bench::openOutput(bench::outputPath("perfmodel_misses.csv"));
   std::vector<Kernel> kernels;
   kernels.push_back({"matmul",
                      perfmodel::trainMatmulModel({16, 24, 32, 40, 48}),
@@ -95,8 +100,8 @@ int main() {
                    "sizes, evaluated at unseen larger sizes");
   missTable.print(std::cout,
                   "§3.2 — MRD cache-miss models vs direct LRU simulation");
-  flopsTable.saveCsv(bench::outputPath("perfmodel_flops.csv"));
-  missTable.saveCsv(bench::outputPath("perfmodel_misses.csv"));
+  flopsTable.writeCsv(flopsCsv);
+  missTable.writeCsv(missCsv);
 
   std::cout << "\nExpected shape: flop predictions within a fraction of a "
                "percent (polynomial counts are fit exactly); miss-count "

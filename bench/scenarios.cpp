@@ -1,10 +1,13 @@
 #include "scenarios.hpp"
 
+#include <functional>
+#include <memory>
 #include <string>
 
 #include "apps/qr.hpp"
 #include "core/snapshot.hpp"
 #include "grid/testbeds.hpp"
+#include "microgrid/dml.hpp"
 #include "util/error.hpp"
 #include "whatif_world.hpp"
 
@@ -272,6 +275,168 @@ void restore(World& w, const std::vector<std::uint8_t>& bytes) {
   }
   w.nws->start();
   spawnApps(w, /*restored=*/true);
+}
+
+QrMigrationRun runQrMigration(std::size_t n,
+                              reschedule::ReschedulerMode mode) {
+  sim::Engine eng;
+  grid::Grid g(eng);
+  const auto tb = grid::buildQrTestbed(g);
+  services::Gis gis(g);
+  installQrSoftware(gis);
+  services::Nws nws(eng, g, 10.0, 0.01, 42);
+  nws.start();
+  services::Ibp ibp(g);
+  autopilot::AutopilotManager autopilot(eng);
+
+  grid::applyLoadTrace(eng, g.node(tb.utkNodes[0]),
+                       grid::LoadTrace::stepAt(300.0, 2.65));
+
+  apps::QrConfig cfg;
+  cfg.n = n;
+  const core::Cop cop = apps::makeQrCop(g, cfg);
+
+  reschedule::ReschedulerOptions ropts;
+  ropts.mode = mode;
+  ropts.worstCaseMigrationSec = 900.0;
+  reschedule::StopRestartRescheduler rescheduler(gis, &nws, ropts);
+
+  core::AppManager manager(g, gis, &nws, ibp, autopilot);
+  QrMigrationRun run;
+  eng.spawn(manager.run(cop, &rescheduler, core::ManagerOptions{},
+                        &run.breakdown),
+            "app-manager");
+  eng.run();
+  run.decisions = rescheduler.decisions();
+  return run;
+}
+
+SwapExperimentRun runSwapExperiment(reschedule::SwapPolicy policy,
+                                    bool emulated) {
+  sim::Engine eng;
+  grid::Grid g(eng);
+  microgrid::instantiate(g, microgrid::parseDml(microgrid::swapExperimentDml()),
+                         emulated);
+  services::Nws nws(eng, g, 10.0, 0.01, 7);
+  nws.start();
+
+  const auto utk = g.clusterNodes(*g.findCluster("utk"));
+  const auto uiuc = g.clusterNodes(*g.findCluster("uiuc"));
+  grid::applyLoadTrace(eng, g.node(utk[0]), grid::LoadTrace::stepAt(80.0, 2.0));
+
+  apps::NBodyConfig cfg;
+  cfg.particles = 10000;
+  cfg.iterations = 100;
+  vmpi::World world(g, {utk[0], utk[1], utk[2]}, "nbody");
+  std::vector<grid::NodeId> pool = utk;
+  pool.insert(pool.end(), uiuc.begin(), uiuc.end());
+
+  reschedule::SwapConfig scfg;
+  scfg.policy = policy;
+  scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
+  scfg.messagesPerIteration = 4.0;
+  reschedule::SwapManager swap(world, pool, &nws, scfg);
+  swap.start();
+
+  SwapExperimentRun run;
+  for (int r = 0; r < 3; ++r) {
+    eng.spawn(apps::nbodyRank(world, &swap, cfg, r, nullptr, "nbody",
+                              &run.progress));
+  }
+  eng.run();
+  run.swaps = swap.history();
+  for (int r = 0; r < 3; ++r) {
+    run.finalClusters.push_back(g.node(world.nodeOf(r)).cluster());
+  }
+  run.finishedAt = eng.now();
+  run.processedEvents = eng.processedEvents();
+  return run;
+}
+
+MidActionKillRun runMidActionKill(std::uint64_t seed, bool killTarget) {
+  sim::Engine eng;
+  grid::Grid g(eng);
+  const auto tb = grid::buildQrTestbed(g);
+  services::Gis gis(g);
+  installQrSoftware(gis);
+  services::Nws nws(eng, g, 10.0, 0.0, seed);
+  nws.start();
+  services::Ibp ibp(g);
+  autopilot::AutopilotManager autopilot(eng);
+  reschedule::FailureInjector injector(eng, gis);
+
+  // Figure-3 setup: load lands on one UTK node at t=300 and the default
+  // rescheduler migrates the app to UIUC.
+  grid::applyLoadTrace(eng, g.node(tb.utkNodes[0]),
+                       grid::LoadTrace::stepAt(300.0, 2.65));
+
+  apps::QrConfig cfg;
+  cfg.n = 9000;
+  cfg.checkpointEveryPanels = 8;
+  const core::Cop cop = apps::makeQrCop(g, cfg);
+
+  reschedule::ActionJournal journal(eng);
+  reschedule::StopRestartRescheduler rescheduler(
+      gis, &nws, reschedule::ReschedulerOptions{});
+  rescheduler.setJournal(&journal);
+
+  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
+  core::ManagerOptions mopts;
+  mopts.journal = &journal;
+  mopts.failures = &injector;
+  mopts.retrySeed = seed;
+  mopts.launchRetry.maxAttempts = 5;
+  mopts.launchRetry.baseDelaySec = 15.0;
+
+  // Watch the journal; the moment an action opens (prepare phase), schedule
+  // a fail-stop of one endpoint shortly after — squarely between prepare
+  // and commit.
+  struct Watch {
+    bool armed = false;
+    grid::NodeId victim = grid::kNoId;
+  };
+  auto watch = std::make_shared<Watch>();
+  const double killDelay = 1.0 + static_cast<double>(seed % 4) * 2.0;
+  auto poll = std::make_shared<std::function<void()>>();
+  // A non-owning self pointer: owning itself would leak the callback.
+  *poll = [&eng, &journal, &injector, watch, self = poll.get(), killTarget,
+           killDelay, appName = cop.name] {
+    if (!watch->armed) {
+      if (const auto* rec = journal.openAction(appName)) {
+        const auto& nodes = killTarget ? rec->target : rec->prior;
+        if (!nodes.empty()) {
+          watch->armed = true;
+          watch->victim = nodes.front();
+          // Long stale-GIS window: the relaunch's bind must still see (and
+          // hit) the corpse, which is what forces the rollback path.
+          eng.scheduleDaemon(killDelay, [&injector, watch] {
+            injector.failNow(watch->victim, 2.0, 120.0);
+          });
+          return;
+        }
+      }
+      eng.scheduleDaemon(1.0, *self);
+    }
+  };
+  eng.scheduleDaemon(1.0, *poll);
+
+  MidActionKillRun out;
+  eng.spawn(mgr.run(cop, &rescheduler, mopts, &out.bd), "qr");
+  try {
+    eng.run();
+    eng.rethrowIfFailed();
+    out.completed = out.bd.totalSeconds > 0.0;
+    out.seconds = out.bd.totalSeconds;
+  } catch (const std::exception& e) {
+    out.error = e.what();
+    out.seconds = eng.now();
+  }
+  out.killed = watch->armed;
+  out.committed = journal.committed();
+  out.rolledBack = journal.rolledBack();
+  out.openAtEnd = journal.inFlight();
+  out.records = journal.records();
+  return out;
 }
 
 }  // namespace grads::bench

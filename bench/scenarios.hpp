@@ -1,10 +1,14 @@
-// Scenario catalog — the one place the crash-sweep worlds are built.
+// Scenario catalog — the one place the bench worlds are built.
 //
 // Five named worlds, each a whole control plane: chaos-qr, integrity-qr,
 // thrash-governed, tenant-overload and whatif-forked. crash_sweep kills and
 // restores them, determinism_probe replays each twice, and the thrash,
 // integrity and what-if campaigns build their arms from them, changing only
 // the fields an arm differs in.
+//
+// Three whole runs sit beside them: the Figure-3 QR migration, the Figure-4
+// N-body swap experiment and thrash_campaign's mid-action kill. The benches
+// report them and the tests assert on them, so both see the same world.
 //
 // The pieces the what-if sandbox runner needs — World, the pop-stream
 // observer, the outcome fold, the square-wave load, app spawn and daemon
@@ -16,10 +20,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "apps/nbody.hpp"
 #include "core/app_manager.hpp"
 #include "grid/grid.hpp"
 #include "grid/load.hpp"
@@ -29,6 +35,7 @@
 #include "reschedule/governor.hpp"
 #include "reschedule/journal.hpp"
 #include "reschedule/rescheduler.hpp"
+#include "reschedule/swap.hpp"
 #include "reschedule/whatif/fork_driver.hpp"
 #include "services/gis.hpp"
 #include "services/ibp.hpp"
@@ -221,5 +228,61 @@ inline bool scenarioCompleted(const World& w) {
   if (w.meta) return w.meta->drained() && w.meta->totals().failed == 0;
   return w.mgr->isCompleted(w.cop.name);
 }
+
+/// One Figure-3 run: the breakdown and every decision the rescheduler made.
+struct QrMigrationRun {
+  core::RunBreakdown breakdown;
+  std::vector<reschedule::MigrationDecision> decisions;
+
+  /// The run stopped, migrated and restarted at least once.
+  bool migrated() const { return breakdown.incarnations > 1; }
+};
+
+/// Figure 3 (§4.1): QR of order `n` starts on the QR testbed's faster UTK
+/// cluster; from t = 300 s, 2.65 competing processes load utk0. The contract
+/// monitor reports the violation, and the stop/migrate/restart rescheduler,
+/// in `mode`, weighs moving to UIUC against a pessimistic 900 s worst-case
+/// migration cost.
+QrMigrationRun runQrMigration(std::size_t n, reschedule::ReschedulerMode mode);
+
+/// One Figure-4 run.
+struct SwapExperimentRun {
+  apps::NBodyProgress progress;  ///< (time, iteration) per iteration done
+  std::vector<reschedule::SwapManager::SwapEvent> swaps;
+  std::vector<grid::ClusterId> finalClusters;  ///< per rank, after the run
+  double finishedAt = 0.0;                     ///< engine time at the end
+  std::uint64_t processedEvents = 0;
+};
+
+/// Figure 4 (§4.2): the §4.2.2 virtual grid, instantiated from its DML
+/// description through the MicroGrid emulation layer (`emulated`) or
+/// directly. A 10,000-particle, 100-iteration N-body run starts its three
+/// ranks on UTK, with the UIUC nodes as the inactive pool; from t = 80 s two
+/// competing processes load utk0, and the swap manager, under `policy`,
+/// moves ranks off the slow node. NWS samples every 10 s with 0.01 noise
+/// (seed 7); the model counts 4 messages per iteration.
+SwapExperimentRun runSwapExperiment(reschedule::SwapPolicy policy,
+                                    bool emulated);
+
+/// One mid-action kill: the campaign's outcome, plus the breakdown and the
+/// journal's records.
+struct MidActionKillRun {
+  bool completed = false;
+  bool killed = false;  ///< the kill armed inside the action's window
+  int committed = 0;
+  int rolledBack = 0;
+  int openAtEnd = 0;  ///< journal records left unresolved
+  double seconds = 0.0;
+  std::string error;  ///< why a run that did not complete stopped
+  core::RunBreakdown bd;
+  std::vector<reschedule::ActionRecord> records;
+};
+
+/// thrash_campaign's mid-action fault: the Figure-3 world at N = 9000 with a
+/// journaled default rescheduler. The moment the migration opens its journal
+/// record, one node of its target (`killTarget`) or of its prior mapping
+/// fails 1-7 s later (by `seed`) — between prepare and commit — behind a
+/// 120 s stale-GIS window. The run must complete through a rollback.
+MidActionKillRun runMidActionKill(std::uint64_t seed, bool killTarget);
 
 }  // namespace grads::bench

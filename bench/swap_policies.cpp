@@ -3,6 +3,7 @@
 // on the §4.2.2 virtual grid under several load scenarios, comparing
 // never / greedy / periodic-best / model-based swapping.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
@@ -65,6 +66,7 @@ double runScenario(const Scenario& sc, reschedule::SwapPolicy policy,
 }  // namespace
 
 int main() {
+  std::ofstream csv = bench::openOutput(bench::outputPath("swap_policies.csv"));
   std::vector<Scenario> scenarios;
   scenarios.push_back({"no-load", {}});
   scenarios.push_back(
@@ -97,7 +99,7 @@ int main() {
   table.print(std::cout,
               "Swap-policy ablation — N-body completion time (s) on the "
               "§4.2.2 virtual grid");
-  table.saveCsv(bench::outputPath("swap_policies.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nExpected shape: with persistent load every swapping policy"
                " beats 'never'; the model-based policy (which accounts for"

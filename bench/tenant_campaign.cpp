@@ -18,7 +18,7 @@
 // 100% of what it admitted — degradation shows up as explicit, accounted
 // sheds at the door, not as silent losses.
 //
-// Usage: tenant_campaign [--quick]
+// Usage: tenant_campaign
 // Output: BENCH_7.json (both arms) and tenant_campaign_<arm>.csv
 //         (control-loop time series), under the bench output dir.
 // Exit:   0 = every structural assertion held in both arms.
@@ -43,44 +43,27 @@ namespace {
 
 constexpr double kMB = 1024.0 * 1024.0;
 
-struct CampaignConfig {
-  int clusters = 4;
-  int nodesPerCluster = 8;
-  double horizonSec = 90000.0;
-  double deadlineSec = 110000.0;
-  double offeredFactor = 2.2;  ///< offered load as a multiple of capacity
-  std::size_t maxQueuedPerTenant = 256;
-  std::size_t maxQueuedTotal = 1024;
-  double maxBacklogSec = 3600.0;
-  std::uint64_t seed = 7001;
-};
+constexpr int kClusters = 4;
+constexpr int kNodesPerCluster = 8;
+constexpr double kHorizonSec = 90000.0;
+constexpr double kDeadlineSec = 110000.0;
+constexpr double kOfferedFactor = 2.2;  ///< offered load / capacity
+constexpr std::size_t kMaxQueuedPerTenant = 256;
+constexpr std::size_t kMaxQueuedTotal = 1024;
+constexpr double kMaxBacklogSec = 3600.0;
+constexpr std::uint64_t kSeed = 7001;
 
-CampaignConfig fullConfig() { return {}; }
-
-CampaignConfig quickConfig() {
-  CampaignConfig c;
-  c.clusters = 2;
-  c.nodesPerCluster = 4;
-  c.horizonSec = 12000.0;
-  c.deadlineSec = 20000.0;
-  c.maxQueuedPerTenant = 32;
-  c.maxQueuedTotal = 160;
-  c.maxBacklogSec = 1800.0;
-  return c;
-}
-
-metasched::FrontendOptions makeFrontend(const CampaignConfig& cfg,
-                                        const std::vector<grid::NodeId>& slots,
+metasched::FrontendOptions makeFrontend(const std::vector<grid::NodeId>& slots,
                                         double refFlopsPerSec,
                                         bool mitigated) {
   metasched::FrontendOptions fo;
   fo.slots = slots;
-  fo.horizonSec = cfg.horizonSec;
-  fo.hardDeadlineSec = cfg.deadlineSec;
+  fo.horizonSec = kHorizonSec;
+  fo.hardDeadlineSec = kDeadlineSec;
   fo.controlPeriodSec = 60.0;
   fo.flopsPerPhase = refFlopsPerSec * 30.0;   ///< ~30 s preemption quantum
   fo.refFlopsPerSec = refFlopsPerSec;
-  fo.seed = cfg.seed;
+  fo.seed = kSeed;
 
   // Pareto(xm = 150 s, alpha = 1.9) job sizes, truncated at 2 h: mean
   // ~317 s of reference compute, occasionally hours.
@@ -88,7 +71,7 @@ metasched::FrontendOptions makeFrontend(const CampaignConfig& cfg,
   const double alpha = 1.9;
   const double meanJobSec = (alpha / (alpha - 1.0)) * 150.0;
   const double totalRate =
-      cfg.offeredFactor * static_cast<double>(slots.size()) / meanJobSec;
+      kOfferedFactor * static_cast<double>(slots.size()) / meanJobSec;
 
   // Six tenants, two per tier. Offered-load split: high 15%, normal 35%,
   // batch 50% — overload comes mostly from below, but tiers 1+2 alone
@@ -122,15 +105,15 @@ metasched::FrontendOptions makeFrontend(const CampaignConfig& cfg,
     t.resubmit.backoffFactor = 2.0;
     t.resubmit.maxDelaySec = 1800.0;
     t.resubmit.jitterFrac = 0.2;
-    t.seed = cfg.seed + 101 * static_cast<std::uint64_t>(i + 1);
+    t.seed = kSeed + 101 * static_cast<std::uint64_t>(i + 1);
     fo.tenants.push_back(t);
     ++i;
   }
 
   fo.admission.enabled = mitigated;
-  fo.admission.maxQueuedPerTenant = cfg.maxQueuedPerTenant;
-  fo.admission.maxQueuedTotal = cfg.maxQueuedTotal;
-  fo.admission.maxBacklogSec = cfg.maxBacklogSec;
+  fo.admission.maxQueuedPerTenant = kMaxQueuedPerTenant;
+  fo.admission.maxQueuedTotal = kMaxQueuedTotal;
+  fo.admission.maxBacklogSec = kMaxBacklogSec;
   fo.brownout.enabled = mitigated;
   fo.preempt.enabled = mitigated;
   fo.preempt.minRunSec = 60.0;
@@ -146,14 +129,14 @@ metasched::FrontendOptions makeFrontend(const CampaignConfig& cfg,
   return fo;
 }
 
-void buildWorld(bench::World& w, const CampaignConfig& cfg, bool mitigated) {
+void buildWorld(bench::World& w, bool mitigated) {
   std::vector<grid::NodeId> slots;
   std::vector<grid::ClusterId> clusters;
-  for (int c = 0; c < cfg.clusters; ++c) {
+  for (int c = 0; c < kClusters; ++c) {
     const std::string tag = "site" + std::to_string(c);
     clusters.push_back(w.g.addCluster(grid::ClusterSpec{
-        tag, tag, grid::fastEthernetLan(tag + ".lan", cfg.nodesPerCluster)}));
-    for (int n = 0; n < cfg.nodesPerCluster; ++n) {
+        tag, tag, grid::fastEthernetLan(tag + ".lan", kNodesPerCluster)}));
+    for (int n = 0; n < kNodesPerCluster; ++n) {
       slots.push_back(w.g.addNode(clusters.back(), grid::utkQrNodeSpec(n)));
     }
   }
@@ -179,7 +162,7 @@ void buildWorld(bench::World& w, const CampaignConfig& cfg, bool mitigated) {
       w.g.node(slots.front()).spec().effectiveFlopsPerCpu();
   w.meta.emplace(*w.mgr, w.g, *w.gis, &*w.nws,
                  w.journal ? &*w.journal : nullptr,
-                 makeFrontend(cfg, slots, refRate, mitigated));
+                 makeFrontend(slots, refRate, mitigated));
 }
 
 struct ArmResult {
@@ -192,10 +175,9 @@ struct ArmResult {
   std::int64_t inSystemAtEnd = 0;
 };
 
-ArmResult runArm(const CampaignConfig& cfg, bool mitigated,
-                 std::ofstream& csv) {
+ArmResult runArm(bool mitigated, std::ofstream& csv) {
   bench::World w;
-  buildWorld(w, cfg, mitigated);
+  buildWorld(w, mitigated);
 
   csv << "t_s,queued,running,parked,pressure,brownout_level\n";
   w.meta->setOnSample([&csv](double t, std::int64_t queued,
@@ -217,7 +199,7 @@ ArmResult runArm(const CampaignConfig& cfg, bool mitigated,
   std::sort(res.slowdowns.begin(), res.slowdowns.end());
   res.endTime = w.eng.now();
   const double slotSeconds =
-      static_cast<double>(cfg.clusters * cfg.nodesPerCluster) * res.endTime;
+      static_cast<double>(kClusters * kNodesPerCluster) * res.endTime;
   res.utilization =
       slotSeconds > 0.0 ? res.totals.busySlotSeconds / slotSeconds : 0.0;
   res.drained = w.meta->drained();
@@ -275,29 +257,24 @@ void check(bool ok, const std::string& what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli, "tenant_campaign [--quick]")) {
-    return 2;
-  }
-  const bool quick = cli.quick;
+int main(int argc, char**) {
+  if (!bench::noArguments(argc, "tenant_campaign")) return 2;
   std::ofstream unCsv =
       bench::openOutput(bench::outputPath("tenant_campaign_unmitigated.csv"));
   std::ofstream miCsv =
       bench::openOutput(bench::outputPath("tenant_campaign_mitigated.csv"));
   const std::string jsonPath = bench::outputPath("BENCH_7.json");
   std::ofstream json = bench::openOutput(jsonPath);
-  const CampaignConfig cfg = quick ? quickConfig() : fullConfig();
-  const std::int64_t minPeakInSystem = quick ? 300 : 10000;
+  const std::int64_t minPeakInSystem = 10000;
 
-  std::cout << "tenant campaign (" << (quick ? "quick" : "full") << "): "
-            << cfg.clusters * cfg.nodesPerCluster << " slots, "
-            << cfg.offeredFactor << "x offered load, horizon "
-            << cfg.horizonSec << " s, deadline " << cfg.deadlineSec
+  std::cout << "tenant campaign: "
+            << kClusters * kNodesPerCluster << " slots, "
+            << kOfferedFactor << "x offered load, horizon "
+            << kHorizonSec << " s, deadline " << kDeadlineSec
             << " s\n\n";
 
-  const ArmResult un = runArm(cfg, false, unCsv);
-  const ArmResult mi = runArm(cfg, true, miCsv);
+  const ArmResult un = runArm(false, unCsv);
+  const ArmResult mi = runArm(true, miCsv);
 
   for (const ArmResult* r : {&un, &mi}) {
     const metasched::FrontendTotals& t = r->totals;
@@ -329,7 +306,7 @@ int main(int argc, char** argv) {
   check(mi.totals.completed == mi.totals.admitted,
         "100% of admitted jobs completed");
   check(mi.totals.peakQueueDepth <=
-            static_cast<std::int64_t>(cfg.maxQueuedTotal),
+            static_cast<std::int64_t>(kMaxQueuedTotal),
         "queue depth bounded by the admission cap");
   check(mi.totals.shed > 0, "overload surfaced as explicit sheds");
   check(mi.totals.preempted > 0 && mi.totals.parks > 0,
@@ -344,11 +321,10 @@ int main(int argc, char** argv) {
 
   json << std::setprecision(10);
   json << "{\n  \"bench\": \"tenant_campaign\",\n"
-       << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
-       << "  \"slots\": " << cfg.clusters * cfg.nodesPerCluster << ",\n"
-       << "  \"offered_factor\": " << cfg.offeredFactor << ",\n"
-       << "  \"horizon_s\": " << cfg.horizonSec << ",\n"
-       << "  \"deadline_s\": " << cfg.deadlineSec << ",\n"
+       << "  \"slots\": " << kClusters * kNodesPerCluster << ",\n"
+       << "  \"offered_factor\": " << kOfferedFactor << ",\n"
+       << "  \"horizon_s\": " << kHorizonSec << ",\n"
+       << "  \"deadline_s\": " << kDeadlineSec << ",\n"
        << "  \"failures\": " << failures << ",\n"
        << "  \"arms\": {\n";
   emitArmJson(json, un, false);

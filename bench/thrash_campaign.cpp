@@ -17,29 +17,16 @@
 // ends with no open records and the application resumes on its prior
 // mapping before retrying.
 //
-// Usage: thrash_campaign [seeds]   (default 3; CI smoke passes 1)
+// Usage: thrash_campaign   (seeds 17, 27 and 37)
 
 #include <cstdint>
-#include <cstdlib>
+#include <fstream>
 #include <iostream>
-#include <limits>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "apps/qr.hpp"
 #include "bench_cli.hpp"
 #include "bench_paths.hpp"
-#include "core/app_manager.hpp"
-#include "grid/load.hpp"
-#include "grid/testbeds.hpp"
-#include "reschedule/failure.hpp"
-#include "reschedule/journal.hpp"
-#include "reschedule/rescheduler.hpp"
 #include "scenarios.hpp"
-#include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
 #include "util/table.hpp"
 
 using namespace grads;
@@ -85,125 +72,15 @@ ThrashOutcome runThrash(std::uint64_t seed, bool governed) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Part B: mid-action faults must resolve through rollback.
-// ---------------------------------------------------------------------------
-
-struct FaultOutcome {
-  bool completed = false;
-  bool killed = false;
-  int committed = 0;
-  int rolledBack = 0;
-  int openAtEnd = 0;
-  double seconds = 0.0;
-  std::string error;
-};
-
-FaultOutcome runMidActionFault(std::uint64_t seed, bool killTarget) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  services::Nws nws(eng, g, 10.0, 0.0, seed);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  reschedule::FailureInjector injector(eng, gis);
-
-  // Figure-3 setup: load lands on one UTK node at t=300 and the default
-  // rescheduler migrates the app to UIUC.
-  grid::applyLoadTrace(eng, g.node(tb.utkNodes[0]),
-                       grid::LoadTrace::stepAt(300.0, 2.65));
-
-  apps::QrConfig cfg;
-  cfg.n = 9000;
-  cfg.checkpointEveryPanels = 8;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-
-  reschedule::ActionJournal journal(eng);
-  reschedule::StopRestartRescheduler rescheduler(gis, &nws,
-                                                 reschedule::ReschedulerOptions{});
-  rescheduler.setJournal(&journal);
-
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.journal = &journal;
-  mopts.failures = &injector;
-  mopts.retrySeed = seed;
-  mopts.launchRetry.maxAttempts = 5;
-  mopts.launchRetry.baseDelaySec = 15.0;
-
-  // Watch the journal; the moment an action opens (prepare phase), schedule
-  // a fail-stop of one endpoint shortly after — squarely between prepare
-  // and commit.
-  struct Watch {
-    bool armed = false;
-    grid::NodeId victim = grid::kNoId;
-  };
-  auto watch = std::make_shared<Watch>();
-  const double killDelay = 1.0 + static_cast<double>(seed % 4) * 2.0;
-  auto poll = std::make_shared<std::function<void()>>();
-  // A non-owning self pointer: owning itself would leak the callback.
-  *poll = [&eng, &journal, &injector, watch, self = poll.get(), killTarget,
-           killDelay, appName = cop.name] {
-    if (!watch->armed) {
-      if (const auto* rec = journal.openAction(appName)) {
-        const auto& nodes = killTarget ? rec->target : rec->prior;
-        if (!nodes.empty()) {
-          watch->armed = true;
-          watch->victim = nodes.front();
-          // Long stale-GIS window: the relaunch's bind must still see (and
-          // hit) the corpse, which is what forces the rollback path.
-          eng.scheduleDaemon(killDelay, [&injector, watch] {
-            injector.failNow(watch->victim, 2.0, 120.0);
-          });
-          return;
-        }
-      }
-      eng.scheduleDaemon(1.0, *self);
-    }
-  };
-  eng.scheduleDaemon(1.0, *poll);
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, &rescheduler, mopts, &bd), "qr");
-  FaultOutcome out;
-  try {
-    eng.run();
-    eng.rethrowIfFailed();
-    out.completed = bd.totalSeconds > 0.0;
-    out.seconds = bd.totalSeconds;
-  } catch (const std::exception& e) {
-    out.error = e.what();
-    out.seconds = eng.now();
-  }
-  out.killed = watch->armed;
-  out.committed = journal.committed();
-  out.rolledBack = journal.rolledBack();
-  out.openAtEnd = journal.inFlight();
-  return out;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  constexpr const char* kUsage = "thrash_campaign [N]";
-  grads::bench::CliOptions cli;
-  cli.count = 3;
-  if (!grads::bench::parseCli(argc, argv, cli, kUsage)) return 2;
-  // N counts seeds: at least one, since the determinism check replays the
-  // first, and no more than the int loop below can count.
-  if (cli.count < 1 || cli.count > std::numeric_limits<int>::max()) {
-    std::cerr << "usage: " << kUsage << "\n";
-    return 2;
-  }
-  const int nSeeds = static_cast<int>(cli.count);
-  std::vector<std::uint64_t> seeds;
-  for (int i = 0; i < nSeeds; ++i) seeds.push_back(17 + 10 * i);
+int main(int argc, char**) {
+  if (!bench::noArguments(argc, "thrash_campaign")) return 2;
+  std::ofstream thrashCsv =
+      bench::openOutput(bench::outputPath("thrash_campaign.csv"));
+  std::ofstream faultsCsv =
+      bench::openOutput(bench::outputPath("thrash_faults.csv"));
+  const std::uint64_t seeds[] = {17, 27, 37};
 
   bool ok = true;
 
@@ -254,14 +131,15 @@ int main(int argc, char** argv) {
   thrash.print(std::cout,
                "Thrash campaign — antiphase flapping load, governed vs raw "
                "(oscillation = migrate followed by migrate-back)");
-  thrash.saveCsv(bench::outputPath("thrash_campaign.csv"));
+  thrash.writeCsv(thrashCsv);
 
   util::Table faults({"kill", "seed", "completed", "committed", "rolled_back",
                       "open_at_end", "total_s"});
   std::cout << "\n";
   for (const auto seed : seeds) {
     for (const bool killTarget : {true, false}) {
-      const FaultOutcome o = runMidActionFault(seed, killTarget);
+      const bench::MidActionKillRun o =
+          bench::runMidActionKill(seed, killTarget);
       faults.addRow({killTarget ? "target" : "source",
                      static_cast<std::int64_t>(seed),
                      std::string(o.completed ? "yes" : "NO"),
@@ -294,7 +172,7 @@ int main(int argc, char** argv) {
   faults.print(std::cout,
                "Mid-action faults — a node killed between prepare and "
                "commit; every run must complete via rollback");
-  faults.saveCsv(bench::outputPath("thrash_faults.csv"));
+  faults.writeCsv(faultsCsv);
 
   std::cout << "\nExpected shape: the raw arm chases the flapping load "
                "(>=3 migrate/migrate-back oscillations), the governed arm "

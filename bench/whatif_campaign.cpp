@@ -20,7 +20,7 @@
 // The acceptance bar: the forked arm commits strictly fewer harmful actions
 // than the model arm in the chaos-perturbed scenarios, and never more.
 //
-// Usage: whatif_campaign [--quick]
+// Usage: whatif_campaign
 // Output: whatif_campaign.csv + BENCH_8.json under the bench output dir.
 
 #include <cstdint>
@@ -57,12 +57,10 @@ ArmResult runArm(const bench::WhatifConfig& cfg) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  grads::bench::CliOptions cli;
-  if (!grads::bench::parseCli(argc, argv, cli, "whatif_campaign [--quick]")) {
-    return 2;
-  }
-  const bool quick = cli.quick;
+int main(int argc, char**) {
+  if (!bench::noArguments(argc, "whatif_campaign")) return 2;
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("whatif_campaign.csv"));
   const std::string outPath = bench::outputPath("BENCH_8.json");
   std::ofstream json = bench::openOutput(outPath);
 
@@ -72,18 +70,12 @@ int main(int argc, char** argv) {
     int depotOutages;
     bool perturbed;
   };
-  std::vector<Scen> scens;
-  if (!quick) scens.push_back({"flap", 0, 0, false});
-  scens.push_back({"flap+degrade", 2, 0, true});
-  scens.push_back({"flap+depot", 0, 2, true});
+  const Scen scens[] = {{"flap", 0, 0, false},
+                        {"flap+degrade", 2, 0, true},
+                        {"flap+depot", 0, 2, true}};
 
   bench::WhatifConfig base;
   base.seed = 31;
-  if (quick) {
-    // Fewer forks per decision: 2 candidates x (nominal + 1 pessimistic).
-    base.driver.budget.maxForks = 6;
-    base.driver.budget.pessimisticFutures = 1;
-  }
 
   util::Table table({"scenario", "arm", "completed", "incarnations",
                      "commits", "harmful", "oscillations", "suppressed",
@@ -92,19 +84,17 @@ int main(int argc, char** argv) {
   bool ok = true;
   int strictWins = 0;
   int digestMatches = 0;
-  int shadowArms = 0;
 
   struct JsonRow {
     std::string scenario;
     bool perturbed;
     int harmfulModel, harmfulForked, commitsModel, commitsForked;
     int oscModel, oscForked;
-    bool shadowMatch, ranShadow;
+    bool shadowMatch;
   };
   std::vector<JsonRow> jrows;
 
-  for (std::size_t si = 0; si < scens.size(); ++si) {
-    const Scen& sc = scens[si];
+  for (const Scen& sc : scens) {
     bench::WhatifConfig cfg = base;
     cfg.linkDegrades = sc.linkDegrades;
     cfg.depotOutages = sc.depotOutages;
@@ -116,20 +106,13 @@ int main(int argc, char** argv) {
     cfg.driver.shadowOnly = false;
     const ArmResult forked = runArm(cfg);
 
-    // Shadow arm: the zero-live-state-divergence oracle. Quick mode runs it
-    // once (speculation cost is the same as the forked arm's).
-    const bool runShadow = !quick || si == 0;
-    ArmResult shadow;
-    if (runShadow) {
-      cfg.driver.shadowOnly = true;
-      shadow = runArm(cfg);
-      ++shadowArms;
-    }
+    // Shadow arm: the zero-live-state-divergence oracle.
+    cfg.driver.shadowOnly = true;
+    const ArmResult shadow = runArm(cfg);
 
     const struct { const char* arm; const ArmResult* r; } arms[] = {
         {"model", &model}, {"forked", &forked}, {"shadow", &shadow}};
     for (const auto& [armName, r] : arms) {
-      if (armName == std::string("shadow") && !runShadow) continue;
       table.addRow({sc.name, armName,
                     std::string(r->run.completed ? "yes" : "NO"),
                     static_cast<std::int64_t>(r->run.bd.incarnations),
@@ -149,17 +132,14 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (runShadow) {
-      if (shadow.run.digest == model.run.digest) {
-        ++digestMatches;
-      } else {
-        std::cout << "VIOLATION: " << sc.name
-                  << " shadow digest diverged from model-only ("
-                  << std::hex << shadow.run.digest << " != "
-                  << model.run.digest << std::dec
-                  << "): speculation leaked into the live trajectory\n";
-        ok = false;
-      }
+    if (shadow.run.digest == model.run.digest) {
+      ++digestMatches;
+    } else {
+      std::cout << "VIOLATION: " << sc.name
+                << " shadow digest diverged from model-only (" << std::hex
+                << shadow.run.digest << " != " << model.run.digest << std::dec
+                << "): speculation leaked into the live trajectory\n";
+      ok = false;
     }
     if (forked.harmful > model.harmful) {
       std::cout << "VIOLATION: " << sc.name << " forked arm committed MORE "
@@ -177,12 +157,11 @@ int main(int argc, char** argv) {
     jrows.push_back({sc.name, sc.perturbed, model.harmful, forked.harmful,
                      model.commits, forked.commits, model.run.oscillations,
                      forked.run.oscillations,
-                     runShadow && shadow.run.digest == model.run.digest,
-                     runShadow});
+                     shadow.run.digest == model.run.digest});
   }
 
   // The headline: fork validation must beat model-only where it matters.
-  const int requiredWins = quick ? 1 : 2;
+  const int requiredWins = 2;
   if (strictWins < requiredWins) {
     std::cout << "VIOLATION: forked arm strictly beat model-only in only "
               << strictWins << " chaos-perturbed scenario(s); need "
@@ -194,10 +173,9 @@ int main(int argc, char** argv) {
               "What-if campaign — model-only vs fork-validated vs shadow "
               "(harmful = committed action whose violation recurred, or a "
               "migrate-back, within the speculation horizon)");
-  table.saveCsv(bench::outputPath("whatif_campaign.csv"));
+  table.writeCsv(csv);
 
-  json << "{\n  \"bench_id\": 8,\n  \"mode\": \""
-       << (quick ? "quick" : "full") << "\",\n  \"scenarios\": [\n";
+  json << "{\n  \"bench_id\": 8,\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < jrows.size(); ++i) {
     const JsonRow& j = jrows[i];
     json << "    {\"name\": \"" << j.scenario << "\", \"perturbed\": "
@@ -209,12 +187,12 @@ int main(int argc, char** argv) {
          << ", \"oscillations_model\": " << j.oscModel
          << ", \"oscillations_forked\": " << j.oscForked
          << ", \"shadow_digest_match\": "
-         << (j.ranShadow ? (j.shadowMatch ? "true" : "false") : "null")
+         << (j.shadowMatch ? "true" : "false")
          << "}" << (i + 1 == jrows.size() ? "" : ",") << "\n";
   }
   json << "  ],\n  \"strict_wins\": " << strictWins
        << ",\n  \"shadow_digest_matches\": " << digestMatches << " ,\n"
-       << "  \"shadow_arms\": " << shadowArms << "\n}\n";
+       << "  \"shadow_arms\": " << std::size(scens) << "\n}\n";
   json.close();
   std::cout << "\nwrote " << outPath << "\n";
 

@@ -4,6 +4,7 @@
 // ("the weights w1 and w2 can be customized to vary the relative importance
 // of the two costs").
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
@@ -37,6 +38,10 @@ std::vector<Shape> makeShapes(Rng& rng) {
 }  // namespace
 
 int main() {
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("workflow_heuristics.csv"));
+  std::ofstream weightsCsv =
+      bench::openOutput(bench::outputPath("workflow_weights.csv"));
   sim::Engine eng;
   grid::Grid g(eng);
   grid::buildMacroGrid(g);
@@ -70,7 +75,7 @@ int main() {
   }
   table.print(std::cout,
               "Workflow heuristic comparison — makespan (s) on the MacroGrid");
-  table.saveCsv(bench::outputPath("workflow_heuristics.csv"));
+  table.writeCsv(csv);
 
   // w1/w2 ablation: a data source pinned (by software constraint) to a
   // slow UIUC node feeds 8 data-heavy consumers. With compute-only ranking
@@ -113,7 +118,7 @@ int main() {
   }
   weights.print(std::cout, "Rank-weight (w1·ecost + w2·dcost) ablation — "
                            "pinned data source with data-heavy consumers");
-  weights.saveCsv(bench::outputPath("workflow_weights.csv"));
+  weights.writeCsv(weightsCsv);
 
   std::cout << "\nExpected shape: best-of-three <= each single heuristic; all"
                " model-guided heuristics beat the model-free baselines; as"

@@ -8,6 +8,7 @@
 // varying points of the workflow's life; we compare static execution against
 // the rescheduling executor.
 
+#include <fstream>
 #include <iostream>
 
 #include "bench_paths.hpp"
@@ -66,6 +67,8 @@ Outcome runOnce(double loadAtSec, bool reschedule, const std::string& shape) {
 }  // namespace
 
 int main() {
+  std::ofstream csv =
+      bench::openOutput(bench::outputPath("workflow_rescheduling.csv"));
   util::Table table({"dag", "load_at_s", "static_s", "rescheduled_s",
                      "speedup", "remapped_components"});
   for (const std::string shape : {"chain", "ligo", "layered"}) {
@@ -81,7 +84,7 @@ int main() {
   table.print(std::cout,
               "Workflow-level rescheduling — executed makespan with a load "
               "burst on the initial cluster (load_at=-1: no load)");
-  table.saveCsv(bench::outputPath("workflow_rescheduling.csv"));
+  table.writeCsv(csv);
 
   std::cout << "\nExpected shape: no load → identical (no churn); early load"
                " → large wins from remapping pending components; late load →"

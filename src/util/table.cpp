@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "util/error.hpp"
@@ -74,12 +73,6 @@ void Table::writeCsv(std::ostream& os) const {
       os << render(row[c]) << (c + 1 < row.size() ? "," : "\n");
     }
   }
-}
-
-void Table::saveCsv(const std::string& path) const {
-  std::ofstream f(path);
-  GRADS_REQUIRE(f.good(), "Table::saveCsv: cannot open " + path);
-  writeCsv(f);
 }
 
 }  // namespace grads::util

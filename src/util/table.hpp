@@ -26,8 +26,6 @@ class Table {
   void print(std::ostream& os, const std::string& title = "") const;
   /// Writes RFC-4180-ish CSV (no embedded quotes supported in our data).
   void writeCsv(std::ostream& os) const;
-  /// Convenience: writes CSV to a file path, creating/truncating it.
-  void saveCsv(const std::string& path) const;
 
  private:
   static std::string render(const Cell& c);

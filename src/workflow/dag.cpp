@@ -7,8 +7,7 @@
 namespace grads::workflow {
 
 ComponentId Dag::add(Component c) {
-  GRADS_REQUIRE(c.flops >= 0.0 || c.model != nullptr,
-                "Dag::add: component needs work or a model");
+  GRADS_REQUIRE(c.flops >= 0.0, "Dag::add: negative work");
   components_.push_back(std::move(c));
   return components_.size() - 1;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "grid/node.hpp"
-#include "perfmodel/kernel_model.hpp"
 
 namespace grads::workflow {
 
@@ -15,12 +14,8 @@ using ComponentId = std::size_t;
 /// "the set C = {c1, c2, ... cm} of available application components").
 struct Component {
   std::string name;
-  /// Sequential floating-point work. Used directly when `model` is null.
+  /// Sequential floating-point work.
   double flops = 0.0;
-  /// Optional richer performance model (flops + cache behaviour) evaluated
-  /// at `modelSize` — the §3.2 component models.
-  const perfmodel::KernelModel* model = nullptr;
-  double modelSize = 0.0;
   /// Bytes of output this component produces (consumed via edges).
   double outputBytes = 0.0;
   /// Resource requirements ("the scheduler ensures that resources meet

@@ -18,12 +18,7 @@ double GridEstimator::ecost(const Component& c, grid::NodeId node) const {
     if (!gis_->hasSoftware(node, pkg)) return kInfeasible;
   }
 
-  double seconds = 0.0;
-  if (c.model != nullptr) {
-    seconds = c.model->predictSeconds(c.modelSize, spec);
-  } else {
-    seconds = c.flops / spec.effectiveFlopsPerCpu();
-  }
+  double seconds = c.flops / spec.effectiveFlopsPerCpu();
   if (nws_ != nullptr) {
     // Scale by forecast CPU availability (contended nodes look slower).
     // Degradation ladder: live forecast -> last-known value (served by the

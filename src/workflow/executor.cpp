@@ -132,11 +132,7 @@ sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
   }
 
   // Compute on the node's shared CPU (background load slows us naturally).
-  const Component& comp = dag.component(c);
-  const double flops =
-      comp.model != nullptr ? comp.model->predictFlops(comp.modelSize)
-                            : comp.flops;
-  co_await grid_->node(node).compute(flops);
+  co_await grid_->node(node).compute(dag.component(c).flops);
 
   run.finish = grid_->engine().now();
   state.done[c]->set();

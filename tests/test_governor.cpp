@@ -1,21 +1,12 @@
 #include <gtest/gtest.h>
 
-#include "apps/qr.hpp"
-#include "core/app_manager.hpp"
-#include "grid/load.hpp"
-#include "grid/testbeds.hpp"
 #include "reschedule/governor.hpp"
 #include "reschedule/journal.hpp"
-#include "reschedule/rescheduler.hpp"
-#include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
+#include "scenarios.hpp"
 #include "util/error.hpp"
 
 namespace grads::reschedule {
 namespace {
-
-constexpr double kMB = 1024.0 * 1024.0;
 
 // ---------------------------------------------------------------------------
 // ActionJournal: the write-ahead log of rescheduling transactions.
@@ -244,116 +235,39 @@ TEST(Governor, ResetAppClearsQuorumHistory) {
 // at most the initial migration and zero oscillations.
 // ---------------------------------------------------------------------------
 
-struct FlapTestbed {
-  grid::ClusterId east = grid::kNoId;
-  grid::ClusterId west = grid::kNoId;
-  std::vector<grid::NodeId> eastNodes;
-  std::vector<grid::NodeId> westNodes;
-};
-
-FlapTestbed buildFlapTestbed(grid::Grid& g) {
-  FlapTestbed tb;
-  tb.east = g.addCluster(
-      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
-  tb.west = g.addCluster(
-      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
-  for (int i = 0; i < 4; ++i) {
-    tb.eastNodes.push_back(g.addNode(tb.east, grid::utkQrNodeSpec(i)));
-    tb.westNodes.push_back(g.addNode(tb.west, grid::utkQrNodeSpec(i + 4)));
-  }
-  g.connectClusters(tb.east, tb.west,
-                    grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
-  return tb;
-}
-
-grid::LoadTrace squareWave(double firstOnset, double period, double weight,
-                           int cycles) {
-  std::vector<grid::LoadPhase> phases;
-  for (int c = 0; c < cycles; ++c) {
-    const double on = firstOnset + 2.0 * period * c;
-    phases.push_back({on, weight});
-    phases.push_back({on + period, 0.0});
-  }
-  return grid::LoadTrace(phases);
-}
-
-int countOscillations(const std::vector<std::vector<grid::NodeId>>& maps) {
-  int n = 0;
-  for (std::size_t i = 2; i < maps.size(); ++i) {
-    if (maps[i] == maps[i - 2] && maps[i] != maps[i - 1]) ++n;
-  }
-  return n;
-}
-
 struct FlapOutcome {
   int migrations = 0;
   int oscillations = 0;
   int suppressed = 0;
 };
 
-FlapOutcome runFlappingLoad(bool governed) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = buildFlapTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  services::Nws nws(eng, g, 10.0, 0.02, 17);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-
-  const double period = 90.0;
-  for (const auto n : tb.eastNodes) {
-    grid::applyLoadTrace(eng, g.node(n), squareWave(period, period, 3.0, 10));
-  }
-  for (const auto n : tb.westNodes) {
-    grid::applyLoadTrace(eng, g.node(n),
-                         squareWave(2.0 * period, period, 3.0, 10));
-  }
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-
-  ActionJournal journal(eng);
-  ReschedulerOptions ropts;
-  ropts.worstCaseMigrationSec = 40.0;
-  StopRestartRescheduler rescheduler(gis, &nws, ropts);
-  rescheduler.setJournal(&journal);
-
-  GovernorOptions gopts;
-  gopts.cooldownSec = 600.0;
-  ViolationGovernor governor(eng, journal, gopts);
-
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.journal = &journal;
-  mopts.governor = governed ? &governor : nullptr;
-
-  core::RunBreakdown bd;
-  eng.spawn(mgr.run(cop, &rescheduler, mopts, &bd), "qr");
-  eng.run();
-  eng.rethrowIfFailed();
+/// The catalog's thrash-governed world at thrash_campaign's first seed; the
+/// raw arm leaves the governor unwired, as the campaign's does.
+FlapOutcome runFlap(bool governed) {
+  bench::World w;
+  bench::build(w, "thrash-governed", 17, /*armDaemons=*/true);
+  if (!governed) w.mopts.governor = nullptr;
+  bench::spawnApps(w, /*restored=*/false);
+  w.eng.run();
+  w.eng.rethrowIfFailed();
+  const core::RunBreakdown& bd = w.bd;
   EXPECT_GT(bd.totalSeconds, 0.0);
   FlapOutcome out;
   out.migrations = bd.incarnations > 0 ? bd.incarnations - 1 : 0;
-  out.oscillations = countOscillations(bd.mappings);
+  out.oscillations = bench::countOscillations(bd.mappings);
   out.suppressed = bd.violationsSuppressed;
   return out;
 }
 
 TEST(Governor, FlappingLoadThrashesUngoverned) {
-  const FlapOutcome raw = runFlappingLoad(false);
+  const FlapOutcome raw = runFlap(false);
   EXPECT_GE(raw.migrations, 4);
   EXPECT_GE(raw.oscillations, 3);
   EXPECT_EQ(raw.suppressed, 0);
 }
 
 TEST(Governor, FlappingLoadGovernedDoesNotOscillate) {
-  const FlapOutcome governed = runFlappingLoad(true);
+  const FlapOutcome governed = runFlap(true);
   EXPECT_LE(governed.migrations, 1);
   EXPECT_EQ(governed.oscillations, 0);
   EXPECT_GT(governed.suppressed, 0);

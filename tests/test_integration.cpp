@@ -1,68 +1,27 @@
 // End-to-end reproduction guards: these tests pin the *shape* of the
-// paper's headline results (Figure 3, Figure 4, MicroGrid fidelity,
-// opportunistic rescheduling) so regressions in any subsystem surface here.
+// paper's headline results (Figure 3, Figure 4, MicroGrid fidelity) so
+// regressions in any subsystem surface here. They run the catalog's worlds
+// (bench/scenarios.hpp), the same runs fig3_qr_migration, fig4_nbody_swap
+// and microgrid_fidelity report.
 
 #include <gtest/gtest.h>
 
-#include "apps/nbody.hpp"
-#include "apps/qr.hpp"
-#include "core/app_manager.hpp"
-#include "grid/load.hpp"
-#include "grid/testbeds.hpp"
-#include "microgrid/dml.hpp"
-#include "reschedule/rescheduler.hpp"
-#include "reschedule/swap.hpp"
-#include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
-#include "sim/sync.hpp"
+#include "scenarios.hpp"
 
 namespace grads {
 namespace {
 
-struct QrRun {
-  core::RunBreakdown breakdown;
-  bool migrated = false;
-};
-
-QrRun runQrScenario(std::size_t n, reschedule::ReschedulerMode mode) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  services::Nws nws(eng, g, 10.0, 0.01, 42);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  grid::applyLoadTrace(eng, g.node(tb.utkNodes[0]),
-                       grid::LoadTrace::stepAt(300.0, 2.65));
-  apps::QrConfig cfg;
-  cfg.n = n;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-  reschedule::ReschedulerOptions ropts;
-  ropts.mode = mode;
-  ropts.worstCaseMigrationSec = 900.0;
-  reschedule::StopRestartRescheduler rescheduler(gis, &nws, ropts);
-  core::AppManager manager(g, gis, &nws, ibp, autopilot);
-  QrRun run;
-  eng.spawn(manager.run(cop, &rescheduler, core::ManagerOptions{},
-                        &run.breakdown));
-  eng.run();
-  run.migrated = run.breakdown.incarnations > 1;
-  return run;
-}
+using bench::runQrMigration;
+using bench::runSwapExperiment;
+using reschedule::ReschedulerMode;
+using reschedule::SwapPolicy;
 
 TEST(Fig3, SmallProblemStaysAndThatIsCorrect) {
-  const auto stay = runQrScenario(6000, reschedule::ReschedulerMode::kForcedStay);
-  const auto mig =
-      runQrScenario(6000, reschedule::ReschedulerMode::kForcedMigrate);
-  const auto dflt = runQrScenario(6000, reschedule::ReschedulerMode::kDefault);
+  const auto stay = runQrMigration(6000, ReschedulerMode::kForcedStay);
+  const auto mig = runQrMigration(6000, ReschedulerMode::kForcedMigrate);
+  const auto dflt = runQrMigration(6000, ReschedulerMode::kDefault);
   EXPECT_LT(stay.breakdown.totalSeconds, mig.breakdown.totalSeconds);
-  EXPECT_FALSE(dflt.migrated);
+  EXPECT_FALSE(dflt.migrated());
 }
 
 TEST(Fig3, WrongDecisionAtN8000) {
@@ -70,12 +29,11 @@ TEST(Fig3, WrongDecisionAtN8000) {
   // determined worst-case rescheduling cost of 900 seconds while the actual
   // rescheduling cost was about 420 seconds" → it stays although migration
   // actually wins.
-  const auto stay = runQrScenario(8000, reschedule::ReschedulerMode::kForcedStay);
-  const auto mig =
-      runQrScenario(8000, reschedule::ReschedulerMode::kForcedMigrate);
-  const auto dflt = runQrScenario(8000, reschedule::ReschedulerMode::kDefault);
+  const auto stay = runQrMigration(8000, ReschedulerMode::kForcedStay);
+  const auto mig = runQrMigration(8000, ReschedulerMode::kForcedMigrate);
+  const auto dflt = runQrMigration(8000, ReschedulerMode::kDefault);
   EXPECT_LT(mig.breakdown.totalSeconds, stay.breakdown.totalSeconds);
-  EXPECT_FALSE(dflt.migrated) << "the pessimistic estimate must win";
+  EXPECT_FALSE(dflt.migrated()) << "the pessimistic estimate must win";
   // Actual rescheduling cost ≈ 420 s, dominated by reading checkpoints.
   const double read = mig.breakdown.sumSegment(mig.breakdown.checkpointRead);
   const double write = mig.breakdown.sumSegment(mig.breakdown.checkpointWrite);
@@ -84,64 +42,17 @@ TEST(Fig3, WrongDecisionAtN8000) {
 }
 
 TEST(Fig3, LargeProblemMigratesAndBenefits) {
-  const auto stay =
-      runQrScenario(12000, reschedule::ReschedulerMode::kForcedStay);
-  const auto mig =
-      runQrScenario(12000, reschedule::ReschedulerMode::kForcedMigrate);
-  const auto dflt = runQrScenario(12000, reschedule::ReschedulerMode::kDefault);
-  EXPECT_TRUE(dflt.migrated);
+  const auto stay = runQrMigration(12000, ReschedulerMode::kForcedStay);
+  const auto mig = runQrMigration(12000, ReschedulerMode::kForcedMigrate);
+  const auto dflt = runQrMigration(12000, ReschedulerMode::kDefault);
+  EXPECT_TRUE(dflt.migrated());
   EXPECT_LT(mig.breakdown.totalSeconds, 0.75 * stay.breakdown.totalSeconds);
   // "the rescheduling benefits are greater for large problem sizes".
   EXPECT_LT(dflt.breakdown.totalSeconds, stay.breakdown.totalSeconds);
 }
 
-struct SwapRun {
-  apps::NBodyProgress progress;
-  std::vector<reschedule::SwapManager::SwapEvent> swaps;
-  std::vector<grid::ClusterId> finalClusters;
-  double finishedAt = 0.0;
-};
-
-/// The Figure-4 scenario, on the MicroGrid emulation (virtualization
-/// overheads on) or, with `emulated` = false, directly simulated.
-SwapRun runSwapScenario(reschedule::SwapPolicy policy, bool emulated = true) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  microgrid::instantiate(g, microgrid::parseDml(microgrid::swapExperimentDml()),
-                         emulated);
-  services::Nws nws(eng, g, 10.0, 0.01, 7);
-  nws.start();
-  const auto utk = g.clusterNodes(*g.findCluster("utk"));
-  const auto uiuc = g.clusterNodes(*g.findCluster("uiuc"));
-  grid::applyLoadTrace(eng, g.node(utk[0]), grid::LoadTrace::stepAt(80.0, 2.0));
-  apps::NBodyConfig cfg;
-  cfg.particles = 10000;
-  cfg.iterations = 100;
-  vmpi::World world(g, {utk[0], utk[1], utk[2]}, "nbody");
-  std::vector<grid::NodeId> pool = utk;
-  pool.insert(pool.end(), uiuc.begin(), uiuc.end());
-  reschedule::SwapConfig scfg;
-  scfg.policy = policy;
-  scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
-  scfg.messagesPerIteration = 4.0;
-  reschedule::SwapManager swap(world, pool, &nws, scfg);
-  swap.start();
-  SwapRun run;
-  for (int r = 0; r < 3; ++r) {
-    eng.spawn(apps::nbodyRank(world, &swap, cfg, r, nullptr, "nbody",
-                              &run.progress));
-  }
-  eng.run();
-  run.swaps = swap.history();
-  run.finishedAt = eng.now();
-  for (int r = 0; r < 3; ++r) {
-    run.finalClusters.push_back(g.node(world.nodeOf(r)).cluster());
-  }
-  return run;
-}
-
 TEST(Fig4, AllWorkersSwapToUiucShortlyAfterLoad) {
-  const auto run = runSwapScenario(reschedule::SwapPolicy::kModelBased);
+  const auto run = runSwapExperiment(SwapPolicy::kModelBased, true);
   ASSERT_EQ(run.swaps.size(), 3u);
   for (const auto& e : run.swaps) {
     EXPECT_GT(e.time, 80.0);    // no swaps before the load appears
@@ -153,7 +64,7 @@ TEST(Fig4, AllWorkersSwapToUiucShortlyAfterLoad) {
 }
 
 TEST(Fig4, ProgressSlopeDipsAndRecovers) {
-  const auto run = runSwapScenario(reschedule::SwapPolicy::kModelBased);
+  const auto run = runSwapExperiment(SwapPolicy::kModelBased, true);
   const auto& s = run.progress.samples;
   ASSERT_GT(s.size(), 40u);
   // Per-iteration time before the load (samples 5..25 are safely pre-80 s).
@@ -181,16 +92,15 @@ TEST(Fig4, ProgressSlopeDipsAndRecovers) {
 }
 
 TEST(Fig4, SwappingBeatsNoSwapping) {
-  const auto swap = runSwapScenario(reschedule::SwapPolicy::kModelBased);
-  const auto noSwap = runSwapScenario(reschedule::SwapPolicy::kNever);
+  const auto swap = runSwapExperiment(SwapPolicy::kModelBased, true);
+  const auto noSwap = runSwapExperiment(SwapPolicy::kNever, true);
   EXPECT_LT(swap.finishedAt, 0.7 * noSwap.finishedAt);
 }
 
 TEST(MicrogridFidelity, EmulationTracksDirectSimulation) {
   // The same Fig-4 scenario with and without emulation overheads.
-  const auto direct =
-      runSwapScenario(reschedule::SwapPolicy::kModelBased, false);
-  const auto emulated = runSwapScenario(reschedule::SwapPolicy::kModelBased);
+  const auto direct = runSwapExperiment(SwapPolicy::kModelBased, false);
+  const auto emulated = runSwapExperiment(SwapPolicy::kModelBased, true);
   EXPECT_EQ(direct.swaps.size(), emulated.swaps.size());  // same decisions
   EXPECT_NEAR(emulated.finishedAt, direct.finishedAt, 0.05 * direct.finishedAt);
 }

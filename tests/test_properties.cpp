@@ -5,13 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "apps/nbody.hpp"
-#include "grid/load.hpp"
 #include "grid/testbeds.hpp"
-#include "microgrid/dml.hpp"
-#include "reschedule/swap.hpp"
+#include "scenarios.hpp"
 #include "services/gis.hpp"
-#include "services/nws.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/sync.hpp"
 #include "workflow/builders.hpp"
@@ -94,37 +93,20 @@ TEST(Properties, FullSwapExperimentIsExactlyRepeatable) {
   // The MicroGrid promise: "systematic, repeatable ... study of dynamic
   // Grid behavior". The entire Figure-4 pipeline must be bit-identical
   // across runs with the same seeds.
-  auto runOnce = [] {
-    sim::Engine eng;
-    grid::Grid g(eng);
-    microgrid::instantiate(g,
-                           microgrid::parseDml(microgrid::swapExperimentDml()));
-    services::Nws nws(eng, g, 10.0, 0.05, 123);  // noisy but seeded
-    nws.start();
-    const auto utk = g.clusterNodes(*g.findCluster("utk"));
-    const auto uiuc = g.clusterNodes(*g.findCluster("uiuc"));
-    grid::applyLoadTrace(eng, g.node(utk[0]),
-                         grid::LoadTrace::stepAt(80.0, 2.0));
-    apps::NBodyConfig cfg;
-    cfg.particles = 6000;
-    cfg.iterations = 50;
-    vmpi::World world(g, {utk[0], utk[1], utk[2]});
-    std::vector<grid::NodeId> pool = utk;
-    pool.insert(pool.end(), uiuc.begin(), uiuc.end());
-    reschedule::SwapConfig scfg;
-    scfg.policy = reschedule::SwapPolicy::kModelBased;
-    scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
-    reschedule::SwapManager swap(world, pool, &nws, scfg);
-    swap.start();
-    for (int r = 0; r < 3; ++r) {
-      eng.spawn(apps::nbodyRank(world, &swap, cfg, r, nullptr, "nb", nullptr));
-    }
-    eng.run();
-    return std::tuple{eng.now(), eng.processedEvents(), swap.history().size()};
-  };
-  const auto a = runOnce();
-  const auto b = runOnce();
-  EXPECT_EQ(a, b);
+  const auto a = bench::runSwapExperiment(reschedule::SwapPolicy::kModelBased,
+                                          /*emulated=*/true);
+  const auto b = bench::runSwapExperiment(reschedule::SwapPolicy::kModelBased,
+                                          /*emulated=*/true);
+  EXPECT_EQ(std::tuple(a.finishedAt, a.processedEvents, a.swaps.size()),
+            std::tuple(b.finishedAt, b.processedEvents, b.swaps.size()));
+  EXPECT_EQ(a.progress.samples, b.progress.samples);
+  ASSERT_EQ(a.swaps.size(), b.swaps.size());
+  for (std::size_t i = 0; i < a.swaps.size(); ++i) {
+    EXPECT_EQ(a.swaps[i].time, b.swaps[i].time);
+    EXPECT_EQ(a.swaps[i].rank, b.swaps[i].rank);
+    EXPECT_EQ(a.swaps[i].from, b.swaps[i].from);
+    EXPECT_EQ(a.swaps[i].to, b.swaps[i].to);
+  }
 }
 
 TEST(Properties, TransferTimeMonotoneInSize) {

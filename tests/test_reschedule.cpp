@@ -5,11 +5,11 @@
 #include "core/app_manager.hpp"
 #include "grid/load.hpp"
 #include "grid/testbeds.hpp"
-#include "reschedule/failure.hpp"
 #include "reschedule/journal.hpp"
 #include "reschedule/rescheduler.hpp"
 #include "reschedule/srs.hpp"
 #include "reschedule/swap.hpp"
+#include "scenarios.hpp"
 #include "services/gis.hpp"
 #include "services/ibp.hpp"
 #include "services/nws.hpp"
@@ -544,88 +544,15 @@ TEST(Swap, EndToEndNBodyRunSwapsUnderLoad) {
 // Transactional migrations through the application manager: a node killed
 // between the action's prepare (journal open) and commit (all ranks restored
 // on the target) must resolve as a rollback, and the run must complete.
+// Both tests run the catalog's mid-action kill at thrash_campaign's first
+// seed.
 // ---------------------------------------------------------------------------
 
-struct MidActionFaultRun {
-  core::RunBreakdown bd;
-  std::vector<ActionRecord> records;
-  int inFlight = 0;
-  bool killed = false;
-};
-
-MidActionFaultRun runMigrationWithMidActionKill(bool killTarget) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  services::Gis gis(g);
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-  services::Nws nws(eng, g, 10.0, 0.0, 7);
-  nws.start();
-  services::Ibp ibp(g);
-  autopilot::AutopilotManager autopilot(eng);
-  FailureInjector injector(eng, gis);
-
-  // Figure-3 setup: load lands on a UTK node, the rescheduler migrates.
-  grid::applyLoadTrace(eng, g.node(tb.utkNodes[0]),
-                       grid::LoadTrace::stepAt(300.0, 2.65));
-  apps::QrConfig cfg;
-  cfg.n = 9000;
-  cfg.checkpointEveryPanels = 8;
-  const core::Cop cop = apps::makeQrCop(g, cfg);
-
-  ActionJournal journal(eng);
-  StopRestartRescheduler rescheduler(gis, &nws, ReschedulerOptions{});
-  rescheduler.setJournal(&journal);
-
-  core::AppManager mgr(g, gis, &nws, ibp, autopilot);
-  core::ManagerOptions mopts;
-  mopts.journal = &journal;
-  mopts.failures = &injector;
-  mopts.launchRetry.maxAttempts = 5;
-  mopts.launchRetry.baseDelaySec = 15.0;
-
-  // The moment the migration opens, kill one endpoint 1 s later — inside
-  // the prepare window (stop checkpoint still being written). The long
-  // stale-GIS window makes the relaunch bind hit the corpse.
-  auto killed = std::make_shared<bool>(false);
-  auto poll = std::make_shared<std::function<void()>>();
-  // A non-owning self pointer: owning itself would leak the callback.
-  *poll = [&eng, &journal, &injector, killed, self = poll.get(), killTarget,
-           appName = cop.name] {
-    if (*killed) return;
-    if (const auto* rec = journal.openAction(appName)) {
-      const auto& nodes = killTarget ? rec->target : rec->prior;
-      if (!nodes.empty()) {
-        *killed = true;
-        const grid::NodeId victim = nodes.front();
-        eng.scheduleDaemon(1.0, [&injector, victim] {
-          injector.failNow(victim, 2.0, 120.0);
-        });
-        return;
-      }
-    }
-    eng.scheduleDaemon(1.0, *self);
-  };
-  eng.scheduleDaemon(1.0, *poll);
-
-  MidActionFaultRun out;
-  eng.spawn(mgr.run(cop, &rescheduler, mopts, &out.bd), "qr");
-  eng.run();
-  eng.rethrowIfFailed();
-  out.records = journal.records();
-  out.inFlight = journal.inFlight();
-  out.killed = *killed;
-  return out;
-}
-
 TEST(Journal, MigrationTargetDeathRollsBackToPriorMapping) {
-  const auto out = runMigrationWithMidActionKill(/*killTarget=*/true);
+  const auto out = bench::runMidActionKill(17, /*killTarget=*/true);
   ASSERT_TRUE(out.killed);
-  EXPECT_GT(out.bd.totalSeconds, 0.0);  // the run completed
-  EXPECT_EQ(out.inFlight, 0);           // no stranded records
+  EXPECT_GT(out.bd.totalSeconds, 0.0) << out.error;  // the run completed
+  EXPECT_EQ(out.openAtEnd, 0);                       // no stranded records
   EXPECT_GE(out.bd.actionsRolledBack, 1);
   // Find the rolled-back action and check the relaunch restored its exact
   // prior active set.
@@ -685,10 +612,10 @@ TEST(Journal, MigrationSourceDeathRollsBackAndRemaps) {
   // Killing a *source* node mid-prepare aborts the stop checkpoint; the
   // action rolls back, and since the prior mapping lost a node the manager
   // remaps from scratch — the run must still complete with nothing open.
-  const auto out = runMigrationWithMidActionKill(/*killTarget=*/false);
+  const auto out = bench::runMidActionKill(17, /*killTarget=*/false);
   ASSERT_TRUE(out.killed);
-  EXPECT_GT(out.bd.totalSeconds, 0.0);
-  EXPECT_EQ(out.inFlight, 0);
+  EXPECT_GT(out.bd.totalSeconds, 0.0) << out.error;
+  EXPECT_EQ(out.openAtEnd, 0);
   EXPECT_GE(out.bd.actionsRolledBack, 1);
   for (const auto& r : out.records) {
     EXPECT_GE(r.resolvedAt, 0.0);  // every action resolved
