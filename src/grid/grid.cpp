@@ -37,6 +37,7 @@ ClusterId Grid::addCluster(ClusterSpec spec) {
   const LinkId lan = links_.size();
   links_.push_back(std::make_unique<Link>(*flows_, lan, spec.lan));
   clusters_.push_back(Cluster{id, spec.name, spec.site, lan, {}});
+  routes_.clear();
   return id;
 }
 
@@ -56,6 +57,7 @@ LinkId Grid::connectClusters(ClusterId a, ClusterId b, LinkSpec spec) {
   const LinkId id = links_.size();
   links_.push_back(std::make_unique<Link>(*flows_, id, std::move(spec)));
   wan_[{std::min(a, b), std::max(a, b)}] = id;
+  routes_.clear();
   return id;
 }
 
@@ -103,13 +105,25 @@ std::vector<NodeId> Grid::allNodes() const {
   return ids;
 }
 
-Route Grid::route(NodeId src, NodeId dst) const {
+namespace {
+const Route kNoHops{};  // a node to itself
+}  // namespace
+
+const Route& Grid::route(NodeId src, NodeId dst) const {
   GRADS_REQUIRE(src < nodes_.size() && dst < nodes_.size(),
                 "route: unknown node");
-  Route r;
-  if (src == dst) return r;
+  if (src == dst) return kNoHops;
   const ClusterId cs = nodes_[src]->cluster();
   const ClusterId cd = nodes_[dst]->cluster();
+  if (routes_.empty()) routes_.resize(clusters_.size() * clusters_.size());
+  std::optional<Route>& slot = routes_[cs * clusters_.size() + cd];
+  // resolveRoute throws for unconnected clusters, leaving the slot empty.
+  if (!slot) slot = resolveRoute(cs, cd);
+  return *slot;
+}
+
+Route Grid::resolveRoute(ClusterId cs, ClusterId cd) const {
+  Route r;
   if (cs == cd) {
     r.links.push_back(clusters_[cs].lan);
     r.latencySec = links_[clusters_[cs].lan]->latency();
@@ -166,8 +180,7 @@ Route Grid::route(NodeId src, NodeId dst) const {
 }
 
 bool Grid::routeUp(NodeId src, NodeId dst) const {
-  const Route r = route(src, dst);
-  for (const LinkId l : r.links) {
+  for (const LinkId l : route(src, dst).links) {
     if (!links_[l]->isUp()) return false;
   }
   return true;
@@ -176,7 +189,7 @@ bool Grid::routeUp(NodeId src, NodeId dst) const {
 sim::Task Grid::transfer(NodeId src, NodeId dst, double bytes,
                          TransferClass cls) {
   GRADS_REQUIRE(bytes >= 0.0, "transfer: negative size");
-  const Route r = route(src, dst);
+  const Route& r = route(src, dst);
   // Fail fast on a partitioned path: connection setup does not complete, so
   // no bandwidth is consumed. Flows already in flight keep streaming.
   for (const LinkId l : r.links) {
@@ -186,16 +199,20 @@ sim::Task Grid::transfer(NodeId src, NodeId dst, double bytes,
                           links_[l]->spec().name + " is down");
     }
   }
-  if (r.latencySec > 0.0) co_await sim::sleepFor(*engine_, r.latencySec);
-  if (r.links.empty() || bytes == 0.0) co_return;
+  // The latency sleep suspends, and connectClusters may clear the route
+  // table meanwhile, so the flow gets its own copy of the link list.
+  std::vector<LinkId> links = r.links;
+  const double latency = r.latencySec;
+  if (latency > 0.0) co_await sim::sleepFor(*engine_, latency);
+  if (links.empty() || bytes == 0.0) co_return;
   // One flow over the whole route: the registry streams it at its max-min
   // bottleneck share (cut-through rather than store-and-forward) and
   // re-shares it as competing flows arrive and depart.
-  co_await flows_->transfer(r.links, bytes, cls);
+  co_await flows_->transfer(std::move(links), bytes, cls);
 }
 
 double Grid::transferEstimate(NodeId src, NodeId dst, double bytes) const {
-  const Route r = route(src, dst);
+  const Route& r = route(src, dst);
   if (r.links.empty()) return 0.0;
   double bw = sim::kInfTime;
   for (const LinkId l : r.links) {

@@ -111,6 +111,7 @@ class Grid : public core::Snapshottable {
   ClusterId addCluster(ClusterSpec spec);
   NodeId addNode(ClusterId cluster, NodeSpec spec);
   /// Adds a WAN link and records it as the route between the two clusters.
+  /// Adding a cluster or a link clears the route table (see route()).
   LinkId connectClusters(ClusterId a, ClusterId b, LinkSpec spec);
 
   std::size_t nodeCount() const { return nodes_.size(); }
@@ -126,8 +127,11 @@ class Grid : public core::Snapshottable {
   std::optional<NodeId> findNode(const std::string& name) const;
   std::vector<NodeId> allNodes() const;
 
-  /// Resolves the route between two nodes (BFS over the cluster graph).
-  Route route(NodeId src, NodeId dst) const;
+  /// Resolves the route between two nodes. A route depends only on the two
+  /// nodes' clusters, so the first query for a cluster pair runs a BFS over
+  /// the cluster graph and later ones read the stored result. The reference
+  /// stays valid until the next addCluster or connectClusters.
+  const Route& route(NodeId src, NodeId dst) const;
 
   /// True when every link on the route between the two nodes is up.
   bool routeUp(NodeId src, NodeId dst) const;
@@ -157,6 +161,10 @@ class Grid : public core::Snapshottable {
   std::vector<Cluster> clusters_;
   // grads: transient(route index rebuilt by the testbed builder - only dynamic link state is decoded)
   std::map<std::pair<ClusterId, ClusterId>, LinkId> wan_;
+  // grads: transient(route memo, a pure function of the topology - filled on first query, cleared by addCluster and connectClusters)
+  mutable std::vector<std::optional<Route>> routes_;  // [src * clusters + dst]
+
+  Route resolveRoute(ClusterId cs, ClusterId cd) const;
 };
 
 }  // namespace grads::grid

@@ -58,26 +58,39 @@ class SlidingMedian final : public ListedForecaster<SlidingMedian> {
   explicit SlidingMedian(std::size_t window) : window_(window) {
     GRADS_REQUIRE(window >= 1, "SlidingMedian: empty window");
   }
+  // The window in arrival order plus a sorted copy. Equal doubles are
+  // interchangeable, so the middle of the sorted copy is bit-identical to
+  // sorting the window afresh on every forecast.
   void update(double v) override {
     values_.push_back(v);
-    if (values_.size() > window_) values_.pop_front();
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), v), v);
+    if (values_.size() > window_) {
+      sorted_.erase(
+          std::lower_bound(sorted_.begin(), sorted_.end(), values_.front()));
+      values_.pop_front();
+    }
   }
   double forecast() const override {
-    if (values_.empty()) return 0.0;
-    std::vector<double> v(values_.begin(), values_.end());
-    std::sort(v.begin(), v.end());
-    const std::size_t mid = v.size() / 2;
-    return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+    if (sorted_.empty()) return 0.0;
+    const std::size_t mid = sorted_.size() / 2;
+    return sorted_.size() % 2 == 1 ? sorted_[mid]
+                                   : 0.5 * (sorted_[mid - 1] + sorted_[mid]);
   }
   const char* name() const override { return "sliding-median"; }
   template <class Self, class Ar>
   static void snapshotIo(Self& s, Ar& a) {
     a(s.values_);
   }
+  void decodeState(core::SnapshotReader& r) override {
+    snapshotIo(*this, r);
+    sorted_.assign(values_.begin(), values_.end());
+    std::sort(sorted_.begin(), sorted_.end());
+  }
 
  private:
   std::size_t window_;  // grads: transient(construction-time config)
   std::deque<double> values_;
+  std::vector<double> sorted_;  // grads: transient(values_ sorted - rebuilt from values_ on decode)
 };
 
 class ExpSmoothing final : public ListedForecaster<ExpSmoothing> {
@@ -215,6 +228,12 @@ void ForecasterBattery::addMeasurement(double value) {
   }
   last_ = value;
   ++count_;
+  best_ = bestIndex();
+}
+
+void ForecasterBattery::decodeState(core::SnapshotReader& r) {
+  snapshotIo(*this, r);
+  best_ = bestIndex();
 }
 
 std::size_t ForecasterBattery::bestIndex() const {
@@ -235,11 +254,11 @@ std::size_t ForecasterBattery::bestIndex() const {
 
 double ForecasterBattery::forecast() const {
   GRADS_REQUIRE(count_ > 0, "ForecasterBattery: no measurements yet");
-  return entries_[bestIndex()].forecaster->forecast();
+  return entries_[best_].forecaster->forecast();
 }
 
 std::string ForecasterBattery::bestName() const {
-  return entries_[bestIndex()].forecaster->name();
+  return entries_[best_].forecaster->name();
 }
 
 Nws::Nws(sim::Engine& engine, grid::Grid& grid, double periodSec,
@@ -355,7 +374,7 @@ std::optional<double> Nws::tryIncumbentRate(grid::NodeId node) const {
 
 double Nws::transferTimeDegraded(grid::NodeId src, grid::NodeId dst,
                                  double bytes) const {
-  const auto route = grid_->route(src, dst);
+  const grid::Route& route = grid_->route(src, dst);
   if (route.links.empty()) return 0.0;
   double minBw = std::numeric_limits<double>::infinity();
   for (const auto lid : route.links) {

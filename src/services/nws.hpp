@@ -55,10 +55,15 @@ class ForecasterBattery {
   std::size_t measurements() const { return count_; }
   double lastValue() const { return last_; }
 
-  /// Snapshot field list (core/snapshot.hpp): measurement count, last
-  /// value, and every forecaster's error score + fitted state. Decode
-  /// requires the battery shape (entry count) to match — the battery roster
-  /// is configuration, not state.
+  /// Snapshot codec (core/snapshot.hpp): measurement count, last value,
+  /// and every forecaster's error score + fitted state. Decode requires the
+  /// battery shape (entry count) to match — the battery roster is
+  /// configuration, not state — and re-picks the best forecaster from the
+  /// decoded scores.
+  void encodeState(core::SnapshotWriter& w) const { snapshotIo(*this, w); }
+  void decodeState(core::SnapshotReader& r);
+
+ private:
   template <class Self, class Ar>
   static void snapshotIo(Self& s, Ar& a) {
     a(s.count_, s.last_);
@@ -68,17 +73,18 @@ class ForecasterBattery {
     for (auto& e : s.entries_) a(e.absErrorSum, e.predictions, *e.forecaster);
   }
 
- private:
   struct Entry {
     std::unique_ptr<Forecaster> forecaster;
     double absErrorSum = 0.0;
     std::size_t predictions = 0;
   };
+  /// Lowest mean absolute error so far; the first index wins ties.
   std::size_t bestIndex() const;
 
   std::vector<Entry> entries_;
   std::size_t count_ = 0;
   double last_ = 0.0;
+  std::size_t best_ = 0;  // grads: transient(index of the best score - set by addMeasurement and on decode)
 };
 
 /// The Network Weather Service: periodically senses node CPU availability

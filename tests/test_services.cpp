@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <vector>
+
 #include "grid/load.hpp"
 #include "grid/testbeds.hpp"
 #include "services/gis.hpp"
@@ -29,6 +35,35 @@ TEST(Forecasters, SlidingMedianIgnoresSpikes) {
   auto f = makeSlidingMedian(5);
   for (double v : {1.0, 1.0, 100.0, 1.0, 1.0}) f->update(v);
   EXPECT_DOUBLE_EQ(f->forecast(), 1.0);
+}
+
+TEST(Forecasters, SlidingMedianMatchesSortingTheWindow) {
+  // The median read from the forecaster's sorted copy of its window must
+  // equal, bit for bit, sorting the window afresh, while the window fills
+  // and after it slides. Eight levels give many exact duplicates.
+  const double levels[] = {0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1e-3, 2.5, 7.0};
+  for (const std::size_t window : {1, 2, 3, 4, 5, 6, 7, 8, 21}) {
+    for (const std::uint64_t seed : {3u, 11u, 29u}) {
+      Rng rng(seed * 100 + window);
+      auto f = makeSlidingMedian(window);
+      std::deque<double> recent;
+      for (int i = 0; i < 3 * static_cast<int>(window) + 20; ++i) {
+        const double v = levels[rng.uniformInt(0, 7)];
+        f->update(v);
+        recent.push_back(v);
+        if (recent.size() > window) recent.pop_front();
+        std::vector<double> sorted(recent.begin(), recent.end());
+        std::sort(sorted.begin(), sorted.end());
+        const std::size_t mid = sorted.size() / 2;
+        const double want = sorted.size() % 2 == 1
+                                ? sorted[mid]
+                                : 0.5 * (sorted[mid - 1] + sorted[mid]);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(f->forecast()),
+                  std::bit_cast<std::uint64_t>(want))
+            << "window " << window << ", seed " << seed << ", update " << i;
+      }
+    }
+  }
 }
 
 TEST(Forecasters, ExpSmoothingWeighsRecent) {
