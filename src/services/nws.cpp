@@ -1,7 +1,6 @@
 #include "services/nws.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/error.hpp"
 
@@ -132,19 +131,18 @@ class SlidingMean final : public ListedForecaster<SlidingMean> {
     return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
   }
   const char* name() const override { return "sliding-mean"; }
+  // sum_ is listed, not rebuilt: it is a running total of every value
+  // added and removed, which summing the window does not reproduce bit for
+  // bit.
   template <class Self, class Ar>
   static void snapshotIo(Self& s, Ar& a) {
-    a(s.values_);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    snapshotIo(*this, r);
-    sum_ = std::accumulate(values_.begin(), values_.end(), 0.0);
+    a(s.values_, s.sum_);
   }
 
  private:
   std::size_t window_;  // grads: transient(construction-time config)
   std::deque<double> values_;
-  double sum_ = 0.0;  // grads: transient(derived running sum, rebuilt from values_ on decode)
+  double sum_ = 0.0;
 };
 
 class Ar1 final : public ListedForecaster<Ar1> {

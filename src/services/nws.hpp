@@ -102,6 +102,7 @@ class Nws : public core::Snapshottable {
   /// with one explicit start() (which is idempotent, so the sampler can
   /// never be armed twice).
   const char* snapshotSection() const override { return "services.nws"; }
+  std::uint32_t snapshotVersion() const override { return 2; }  // + mean sums
   void encodeState(core::SnapshotWriter& w) const override {
     snapshotIo(*this, w);
   }

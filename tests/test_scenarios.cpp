@@ -101,10 +101,10 @@ std::vector<Image> catalogImages(const bench::Scenario& sc) {
   return images;
 }
 
-// Every image the catalog writes, digested and compared with values recorded
-// before the per-type field lists replaced the hand-written codecs. A field
-// reordered in both halves of a codec round-trips, so only a pin on the
-// bytes themselves catches it. Each image is then decoded onto a freshly
+// Every image the catalog writes, digested and compared with recorded
+// values (last re-recorded when services.nws began to store each sliding
+// mean's running sum). A field reordered in both halves of a codec
+// round-trips, so only a pin on the bytes themselves catches it. Each image is then decoded onto a freshly
 // built world (no journal recovery or re-arming: both legitimately rewrite
 // their sections) and must re-encode to the same bytes.
 TEST(SnapshotWireFormat, CatalogImagesArePinnedAndReencodeIdentically) {
@@ -114,11 +114,11 @@ TEST(SnapshotWireFormat, CatalogImagesArePinnedAndReencodeIdentically) {
     std::size_t bytes;
     std::uint64_t digest;
   } kPinned[] = {
-      {"chaos-qr", 8, 326552, 0x65ee3cf8bfad278aULL},
-      {"integrity-qr", 7, 290824, 0xc9c6b27a04847a2cULL},
-      {"thrash-governed", 7, 214872, 0x83a4c78d79fe129eULL},
-      {"tenant-overload", 27, 593248, 0xf1f164c2d1f20c73ULL},
-      {"whatif-forked", 16, 789184, 0xb8e3564b1adc5cc7ULL},
+      {"chaos-qr", 8, 330392, 0x8ae319c12f69345eULL},
+      {"integrity-qr", 7, 294184, 0xe386a8f0ec7ef780ULL},
+      {"thrash-governed", 7, 217336, 0x9937eadb875c1b4dULL},
+      {"tenant-overload", 27, 597568, 0x3f87ed80b8686083ULL},
+      {"whatif-forked", 16, 794816, 0xe6b1b1264e3ae165ULL},
   };
   ASSERT_EQ(std::size(kPinned), std::size(bench::kScenarios));
   for (std::size_t s = 0; s < std::size(kPinned); ++s) {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <vector>
 
 #include "grid/load.hpp"
@@ -62,6 +63,59 @@ TEST(Forecasters, SlidingMedianMatchesSortingTheWindow) {
                   std::bit_cast<std::uint64_t>(want))
             << "window " << window << ", seed " << seed << ", update " << i;
       }
+    }
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Forecasters, RestoredForecastsMatchTheOriginalBitForBit) {
+  // A restored forecaster (and battery) must forecast exactly what the
+  // original does, at the restore and over 30 more identical updates.
+  const auto noisy = [](Rng& rng) { return 0.5 + rng.normal(0.0, 0.1); };
+  const std::vector<std::function<std::unique_ptr<Forecaster>()>> kinds = {
+      [] { return makeLastValue(); },       [] { return makeRunningMean(); },
+      [] { return makeSlidingMean(10); },   [] { return makeSlidingMedian(5); },
+      [] { return makeSlidingMedian(21); }, [] { return makeSlidingMedian(6); },
+      [] { return makeExpSmoothing(0.2); }, [] { return makeAr1(); }};
+  for (const auto& make : kinds) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      auto live = make();
+      for (int i = 0; i < 60; ++i) live->update(noisy(rng));
+      core::SnapshotWriter w;
+      w(*live);
+      auto restored = make();
+      core::SnapshotReader r(w.words());
+      r(*restored);
+      ASSERT_TRUE(r.done());
+      for (int i = 0; i <= 30; ++i) {
+        ASSERT_EQ(bits(restored->forecast()), bits(live->forecast()))
+            << live->name() << ", seed " << seed << ", " << i << " updates on";
+        const double v = noisy(rng);
+        live->update(v);
+        restored->update(v);
+      }
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    ForecasterBattery live;
+    for (int i = 0; i < 60; ++i) live.addMeasurement(noisy(rng));
+    core::SnapshotWriter w;
+    w(live);
+    ForecasterBattery restored;
+    core::SnapshotReader r(w.words());
+    r(restored);
+    ASSERT_TRUE(r.done());
+    for (int i = 0; i <= 30; ++i) {
+      ASSERT_EQ(bits(restored.forecast()), bits(live.forecast()))
+          << "battery, seed " << seed << ", " << i << " updates on";
+      ASSERT_EQ(restored.bestName(), live.bestName())
+          << "battery, seed " << seed << ", " << i << " updates on";
+      const double v = noisy(rng);
+      live.addMeasurement(v);
+      restored.addMeasurement(v);
     }
   }
 }
