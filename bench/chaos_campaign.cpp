@@ -91,10 +91,10 @@ RunOutcome runWorkflow(std::uint64_t seed, bool faults, bool mitigate) {
   reschedule::FailureInjector injector(eng, gis);
   reschedule::ChaosDriver chaos(eng, g, injector, &nws, &ibp);
 
-  // Partition/degrade targets: the WAN pipe and both campus LANs (LAN
+  // Partition/degrade targets: the WAN pipe (the middle of a cross-site
+  // route's [source LAN, WAN, destination LAN]) and both campus LANs (LAN
   // partitions are what actually hit intra-cluster input transfers).
-  const grid::LinkId wan =
-      g.route(tb.utkNodes[0], tb.uiucNodes[0]).links.front();
+  const grid::LinkId wan = g.route(tb.utkNodes[0], tb.uiucNodes[0]).links[1];
   const grid::LinkId utkLan =
       g.route(tb.utkNodes[0], tb.utkNodes[1]).links.front();
   const grid::LinkId uiucLan =

@@ -180,8 +180,9 @@ struct ChaosFixture {
                                           ibp.get());
   }
 
+  // A cross-site route is [source LAN, WAN, destination LAN].
   grid::LinkId wanLink() const {
-    return g.route(tb.utkNodes[0], tb.uiucNodes[0]).links.front();
+    return g.route(tb.utkNodes[0], tb.uiucNodes[0]).links[1];
   }
 
   ChaosEvent event(ChaosKind kind, double at, double dur) const {
@@ -595,7 +596,7 @@ TEST(ExecutorDegraded, TransferRetriesOutlastPartition) {
   f.gis->installSoftware(f.tb.utkNodes[0], "src-only");
   f.gis->installSoftware(f.tb.uiucNodes[0], "dst-only");
   const grid::LinkId wan =
-      f.g.route(f.tb.utkNodes[0], f.tb.uiucNodes[0]).links.front();
+      f.g.route(f.tb.utkNodes[0], f.tb.uiucNodes[0]).links[1];
   f.g.link(wan).setUp(false);  // partitioned from the start...
   f.eng.scheduleDaemonAt(100.0, [&f, wan] { f.g.link(wan).setUp(true); });
   workflow::ExecutionOptions opts;
@@ -612,7 +613,7 @@ TEST(ExecutorDegraded, NoRetryBudgetLosesTheComponent) {
   f.gis->installSoftware(f.tb.utkNodes[0], "src-only");
   f.gis->installSoftware(f.tb.uiucNodes[0], "dst-only");
   const grid::LinkId wan =
-      f.g.route(f.tb.utkNodes[0], f.tb.uiucNodes[0]).links.front();
+      f.g.route(f.tb.utkNodes[0], f.tb.uiucNodes[0]).links[1];
   f.g.link(wan).setUp(false);  // permanent partition
   workflow::WorkflowExecutor exec(f.g, *f.gis, f.nws.get());
   workflow::ExecutionOptions opts;
