@@ -179,13 +179,6 @@ Route Grid::resolveRoute(ClusterId cs, ClusterId cd) const {
   return r;
 }
 
-bool Grid::routeUp(NodeId src, NodeId dst) const {
-  for (const LinkId l : route(src, dst).links) {
-    if (!links_[l]->isUp()) return false;
-  }
-  return true;
-}
-
 sim::Task Grid::transfer(NodeId src, NodeId dst, double bytes,
                          TransferClass cls) {
   GRADS_REQUIRE(bytes >= 0.0, "transfer: negative size");

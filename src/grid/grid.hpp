@@ -133,9 +133,6 @@ class Grid : public core::Snapshottable {
   /// stays valid until the next addCluster or connectClusters.
   const Route& route(NodeId src, NodeId dst) const;
 
-  /// True when every link on the route between the two nodes is up.
-  bool routeUp(NodeId src, NodeId dst) const;
-
   /// Moves `bytes` from src to dst: pays route latency once, then streams
   /// as one flow at the route's max-min bottleneck share, re-solved as
   /// competing flows come and go. Bulk-class transfers yield bandwidth to

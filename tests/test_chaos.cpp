@@ -202,7 +202,6 @@ TEST(ChaosDriver, LinkPartitionFailsFastAndHeals) {
 
   f.eng.runUntil(50.0);
   EXPECT_FALSE(f.g.link(e.link).isUp());
-  EXPECT_FALSE(f.g.routeUp(f.tb.utkNodes[0], f.tb.uiucNodes[0]));
 
   // A transfer across the partition fails immediately — no bandwidth is
   // consumed, no time passes before the error surfaces.
@@ -224,7 +223,6 @@ TEST(ChaosDriver, LinkPartitionFailsFastAndHeals) {
   // After the window the partition heals and transfers flow again.
   f.eng.runUntil(100.0);
   EXPECT_TRUE(f.g.link(e.link).isUp());
-  EXPECT_TRUE(f.g.routeUp(f.tb.utkNodes[0], f.tb.uiucNodes[0]));
   bool ok = false;
   f.eng.spawn([](ChaosFixture& f, bool* flag) -> sim::Task {
     co_await f.g.transfer(f.tb.utkNodes[0], f.tb.uiucNodes[0], kMB);
