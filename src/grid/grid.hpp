@@ -111,7 +111,6 @@ class Grid : public core::Snapshottable {
   ClusterId addCluster(ClusterSpec spec);
   NodeId addNode(ClusterId cluster, NodeSpec spec);
   /// Adds a WAN link and records it as the route between the two clusters.
-  /// Adding a cluster or a link clears the route table (see route()).
   LinkId connectClusters(ClusterId a, ClusterId b, LinkSpec spec);
 
   std::size_t nodeCount() const { return nodes_.size(); }

@@ -57,9 +57,9 @@ class SlidingMedian final : public ListedForecaster<SlidingMedian> {
   explicit SlidingMedian(std::size_t window) : window_(window) {
     GRADS_REQUIRE(window >= 1, "SlidingMedian: empty window");
   }
-  // The window in arrival order plus a sorted copy. Equal doubles are
-  // interchangeable, so the middle of the sorted copy is bit-identical to
-  // sorting the window afresh on every forecast.
+  // The window in arrival order plus a sorted copy of it. Equal doubles
+  // are interchangeable, so the sorted copy's middle is bit-identical to
+  // the median of a freshly sorted window.
   void update(double v) override {
     values_.push_back(v);
     sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), v), v);

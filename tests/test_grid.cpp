@@ -198,6 +198,12 @@ TEST(Grid, RouteBetweenUnconnectedClustersThrows) {
   const auto na = g.addNode(a, uiucQrNodeSpec(0));
   const auto nb = g.addNode(b, uiucQrNodeSpec(1));
   EXPECT_THROW(g.route(na, nb), InvalidArgument);
+  EXPECT_THROW(g.route(na, nb), InvalidArgument);  // the failure is not stored
+
+  const LinkId ab = g.connectClusters(a, b, internetWan("ab", 0.010, kMB));
+  const Route& r = g.route(na, nb);
+  ASSERT_EQ(r.links.size(), 3u);  // lanA, ab, lanB
+  EXPECT_EQ(r.links[1], ab);
 }
 
 TEST(Grid, MultiHopRouting) {
@@ -213,48 +219,32 @@ TEST(Grid, MultiHopRouting) {
   const Route r = g.route(na, nc);
   EXPECT_EQ(r.links.size(), 4u);  // lanA, ab, bc, lanC
   EXPECT_GT(r.latencySec, 0.030);
-}
 
-TEST(Grid, ConnectingClustersReplacesAStoredRoute) {
-  sim::Engine eng;
-  Grid g(eng);
-  const auto a = g.addCluster(ClusterSpec{"a", "A", gigabitLan("a.lan", 2)});
-  const auto b = g.addCluster(ClusterSpec{"b", "B", gigabitLan("b.lan", 2)});
-  const auto c = g.addCluster(ClusterSpec{"c", "C", gigabitLan("c.lan", 2)});
-  const auto na = g.addNode(a, uiucQrNodeSpec(0));
-  const auto nc = g.addNode(c, uiucQrNodeSpec(1));
-  g.connectClusters(a, b, internetWan("ab", 0.010, kMB));
-  g.connectClusters(b, c, internetWan("bc", 0.020, kMB));
-  // A copy: connectClusters invalidates references into the route table.
-  const Route chain = g.route(na, nc);
-  ASSERT_EQ(chain.links.size(), 4u);  // lanA, ab, bc, lanC
-
+  // A direct link replaces the stored route. (r is a copy: connectClusters
+  // invalidates references into the route table.)
   const LinkId ac = g.connectClusters(a, c, internetWan("ac", 0.005, kMB));
   const Route& direct = g.route(na, nc);
   ASSERT_EQ(direct.links.size(), 3u);  // lanA, ac, lanC
   EXPECT_EQ(direct.links[1], ac);
-  EXPECT_LT(direct.latencySec, chain.latencySec);
+  EXPECT_LT(direct.latencySec, r.latencySec);
 }
 
-TEST(Grid, UnconnectedPairResolvesOnceConnected) {
+TEST(Grid, AddingAClusterRegrowsTheRouteTable) {
   sim::Engine eng;
   Grid g(eng);
   const auto a = g.addCluster(ClusterSpec{"a", "A", gigabitLan("a.lan", 2)});
   const auto b = g.addCluster(ClusterSpec{"b", "B", gigabitLan("b.lan", 2)});
   const auto na = g.addNode(a, uiucQrNodeSpec(0));
   const auto nb = g.addNode(b, uiucQrNodeSpec(1));
-  EXPECT_THROW(g.route(na, nb), InvalidArgument);
-  EXPECT_THROW(g.route(na, nb), InvalidArgument);  // the failure is not stored
+  const auto nb2 = g.addNode(b, uiucQrNodeSpec(2));
+  g.connectClusters(a, b, internetWan("ab", 0.010, kMB));
+  EXPECT_EQ(g.route(na, nb).links.size(), 3u);   // lanA, ab, lanB
+  EXPECT_EQ(g.route(nb, nb2).links.size(), 1u);  // lanB
 
-  const LinkId ab = g.connectClusters(a, b, internetWan("ab", 0.010, kMB));
-  const Route& r = g.route(na, nb);
-  ASSERT_EQ(r.links.size(), 3u);  // lanA, ab, lanB
-  EXPECT_EQ(r.links[1], ab);
-  EXPECT_EQ(g.route(nb, na).links.size(), 3u);
-
-  // A cluster added after the queries above is routable too.
+  // Every entry's index changes when the table gains a row and a column.
   const auto c = g.addCluster(ClusterSpec{"c", "C", gigabitLan("c.lan", 2)});
-  const auto nc = g.addNode(c, uiucQrNodeSpec(2));
+  EXPECT_EQ(g.route(nb, na).links.size(), 3u);
+  const auto nc = g.addNode(c, uiucQrNodeSpec(3));
   g.connectClusters(b, c, internetWan("bc", 0.020, kMB));
   EXPECT_EQ(g.route(na, nc).links.size(), 4u);  // lanA, ab, bc, lanC
 }

@@ -38,6 +38,8 @@ TEST(Forecasters, SlidingMedianIgnoresSpikes) {
   EXPECT_DOUBLE_EQ(f->forecast(), 1.0);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(Forecasters, SlidingMedianMatchesSortingTheWindow) {
   // The median read from the forecaster's sorted copy of its window must
   // equal, bit for bit, sorting the window afresh, while the window fills
@@ -59,15 +61,12 @@ TEST(Forecasters, SlidingMedianMatchesSortingTheWindow) {
         const double want = sorted.size() % 2 == 1
                                 ? sorted[mid]
                                 : 0.5 * (sorted[mid - 1] + sorted[mid]);
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(f->forecast()),
-                  std::bit_cast<std::uint64_t>(want))
+        ASSERT_EQ(bits(f->forecast()), bits(want))
             << "window " << window << ", seed " << seed << ", update " << i;
       }
     }
   }
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(Forecasters, RestoredForecastsMatchTheOriginalBitForBit) {
   // A restored forecaster (and battery) must forecast exactly what the
