@@ -266,24 +266,20 @@ void MetaScheduler::pump() {
   // admitted-work obligations, so they outrank fresh dispatch. An empty
   // queue always unparks regardless of the brownout rung — holding a park
   // with nothing else to serve would strand the job forever.
-  while (!freeSlots_.empty() && parkedCount_ > 0 &&
+  while (!freeSlots_.empty() && !parked_.empty() &&
          (queuedTotal_ == 0 || !opts_.brownout.enabled ||
           brownout_.level() < BrownoutLevel::kPark)) {
-    bool found = false;
-    JobKey pick = 0;
-    int bestTier = 0;
-    double bestAt = 0.0;
-    for (const auto& [key, job] : jobs_) {
-      if (job.state != JobState::kParked) continue;
-      if (!found || job.tier > bestTier ||
-          (job.tier == bestTier && job.parkedAt < bestAt)) {
-        found = true;
+    // Highest tier first, then longest parked, then lowest key.
+    JobKey pick = *parked_.begin();
+    const Job* best = &jobs_.at(pick);
+    for (const JobKey key : parked_) {
+      const Job& job = jobs_.at(key);
+      if (job.tier > best->tier ||
+          (job.tier == best->tier && job.parkedAt < best->parkedAt)) {
         pick = key;
-        bestTier = job.tier;
-        bestAt = job.parkedAt;
+        best = &job;
       }
     }
-    if (!found) break;
     unpark(pick);
   }
 
@@ -358,7 +354,7 @@ void MetaScheduler::dispatchJob(JobKey key) {
   ++ledgers_[jobTenant(key)].dispatched;
   integrateBusy();
   ++busyCount_;
-  ++runningCount_;
+  running_.insert(key);
   auto ctrl = std::make_shared<JobControl>(engine(), /*gateOpen=*/true);
   ctrl->slot->node = node;
   controls_[key] = ctrl;
@@ -423,7 +419,7 @@ void MetaScheduler::onJobFinished(JobKey key, std::shared_ptr<JobControl> ctrl,
   }
   integrateBusy();
   --busyCount_;
-  --runningCount_;
+  running_.erase(key);
   freeSlots_.push_back(job.node);
 
   // Surface the frontend's view of this run in its breakdown (satellite:
@@ -493,8 +489,9 @@ void MetaScheduler::maybePreempt() {
     JobKey victim = 0;
     int vTier = 0;
     double vStart = 0.0;
-    for (const auto& [key, job] : jobs_) {
-      if (job.state != JobState::kRunning || job.tier >= reqTier) continue;
+    for (const JobKey key : running_) {
+      const Job& job = jobs_.at(key);
+      if (job.tier >= reqTier) continue;
       const auto cit = controls_.find(key);
       if (cit == controls_.end() || cit->second->parkPending) continue;
       if (now - job.lastStartAt < opts_.preempt.minRunSec) continue;
@@ -547,8 +544,8 @@ void MetaScheduler::onParkedAtGate(JobKey key,
   ++ledgers_[jobTenant(key)].parks;
   integrateBusy();
   --busyCount_;
-  --runningCount_;
-  ++parkedCount_;
+  running_.erase(key);
+  parked_.insert(key);
   freeSlots_.push_back(job.node);
   job.node = grid::kNoId;
   fire("park");
@@ -566,8 +563,8 @@ void MetaScheduler::unpark(JobKey key) {
   ctrl->slot->node = node;
   integrateBusy();
   ++busyCount_;
-  ++runningCount_;
-  --parkedCount_;
+  running_.insert(key);
+  parked_.erase(key);
   ++ledgers_[jobTenant(key)].unparked;
   fire("unpark");
   ctrl->gate.open();
@@ -623,7 +620,7 @@ void MetaScheduler::armTick() {
   // resubmits exist — otherwise run() would drain with work stranded
   // behind a brownout deferral or a closed gate.
   const bool liveWork =
-      queuedTotal_ > 0 || parkedCount_ > 0 || !resubmitAt_.empty();
+      queuedTotal_ > 0 || !parked_.empty() || !resubmitAt_.empty();
   if (now >= endAt && !liveWork) return;
   tickPending_ = true;
   engine().schedule(opts_.controlPeriodSec, [this] { controlTick(); });
@@ -652,7 +649,8 @@ void MetaScheduler::controlTick() {
   queueDepthSum_ += static_cast<double>(queuedTotal_);
   if (queuedTotal_ > peakQueueDepth_) peakQueueDepth_ = queuedTotal_;
   if (onSample_) {
-    onSample_(now, queuedTotal_, runningCount_, parkedCount_, pressure(),
+    onSample_(now, queuedTotal_, static_cast<std::int64_t>(running_.size()),
+              static_cast<std::int64_t>(parked_.size()), pressure(),
               brownout_.level());
   }
   pump();  // also re-arms the tick
@@ -789,8 +787,9 @@ void MetaScheduler::foldDigest(util::DigestStream& ds) const {
 
 void MetaScheduler::decodeState(core::SnapshotReader& r) {
   snapshotIo(*this, r);
-  // Derived gauges rebuild from the queues and the job table; park-pending
-  // stops are runtime-only (journal recovery rolled their actions back).
+  // Derived gauges and job sets rebuild from the queues and the job table;
+  // park-pending stops are runtime-only (journal recovery rolled their
+  // actions back).
   queuedTotal_ = 0;
   queuedFlops_ = 0.0;
   for (const auto& q : queues_) {
@@ -799,12 +798,11 @@ void MetaScheduler::decodeState(core::SnapshotReader& r) {
       queuedFlops_ += jobs_.at(key).sizeFlops;
     }
   }
-  runningCount_ = 0;
-  parkedCount_ = 0;
+  running_.clear();
+  parked_.clear();
   for (const auto& [key, job] : jobs_) {
-    (void)key;
-    if (job.state == JobState::kRunning) ++runningCount_;
-    if (job.state == JobState::kParked) ++parkedCount_;
+    if (job.state == JobState::kRunning) running_.insert(running_.end(), key);
+    if (job.state == JobState::kParked) parked_.insert(parked_.end(), key);
   }
   pendingParks_ = 0;
   controls_.clear();

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -145,7 +146,7 @@ class MetaScheduler : public core::Snapshottable {
   /// True when every admitted job reached a terminal state (nothing queued,
   /// running, or parked) — the crash sweep's completion criterion.
   bool drained() const {
-    return queuedTotal_ == 0 && runningCount_ == 0 && parkedCount_ == 0;
+    return queuedTotal_ == 0 && running_.empty() && parked_.empty();
   }
   /// All slowdown samples across tenants (campaign percentile input).
   std::vector<double> allSlowdowns() const;
@@ -300,11 +301,13 @@ class MetaScheduler : public core::Snapshottable {
   // grads: transient(runtime stop-handles, cleared on decode - journal recovery rolls their actions back)
   std::map<JobKey, std::shared_ptr<JobControl>> controls_;
   std::vector<grid::NodeId> freeSlots_;
+  /// Keys of the kRunning and kParked jobs, in key order: the victim search
+  /// and the unpark pick walk these instead of the whole backlog.
+  std::set<JobKey> running_;  // grads: transient(derived index, rebuilt from jobs_ on decode)
+  std::set<JobKey> parked_;   // grads: transient(derived index, rebuilt from jobs_ on decode)
 
   std::int64_t queuedTotal_ = 0;   // grads: transient(derived gauge, rebuilt from queues_ on decode)
   double queuedFlops_ = 0.0;       // grads: transient(derived gauge, rebuilt from queues_ on decode)
-  std::int64_t runningCount_ = 0;  // grads: transient(derived gauge, rebuilt from jobs_ on decode)
-  std::int64_t parkedCount_ = 0;   // grads: transient(derived gauge, rebuilt from jobs_ on decode)
   // grads: transient(runtime only - journal recovery rolled the park actions back)
   std::int64_t pendingParks_ = 0;
   std::int64_t peakQueueDepth_ = 0;

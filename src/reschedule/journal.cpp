@@ -95,12 +95,15 @@ void ActionJournal::resolve(ActionRecord& r, ActionState state,
   // resolve; an explicit resolve note still wins.
   if (!note.empty()) r.note = note;
   openByApp_.erase(r.app);
-  lastResolved_[r.app] = r.resolvedAt;
+  AppOutcomes& outcomes = outcomes_[r.app];
+  outcomes.lastResolvedAt = r.resolvedAt;
   --inFlight_;
   if (state == ActionState::kCommitted) {
     ++committed_;
+    ++outcomes.committed;
   } else {
     ++rolledBack_;
+    ++outcomes.rolledBack;
   }
   GRADS_INFO("journal") << log::appAt(r.app, engine_->now()) << "action #"
                         << r.id << " " << actionStateName(state)
@@ -122,25 +125,23 @@ const ActionRecord* ActionJournal::openAction(const std::string& app) const {
   return &record(it->second);
 }
 
+const ActionJournal::AppOutcomes& ActionJournal::outcomesFor(
+    const std::string& app) const {
+  static const AppOutcomes kNone;
+  const auto it = outcomes_.find(app);
+  return it == outcomes_.end() ? kNone : it->second;
+}
+
 double ActionJournal::lastResolvedAt(const std::string& app) const {
-  const auto it = lastResolved_.find(app);
-  return it == lastResolved_.end() ? -1.0 : it->second;
+  return outcomesFor(app).lastResolvedAt;
 }
 
 int ActionJournal::committedFor(const std::string& app) const {
-  int n = 0;
-  for (const auto& r : records_) {
-    if (r.app == app && r.state == ActionState::kCommitted) ++n;
-  }
-  return n;
+  return outcomesFor(app).committed;
 }
 
 int ActionJournal::rolledBackFor(const std::string& app) const {
-  int n = 0;
-  for (const auto& r : records_) {
-    if (r.app == app && r.state == ActionState::kRolledBack) ++n;
-  }
-  return n;
+  return outcomesFor(app).rolledBack;
 }
 
 int ActionJournal::recover(const std::string& note) {
@@ -168,7 +169,7 @@ void ActionJournal::decodeState(core::SnapshotReader& r) {
   snapshotIo(*this, r);
   // Rebuild the ids and derived indexes from the log itself.
   openByApp_.clear();
-  lastResolved_.clear();
+  outcomes_.clear();
   inFlight_ = 0;
   committed_ = 0;
   rolledBack_ = 0;
@@ -180,12 +181,15 @@ void ActionJournal::decodeState(core::SnapshotReader& r) {
       openByApp_[rec.app] = rec.id;
       ++inFlight_;
     } else {
-      auto& anchor = lastResolved_[rec.app];
-      anchor = std::max(anchor, rec.resolvedAt);
+      AppOutcomes& outcomes = outcomes_[rec.app];
+      outcomes.lastResolvedAt =
+          std::max(outcomes.lastResolvedAt, rec.resolvedAt);
       if (rec.state == ActionState::kCommitted) {
         ++committed_;
+        ++outcomes.committed;
       } else {
         ++rolledBack_;
+        ++outcomes.rolledBack;
       }
     }
   }

@@ -81,9 +81,9 @@ class ActionJournal : public core::Snapshottable {
   explicit ActionJournal(sim::Engine& engine);
 
   /// Snapshot participation: the full record log round-trips; the derived
-  /// indexes (open-action map, in-flight count, counters, cooldown anchors)
-  /// are rebuilt from it on decode, so the image cannot carry an index that
-  /// disagrees with its own log.
+  /// indexes (open-action map, in-flight count, counters, per-app outcome
+  /// tallies and cooldown anchors) are rebuilt from it on decode, so the
+  /// image cannot carry an index that disagrees with its own log.
   const char* snapshotSection() const override { return "reschedule.journal"; }
   std::uint32_t snapshotVersion() const override { return 2; }  // + pinned
   void encodeState(core::SnapshotWriter& w) const override {
@@ -157,14 +157,23 @@ class ActionJournal : public core::Snapshottable {
     a(s.records_, s.recoveries_);
   }
 
+  /// One app's resolved actions: when the latest resolved, and how many
+  /// committed or rolled back.
+  struct AppOutcomes {
+    double lastResolvedAt = -1.0;
+    int committed = 0;
+    int rolledBack = 0;
+  };
+
   ActionRecord& mutableRecord(int id);
   void resolve(ActionRecord& r, ActionState state, const std::string& note);
+  const AppOutcomes& outcomesFor(const std::string& app) const;
 
   sim::Engine* engine_;  // grads: transient(wiring, re-bound at construction)
   std::vector<ActionRecord> records_;
   /// app -> open record id
   std::map<std::string, int> openByApp_;  // grads: transient(derived index, rebuilt from records_ on decode)
-  std::map<std::string, double> lastResolved_;  // grads: transient(derived index, rebuilt from records_ on decode)
+  std::map<std::string, AppOutcomes> outcomes_;  // grads: transient(derived index, rebuilt from records_ on decode)
   int inFlight_ = 0;    // grads: transient(derived counter, rebuilt from records_ on decode)
   int opened_ = 0;      // grads: transient(derived counter, rebuilt from records_ on decode)
   int committed_ = 0;   // grads: transient(derived counter, rebuilt from records_ on decode)
