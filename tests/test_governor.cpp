@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/snapshot.hpp"
 #include "reschedule/governor.hpp"
 #include "reschedule/journal.hpp"
 #include "scenarios.hpp"
@@ -96,6 +97,52 @@ TEST(Journal, OnTransitionFiresOnEveryTransition) {
                       ActionState::kPrepared, ActionState::kCommitting,
                       ActionState::kCommitted, ActionState::kPrepared,
                       ActionState::kRolledBack}));
+}
+
+TEST(Journal, TalliesSurviveDecode) {
+  sim::Engine eng;
+  ActionJournal j(eng);
+  eng.runUntil(5.0);
+  j.commit(j.open("qr", ActionKind::kMigrate, {1}));
+  eng.runUntil(10.0);
+  j.rollback(j.open("qr", ActionKind::kSwap, {1}, {2}), "target died");
+  j.rollback(j.open("nbody", ActionKind::kMigrate, {3}), "fault");
+  eng.runUntil(15.0);
+  j.commit(j.open("qr", ActionKind::kMigrate, {1}));
+  eng.runUntil(20.0);
+  j.beginCommit(j.open("nbody", ActionKind::kPreempt, {3}));
+  ASSERT_EQ(j.committedFor("qr"), 2);
+  ASSERT_EQ(j.rolledBackFor("qr"), 1);
+  ASSERT_EQ(j.lastResolvedAt("qr"), 15.0);
+  ASSERT_EQ(j.rolledBackFor("nbody"), 1);
+  ASSERT_EQ(j.lastResolvedAt("nbody"), 10.0);
+
+  core::SnapshotRegistry reg;
+  reg.add(j);
+  const auto bytes = reg.capture(eng.now()).serialize();
+  sim::Engine eng2;
+  ActionJournal k(eng2);
+  core::SnapshotRegistry reg2;
+  reg2.add(k);
+  reg2.restore(core::SnapshotImage::parse(bytes));
+
+  for (const std::string app : {"qr", "nbody"}) {
+    EXPECT_EQ(k.committedFor(app), j.committedFor(app)) << app;
+    EXPECT_EQ(k.rolledBackFor(app), j.rolledBackFor(app)) << app;
+    EXPECT_EQ(k.lastResolvedAt(app), j.lastResolvedAt(app)) << app;
+    const ActionRecord* was = j.openAction(app);
+    const ActionRecord* now = k.openAction(app);
+    ASSERT_EQ(was == nullptr, now == nullptr) << app;
+    if (was != nullptr) {
+      EXPECT_EQ(now->id, was->id) << app;
+    }
+  }
+  EXPECT_EQ(k.inFlight(), j.inFlight());
+  EXPECT_EQ(k.committed(), j.committed());
+  EXPECT_EQ(k.rolledBack(), j.rolledBack());
+  EXPECT_EQ(k.committedFor("absent"), 0);
+  EXPECT_EQ(k.rolledBackFor("absent"), 0);
+  EXPECT_EQ(k.lastResolvedAt("absent"), -1.0);
 }
 
 // ---------------------------------------------------------------------------

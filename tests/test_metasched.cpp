@@ -415,25 +415,49 @@ TEST(MetaScheduler, StrictTierPriority) {
   auditTotals(w);
 }
 
+/// Starvation-driven preemption on one slot: a batch tenant with long jobs
+/// occupies the slot; a rare high-tier tenant arrives, starves past
+/// highTierMaxWaitSec, and preempts (first at 390 s).
+void applyPreemptConfig(World& w, metasched::FrontendOptions& fo) {
+  fo.horizonSec = 900.0;
+  fo.hardDeadlineSec = 0.0;
+  auto batch = tenant("batch", 0, 1.0, 1.0 / 150.0, 400.0, w.refRate, 7);
+  batch.maxJobFlops = w.refRate * 500.0;
+  auto hi = tenant("hi", 2, 1.0, 1.0 / 300.0, 30.0, w.refRate, 8);
+  hi.maxJobFlops = w.refRate * 60.0;
+  fo.tenants = {batch, hi};
+  fo.admission.maxQueuedPerTenant = 50;
+  fo.admission.maxQueuedTotal = 100;
+  fo.admission.maxBacklogSec = 1e9;
+  fo.brownout.enabled = false;  // starvation alone must trigger the park
+  fo.preempt.minRunSec = 20.0;
+  fo.preempt.cooldownSec = 60.0;
+  fo.preempt.highTierMaxWaitSec = 60.0;
+}
+
+using WorldConfig = void (*)(World&, metasched::FrontendOptions&);
+
+/// Restores `bytes` into a fresh `nSlots` world configured by `config`, the
+/// crash sweep's way, and runs it to drain.
+void restoreAndDrain(World& w, int nSlots, WorldConfig config,
+                     const std::vector<std::uint8_t>& bytes) {
+  buildWorld(w, nSlots, [&w, config](metasched::FrontendOptions& fo) {
+    config(w, fo);
+  }, /*armDaemons=*/false);
+  const core::SnapshotImage parsed = core::SnapshotImage::parse(bytes);
+  w.eng.runUntil(parsed.simTime);
+  w.mgr->restoreFrom(parsed);
+  w.journal->recover("test restart");
+  w.nws->start();
+  w.meta->resumeAfterRestore();
+  w.eng.run();
+  w.eng.rethrowIfFailed();
+}
+
 TEST(MetaScheduler, PreemptParksThroughJournalAndResumes) {
   World w;
   buildWorld(w, 1, [&w](metasched::FrontendOptions& fo) {
-    fo.horizonSec = 900.0;
-    fo.hardDeadlineSec = 0.0;
-    // A batch tenant with long jobs occupies the slot; a rare high-tier
-    // tenant arrives, starves past highTierMaxWaitSec, and preempts.
-    auto batch = tenant("batch", 0, 1.0, 1.0 / 150.0, 400.0, w.refRate, 7);
-    batch.maxJobFlops = w.refRate * 500.0;
-    auto hi = tenant("hi", 2, 1.0, 1.0 / 300.0, 30.0, w.refRate, 8);
-    hi.maxJobFlops = w.refRate * 60.0;
-    fo.tenants = {batch, hi};
-    fo.admission.maxQueuedPerTenant = 50;
-    fo.admission.maxQueuedTotal = 100;
-    fo.admission.maxBacklogSec = 1e9;
-    fo.brownout.enabled = false;  // starvation alone must trigger the park
-    fo.preempt.minRunSec = 20.0;
-    fo.preempt.cooldownSec = 60.0;
-    fo.preempt.highTierMaxWaitSec = 60.0;
+    applyPreemptConfig(w, fo);
   });
   std::vector<metasched::JobStats> stats;
   w.meta->setOnJobComplete(
@@ -550,32 +574,42 @@ TEST(MetaScheduler, SnapshotRestoreResumesAndDrains) {
   const core::SnapshotImage img = a.mgr->snapshotNow();
   const std::vector<std::uint8_t> bytes = img.serialize();
 
-  const auto restoreAndDrain = [&bytes](World& w) {
-    buildWorld(w, 4, [&w](metasched::FrontendOptions& fo) {
-      applyOverloadConfig(w, fo);
-    }, /*armDaemons=*/false);
-    const core::SnapshotImage parsed = core::SnapshotImage::parse(bytes);
-    w.eng.runUntil(parsed.simTime);
-    w.mgr->restoreFrom(parsed);
-    w.journal->recover("test restart");
-    w.nws->start();
-    w.meta->resumeAfterRestore();
-    w.eng.run();
-    w.eng.rethrowIfFailed();
+  const auto drainedDigest = [&bytes](World& w) {
+    restoreAndDrain(w, 4, applyOverloadConfig, bytes);
     util::DigestStream ds;
     w.meta->foldDigest(ds);
     return ds.digest();
   };
 
   World b;
-  const std::uint64_t db = restoreAndDrain(b);
+  const std::uint64_t db = drainedDigest(b);
   EXPECT_TRUE(b.meta->drained());
   EXPECT_EQ(b.meta->totals().failed, 0);
   auditTotals(b);
 
   World c;
-  const std::uint64_t dc = restoreAndDrain(c);
+  const std::uint64_t dc = drainedDigest(c);
   EXPECT_EQ(db, dc);
+}
+
+TEST(MetaScheduler, RestoredRunningJobIsStillAPreemptionVictim) {
+  // Capture the preemption world 30 s before its first preempt: the batch
+  // job holding the slot must come back as a victim the restored frontend
+  // can park, exactly as it would have been without the crash.
+  World a;
+  buildWorld(a, 1, [&a](metasched::FrontendOptions& fo) {
+    applyPreemptConfig(a, fo);
+  });
+  a.meta->start();
+  a.eng.runUntil(360.0);
+  ASSERT_EQ(a.meta->totals().preempted, 0);
+  const std::vector<std::uint8_t> bytes = a.mgr->snapshotNow().serialize();
+
+  World b;
+  restoreAndDrain(b, 1, applyPreemptConfig, bytes);
+  EXPECT_GT(b.meta->totals().preempted, 0);
+  EXPECT_EQ(b.meta->totals().failed, 0);
+  auditTotals(b);
 }
 
 }  // namespace
