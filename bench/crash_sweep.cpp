@@ -8,8 +8,8 @@
 // through the image it leaves behind, so the sweep visits recovery states,
 // one per image the scenario writes, rather than kill points.
 //
-// Per scenario, one uncrashed recording run captures every image and must
-// complete. Then, for each image i:
+// Per scenario, one uncrashed recording run (bench::record) captures every
+// image and must complete. Then, for each image i:
 //   1. a fresh run is killed right after its i-th capture: the snapshot
 //      sink stops the engine and the world is destroyed;
 //   2. the killed run's bytes must equal the recording's image i;
@@ -31,13 +31,11 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_cli.hpp"
 #include "bench_paths.hpp"
-#include "core/snapshot.hpp"
 #include "scenarios.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -45,48 +43,6 @@
 using namespace grads;
 
 namespace {
-
-constexpr double kSnapshotPeriodSec = 90.0;
-constexpr std::size_t kNoKill = std::numeric_limits<std::size_t>::max();
-
-struct Capture {
-  double simTime = 0.0;
-  std::vector<std::uint8_t> bytes;
-};
-
-struct FreshRun {
-  std::vector<Capture> captures;
-  bool completed = false;
-};
-
-/// Runs the scenario fresh with the snapshot cadence and keeps every image.
-/// With `kill` set, the control plane dies right after capture number
-/// `kill` (0-based) and keeps only that image, the one a crash leaves: the
-/// sink stops the engine, and every object — frames included — is destroyed
-/// with the World. Capture 0 is taken before run(), and Engine::run clears a
-/// pending stop, so a kill there means the world is never run.
-FreshRun runFresh(const bench::Scenario& sc, std::size_t kill = kNoKill) {
-  bench::World w;
-  bench::build(w, sc.name, sc.seed, true);
-  FreshRun run;
-  std::size_t taken = 0;
-  const auto sink = [&run, &w, &taken, kill](core::SnapshotImage img) {
-    const std::size_t ordinal = taken++;
-    if (kill == kNoKill || ordinal == kill) {
-      run.captures.push_back({img.simTime, img.serialize()});
-    }
-    if (ordinal == kill) w.eng.stop();
-  };
-  bench::spawnApps(w, false);
-  w.mgr->armSnapshotDaemon(kSnapshotPeriodSec, sink);
-  sink(w.mgr->snapshotNow());
-  if (kill != 0) {
-    w.eng.run();
-    w.eng.rethrowIfFailed();
-  }
-  run.completed = bench::scenarioCompleted(w);
-  return run;
-}
 
 struct Restored {
   bool completed = false;
@@ -137,15 +93,15 @@ int main(int argc, char**) {
   std::vector<Row> rows;
   int failures = 0;
   for (const bench::Scenario& sc : bench::kScenarios) {
-    const FreshRun recording = runFresh(sc);
+    const bench::Recording recording = bench::record(sc);
     GRADS_REQUIRE(recording.completed,
                   "crash_sweep: uncrashed recording run did not complete");
     int scenarioFailures = 0;
-    for (std::size_t i = 0; i < recording.captures.size(); ++i) {
-      const Capture& image = recording.captures[i];
-      const FreshRun killed = runFresh(sc, i);
-      const bool reproduced = killed.captures.size() == 1 &&
-                              killed.captures[0].bytes == image.bytes;
+    for (std::size_t i = 0; i < recording.images.size(); ++i) {
+      const bench::Recording::Image& image = recording.images[i];
+      const bench::Recording killed = bench::record(sc, i);
+      const bool reproduced = killed.images.size() == 1 &&
+                              killed.images[0].bytes == image.bytes;
       const Row row{sc.name,
                     i,
                     image.simTime,
@@ -157,9 +113,9 @@ int main(int argc, char**) {
       rows.push_back(row);
     }
     failures += scenarioFailures;
-    std::cout << sc.name << ": " << recording.captures.size()
+    std::cout << sc.name << ": " << recording.images.size()
               << " recovery states (t = 0 .. "
-              << recording.captures.back().simTime << " s), "
+              << recording.images.back().simTime << " s), "
               << scenarioFailures << " failure(s)\n";
   }
 

@@ -15,15 +15,6 @@ namespace grads::bench {
 
 namespace {
 
-constexpr double kMB = 1024.0 * 1024.0;
-
-void installQrSoftware(services::Gis& gis) {
-  gis.installEverywhere(services::software::kLocalBinder);
-  gis.installEverywhere(services::software::kScalapack);
-  gis.installEverywhere(services::software::kSrsLibrary);
-  gis.installEverywhere(services::software::kAutopilotSensors);
-}
-
 /// chaos-qr and integrity-qr: QR on the UIUC side of the QR testbed (UTK is
 /// marked down), one mid-run node failure, and on top either depot and NWS
 /// outages plus WAN degrades (chaos) or bit flips, torn writes and stale
@@ -96,65 +87,11 @@ void buildQr(World& w, std::uint64_t seed, bool integrity) {
   registerComponents(w);
 }
 
-/// thrash-governed: QR on two identical 4-node clusters over a WAN fat
-/// enough that migrating is profitable every time an antiphase square-wave
-/// load flips clusters (every 90 s). The governor's quorum, hysteresis and
-/// 600 s cooldown hold the rescheduler to at most the first migration.
+/// thrash-governed: the flapping-load world, whose governor's quorum,
+/// hysteresis and 600 s cooldown (longer than the load's flip period by far)
+/// hold the rescheduler to at most the first migration.
 void buildThrash(World& w, std::uint64_t seed) {
-  const auto east = w.g.addCluster(
-      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
-  const auto west = w.g.addCluster(
-      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
-  std::vector<grid::NodeId> eastNodes;
-  std::vector<grid::NodeId> westNodes;
-  for (int i = 0; i < 4; ++i) {
-    eastNodes.push_back(w.g.addNode(east, grid::utkQrNodeSpec(i)));
-    westNodes.push_back(w.g.addNode(west, grid::utkQrNodeSpec(i + 4)));
-  }
-  w.g.connectClusters(east, west,
-                      grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
-
-  w.gis.emplace(w.g);
-  installQrSoftware(*w.gis);
-  w.nws.emplace(w.eng, w.g, 10.0, 0.02, seed);
-  w.ibp.emplace(w.g);
-  w.autopilot.emplace(w.eng);
-  w.injector.emplace(w.eng, *w.gis);
-  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
-
-  // The app starts on east (both idle, first cluster wins the tie); 90 s
-  // later east gets loaded while west idles, then the load flips every 90 s.
-  const double period = 90.0;
-  const double weight = 3.0;
-  for (const auto n : eastNodes) {
-    w.traces.emplace_back(n, squareWave(period, period, weight, 10));
-  }
-  for (const auto n : westNodes) {
-    w.traces.emplace_back(n, squareWave(2.0 * period, period, weight, 10));
-  }
-
-  apps::QrConfig cfg;
-  cfg.n = 6000;
-  w.cop = apps::makeQrCop(w.g, cfg);
-
-  w.journal.emplace(w.eng);
-  reschedule::ReschedulerOptions ropts;
-  ropts.worstCaseMigrationSec = 40.0;  // close to the actual cost here
-  w.rescheduler.emplace(*w.gis, &*w.nws, ropts);
-  w.rescheduler->setJournal(&*w.journal);
-
-  reschedule::GovernorOptions gopts;
-  gopts.quorumK = 2;
-  gopts.quorumN = 4;
-  gopts.hysteresisBand = 0.1;
-  gopts.cooldownSec = 600.0;  // longer than the load's flip period by far
-  gopts.maxConcurrentActions = 1;
-  w.governor.emplace(w.eng, *w.journal, gopts);
-
-  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
-  w.mopts.journal = &*w.journal;
-  w.mopts.governor = &*w.governor;
-  w.mopts.retrySeed = seed;
+  buildFlapWorld(w, seed, /*cooldownSec=*/600.0, /*checkpointEveryPanels=*/0);
   registerComponents(w);
 }
 
@@ -264,17 +201,28 @@ void build(World& w, std::string_view name, std::uint64_t seed,
   if (armDaemons) startDaemons(w);
 }
 
-void restore(World& w, const std::vector<std::uint8_t>& bytes) {
-  const core::SnapshotImage img = core::SnapshotImage::parse(bytes);
-  w.eng.runUntil(img.simTime);
-  w.mgr->restoreFrom(img);
-  if (w.journal) w.journal->recover("control-plane restart");
-  if (w.chaos) w.chaos->armFrom(w.schedule, img.simTime);
-  for (const auto& [node, trace] : w.traces) {
-    grid::applyLoadTraceFrom(w.eng, w.g.node(node), trace, img.simTime);
+Recording record(const Scenario& sc, std::size_t kill) {
+  constexpr double kSnapshotPeriodSec = 90.0;
+  World w;
+  build(w, sc.name, sc.seed, /*armDaemons=*/true);
+  Recording rec;
+  std::size_t taken = 0;
+  const auto sink = [&rec, &w, &taken, kill](core::SnapshotImage img) {
+    const std::size_t ordinal = taken++;
+    if (kill == kNoKill || ordinal == kill) {
+      rec.images.push_back({img.simTime, img.serialize()});
+    }
+    if (ordinal == kill) w.eng.stop();
+  };
+  spawnApps(w, /*restored=*/false);
+  w.mgr->armSnapshotDaemon(kSnapshotPeriodSec, sink);
+  sink(w.mgr->snapshotNow());
+  if (kill != 0) {
+    w.eng.run();
+    w.eng.rethrowIfFailed();
   }
-  w.nws->start();
-  spawnApps(w, /*restored=*/true);
+  rec.completed = scenarioCompleted(w);
+  return rec;
 }
 
 QrMigrationRun runQrMigration(std::size_t n,

@@ -1,4 +1,5 @@
-// Scenario catalog — the one place the bench worlds are built.
+// Scenario catalog — the one place outside perfbench/ that builds, records
+// or restores a catalog world.
 //
 // Five named worlds, each a whole control plane: chaos-qr, integrity-qr,
 // thrash-governed, tenant-overload and whatif-forked. crash_sweep kills and
@@ -10,15 +11,17 @@
 // N-body swap experiment and thrash_campaign's mid-action kill. The benches
 // report them and the tests assert on them, so both see the same world.
 //
-// The pieces the what-if sandbox runner needs — World, the pop-stream
-// observer, the outcome fold, the square-wave load, app spawn and daemon
-// start — are inline here, so bench/whatif_world.hpp compiles without any
-// bench/ source file. The builders and the restore sequence live in
-// scenarios.cpp.
+// bench/whatif_world.hpp compiles without any bench/ source file, so all it
+// calls is inline here: World, the pop-stream observer, the outcome fold,
+// the square-wave load, the flapping-load builder, app spawn, daemon start
+// and the restore sequence (decode, journal recovery, resume). The other
+// builders and the recording run live in scenarios.cpp.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,9 +29,12 @@
 #include <vector>
 
 #include "apps/nbody.hpp"
+#include "apps/qr.hpp"
 #include "core/app_manager.hpp"
+#include "core/snapshot.hpp"
 #include "grid/grid.hpp"
 #include "grid/load.hpp"
+#include "grid/testbeds.hpp"
 #include "metasched/frontend.hpp"
 #include "reschedule/chaos.hpp"
 #include "reschedule/failure.hpp"
@@ -89,12 +95,27 @@ inline constexpr Scenario kScenarios[] = {
 void build(World& w, std::string_view name, std::uint64_t seed,
            bool armDaemons);
 
-/// The restore sequence, on a world built with armDaemons = false: parse the
-/// image, run the fresh engine's clock to the image time, decode every
-/// component, recover the journal (presumed abort), re-arm chaos, load and
-/// NWS from the original schedules, and relaunch the apps. The caller runs
-/// the engine.
-void restore(World& w, const std::vector<std::uint8_t>& bytes);
+/// The snapshot images of one run, each with its simulation time, and
+/// whether the run completed.
+struct Recording {
+  struct Image {
+    double simTime = 0.0;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Image> images;
+  bool completed = false;
+};
+
+inline constexpr std::size_t kNoKill = std::numeric_limits<std::size_t>::max();
+
+/// Runs scenario `sc` fresh under the catalog's snapshot cadence (one image
+/// at t = 0, then one every 90 s) and keeps every image. With `kill` set,
+/// the control plane dies right after capture number `kill` (0-based) and
+/// keeps only that image, the one a crash leaves: the sink stops the engine,
+/// and every object — frames included — is destroyed with the World.
+/// Capture 0 is taken before the engine runs, and Engine::run clears a
+/// pending stop, so a kill there means the world is never run.
+Recording record(const Scenario& sc, std::size_t kill = kNoKill);
 
 /// Folds every popped event's (time, key, daemon) into `ds`. A nonzero `cap`
 /// also stops the engine at the cap-th pop (the what-if sandbox's event
@@ -205,6 +226,97 @@ void startDaemons(W& w) {
   if (w.chaos) w.chaos->armAll(w.schedule);
 }
 
+/// Installs the software the QR app binds to on every node.
+inline void installQrSoftware(services::Gis& gis) {
+  gis.installEverywhere(services::software::kLocalBinder);
+  gis.installEverywhere(services::software::kScalapack);
+  gis.installEverywhere(services::software::kSrsLibrary);
+  gis.installEverywhere(services::software::kAutopilotSensors);
+}
+
+/// The flapping-load testbed's nodes, WAN link and checkpoint depots.
+struct FlapTestbed {
+  std::vector<grid::NodeId> eastNodes;
+  std::vector<grid::NodeId> westNodes;
+  grid::LinkId wan = grid::kNoId;
+  grid::NodeId stableDepot = grid::kNoId;
+  grid::NodeId replicaDepot = grid::kNoId;
+};
+
+/// The flapping-load world of thrash-governed and the what-if scenario: QR
+/// (N = 6000) on two identical 4-node clusters over a WAN fat enough that
+/// migrating is profitable every time an antiphase square-wave load flips
+/// clusters (every 90 s), under a journaled rescheduler and a governor with
+/// quorum and hysteresis. The two differ only in the governor's
+/// `cooldownSec` and the QR checkpoint cadence (`checkpointEveryPanels`,
+/// 0 = none). No component is registered yet: callers add their own parts
+/// first. Templated like registerComponents.
+template <typename W>
+FlapTestbed buildFlapWorld(W& w, std::uint64_t seed, double cooldownSec,
+                           std::size_t checkpointEveryPanels) {
+  constexpr double kMB = 1024.0 * 1024.0;
+  FlapTestbed tb;
+  const auto east = w.g.addCluster(
+      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
+  const auto west = w.g.addCluster(
+      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
+  for (int i = 0; i < 4; ++i) {
+    tb.eastNodes.push_back(w.g.addNode(east, grid::utkQrNodeSpec(i)));
+    tb.westNodes.push_back(w.g.addNode(west, grid::utkQrNodeSpec(i + 4)));
+  }
+  tb.wan = w.g.connectClusters(
+      east, west, grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
+  // Checkpoints live on the remote cluster's last node (plus a replica on
+  // the local one), so a depot outage threatens whichever side the app
+  // runs on.
+  tb.stableDepot = tb.westNodes[3];
+  tb.replicaDepot = tb.eastNodes[3];
+
+  w.gis.emplace(w.g);
+  installQrSoftware(*w.gis);
+  w.nws.emplace(w.eng, w.g, 10.0, 0.02, seed);
+  w.ibp.emplace(w.g);
+  w.autopilot.emplace(w.eng);
+  w.injector.emplace(w.eng, *w.gis);
+  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
+
+  // The app starts on east (both idle, first cluster wins the tie); 90 s
+  // later east gets loaded while west idles, then the load flips every 90 s.
+  const double period = 90.0;
+  const double weight = 3.0;
+  for (const auto n : tb.eastNodes) {
+    w.traces.emplace_back(n, squareWave(period, period, weight, 10));
+  }
+  for (const auto n : tb.westNodes) {
+    w.traces.emplace_back(n, squareWave(2.0 * period, period, weight, 10));
+  }
+
+  apps::QrConfig qr;
+  qr.n = 6000;
+  qr.checkpointEveryPanels = checkpointEveryPanels;
+  w.cop = apps::makeQrCop(w.g, qr);
+
+  w.journal.emplace(w.eng);
+  reschedule::ReschedulerOptions ropts;
+  ropts.worstCaseMigrationSec = 40.0;  // close to the actual cost here
+  w.rescheduler.emplace(*w.gis, &*w.nws, ropts);
+  w.rescheduler->setJournal(&*w.journal);
+
+  reschedule::GovernorOptions gopts;
+  gopts.quorumK = 2;
+  gopts.quorumN = 4;
+  gopts.hysteresisBand = 0.1;
+  gopts.cooldownSec = cooldownSec;
+  gopts.maxConcurrentActions = 1;
+  w.governor.emplace(w.eng, *w.journal, gopts);
+
+  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
+  w.mopts.journal = &*w.journal;
+  w.mopts.governor = &*w.governor;
+  w.mopts.retrySeed = seed;
+  return tb;
+}
+
 /// Launches the scenario's application(s): fresh start or restore relaunch.
 /// The metascheduler owns all app spawning in the tenant scenario.
 inline void spawnApps(World& w, bool restored) {
@@ -220,6 +332,40 @@ inline void spawnApps(World& w, bool restored) {
   reschedule::StopRestartRescheduler* rs =
       w.rescheduler ? &*w.rescheduler : nullptr;
   w.eng.spawn(w.mgr->run(w.cop, rs, w.mopts, &w.bd), w.cop.name);
+}
+
+/// The first step of every restore, on a world built with armDaemons =
+/// false: parse the image, run the fresh engine's clock to the image time
+/// and decode every component. Returns the image time. Nothing is recovered
+/// or re-armed yet.
+inline double decode(
+    World& w, const std::vector<std::uint8_t>& bytes,
+    core::AppManager::RestoreKind kind = core::AppManager::RestoreKind::kLive) {
+  const core::SnapshotImage img = core::SnapshotImage::parse(bytes);
+  w.eng.runUntil(img.simTime);
+  w.mgr->restoreFrom(img, kind);
+  return img.simTime;
+}
+
+/// The last step: re-arm chaos and load from the world's schedule and
+/// traces, skipping anything before `t`, start NWS, and relaunch the apps.
+/// The caller runs the engine.
+inline void resume(World& w, double t) {
+  if (w.chaos) w.chaos->armFrom(w.schedule, t);
+  for (const auto& [node, trace] : w.traces) {
+    grid::applyLoadTraceFrom(w.eng, w.g.node(node), trace, t);
+  }
+  w.nws->start();
+  spawnApps(w, /*restored=*/true);
+}
+
+/// The restore sequence: decode, journal recovery (presumed abort), resume.
+/// The what-if fork (runWhatifFork) runs the same steps and opens its
+/// pinned record and perturbation between recovery and resume.
+inline void restore(World& w, const std::vector<std::uint8_t>& bytes) {
+  const double t = decode(w, bytes);
+  if (w.journal) w.journal->recover("control-plane restart");
+  resume(w, t);
 }
 
 /// The single app finished, or (tenant) the frontend drained with no failed

@@ -1,64 +1,51 @@
 // Shared what-if scenario world + sandbox fork harness.
 //
 // One scenario, built by one function, shared by whatif_campaign, the
-// scenario catalog's whatif-forked entry, and the unit tests: the
-// two-cluster antiphase flapping-load testbed of thrash-governed, but with a
-// governor cooldown deliberately *weaker* than the load's flip period —
-// model-only, the control plane thrashes (migrate, migrate back, pay the
+// scenario catalog's whatif-forked entry, the unit tests and perfbench: the
+// catalog's flapping-load world (buildFlapWorld, as in thrash-governed), but
+// with a governor cooldown deliberately *weaker* than the load's flip period
+// — model-only, the control plane thrashes (migrate, migrate back, pay the
 // checkpoint-restore toll each way), which is exactly the harm the what-if
 // fork driver exists to avoid committing.
 //
 // The sandbox harness (runWhatifFork) is the SandboxRunner the ForkDriver
 // is armed with: a fork is a whole second control plane — engine, grid,
-// services, manager — restored from the parent's snapshot image with
-// RestoreKind::kSandbox, with the candidate action injected through the
-// journal prepare path as a *pinned* record before the app relaunches. The
-// fork then runs the ordinary restore protocol for `horizonSec` of virtual
-// time under an optional pessimistic perturbation, and the realized outcome
-// (violation recurrences, migrate-backs, progress, checkpoint spend) is
-// read off the same counters the live control plane keeps. Every candidate
-// — including suppress — pays identical injection mechanics (restore from
-// the last checkpoint onto the pinned mapping), so the comparison is fair;
-// suppress is thereby scored slightly pessimistically (the live suppress
-// never restarts), which only biases the driver toward conservatism.
+// services, manager — restored from the parent's snapshot image through the
+// catalog's restore steps. It decodes with RestoreKind::kSandbox, recovers
+// the journal, injects the candidate action through the journal prepare
+// path as a *pinned* record, adds an optional pessimistic perturbation to
+// the world's schedule and traces, and only then resumes, for `horizonSec`
+// of virtual time. The realized outcome (violation recurrences,
+// migrate-backs, progress, checkpoint spend) is read off the same counters
+// the live control plane keeps. Every candidate — including suppress — pays
+// identical injection mechanics (restore from the last checkpoint onto the
+// pinned mapping), so the comparison is fair; suppress is thereby scored
+// slightly pessimistically (the live suppress never restarts), which only
+// biases the driver toward conservatism.
 //
 // Header-only, like everything it calls in scenarios.hpp.
 
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "apps/qr.hpp"
 #include "core/app_manager.hpp"
-#include "core/snapshot.hpp"
 #include "grid/load.hpp"
-#include "grid/testbeds.hpp"
 #include "reschedule/chaos.hpp"
 #include "reschedule/governor.hpp"
 #include "reschedule/journal.hpp"
 #include "reschedule/rescheduler.hpp"
 #include "reschedule/whatif/fork_driver.hpp"
 #include "scenarios.hpp"
-#include "services/gis.hpp"
 #include "sim/engine.hpp"
 
 namespace grads::bench {
 
 struct WhatifConfig {
   std::uint64_t seed = 31;
-  /// Antiphase square-wave load: `weight` competitors for `period` seconds,
-  /// alternating clusters, `loadCycles` times.
-  double loadPeriodSec = 90.0;
-  double loadWeight = 3.0;
-  int loadCycles = 10;
-  double nwsNoiseFrac = 0.02;
-  /// Deliberately weaker than the load's flip period (thrash_campaign's
-  /// governed arm uses 600 s): the cooldown lapses before the load flips
-  /// back, so the model-only arm re-migrates every cycle and realizes the
-  /// oscillation harm the fork driver's speculation is meant to veto.
-  double cooldownSec = 60.0;
   /// Parent chaos campaign (the "chaos-perturbed scenarios" of the
   /// acceptance bar): seeded link degrades on the WAN and/or outages of the
   /// stable depot, on top of the flapping load.
@@ -70,15 +57,6 @@ struct WhatifConfig {
   /// sections (SnapshotRegistry restore is all-or-nothing).
   bool withDriver = false;
   reschedule::whatif::DriverOptions driver;
-};
-
-/// Node/link identities the fork harness needs to aim perturbations at.
-struct WhatifTestbed {
-  std::vector<grid::NodeId> eastNodes;
-  std::vector<grid::NodeId> westNodes;
-  grid::LinkId wan = grid::kNoId;
-  grid::NodeId stableDepot = grid::kNoId;
-  grid::NodeId replicaDepot = grid::kNoId;
 };
 
 inline reschedule::whatif::ForkOutcome runWhatifFork(
@@ -95,46 +73,14 @@ inline grid::LoadTrace whatifSquareWave(double firstOnset, double period,
 /// of bench::World). `armDaemons` as in bench::build: true for fresh runs,
 /// false for arms that arm everything through the restore protocol.
 template <typename W>
-inline WhatifTestbed buildWhatifWorld(W& w, const WhatifConfig& cfg,
-                                      bool armDaemons) {
-  constexpr double kMB = 1024.0 * 1024.0;
-  WhatifTestbed tb;
-  const auto east = w.g.addCluster(
-      grid::ClusterSpec{"east", "East", grid::fastEthernetLan("east.lan", 4)});
-  const auto west = w.g.addCluster(
-      grid::ClusterSpec{"west", "West", grid::fastEthernetLan("west.lan", 4)});
-  for (int i = 0; i < 4; ++i) {
-    tb.eastNodes.push_back(w.g.addNode(east, grid::utkQrNodeSpec(i)));
-    tb.westNodes.push_back(w.g.addNode(west, grid::utkQrNodeSpec(i + 4)));
-  }
-  tb.wan = w.g.connectClusters(
-      east, west, grid::internetWan("east-west.wan", 0.005, 12.0 * kMB));
-  // Checkpoints live on the remote cluster's last node (plus a replica on
-  // the local one), so a depot outage threatens whichever side the app
-  // runs on — the depot-outage perturbation has real teeth.
-  tb.stableDepot = tb.westNodes[3];
-  tb.replicaDepot = tb.eastNodes[3];
-
-  w.gis.emplace(w.g);
-  w.gis->installEverywhere(services::software::kLocalBinder);
-  w.gis->installEverywhere(services::software::kScalapack);
-  w.gis->installEverywhere(services::software::kSrsLibrary);
-  w.gis->installEverywhere(services::software::kAutopilotSensors);
-  w.nws.emplace(w.eng, w.g, 10.0, cfg.nwsNoiseFrac, cfg.seed);
-  w.ibp.emplace(w.g);
-  w.autopilot.emplace(w.eng);
-  w.injector.emplace(w.eng, *w.gis);
-  w.chaos.emplace(w.eng, w.g, *w.injector, &*w.nws, &*w.ibp);
-
-  for (const auto n : tb.eastNodes) {
-    w.traces.emplace_back(n, squareWave(cfg.loadPeriodSec, cfg.loadPeriodSec,
-                                        cfg.loadWeight, cfg.loadCycles));
-  }
-  for (const auto n : tb.westNodes) {
-    w.traces.emplace_back(n, squareWave(2.0 * cfg.loadPeriodSec,
-                                        cfg.loadPeriodSec, cfg.loadWeight,
-                                        cfg.loadCycles));
-  }
+inline FlapTestbed buildWhatifWorld(W& w, const WhatifConfig& cfg,
+                                    bool armDaemons) {
+  // A 60 s cooldown is deliberately weaker than the load's flip period
+  // (thrash-governed uses 600 s): it lapses before the load flips back, so
+  // the model-only arm re-migrates every cycle and realizes the oscillation
+  // harm the fork driver's speculation is meant to veto.
+  const FlapTestbed tb = buildFlapWorld(w, cfg.seed, /*cooldownSec=*/60.0,
+                                        /*checkpointEveryPanels=*/8);
 
   reschedule::CampaignConfig cc;
   cc.seed = cfg.seed * 1000003ULL + 7;
@@ -148,37 +94,12 @@ inline WhatifTestbed buildWhatifWorld(W& w, const WhatifConfig& cfg,
   cc.candidateDepots = {tb.stableDepot};
   w.schedule = reschedule::makeCampaign(cc);
 
-  apps::QrConfig qr;
-  qr.n = 6000;
-  qr.checkpointEveryPanels = 8;
-  w.cop = apps::makeQrCop(w.g, qr);
-
-  w.journal.emplace(w.eng);
-  reschedule::ReschedulerOptions ropts;
-  ropts.worstCaseMigrationSec = 40.0;
-  w.rescheduler.emplace(*w.gis, &*w.nws, ropts);
-  w.rescheduler->setJournal(&*w.journal);
-
-  reschedule::GovernorOptions gopts;
-  gopts.quorumK = 2;
-  gopts.quorumN = 4;
-  gopts.hysteresisBand = 0.1;
-  gopts.cooldownSec = cfg.cooldownSec;
-  gopts.maxConcurrentActions = 1;
-  w.governor.emplace(w.eng, *w.journal, gopts);
-
   w.fork.emplace(w.eng, cfg.driver);
-
-  w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
-  w.mopts.journal = &*w.journal;
-  w.mopts.governor = &*w.governor;
-  w.mopts.retrySeed = cfg.seed;
   w.mopts.stableDepot = tb.stableDepot;
   w.mopts.replicaDepot = tb.replicaDepot;
   w.mopts.failures = &*w.injector;
   w.mopts.depotRetry.maxAttempts = 3;
   w.mopts.depotRetry.baseDelaySec = 20.0;
-
   registerComponents(w);
 
   if (cfg.withDriver) {
@@ -211,23 +132,22 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
   WhatifConfig cfg = parentConfig;
   cfg.withDriver = false;  // forks never recurse into speculation
   World w;
-  const WhatifTestbed tb = buildWhatifWorld(w, cfg, /*armDaemons=*/false);
+  const FlapTestbed tb = buildWhatifWorld(w, cfg, /*armDaemons=*/false);
 
   PopObserver obs;
   obs.cap = rq.maxEvents;
   obs.attach(w.eng);
 
-  int baseGoverned = 0;
-  bool restoredOk = false;
+  std::optional<int> baseGoverned;  // set once the fork is restored
   try {
-    const core::SnapshotImage img = core::SnapshotImage::parse(*rq.image);
-    w.eng.runUntil(img.simTime);
-    w.mgr->restoreFrom(img, core::AppManager::RestoreKind::kSandbox);
+    const double t =
+        decode(w, *rq.image, core::AppManager::RestoreKind::kSandbox);
     w.journal->recover("whatif fork");
     // Inject the candidate through the journal prepare path: a pinned
     // record whose target the relaunch honors verbatim. Suppress pins the
     // *current* mapping — without the pin the relaunch would re-run the
     // mapper and could freely migrate, and "suppress" would mean nothing.
+    // The record opens after recovery: recovery would roll it back.
     const std::vector<grid::NodeId>& pin =
         (rq.candidate.kind == CandidateKind::kSuppress ||
          rq.candidate.target.empty())
@@ -237,8 +157,8 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
                     /*pinned=*/true,
                     "whatif fork: " + rq.candidate.label);
 
-    // Pessimistic perturbation, injected shortly after the fork point.
-    std::vector<reschedule::ChaosEvent> schedule = w.schedule;
+    // Pessimistic perturbation, injected shortly after the fork point into
+    // the schedule and traces that resume() arms.
     switch (rq.perturbation.kind) {
       case PerturbationKind::kNone:
         break;
@@ -246,18 +166,17 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
         // Competitor load lands on the nodes this candidate bets on.
         for (const auto n : pin) {
           w.traces.emplace_back(
-              n, grid::LoadTrace::stepAt(img.simTime + 5.0,
-                                         rq.perturbation.severity));
+              n, grid::LoadTrace::stepAt(t + 5.0, rq.perturbation.severity));
         }
         break;
       case PerturbationKind::kLinkDegrade: {
         reschedule::ChaosEvent ev;
         ev.kind = reschedule::ChaosKind::kLinkDegrade;
-        ev.atSec = img.simTime + 5.0;
+        ev.atSec = t + 5.0;
         ev.durationSec = rq.horizonSec;
         ev.link = tb.wan;
         ev.bandwidthScale = rq.perturbation.severity;
-        schedule.push_back(ev);
+        w.schedule.push_back(ev);
         break;
       }
       case PerturbationKind::kDepotOutage: {
@@ -265,27 +184,19 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
         for (const auto depot : {tb.stableDepot, tb.replicaDepot}) {
           reschedule::ChaosEvent ev;
           ev.kind = reschedule::ChaosKind::kDepotOutage;
-          ev.atSec = img.simTime + 5.0;
+          ev.atSec = t + 5.0;
           ev.durationSec = rq.perturbation.severity;
           ev.node = depot;
-          schedule.push_back(ev);
+          w.schedule.push_back(ev);
         }
         break;
       }
     }
 
-    // The rest of bench::restore's sequence, with the perturbed schedule.
-    w.chaos->armFrom(schedule, img.simTime);
-    for (const auto& [node, trace] : w.traces) {
-      grid::applyLoadTraceFrom(w.eng, w.g.node(node), trace, img.simTime);
-    }
-    w.nws->start();
-
     baseGoverned =
         w.governor->stats().admitted + w.governor->stats().suppressed();
-    restoredOk = true;
-    spawnApps(w, /*restored=*/true);
-    w.eng.runUntil(img.simTime + rq.horizonSec);
+    resume(w, t);
+    w.eng.runUntil(t + rq.horizonSec);
   } catch (const std::exception&) {
     // A sandbox that dies is a realized worst case, not a harness error:
     // score it as aborted and let abortPenalty bury the candidate.
@@ -299,9 +210,9 @@ inline reschedule::whatif::ForkOutcome runWhatifFork(
   out.progressSec = w.bd.sumSegment(w.bd.appDuration);
   out.checkpointCostSec = w.bd.sumSegment(w.bd.checkpointWrite) +
                           w.bd.sumSegment(w.bd.checkpointRead);
-  if (restoredOk) {
+  if (baseGoverned) {
     out.violationRecurrences = w.governor->stats().admitted +
-                               w.governor->stats().suppressed() - baseGoverned;
+                               w.governor->stats().suppressed() - *baseGoverned;
   }
   std::vector<std::vector<grid::NodeId>> maps;
   maps.push_back(rq.current);

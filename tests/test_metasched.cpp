@@ -11,16 +11,13 @@
 #include <set>
 #include <vector>
 
-#include "core/app_manager.hpp"
 #include "core/snapshot.hpp"
 #include "grid/testbeds.hpp"
 #include "metasched/admission.hpp"
 #include "metasched/frontend.hpp"
 #include "metasched/types.hpp"
-#include "reschedule/journal.hpp"
+#include "scenarios.hpp"
 #include "services/gis.hpp"
-#include "services/ibp.hpp"
-#include "services/nws.hpp"
 #include "sim/engine.hpp"
 #include "util/hash.hpp"
 
@@ -193,31 +190,19 @@ TEST(Admission, CapacitySkipsUnreachableNodes) {
 // Whole-frontend scenarios over a real control plane.
 // ---------------------------------------------------------------------------
 
-/// One whole control plane (engine first: destroyed last).
-struct World {
-  sim::Engine eng;
-  grid::Grid g{eng};
-  std::optional<services::Gis> gis;
-  std::optional<services::Nws> nws;
-  std::optional<services::Ibp> ibp;
-  std::optional<autopilot::AutopilotManager> autopilot;
-  std::optional<reschedule::ActionJournal> journal;
-  std::optional<core::AppManager> mgr;
-  std::optional<metasched::MetaScheduler> meta;
-  std::vector<grid::NodeId> slots;
-  double refRate = 0.0;
-};
+using bench::World;
 
 /// Builds a world with `nSlots` single-rank slots and the given frontend
 /// tweak applied on top of test-friendly defaults. `armDaemons=false` for
-/// restore arms (mirrors the crash sweep's protocol).
+/// restore arms, as in bench::build.
 void buildWorld(World& w, int nSlots,
                 const std::function<void(metasched::FrontendOptions&)>& tweak,
                 bool armDaemons = true) {
   const auto site = w.g.addCluster(grid::ClusterSpec{
       "site", "Site", grid::fastEthernetLan("site.lan", nSlots)});
+  std::vector<grid::NodeId> slots;
   for (int i = 0; i < nSlots; ++i) {
-    w.slots.push_back(w.g.addNode(site, grid::utkQrNodeSpec(i)));
+    slots.push_back(w.g.addNode(site, grid::utkQrNodeSpec(i)));
   }
   w.gis.emplace(w.g);
   w.gis->installEverywhere(services::software::kLocalBinder);
@@ -227,15 +212,16 @@ void buildWorld(World& w, int nSlots,
   w.autopilot.emplace(w.eng);
   w.journal.emplace(w.eng);
   w.mgr.emplace(w.g, *w.gis, &*w.nws, *w.ibp, *w.autopilot);
-  w.refRate = w.g.node(w.slots.front()).spec().effectiveFlopsPerCpu();
+  const double refRate =
+      w.g.node(slots.front()).spec().effectiveFlopsPerCpu();
 
   metasched::FrontendOptions fo;
-  fo.slots = w.slots;
+  fo.slots = slots;
   fo.horizonSec = 1200.0;
   fo.hardDeadlineSec = 0.0;
   fo.controlPeriodSec = 30.0;
-  fo.flopsPerPhase = w.refRate * 15.0;
-  fo.refFlopsPerSec = w.refRate;
+  fo.flopsPerPhase = refRate * 15.0;
+  fo.refFlopsPerSec = refRate;
   fo.seed = 0x5eed;
   fo.jobOptions.resourceSelectionSec = 1.0;
   fo.jobOptions.perfModelingSec = 0.5;
@@ -243,16 +229,8 @@ void buildWorld(World& w, int nSlots,
   fo.jobOptions.monitorContract = false;
   tweak(fo);
   w.meta.emplace(*w.mgr, w.g, *w.gis, &*w.nws, &*w.journal, std::move(fo));
-
-  auto& reg = w.mgr->snapshots();
-  reg.add(w.g);
-  reg.add(*w.gis);
-  reg.add(*w.nws);
-  reg.add(*w.ibp);
-  reg.add(*w.autopilot);
-  reg.add(*w.journal);
-  reg.add(*w.meta);
-  if (armDaemons) w.nws->start();
+  bench::registerComponents(w);
+  if (armDaemons) bench::startDaemons(w);
 }
 
 metasched::TenantSpec tenant(const char* name, int tier, double weight,
@@ -286,9 +264,9 @@ void auditTotals(const World& w) {
 
 TEST(MetaScheduler, RetryAfterHintPacesResubmits) {
   World w;
-  buildWorld(w, 1, [&w](metasched::FrontendOptions& fo) {
+  buildWorld(w, 1, [](metasched::FrontendOptions& fo) {
     fo.horizonSec = 1500.0;
-    auto t = tenant("only", 0, 1.0, 1.0 / 120.0, 40.0, w.refRate, 5);
+    auto t = tenant("only", 0, 1.0, 1.0 / 120.0, 40.0, fo.refFlopsPerSec, 5);
     t.resubmit.maxAttempts = 2;
     t.resubmit.baseDelaySec = 1.0;  // far below the hint
     t.resubmit.jitterFrac = 0.0;    // exact spacing
@@ -330,9 +308,9 @@ TEST(MetaScheduler, RetryAfterHintPacesResubmits) {
 
 TEST(MetaScheduler, BackoffExhaustionUnderSimulatedDeadline) {
   World w;
-  buildWorld(w, 1, [&w](metasched::FrontendOptions& fo) {
+  buildWorld(w, 1, [](metasched::FrontendOptions& fo) {
     fo.horizonSec = 300.0;
-    auto t = tenant("only", 0, 1.0, 1.0 / 60.0, 40.0, w.refRate, 5);
+    auto t = tenant("only", 0, 1.0, 1.0 / 60.0, 40.0, fo.refFlopsPerSec, 5);
     t.resubmit.maxAttempts = 10;      // budget never exhausts...
     t.resubmit.baseDelaySec = 400.0;  // ...but every retry lands past the
     t.resubmit.jitterFrac = 0.0;      //    horizon (simulated-time deadline)
@@ -353,7 +331,7 @@ TEST(MetaScheduler, BackoffExhaustionUnderSimulatedDeadline) {
 
 TEST(MetaScheduler, FairShareHonorsWeightsWithinTier) {
   World w;
-  buildWorld(w, 2, [&w](metasched::FrontendOptions& fo) {
+  buildWorld(w, 2, [](metasched::FrontendOptions& fo) {
     // Deadline == horizon: the asymmetric drain tail (the 3x tenant's queue
     // empties first, handing the slow tenant a solo run) is dropped as
     // unserved instead of diluting the dispatch ratio.
@@ -361,8 +339,8 @@ TEST(MetaScheduler, FairShareHonorsWeightsWithinTier) {
     fo.hardDeadlineSec = 6000.0;
     // Both saturated far beyond two slots; queues stay non-empty.
     fo.tenants = {
-        tenant("w3", 1, 3.0, 1.0 / 20.0, 60.0, w.refRate, 7),
-        tenant("w1", 1, 1.0, 1.0 / 20.0, 60.0, w.refRate, 8),
+        tenant("w3", 1, 3.0, 1.0 / 20.0, 60.0, fo.refFlopsPerSec, 7),
+        tenant("w1", 1, 1.0, 1.0 / 20.0, 60.0, fo.refFlopsPerSec, 8),
     };
     fo.admission.maxQueuedPerTenant = 40;
     fo.admission.maxQueuedTotal = 80;
@@ -385,12 +363,12 @@ TEST(MetaScheduler, FairShareHonorsWeightsWithinTier) {
 
 TEST(MetaScheduler, StrictTierPriority) {
   World w;
-  buildWorld(w, 1, [&w](metasched::FrontendOptions& fo) {
+  buildWorld(w, 1, [](metasched::FrontendOptions& fo) {
     fo.horizonSec = 3000.0;
     fo.hardDeadlineSec = 20000.0;
     fo.tenants = {
-        tenant("hi", 2, 1.0, 1.0 / 60.0, 50.0, w.refRate, 7),
-        tenant("lo", 0, 1.0, 1.0 / 60.0, 50.0, w.refRate, 8),
+        tenant("hi", 2, 1.0, 1.0 / 60.0, 50.0, fo.refFlopsPerSec, 7),
+        tenant("lo", 0, 1.0, 1.0 / 60.0, 50.0, fo.refFlopsPerSec, 8),
     };
     fo.admission.maxQueuedPerTenant = 30;
     fo.admission.maxQueuedTotal = 60;
@@ -418,13 +396,14 @@ TEST(MetaScheduler, StrictTierPriority) {
 /// Starvation-driven preemption on one slot: a batch tenant with long jobs
 /// occupies the slot; a rare high-tier tenant arrives, starves past
 /// highTierMaxWaitSec, and preempts (first at 390 s).
-void applyPreemptConfig(World& w, metasched::FrontendOptions& fo) {
+void applyPreemptConfig(metasched::FrontendOptions& fo) {
+  const double refRate = fo.refFlopsPerSec;
   fo.horizonSec = 900.0;
   fo.hardDeadlineSec = 0.0;
-  auto batch = tenant("batch", 0, 1.0, 1.0 / 150.0, 400.0, w.refRate, 7);
-  batch.maxJobFlops = w.refRate * 500.0;
-  auto hi = tenant("hi", 2, 1.0, 1.0 / 300.0, 30.0, w.refRate, 8);
-  hi.maxJobFlops = w.refRate * 60.0;
+  auto batch = tenant("batch", 0, 1.0, 1.0 / 150.0, 400.0, refRate, 7);
+  batch.maxJobFlops = refRate * 500.0;
+  auto hi = tenant("hi", 2, 1.0, 1.0 / 300.0, 30.0, refRate, 8);
+  hi.maxJobFlops = refRate * 60.0;
   fo.tenants = {batch, hi};
   fo.admission.maxQueuedPerTenant = 50;
   fo.admission.maxQueuedTotal = 100;
@@ -435,30 +414,17 @@ void applyPreemptConfig(World& w, metasched::FrontendOptions& fo) {
   fo.preempt.highTierMaxWaitSec = 60.0;
 }
 
-using WorldConfig = void (*)(World&, metasched::FrontendOptions&);
-
-/// Restores `bytes` into a fresh `nSlots` world configured by `config`, the
-/// crash sweep's way, and runs it to drain.
-void restoreAndDrain(World& w, int nSlots, WorldConfig config,
-                     const std::vector<std::uint8_t>& bytes) {
-  buildWorld(w, nSlots, [&w, config](metasched::FrontendOptions& fo) {
-    config(w, fo);
-  }, /*armDaemons=*/false);
-  const core::SnapshotImage parsed = core::SnapshotImage::parse(bytes);
-  w.eng.runUntil(parsed.simTime);
-  w.mgr->restoreFrom(parsed);
-  w.journal->recover("test restart");
-  w.nws->start();
-  w.meta->resumeAfterRestore();
+/// Restores `bytes` into `w`, built with armDaemons = false, through the
+/// catalog's restore sequence, and runs it to drain.
+void restoreAndDrain(World& w, const std::vector<std::uint8_t>& bytes) {
+  bench::restore(w, bytes);
   w.eng.run();
   w.eng.rethrowIfFailed();
 }
 
 TEST(MetaScheduler, PreemptParksThroughJournalAndResumes) {
   World w;
-  buildWorld(w, 1, [&w](metasched::FrontendOptions& fo) {
-    applyPreemptConfig(w, fo);
-  });
+  buildWorld(w, 1, applyPreemptConfig);
   std::vector<metasched::JobStats> stats;
   w.meta->setOnJobComplete(
       [&stats](const metasched::JobStats& s) { stats.push_back(s); });
@@ -484,60 +450,9 @@ TEST(MetaScheduler, PreemptParksThroughJournalAndResumes) {
   auditTotals(w);
 }
 
-/// Overload shape (2.2x offered load on 4 slots, all mitigations on)
-/// applied on top of buildWorld's defaults — `fo.slots` stays intact.
-void applyOverloadConfig(World& w, metasched::FrontendOptions& fo) {
-  fo.horizonSec = 1200.0;
-  fo.hardDeadlineSec = 2400.0;
-  fo.controlPeriodSec = 30.0;
-  fo.flopsPerPhase = w.refRate * 15.0;
-  fo.refFlopsPerSec = w.refRate;
-  fo.seed = 0x5eed;
-  fo.jobOptions.resourceSelectionSec = 1.0;
-  fo.jobOptions.perfModelingSec = 0.5;
-  fo.jobOptions.appStartPerRankSec = 0.5;
-  fo.jobOptions.monitorContract = false;
-  fo.tenants = {
-      tenant("hi", 2, 2.0, 0.018, 45.0, w.refRate, 17),
-      tenant("norm", 1, 1.0, 0.026, 45.0, w.refRate, 34),
-      tenant("batch", 0, 1.0, 0.044, 45.0, w.refRate, 51),
-  };
-  fo.admission.maxQueuedPerTenant = 10;
-  fo.admission.maxQueuedTotal = 32;
-  fo.admission.maxBacklogSec = 400.0;
-  fo.admission.retryAfterMinSec = 15.0;
-  fo.admission.retryAfterMaxSec = 240.0;
-  fo.brownout.dwellSec = 60.0;
-  fo.preempt.minRunSec = 20.0;
-  fo.preempt.cooldownSec = 90.0;
-  fo.preempt.highTierMaxWaitSec = 120.0;
-}
-
-std::uint64_t runOverloadDigest() {
-  World w;
-  buildWorld(w, 4, [&w](metasched::FrontendOptions& fo) {
-    applyOverloadConfig(w, fo);
-  });
-  w.meta->start();
-  w.eng.run();
-  w.eng.rethrowIfFailed();
-  util::DigestStream ds;
-  w.meta->foldDigest(ds);
-  return ds.digest();
-}
-
-TEST(MetaScheduler, OverloadReplaysBitIdentically) {
-  // Jittered resubmit schedules, thinned Poisson arrivals, Pareto sizes:
-  // all drawn from snapshotted per-tenant streams, so two fresh runs of
-  // the same overload scenario must agree exactly.
-  EXPECT_EQ(runOverloadDigest(), runOverloadDigest());
-}
-
 TEST(MetaScheduler, BreakdownSurfacesAdmissionCounters) {
   World w;
-  buildWorld(w, 4, [&w](metasched::FrontendOptions& fo) {
-    applyOverloadConfig(w, fo);
-  });
+  bench::build(w, "tenant-overload", 41, /*armDaemons=*/true);
   std::vector<metasched::JobStats> stats;
   w.meta->setOnJobComplete(
       [&stats](const metasched::JobStats& s) { stats.push_back(s); });
@@ -561,21 +476,19 @@ TEST(MetaScheduler, BreakdownSurfacesAdmissionCounters) {
 }
 
 TEST(MetaScheduler, SnapshotRestoreResumesAndDrains) {
-  // Run the overload scenario to mid-flight, capture a whole-simulation
-  // snapshot, and restore it into two fresh control planes: both must
-  // drain completely and agree bit-for-bit (restore is a pure function of
-  // the image).
+  // Run the catalog's tenant-overload scenario to mid-flight, capture a
+  // whole-simulation snapshot, and restore it into two fresh control planes:
+  // both must drain completely and agree bit-for-bit (restore is a pure
+  // function of the image).
   World a;
-  buildWorld(a, 4, [&a](metasched::FrontendOptions& fo) {
-    applyOverloadConfig(a, fo);
-  });
+  bench::build(a, "tenant-overload", 41, /*armDaemons=*/true);
   a.meta->start();
   a.eng.runUntil(700.0);
-  const core::SnapshotImage img = a.mgr->snapshotNow();
-  const std::vector<std::uint8_t> bytes = img.serialize();
+  const std::vector<std::uint8_t> bytes = a.mgr->snapshotNow().serialize();
 
   const auto drainedDigest = [&bytes](World& w) {
-    restoreAndDrain(w, 4, applyOverloadConfig, bytes);
+    bench::build(w, "tenant-overload", 41, /*armDaemons=*/false);
+    restoreAndDrain(w, bytes);
     util::DigestStream ds;
     w.meta->foldDigest(ds);
     return ds.digest();
@@ -597,16 +510,15 @@ TEST(MetaScheduler, RestoredRunningJobIsStillAPreemptionVictim) {
   // job holding the slot must come back as a victim the restored frontend
   // can park, exactly as it would have been without the crash.
   World a;
-  buildWorld(a, 1, [&a](metasched::FrontendOptions& fo) {
-    applyPreemptConfig(a, fo);
-  });
+  buildWorld(a, 1, applyPreemptConfig);
   a.meta->start();
   a.eng.runUntil(360.0);
   ASSERT_EQ(a.meta->totals().preempted, 0);
   const std::vector<std::uint8_t> bytes = a.mgr->snapshotNow().serialize();
 
   World b;
-  restoreAndDrain(b, 1, applyPreemptConfig, bytes);
+  buildWorld(b, 1, applyPreemptConfig, /*armDaemons=*/false);
+  restoreAndDrain(b, bytes);
   EXPECT_GT(b.meta->totals().preempted, 0);
   EXPECT_EQ(b.meta->totals().failed, 0);
   auditTotals(b);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/app_manager.hpp"
-#include "core/snapshot.hpp"
 #include "scenarios.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -82,31 +81,13 @@ TEST(ScenarioCatalog, UnknownNameIsRejected) {
                InvalidArgument);
 }
 
-using Image = std::vector<std::uint8_t>;
-
-/// Runs scenario `sc` uncrashed with crash_sweep's snapshot cadence: one
-/// image at t=0, then one every 90 s until the run ends.
-std::vector<Image> catalogImages(const bench::Scenario& sc) {
-  std::vector<Image> images;
-  bench::World w;
-  bench::build(w, sc.name, sc.seed, true);
-  const auto sink = [&images](core::SnapshotImage img) {
-    images.push_back(img.serialize());
-  };
-  bench::spawnApps(w, false);
-  w.mgr->armSnapshotDaemon(90.0, sink);
-  sink(w.mgr->snapshotNow());
-  w.eng.run();
-  w.eng.rethrowIfFailed();
-  return images;
-}
-
-// Every image the catalog writes, digested and compared with recorded
-// values (last re-recorded when services.nws began to store each sliding
-// mean's running sum). A field reordered in both halves of a codec
-// round-trips, so only a pin on the bytes themselves catches it. Each image is then decoded onto a freshly
-// built world (no journal recovery or re-arming: both legitimately rewrite
-// their sections) and must re-encode to the same bytes.
+// Every image the catalog records (bench::record), digested and compared
+// with recorded values (last re-recorded when services.nws began to store
+// each sliding mean's running sum). A field reordered in both halves of a
+// codec round-trips, so only a pin on the bytes themselves catches it. Each
+// image is then decoded onto a freshly built world (bench::decode alone: no
+// journal recovery or re-arming, since both legitimately rewrite their
+// sections) and must re-encode to the same bytes.
 TEST(SnapshotWireFormat, CatalogImagesArePinnedAndReencodeIdentically) {
   const struct {
     std::string_view name;
@@ -125,13 +106,14 @@ TEST(SnapshotWireFormat, CatalogImagesArePinnedAndReencodeIdentically) {
     const bench::Scenario& sc = bench::kScenarios[s];
     SCOPED_TRACE(sc.name);
     ASSERT_EQ(kPinned[s].name, sc.name);
-    const std::vector<Image> images = catalogImages(sc);
+    const std::vector<bench::Recording::Image> images =
+        bench::record(sc).images;
 
     util::DigestStream ds;
     std::size_t bytes = 0;
-    for (const Image& img : images) {
-      ds.put(util::fnv1a64(img.data(), img.size()));
-      bytes += img.size();
+    for (const auto& img : images) {
+      ds.put(util::fnv1a64(img.bytes.data(), img.bytes.size()));
+      bytes += img.bytes.size();
     }
     EXPECT_EQ(images.size(), kPinned[s].images);
     EXPECT_EQ(bytes, kPinned[s].bytes);
@@ -141,12 +123,9 @@ TEST(SnapshotWireFormat, CatalogImagesArePinnedAndReencodeIdentically) {
     for (std::size_t i = 0; i < images.size(); ++i) {
       bench::World w;
       bench::build(w, sc.name, sc.seed, false);
-      const auto img = core::SnapshotImage::parse(images[i]);
-      w.eng.runUntil(img.simTime);
-      w.mgr->restoreFrom(img);
-      EXPECT_TRUE(w.mgr->snapshotNow().serialize() == images[i])
-          << "image " << i << " (t=" << img.simTime
-          << ") re-encodes to different bytes";
+      const double t = bench::decode(w, images[i].bytes);
+      EXPECT_TRUE(w.mgr->snapshotNow().serialize() == images[i].bytes)
+          << "image " << i << " (t=" << t << ") re-encodes to different bytes";
     }
   }
 }
