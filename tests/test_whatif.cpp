@@ -311,7 +311,7 @@ TEST(WhatifForks, SameImageCandidateAndSeedReplayBitIdentically) {
   w.mgr->snapshotAt(200.0, [&bytes](core::SnapshotImage img) {
     bytes = img.serialize();
   });
-  w.eng.spawn(w.mgr->run(w.cop, &*w.rescheduler, w.mopts, &w.bd), w.cop.name);
+  bench::spawnApps(w, /*restored=*/false);
   // The breakdown is flushed to `w.bd` only when the coroutine completes, so
   // run the scenario to the end; the snapshot sink still fires at t=200.
   w.eng.run();
@@ -323,18 +323,36 @@ TEST(WhatifForks, SameImageCandidateAndSeedReplayBitIdentically) {
   rq.app = w.cop.name;
   rq.current = w.bd.mappings.front();
   rq.candidate = {CandidateKind::kSuppress, {}, "suppress"};
-  rq.perturbation = {PerturbationKind::kLinkDegrade, 9, 0.3};
   rq.horizonSec = 180.0;
   rq.maxEvents = 400000;
 
-  const ForkOutcome a = bench::runWhatifFork(cfg, rq);
-  const ForkOutcome b = bench::runWhatifFork(cfg, rq);
-  EXPECT_EQ(a.forkDigest, b.forkDigest);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.violationRecurrences, b.violationRecurrences);
-  EXPECT_EQ(a.migrateBacks, b.migrateBacks);
-  EXPECT_EQ(a.makespanSec, b.makespanSec);
-  EXPECT_FALSE(a.aborted);
+  // The nominal future and one of each pessimistic kind, at a severity
+  // inside the range the driver draws from.
+  const Perturbation futures[] = {
+      {PerturbationKind::kNone, 0, 0.0},
+      {PerturbationKind::kTargetSlowdown, 9, 2.0},
+      {PerturbationKind::kLinkDegrade, 9, 0.3},
+      {PerturbationKind::kDepotOutage, 9, 200.0},
+  };
+  std::uint64_t nominal = 0;
+  for (const Perturbation& p : futures) {
+    SCOPED_TRACE(static_cast<int>(p.kind));
+    rq.perturbation = p;
+    const ForkOutcome a = bench::runWhatifFork(cfg, rq);
+    const ForkOutcome b = bench::runWhatifFork(cfg, rq);
+    EXPECT_EQ(a.forkDigest, b.forkDigest);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.violationRecurrences, b.violationRecurrences);
+    EXPECT_EQ(a.migrateBacks, b.migrateBacks);
+    EXPECT_EQ(a.makespanSec, b.makespanSec);
+    EXPECT_FALSE(a.aborted);
+    if (p.kind == PerturbationKind::kNone) {
+      nominal = a.forkDigest;
+    } else {
+      // The perturbation reached the sandbox.
+      EXPECT_NE(a.forkDigest, nominal);
+    }
+  }
 }
 
 TEST(WhatifForks, ShadowSpeculationLeavesParentReplayUnchanged) {
