@@ -4,7 +4,6 @@
 
 #include "grid/testbeds.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace grads::microgrid {
 

@@ -41,16 +41,6 @@ const char* candidateKindName(CandidateKind kind) {
   return "?";
 }
 
-const char* perturbationKindName(PerturbationKind kind) {
-  switch (kind) {
-    case PerturbationKind::kNone: return "nominal";
-    case PerturbationKind::kTargetSlowdown: return "target-slowdown";
-    case PerturbationKind::kLinkDegrade: return "link-degrade";
-    case PerturbationKind::kDepotOutage: return "depot-outage";
-  }
-  return "?";
-}
-
 ForkDriver::ForkDriver(sim::Engine& engine, DriverOptions options)
     : engine_(&engine), opts_(options), rng_(kSeed) {
   GRADS_REQUIRE(opts_.budget.maxForks >= 0,

@@ -47,8 +47,6 @@ enum class PerturbationKind : std::uint8_t {
   kDepotOutage,
 };
 
-const char* perturbationKindName(PerturbationKind kind);
-
 struct Perturbation {
   PerturbationKind kind = PerturbationKind::kNone;
   std::uint64_t seed = 0;

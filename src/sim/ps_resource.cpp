@@ -51,14 +51,6 @@ double PsResource::backgroundWeight() const {
   return w;
 }
 
-std::size_t PsResource::activeJobs() const {
-  std::size_t n = 0;
-  for (const auto& j : jobs_) {
-    if (!j.infinite) ++n;
-  }
-  return n;
-}
-
 void PsResource::advance() {
   const Time now = engine_->now();
   const double dt = now - lastUpdate_;

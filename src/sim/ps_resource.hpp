@@ -51,8 +51,6 @@ class PsResource {
   /// Total weight of infinite (background-load) jobs.
   double backgroundWeight() const;
 
-  /// Number of active finite jobs.
-  std::size_t activeJobs() const;
   /// Total weight across all jobs (finite + infinite).
   double totalWeight() const;
   /// Instantaneous rate a new weight-1 job would receive right now.

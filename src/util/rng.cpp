@@ -88,8 +88,6 @@ double Rng::pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-Rng Rng::split() { return Rng(next()); }
-
 RngState Rng::state() const {
   RngState st;
   for (int i = 0; i < 4; ++i) st.s[i] = s_[i];

@@ -42,9 +42,6 @@ class Rng {
   /// Pareto-distributed heavy-tail sample with scale xm and shape alpha.
   double pareto(double xm, double alpha);
 
-  /// Derives an independent stream (for per-component randomness).
-  Rng split();
-
  private:
   std::uint64_t s_[4];
   bool haveSpare_ = false;

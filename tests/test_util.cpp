@@ -8,7 +8,6 @@
 #include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace grads {
@@ -67,12 +66,6 @@ TEST(Rng, ExponentialMean) {
   stats::Accumulator acc;
   for (int i = 0; i < 20000; ++i) acc.add(r.exponential(0.5));
   EXPECT_NEAR(acc.mean(), 2.0, 0.1);
-}
-
-TEST(Rng, SplitStreamsAreIndependentlySeeded) {
-  Rng a(42);
-  Rng c = a.split();
-  EXPECT_NE(a.next(), c.next());
 }
 
 TEST(Stats, AccumulatorBasics) {
@@ -144,31 +137,6 @@ TEST(Stats, PowerFitRecoversExponent) {
   const auto fit = stats::powerFit(xs, ys);
   EXPECT_NEAR(fit.a, 3.5, 1e-9);
   EXPECT_NEAR(fit.b, 1.7, 1e-9);
-}
-
-TEST(Strings, SplitPreservesEmptyFields) {
-  const auto parts = util::split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(Strings, Trim) {
-  EXPECT_EQ(util::trim("  hi \t\n"), "hi");
-  EXPECT_EQ(util::trim(""), "");
-  EXPECT_EQ(util::trim("   "), "");
-}
-
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(util::startsWith("cluster utk", "cluster"));
-  EXPECT_FALSE(util::startsWith("cl", "cluster"));
-}
-
-TEST(Strings, FormatBytes) {
-  EXPECT_EQ(util::formatBytes(512.0), "512.0 B");
-  EXPECT_EQ(util::formatBytes(1024.0 * 1024.0), "1.0 MB");
 }
 
 TEST(Table, RowArityEnforced) {
