@@ -13,9 +13,10 @@
 //
 // bench/whatif_world.hpp compiles without any bench/ source file, so all it
 // calls is inline here: World, the pop-stream observer, the outcome fold,
-// the square-wave load, the flapping-load builder, app spawn, daemon start
-// and the restore sequence (decode, journal recovery, resume). The other
-// builders and the recording run live in scenarios.cpp.
+// the square-wave load, the flapping-load world (buildFlapWorld), app spawn,
+// daemon start and the restore sequence (decode, journal recovery, resume).
+// The other worlds' build functions and the recording run live in
+// scenarios.cpp.
 
 #pragma once
 
@@ -247,7 +248,7 @@ struct FlapTestbed {
 /// (N = 6000) on two identical 4-node clusters over a WAN fat enough that
 /// migrating is profitable every time an antiphase square-wave load flips
 /// clusters (every 90 s), under a journaled rescheduler and a governor with
-/// quorum and hysteresis. The two differ only in the governor's
+/// quorum and hysteresis. Its two callers differ in the governor's
 /// `cooldownSec` and the QR checkpoint cadence (`checkpointEveryPanels`,
 /// 0 = none). No component is registered yet: callers add their own parts
 /// first. Templated like registerComponents.
