@@ -1,6 +1,5 @@
 #include "mem/trace.hpp"
 
-#include "linalg/matrix.hpp"
 #include "util/error.hpp"
 
 namespace grads::mem {
@@ -66,9 +65,16 @@ void traceNBody(std::size_t n, std::size_t epb, TraceSink sink) {
   }
 }
 
-double matmulFlopCount(std::size_t n) { return linalg::matmulFlops(n); }
+double matmulFlopCount(std::size_t n) {
+  const double dn = static_cast<double>(n);
+  return 2.0 * dn * dn * dn;
+}
 
-double qrFlopCount(std::size_t n) { return linalg::qrFlops(n, n); }
+double qrFlopCount(std::size_t n) {
+  // Householder QR of an n×n matrix: the closed form 2n²(m − n/3) at m = n.
+  const double dn = static_cast<double>(n);
+  return 2.0 * dn * dn * (dn - dn / 3.0);
+}
 
 double stencilFlopCount(std::size_t n, std::size_t iters) {
   // 3 adds + 1 multiply per interior point per sweep.

@@ -33,25 +33,6 @@ std::optional<std::string> Gis::softwareLocation(
   return jt->second;
 }
 
-std::vector<grid::NodeId> Gis::findNodes(
-    const std::vector<std::string>& packages,
-    std::optional<grid::Arch> arch) const {
-  std::vector<grid::NodeId> out;
-  for (grid::NodeId id = 0; id < grid_->nodeCount(); ++id) {
-    if (down_.count(id) > 0) continue;
-    if (arch && grid_->node(id).spec().arch != *arch) continue;
-    bool ok = true;
-    for (const auto& p : packages) {
-      if (!hasSoftware(id, p)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.push_back(id);
-  }
-  return out;
-}
-
 void Gis::setNodeUp(grid::NodeId node, bool up) {
   GRADS_REQUIRE(node < grid_->nodeCount(), "Gis: unknown node");
   if (up) {

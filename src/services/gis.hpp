@@ -48,11 +48,6 @@ class Gis : public core::Snapshottable {
   std::optional<std::string> softwareLocation(grid::NodeId node,
                                               const std::string& package) const;
 
-  /// Nodes that have all of `packages` installed (and match arch if given).
-  std::vector<grid::NodeId> findNodes(
-      const std::vector<std::string>& packages,
-      std::optional<grid::Arch> arch = std::nullopt) const;
-
   /// Marks a node up/down in the *directory*; down nodes are excluded from
   /// discovery. This is the reported state — what schedulers see.
   void setNodeUp(grid::NodeId node, bool up);

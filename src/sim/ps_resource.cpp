@@ -104,13 +104,6 @@ void PsResource::replan() {
   });
 }
 
-void PsResource::setCapacity(double capacity) {
-  GRADS_REQUIRE(capacity >= 0.0, "PsResource::setCapacity: negative");
-  advance();
-  capacity_ = capacity;
-  replan();
-}
-
 PsResource::LoadId PsResource::addLoad(double weight) {
   GRADS_REQUIRE(weight > 0.0, "PsResource::addLoad: weight must be > 0");
   advance();

@@ -11,7 +11,7 @@
 
 namespace grads::sim {
 
-/// Processor-sharing resource with time-varying capacity.
+/// Processor-sharing resource of fixed capacity.
 ///
 /// This single abstraction models both CPUs and network links:
 ///  - a CPU is a PsResource with capacity = cores × flops/core and
@@ -40,9 +40,6 @@ class PsResource {
   const std::string& name() const { return name_; }
   double capacity() const { return capacity_; }
   Engine& engine() const { return *engine_; }
-
-  /// Changes nominal capacity (e.g. NWS-visible bandwidth fluctuation).
-  void setCapacity(double capacity);
 
   /// Adds a perpetual competing job of the given weight; returns its id.
   LoadId addLoad(double weight = 1.0);
@@ -83,7 +80,7 @@ class PsResource {
   double capacity_;
   double maxRatePerUnit_;
   std::string name_;
-  // Contiguous so the advance()/replan() sweeps (every capacity change and
+  // Contiguous so the advance()/replan() sweeps (every job or load change and
   // every finish event walks all jobs) stream instead of pointer-chasing.
   std::vector<Job> jobs_;
   Time lastUpdate_ = 0.0;

@@ -72,8 +72,7 @@ double PolyFit::eval(double x) const {
 
 namespace {
 /// Solves the (small, dense, symmetric positive-definite) normal equations
-/// with partial-pivoting Gaussian elimination. Kept local: util must not
-/// depend on linalg.
+/// with partial-pivoting Gaussian elimination.
 std::vector<double> solveDense(std::vector<std::vector<double>> a,
                                std::vector<double> b) {
   const std::size_t n = b.size();

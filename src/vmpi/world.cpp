@@ -59,14 +59,6 @@ void World::abortRetarget(int rank) {
   ++retargetsAborted_;
 }
 
-void World::decodeState(core::SnapshotReader& r) {
-  snapshotIo(*this, r);
-  for (const auto n : nodes_) {
-    GRADS_REQUIRE(n < grid_->nodeCount(),
-                  "World::decodeState: unknown node in mapping");
-  }
-}
-
 World::Mailbox& World::mailbox(int dst, int tag) {
   return boxes_[MailboxKey{dst, tag}];
 }

@@ -2,13 +2,13 @@
 
 #include <any>
 #include <coroutine>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/snapshot.hpp"
 #include "grid/grid.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -87,16 +87,6 @@ class World {
   double bytesSent() const { return bytesSent_; }
   std::size_t messagesSent() const { return messagesSent_; }
 
-  /// Snapshot support (DESIGN.md, snapshot/restore invariants): encodes the
-  /// *logical* communicator state — the rank→node mapping, any staged
-  /// retargets, the retarget tallies, and the traffic totals. Mailboxes and
-  /// barrier bookkeeping are deliberately excluded:
-  /// snapshots are taken at quiescent boundaries where no message is in
-  /// flight, and a restored application rebuilds its World at relaunch and
-  /// adopts this state onto it.
-  void encodeState(core::SnapshotWriter& w) const { snapshotIo(*this, w); }
-  void decodeState(core::SnapshotReader& r);
-
   /// Internal mailbox machinery; public only for the recv awaiter.
   struct Waiter {
     int src;
@@ -117,37 +107,23 @@ class World {
     }
   };
 
-  template <class Self, class Ar>
-  static void snapshotIo(Self& s, Ar& a) {
-    a.expect("vmpi.world: snapshot rank count does not match this "
-             "communicator",
-             s.nodes_.size());
-    for (auto& n : s.nodes_) a(n);
-    a(s.stagedRetargets_, s.retargetsCommitted_, s.retargetsAborted_,
-      s.bytesSent_, s.messagesSent_);
-  }
-
   Mailbox& mailbox(int dst, int tag);
   void deliver(int dst, Message msg);
   int vrank(int rank, int root) const {  // rank relative to root
     return (rank - root + size()) % size();
   }
 
-  grid::Grid* grid_;  // grads: transient(wiring, re-bound at construction)
+  grid::Grid* grid_;
   std::vector<grid::NodeId> nodes_;
-  std::string name_;  // grads: transient(construction-time config)
-  // grads: transient(in-flight messages, none at a quiescent boundary)
+  std::string name_;
   std::map<MailboxKey, Mailbox> boxes_;
   std::map<int, grid::NodeId> stagedRetargets_;
   std::size_t retargetsCommitted_ = 0;
   std::size_t retargetsAborted_ = 0;
 
   // Barrier state.
-  // grads: transient(in-flight barrier count, zero at a quiescent boundary)
   int barrierArrived_ = 0;
-  // grads: transient(keys in-flight barriers only, none at a quiescent boundary)
   std::uint64_t barrierGeneration_ = 0;
-  // grads: transient(in-flight barriers, none at a quiescent boundary)
   std::map<std::uint64_t, std::shared_ptr<sim::Event>> barrierEvents_;
 
   double bytesSent_ = 0.0;

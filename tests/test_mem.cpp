@@ -200,5 +200,12 @@ TEST(Traces, LargerCacheNeverMoreMisses) {
   }
 }
 
+TEST(FlopCounts, QrClosedForm) {
+  // Square: 2n²(n − n/3) = (4/3)n³.
+  EXPECT_NEAR(qrFlopCount(100), 4.0 / 3.0 * 1e6, 1.0);
+}
+
+TEST(FlopCounts, Matmul) { EXPECT_DOUBLE_EQ(matmulFlopCount(10), 2000.0); }
+
 }  // namespace
 }  // namespace grads::mem

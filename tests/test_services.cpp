@@ -257,21 +257,6 @@ TEST(Gis, SoftwareDirectory) {
             std::nullopt);
 }
 
-TEST(Gis, FindNodesFiltersByPackageAndArch) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildEmanTestbed(g);
-  Gis gis(g);
-  gis.installEverywhere("eman");
-  const auto ia64 =
-      gis.findNodes({"eman"}, std::optional<grid::Arch>(grid::Arch::kIA64));
-  EXPECT_EQ(ia64.size(), g.clusterNodes(tb.ia64).size());
-  const auto all = gis.findNodes({"eman"});
-  EXPECT_EQ(all.size(), g.nodeCount());
-  const auto none = gis.findNodes({"not-installed"});
-  EXPECT_TRUE(none.empty());
-}
-
 TEST(Gis, DownNodesExcludedFromDiscovery) {
   sim::Engine eng;
   grid::Grid g(eng);
@@ -280,8 +265,6 @@ TEST(Gis, DownNodesExcludedFromDiscovery) {
   gis.installEverywhere("x");
   gis.setNodeUp(tb.utkNodes[0], false);
   EXPECT_FALSE(gis.isNodeUp(tb.utkNodes[0]));
-  const auto found = gis.findNodes({"x"});
-  EXPECT_EQ(found.size(), g.nodeCount() - 1);
   EXPECT_EQ(gis.availableNodes().size(), g.nodeCount() - 1);
 }
 

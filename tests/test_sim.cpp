@@ -322,28 +322,6 @@ TEST(PsResource, LoadRemovalSpeedsJobUp) {
   EXPECT_DOUBLE_EQ(d, 1.5);
 }
 
-TEST(PsResource, CapacityChangeMidJob) {
-  Engine eng;
-  PsResource link(eng, 10.0);
-  double d = -1.0;
-  eng.spawn(consumeTask(link, 20.0, &d));
-  eng.schedule(1.0, [&] { link.setCapacity(5.0); });  // 10 left at 5/s
-  eng.run();
-  EXPECT_DOUBLE_EQ(d, 3.0);
-}
-
-TEST(PsResource, ZeroCapacityStallsUntilRestored) {
-  Engine eng;
-  PsResource link(eng, 10.0);
-  double d = -1.0;
-  eng.spawn(consumeTask(link, 10.0, &d));
-  eng.schedule(0.5, [&] { link.setCapacity(0.0); });
-  eng.schedule(2.5, [&] { link.setCapacity(10.0); });
-  eng.run();
-  // 5 done by 0.5, stalled 2 s, 5 more in 0.5 s.
-  EXPECT_DOUBLE_EQ(d, 3.0);
-}
-
 TEST(PsResource, ZeroWorkCompletesImmediately) {
   Engine eng;
   PsResource cpu(eng, 100.0);

@@ -28,7 +28,6 @@
 #include "sim/engine.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "vmpi/world.hpp"
 
 namespace grads::core {
 namespace {
@@ -621,34 +620,6 @@ TEST(SnapshotComponents, GisAndServicesRoundTripThroughImageBytes) {
 
   // Identity: re-capturing the restored components yields the same bytes.
   EXPECT_EQ(reg2.capture(0.0).serialize(), bytes);
-}
-
-TEST(SnapshotComponents, VmpiWorldRoundTripsAndChecksItsShape) {
-  sim::Engine eng;
-  grid::Grid g(eng);
-  const auto tb = grid::buildQrTestbed(g);
-  vmpi::World world(g, {tb.utkNodes[0], tb.utkNodes[1]}, "qr");
-  world.beginRetarget(1, tb.uiucNodes[0]);
-  SnapshotWriter w;
-  world.encodeState(w);
-
-  vmpi::World back(g, {tb.uiucNodes[1], tb.uiucNodes[2]}, "qr");
-  SnapshotReader r(w.words());
-  back.decodeState(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(back.nodeOf(0), tb.utkNodes[0]);
-  EXPECT_EQ(back.nodeOf(1), tb.utkNodes[1]);
-  EXPECT_EQ(back.stagedTarget(1), tb.uiucNodes[0]);
-  SnapshotWriter again;
-  back.encodeState(again);
-  EXPECT_EQ(again.words(), w.words());
-
-  // The rank count is configuration: a communicator of another size
-  // refuses the image instead of resizing itself.
-  vmpi::World wider(g, {tb.utkNodes[0], tb.utkNodes[1], tb.utkNodes[2]},
-                    "qr");
-  SnapshotReader r2(w.words());
-  EXPECT_THROW(wider.decodeState(r2), SnapshotError);
 }
 
 // --- AppManager coordinator guards. ---------------------------------------

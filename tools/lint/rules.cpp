@@ -600,7 +600,6 @@ struct LayerEntry {
 constexpr LayerEntry kLayers[] = {
     {"src/util/", 0},
     {"src/sim/", 1},
-    {"src/linalg/", 1},
     {"src/core/app_manager", 9},
     {"src/core/binder", 9},
     {"src/core/cop", 7},
