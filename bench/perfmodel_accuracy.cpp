@@ -79,11 +79,12 @@ int main() {
       flopsTable.addRow({k.name, static_cast<std::int64_t>(n), exact, pred,
                          100.0 * std::abs(pred - exact) / exact});
 
+      // One histogram answers every capacity: trace once, then query each.
+      mem::ReuseDistanceAnalyzer rd;
+      k.tracer(n, rd.sink());
       for (const std::size_t cacheKb : {16, 64, 256}) {
         grid::CacheGeometry cache{cacheKb * 1024,
                                   perfmodel::kModelBlockBytes, 8};
-        mem::ReuseDistanceAnalyzer rd;
-        k.tracer(n, rd.sink());
         const auto sim = static_cast<double>(rd.global().missesForCapacity(
             cache.sizeBytes / cache.lineBytes));
         const double pred2 =
