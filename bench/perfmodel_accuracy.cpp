@@ -2,9 +2,12 @@
 // fitted by least squares on *small* instrumented runs, and cache-miss
 // predictions from memory-reuse-distance scaling models, evaluated against
 // exact counts / direct cache simulation at larger, unseen problem sizes.
+// The flop claim is checked: a prediction off by more than 1e-10 relative
+// error prints a VIOLATION line and the bench exits 1.
 
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "bench_paths.hpp"
 #include "grid/node.hpp"
@@ -72,12 +75,23 @@ int main() {
   util::Table missTable({"kernel", "size", "cache_kb", "misses_simulated",
                          "misses_predicted", "ratio"});
 
+  // The flop counts are polynomial in n, so least squares recovers them
+  // exactly: only rounding separates prediction from count (the worst row
+  // is 5.0e-13, qr at n = 256).
+  constexpr double kMaxFlopRelErr = 1e-10;
+  std::ostringstream violations;
   for (auto& k : kernels) {
     for (const auto n : k.evalSizes) {
       const double exact = k.flops(n);
       const double pred = k.model.predictFlops(static_cast<double>(n));
+      const double err = std::abs(pred - exact);
       flopsTable.addRow({k.name, static_cast<std::int64_t>(n), exact, pred,
-                         100.0 * std::abs(pred - exact) / exact});
+                         100.0 * err / exact});
+      if (!(err / exact <= kMaxFlopRelErr)) {
+        violations << "VIOLATION: " << k.name << " n=" << n
+                   << " flop prediction has relative error " << err / exact
+                   << ", above " << kMaxFlopRelErr << "\n";
+      }
 
       // One histogram answers every capacity: trace once, then query each.
       mem::ReuseDistanceAnalyzer rd;
@@ -108,5 +122,6 @@ int main() {
                "percent (polynomial counts are fit exactly); miss-count "
                "ratios near 1 in miss-heavy regimes, drifting where the "
                "bucketed quantile model coarsens.\n";
-  return 0;
+  std::cout << violations.str();
+  return violations.str().empty() ? 0 : 1;
 }
