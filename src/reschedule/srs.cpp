@@ -220,6 +220,17 @@ sim::Task Srs::writeCheckpoint(int rank) {
   // Checkpoint pushes are background movers: pace them behind the
   // application's interactive traffic instead of stealing its bandwidth.
   fence.transferClass = grid::TransferClass::kBulk;
+  // Skipped copies are logged after the loop, one line per copy and cause
+  // naming every array it skipped, stamped with the first skip's time.
+  struct Skipped {
+    std::string arrays;
+    double at = 0.0;
+    void add(const std::string& array, double t) {
+      if (arrays.empty()) at = t;
+      arrays += (arrays.empty() ? "" : ", ") + array;
+    }
+  };
+  Skipped primaryDark, primaryFenced, replicaDark, replicaFenced;
   bool allWritten = true;
   for (const auto& [array, info] : arrays_) {
     // This rank's exact block-cyclic share (block counts are generally not
@@ -242,15 +253,10 @@ sim::Task Srs::writeCheckpoint(int rank) {
                          bytes, depot, node, fence);
       primaryOk = true;
     } catch (const services::DepotDownError&) {
-      GRADS_WARN("srs") << log::appAt(rss_->appName(), world_->engine().now())
-                        << "rank " << rank
-                        << ": primary depot dark, checkpoint copy skipped";
+      primaryDark.add(array, world_->engine().now());
     } catch (const services::StaleEpochError&) {
       ++staleWriteRejects_;
-      GRADS_WARN("srs") << log::appAt(rss_->appName(), world_->engine().now())
-                        << "rank " << rank
-                        << ": primary write fenced out (stale epoch "
-                        << epoch_ << ")";
+      primaryFenced.add(array, world_->engine().now());
     }
     bool replicaOk = false;
     if (replicaDepot_ != grid::kNoId && replicaDepot_ != depot) {
@@ -260,15 +266,10 @@ sim::Task Srs::writeCheckpoint(int rank) {
                            bytes, replicaDepot_, node, fence);
         replicaOk = true;
       } catch (const services::DepotDownError&) {
-        GRADS_WARN("srs") << log::appAt(rss_->appName(), world_->engine().now())
-                          << "rank " << rank
-                          << ": replica depot dark, mirror copy skipped";
+        replicaDark.add(array, world_->engine().now());
       } catch (const services::StaleEpochError&) {
         ++staleWriteRejects_;
-        GRADS_WARN("srs") << log::appAt(rss_->appName(), world_->engine().now())
-                          << "rank " << rank
-                          << ": replica write fenced out (stale epoch "
-                          << epoch_ << ")";
+        replicaFenced.add(array, world_->engine().now());
       }
     }
     allWritten = allWritten && (primaryOk || replicaOk);
@@ -288,6 +289,16 @@ sim::Task Srs::writeCheckpoint(int rank) {
       allWritten = false;  // zombie: never mark a checkpoint
     }
   }
+  const auto warn = [&](const Skipped& s, const std::string& what) {
+    if (s.arrays.empty()) return;
+    GRADS_WARN("srs") << log::appAt(rss_->appName(), s.at) << "rank " << rank
+                      << ": " << what << " for " << s.arrays;
+  };
+  const std::string stale = " (stale epoch " + std::to_string(epoch_) + ")";
+  warn(primaryDark, "primary depot dark, checkpoint copy skipped");
+  warn(replicaDark, "replica depot dark, mirror copy skipped");
+  warn(primaryFenced, "primary write fenced out" + stale);
+  warn(replicaFenced, "replica write fenced out" + stale);
   if (allWritten && epoch_ == rss_->incarnation()) rss_->markCheckpoint();
   writeEnd_ = std::max(writeEnd_, world_->engine().now());
   GRADS_DEBUG("srs") << log::appAt(rss_->appName(), world_->engine().now())

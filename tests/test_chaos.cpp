@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "grid/testbeds.hpp"
 #include "reschedule/chaos.hpp"
 #include "reschedule/failure.hpp"
@@ -7,6 +10,7 @@
 #include "services/gis.hpp"
 #include "services/ibp.hpp"
 #include "services/nws.hpp"
+#include "util/log.hpp"
 #include "util/retry.hpp"
 #include "workflow/estimator.hpp"
 #include "workflow/executor.hpp"
@@ -446,6 +450,41 @@ TEST(SrsDegraded, RestoreThrowsWhenRetryBudgetExhausted) {
     co_await s.restoreCheckpoint(0);
   }(srs2));
   EXPECT_THROW(f.eng.run(), CheckpointUnavailableError);
+}
+
+TEST(SrsDegraded, DarkDepotsLogOneLinePerRankAndCopy) {
+  SrsFixture f;
+  const grid::NodeId primary = f.tb.uiucNodes[7];
+  const grid::NodeId replica = f.tb.uiucNodes[6];
+  vmpi::World w(f.g, {f.tb.uiucNodes[0], f.tb.uiucNodes[1]});
+  f.rss.beginIncarnation(2);
+  Srs srs(*f.ibp, f.rss, w);
+  srs.registerArray("A", 8.0 * kMB);
+  srs.registerArray("B", kMB);
+  srs.setStableDepot(primary);
+  srs.setReplicaDepot(replica);
+  f.ibp->setDepotUp(primary, false);
+  f.ibp->setDepotUp(replica, false);
+
+  std::ostringstream captured;
+  {
+    struct SinkGuard {
+      std::ostream* saved = log::config().sink;
+      ~SinkGuard() { log::config().sink = saved; }
+    } guard;
+    log::config().sink = &captured;
+    f.writeGeneration(srs, 2);
+  }
+
+  // Two ranks × two copies, each line naming both arrays.
+  std::istringstream lines(captured.str());
+  int srsLines = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" srs: ") == std::string::npos) continue;
+    ++srsLines;
+    EXPECT_NE(line.find("for A, B"), std::string::npos) << line;
+  }
+  EXPECT_EQ(srsLines, 4) << captured.str();
 }
 
 TEST(SrsDegraded, FindRestorableGenerationWalksBackThenGivesUp) {
