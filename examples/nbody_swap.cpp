@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
 
   sim::Engine engine;
   log::config().level = log::Level::kInfo;
-  log::config().clock = [&engine] { return engine.now(); };
 
   // The §4.2.2 MicroGrid virtual grid, straight from its DML description.
   grid::Grid grid(engine);

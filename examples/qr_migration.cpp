@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
 
   sim::Engine engine;
   log::config().level = log::Level::kInfo;  // narrate the migration
-  log::config().clock = [&engine] { return engine.now(); };
 
   grid::Grid grid(engine);
   const auto tb = grid::buildQrTestbed(grid);

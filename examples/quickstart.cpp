@@ -41,7 +41,7 @@ int main() {
   services::Nws nws(engine, grid, /*periodSec=*/10.0);
   nws.start();
 
-  // 4. Background load lands on one UTK node at t=30 s.
+  // 4. Background load lands on one UTK node at 30 s.
   grid::applyLoadTrace(engine, grid.node(tb.utkNodes[0]),
                        grid::LoadTrace::stepAt(30.0, 2.0));
 

@@ -18,7 +18,6 @@ using namespace grads;
 int main() {
   sim::Engine engine;
   log::config().level = log::Level::kInfo;
-  log::config().clock = [&engine] { return engine.now(); };
 
   grid::Grid grid(engine);
   const auto tb = grid::buildQrTestbed(grid);

@@ -102,7 +102,8 @@ sim::Task qrRank(core::LaunchContext& ctx, int rank, QrConfig cfg) {
     try {
       co_await ctx.srs->restoreCheckpoint(rank);
     } catch (const reschedule::CheckpointUnavailableError& e) {
-      GRADS_WARN("qr") << ctx.appName << " rank " << rank << ": " << e.what();
+      GRADS_WARN("qr", w.engine().now())
+          << ctx.appName << " rank " << rank << ": " << e.what();
       myFail = 1.0;
     }
     co_await w.allreduce(rank, 64.0, myFail, &fail);

@@ -79,8 +79,9 @@ void ContractMonitor::confirmAndRaise(double ratio) {
   ++violations_;
   ViolationReport report{contract_.app(), phase_, ratio,
                          avg,             engine_->now(), upper_};
-  GRADS_INFO("contract") << contract_.app() << ": violation at phase "
-                         << phase_ << " ratio=" << ratio << " avg=" << avg;
+  GRADS_INFO("contract", engine_->now())
+      << contract_.app() << ": violation at phase " << phase_
+      << " ratio=" << ratio << " avg=" << avg;
   RescheduleOutcome outcome = RescheduleOutcome::kDeclined;
   if (request_) outcome = request_(report);
   if (viewer_ != nullptr) {
@@ -96,9 +97,6 @@ void ContractMonitor::confirmAndRaise(double ratio) {
     // governor-suppressed violation is different: the limits stay put so
     // repeated evidence keeps reaching the governor's quorum window.
     upper_ = std::max(upper_ * 1.1, avg * 1.1);
-    GRADS_DEBUG("contract") << contract_.app()
-                            << ": rescheduler declined; upper tolerance now "
-                            << upper_;
   }
 }
 
@@ -128,9 +126,6 @@ void ContractMonitor::onPhaseTime(double actualSeconds) {
     if (avg < lower_) {
       lower_ = std::max(0.05, avg * 0.9);
       upper_ = std::max(1.0 + (upper_ - 1.0) * 0.9, 1.05);
-      GRADS_DEBUG("contract") << contract_.app()
-                              << ": tightened tolerances to [" << lower_
-                              << ", " << upper_ << "]";
     }
   }
 }

@@ -145,10 +145,10 @@ sim::Task AppManager::run(const Cop& cop,
     rss = std::move(resumeRec->rss);
     restored = rss.hasCheckpoint();
     resumePhase = restored ? rss.storedIteration() : 0;
-    GRADS_INFO("app-manager")
-        << log::appAt(cop.name, eng.now())
-        << "resuming from snapshot (incarnation " << rss.incarnation()
-        << ", checkpoint iteration " << resumePhase << ")";
+    GRADS_INFO("app-manager", eng.now())
+        << cop.name << ": resuming from snapshot (incarnation "
+        << rss.incarnation() << ", checkpoint iteration " << resumePhase
+        << ")";
   }
   if (options.failures != nullptr) options.failures->watch(rss);
   int consecutiveRestoreFailures = 0;
@@ -218,9 +218,9 @@ sim::Task AppManager::run(const Cop& cop,
       const auto delay = launchRetry.nextDelaySec();
       GRADS_REQUIRE(delay.has_value(),
                     "AppManager: no available resources (retries exhausted)");
-      GRADS_WARN("app-manager") << cop.name
-                                << ": no available resources, retrying in "
-                                << *delay << " s";
+      GRADS_WARN("app-manager", eng.now())
+          << cop.name << ": no available resources, retrying in " << *delay
+          << " s";
       co_await sim::sleepFor(eng, *delay);
       continue;
     }
@@ -240,14 +240,13 @@ sim::Task AppManager::run(const Cop& cop,
       }
       if (priorUp) {
         mapping = priorMapping;
-        GRADS_INFO("app-manager")
-            << log::appAt(cop.name, eng.now())
-            << "rolled-back action: relaunching on prior mapping ("
-            << mapping.size() << " ranks)";
+        GRADS_INFO("app-manager", eng.now())
+            << cop.name << ": rolled-back action: relaunching on prior "
+            << "mapping (" << mapping.size() << " ranks)";
       } else {
-        GRADS_WARN("app-manager")
-            << log::appAt(cop.name, eng.now())
-            << "rollback target lost a node; remapping from scratch";
+        GRADS_WARN("app-manager", eng.now())
+            << cop.name
+            << ": rollback target lost a node; remapping from scratch";
       }
     }
     rollbackToPrior = false;
@@ -265,14 +264,14 @@ sim::Task AppManager::run(const Cop& cop,
         }
         if (pinnedUp) {
           mapping = rec->target;
-          GRADS_INFO("app-manager")
-              << log::appAt(cop.name, eng.now())
-              << "pinned action #" << rec->id << ": launching on validated "
-              << "target (" << mapping.size() << " ranks)";
+          GRADS_INFO("app-manager", eng.now())
+              << cop.name << ": pinned action #" << rec->id
+              << ": launching on validated target (" << mapping.size()
+              << " ranks)";
         } else {
-          GRADS_WARN("app-manager")
-              << log::appAt(cop.name, eng.now()) << "pinned action #"
-              << rec->id << " target lost a node; remapping from scratch";
+          GRADS_WARN("app-manager", eng.now())
+              << cop.name << ": pinned action #" << rec->id
+              << " target lost a node; remapping from scratch";
         }
       }
     }
@@ -280,10 +279,10 @@ sim::Task AppManager::run(const Cop& cop,
     GRADS_REQUIRE(!mapping.empty(), "AppManager: empty mapping");
     breakdown.perfModeling.push_back(eng.now() - t0);
     breakdown.mappings.push_back(mapping);
-    GRADS_INFO("app-manager") << cop.name << ": incarnation "
-                              << breakdown.mappings.size() << " on "
-                              << mapping.size() << " ranks (first node "
-                              << gis_->grid().node(mapping[0]).name() << ")";
+    GRADS_INFO("app-manager", eng.now())
+        << cop.name << ": incarnation " << breakdown.mappings.size() << " on "
+        << mapping.size() << " ranks (first node "
+        << gis_->grid().node(mapping[0]).name() << ")";
 
     if (journal != nullptr) {
       if (const auto* rec = journal->openAction(cop.name)) {
@@ -307,8 +306,8 @@ sim::Task AppManager::run(const Cop& cop,
       co_await binder.bind(cop, mapping, &bindReport);
     } catch (const BindError& e) {
       bindError = std::current_exception();
-      GRADS_WARN("app-manager") << cop.name << ": launch failed ("
-                                << e.what() << ")";
+      GRADS_WARN("app-manager", eng.now())
+          << cop.name << ": launch failed (" << e.what() << ")";
     }
     if (bindError) {
       // Launch failed — typically a stale GIS entry (a mapped node is in
@@ -380,15 +379,15 @@ sim::Task AppManager::run(const Cop& cop,
         srs.setRestoreGeneration(*gen);
         resumePhase = rss.checkpointRecord(*gen)->iteration;
         if (*gen != rss.incarnation() - 1) {
-          GRADS_WARN("app-manager")
+          GRADS_WARN("app-manager", eng.now())
               << cop.name << ": newest checkpoint unreadable, falling back "
               << "to generation " << *gen << " (iteration " << resumePhase
               << ")";
         }
       } else {
-        GRADS_WARN("app-manager") << cop.name
-                                  << ": no readable checkpoint generation, "
-                                  << "restarting from scratch";
+        GRADS_WARN("app-manager", eng.now())
+            << cop.name << ": no readable checkpoint generation, "
+            << "restarting from scratch";
         restored = false;
         resumePhase = 0;
       }
@@ -534,7 +533,7 @@ sim::Task AppManager::run(const Cop& cop,
       ++breakdown.restoreFailures;
       ++consecutiveRestoreFailures;
       if (consecutiveRestoreFailures > kMaxRestoreFailures) {
-        GRADS_WARN("app-manager")
+        GRADS_WARN("app-manager", eng.now())
             << cop.name << ": " << consecutiveRestoreFailures
             << " consecutive failed restores, abandoning checkpoint";
         restored = false;
@@ -547,9 +546,9 @@ sim::Task AppManager::run(const Cop& cop,
       continue;
     }
     consecutiveRestoreFailures = 0;
-    GRADS_INFO("app-manager") << log::appAt(cop.name, eng.now())
-                              << "stopped at phase " << ctx.completedPhases
-                              << "; restarting";
+    GRADS_INFO("app-manager", eng.now())
+        << cop.name << ": stopped at phase " << ctx.completedPhases
+        << "; restarting";
     // A rescheduler-driven stop leaves a fresh checkpoint; a failure leaves
     // only the last *periodic* one (possibly none — restart from scratch).
     restored = rss.hasCheckpoint();

@@ -66,8 +66,6 @@ sim::Task Binder::bind(const Cop& cop, std::vector<grid::NodeId> mapping,
   }
   co_await js.join();
 
-  GRADS_DEBUG("binder") << cop.name << ": bound on " << distinct.size()
-                        << " nodes in " << engine_->now() - start << " s";
   if (report != nullptr) {
     report->seconds = engine_->now() - start;
     report->nodesBound = static_cast<int>(distinct.size());

@@ -390,7 +390,8 @@ sim::Task MetaScheduler::runJob(JobKey key, std::shared_ptr<JobControl> ctrl) {
   try {
     co_await mgr_->run(cop, nullptr, mo, &ctrl->breakdown);
   } catch (const std::exception& e) {
-    GRADS_WARN("metasched") << cop.name << " failed: " << e.what();
+    GRADS_WARN("metasched", engine().now())
+        << cop.name << " failed: " << e.what();
     failed = true;
   }
   onJobFinished(key, ctrl, failed);
@@ -638,10 +639,10 @@ void MetaScheduler::controlTick() {
     const BrownoutLevel before = brownout_.level();
     brownout_.update(pressure(), now);
     if (brownout_.level() != before) {
-      GRADS_INFO("metasched")
+      GRADS_INFO("metasched", now)
           << "brownout " << brownoutLevelName(before) << " -> "
-          << brownoutLevelName(brownout_.level()) << " at t=" << now
-          << " (pressure " << pressure() << ")";
+          << brownoutLevelName(brownout_.level()) << " (pressure "
+          << pressure() << ")";
       fire("brownout");
     }
   }
@@ -675,8 +676,8 @@ void MetaScheduler::applyDeadline() {
   }
   resubmitAt_.clear();
   if (dropped > 0) {
-    GRADS_WARN("metasched") << "hard deadline: dropped " << dropped
-                            << " queued jobs as unserved";
+    GRADS_WARN("metasched", engine().now())
+        << "hard deadline: dropped " << dropped << " queued jobs as unserved";
   }
 }
 

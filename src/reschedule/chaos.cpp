@@ -112,32 +112,31 @@ void ChaosDriver::apply(const ChaosEvent& event) {
       break;
     case ChaosKind::kLinkPartition:
       if (linkDownDepth_[event.link]++ == 0) {
-        GRADS_WARN("chaos") << "link "
-                            << grid_->link(event.link).spec().name
-                            << " partitioned at t=" << engine_->now();
+        GRADS_WARN("chaos", engine_->now())
+            << "link " << grid_->link(event.link).spec().name
+            << " partitioned";
         grid_->link(event.link).setUp(false);
       }
       ++counters_.linkPartitions;
       break;
     case ChaosKind::kLinkDegrade:
-      GRADS_WARN("chaos") << "link " << grid_->link(event.link).spec().name
-                          << " degraded to " << event.bandwidthScale
-                          << "x bandwidth at t=" << engine_->now();
+      GRADS_WARN("chaos", engine_->now())
+          << "link " << grid_->link(event.link).spec().name << " degraded to "
+          << event.bandwidthScale << "x bandwidth";
       grid_->link(event.link).setBandwidthScale(event.bandwidthScale);
       ++counters_.linkDegrades;
       break;
     case ChaosKind::kNwsOutage:
       if (nwsDarkDepth_++ == 0) {
-        GRADS_WARN("chaos") << "NWS sensors dark at t=" << engine_->now();
+        GRADS_WARN("chaos", engine_->now()) << "NWS sensors dark";
         nws_->setDark(true);
       }
       ++counters_.nwsOutages;
       break;
     case ChaosKind::kDepotOutage:
       if (depotDownDepth_[event.node]++ == 0) {
-        GRADS_WARN("chaos") << "IBP depot on "
-                            << grid_->node(event.node).name() << " down at t="
-                            << engine_->now();
+        GRADS_WARN("chaos", engine_->now())
+            << "IBP depot on " << grid_->node(event.node).name() << " down";
         ibp_->setDepotUp(event.node, false);
       }
       ++counters_.depotOutages;
@@ -158,8 +157,6 @@ void ChaosDriver::applyIntegrity(const ChaosEvent& event) {
   const auto keys = ibp_->keysOnDepot(event.node);
   if (keys.empty()) {
     ++counters_.integrityMisses;
-    GRADS_DEBUG("chaos") << chaosKindName(event.kind) << " fired on empty "
-                         << "depot " << grid_->node(event.node).name();
     return;
   }
   Rng rng(event.victimSeed != 0 ? event.victimSeed : 0xb17f11bULL);
@@ -193,28 +190,28 @@ void ChaosDriver::revert(const ChaosEvent& event) {
       break;
     case ChaosKind::kLinkPartition:
       if (--linkDownDepth_[event.link] == 0) {
-        GRADS_INFO("chaos") << "link "
-                            << grid_->link(event.link).spec().name
-                            << " partition healed at t=" << engine_->now();
+        GRADS_INFO("chaos", engine_->now())
+            << "link " << grid_->link(event.link).spec().name
+            << " partition healed";
         grid_->link(event.link).setUp(true);
       }
       break;
     case ChaosKind::kLinkDegrade:
-      GRADS_INFO("chaos") << "link " << grid_->link(event.link).spec().name
-                          << " bandwidth restored at t=" << engine_->now();
+      GRADS_INFO("chaos", engine_->now())
+          << "link " << grid_->link(event.link).spec().name
+          << " bandwidth restored";
       grid_->link(event.link).setBandwidthScale(1.0);
       break;
     case ChaosKind::kNwsOutage:
       if (--nwsDarkDepth_ == 0) {
-        GRADS_INFO("chaos") << "NWS sensors back at t=" << engine_->now();
+        GRADS_INFO("chaos", engine_->now()) << "NWS sensors back";
         nws_->setDark(false);
       }
       break;
     case ChaosKind::kDepotOutage:
       if (--depotDownDepth_[event.node] == 0) {
-        GRADS_INFO("chaos") << "IBP depot on "
-                            << grid_->node(event.node).name() << " back at t="
-                            << engine_->now();
+        GRADS_INFO("chaos", engine_->now())
+            << "IBP depot on " << grid_->node(event.node).name() << " back";
         ibp_->setDepotUp(event.node, true);
       }
       break;

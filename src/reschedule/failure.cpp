@@ -8,8 +8,8 @@ namespace grads::reschedule {
 void FailureInjector::failNow(grid::NodeId node, sim::Time detectionDelaySec,
                               sim::Time gisLagSec) {
   if (!gis_->isNodeReachable(node)) return;  // already down: idempotent
-  GRADS_WARN("failure") << "node " << gis_->grid().node(node).name()
-                        << " fail-stopped at t=" << engine_->now();
+  GRADS_WARN("failure", engine_->now())
+      << "node " << gis_->grid().node(node).name() << " fail-stopped";
   gis_->setNodeReachable(node, false);
   ++failures_;
   if (gisLagSec <= 0.0) {
@@ -48,8 +48,8 @@ void FailureInjector::recoverNow(grid::NodeId node) {
   // down in the directory (reserved by a manager, or administratively
   // drained) is not ours to resurrect.
   if (gis_->isNodeReachable(node)) return;
-  GRADS_INFO("failure") << "node " << gis_->grid().node(node).name()
-                        << " recovered at t=" << engine_->now();
+  GRADS_INFO("failure", engine_->now())
+      << "node " << gis_->grid().node(node).name() << " recovered";
   gis_->setNodeReachable(node, true);
   gis_->setNodeUp(node, true);
 }

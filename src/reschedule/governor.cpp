@@ -85,16 +85,15 @@ GovernorVerdict ViolationGovernor::admit(
     ++perApp_[report.app].mistrustHolds;
   }
   if (verdict == GovernorVerdict::kAdmit) {
-    GRADS_INFO("governor") << log::appAt(report.app, engine_->now())
-                           << "violation at phase " << report.phase
-                           << " admitted (avg ratio " << report.avgRatio
-                           << ", " << phases.size() << "/" << opts_.quorumN
-                           << " violating phases)";
+    GRADS_INFO("governor", engine_->now())
+        << report.app << ": violation at phase " << report.phase
+        << " admitted (avg ratio " << report.avgRatio << ", "
+        << phases.size() << "/" << opts_.quorumN << " violating phases)";
   } else {
-    GRADS_INFO("governor") << log::appAt(report.app, engine_->now())
-                           << "violation at phase " << report.phase
-                           << " suppressed: " << governorVerdictName(verdict)
-                           << " (avg ratio " << report.avgRatio << ")";
+    GRADS_INFO("governor", engine_->now())
+        << report.app << ": violation at phase " << report.phase
+        << " suppressed: " << governorVerdictName(verdict) << " (avg ratio "
+        << report.avgRatio << ")";
   }
   return verdict;
 }

@@ -50,9 +50,9 @@ int ActionJournal::open(const std::string& app, ActionKind kind,
   openByApp_[app] = records_.back().id;
   ++inFlight_;
   ++opened_;
-  GRADS_INFO("journal") << log::appAt(app, engine_->now()) << "action #"
-                        << records_.back().id << " ("
-                        << actionKindName(kind) << ") prepared";
+  GRADS_INFO("journal", engine_->now())
+      << app << ": action #" << records_.back().id << " ("
+      << actionKindName(kind) << ") prepared";
   const int id = records_.back().id;
   if (onTransition_) onTransition_(records_.back());
   return id;
@@ -79,8 +79,8 @@ void ActionJournal::beginCommit(int id) {
   GRADS_REQUIRE(r.state == ActionState::kPrepared,
                 "ActionJournal::beginCommit: not in prepared state");
   r.state = ActionState::kCommitting;
-  GRADS_INFO("journal") << log::appAt(r.app, engine_->now()) << "action #"
-                        << r.id << " committing";
+  GRADS_INFO("journal", engine_->now())
+      << r.app << ": action #" << r.id << " committing";
   if (onTransition_) onTransition_(r);
 }
 
@@ -105,9 +105,9 @@ void ActionJournal::resolve(ActionRecord& r, ActionState state,
     ++rolledBack_;
     ++outcomes.rolledBack;
   }
-  GRADS_INFO("journal") << log::appAt(r.app, engine_->now()) << "action #"
-                        << r.id << " " << actionStateName(state)
-                        << (note.empty() ? "" : " (" + note + ")");
+  GRADS_INFO("journal", engine_->now())
+      << r.app << ": action #" << r.id << " " << actionStateName(state)
+      << (note.empty() ? "" : " (" + note + ")");
   if (onTransition_) onTransition_(r);
 }
 
@@ -159,8 +159,9 @@ int ActionJournal::recover(const std::string& note) {
   for (const int id : unresolved) rollback(id, note);
   if (!unresolved.empty()) {
     ++recoveries_;
-    GRADS_WARN("journal") << "recovery scan rolled back " << unresolved.size()
-                          << " in-flight action(s) at t=" << engine_->now();
+    GRADS_WARN("journal", engine_->now())
+        << "recovery scan rolled back " << unresolved.size()
+        << " in-flight action(s)";
   }
   return static_cast<int>(unresolved.size());
 }

@@ -73,8 +73,8 @@ autopilot::RescheduleOutcome StopRestartRescheduler::onViolation(
   }
   MigrationDecision d = evaluate(cop, current, phase);
   const double now = gis_->grid().engine().now();
-  GRADS_INFO("rescheduler")
-      << log::appAt(cop.name, now) << "violation at phase " << phase << " -> "
+  GRADS_INFO("rescheduler", now)
+      << cop.name << ": violation at phase " << phase << " -> "
       << (d.migrate ? "migrate" : "stay") << " (" << d.reason
       << "; cur=" << d.remainingOnCurrentSec
       << "s new=" << d.remainingOnTargetSec << "s +"
@@ -159,10 +159,9 @@ void StopRestartRescheduler::onAppCompleted() {
     MigrationDecision d = evaluate(*app.cop, current, app.phase());
     decisions_.push_back(d);
     if (d.migrate) {
-      GRADS_INFO("rescheduler")
-          << log::appAt(name, gis_->grid().engine().now())
-          << "opportunistic migration to freed resources (" << d.reason
-          << ")";
+      GRADS_INFO("rescheduler", gis_->grid().engine().now())
+          << name << ": opportunistic migration to freed resources ("
+          << d.reason << ")";
       if (journal_ != nullptr) {
         journal_->open(name, ActionKind::kMigrate, current, d.target);
       }

@@ -35,12 +35,13 @@ sim::Task repairCopy(std::shared_ptr<DepotScrubber::State> s, std::string key,
   try {
     co_await s->ibp->put(key, want.bytes, to, from, opts);
     ++s->stats.repaired;
-    GRADS_INFO("scrub") << log::appAt(s->rss->appName(), s->engine->now())
-                        << "re-replicated " << key;
+    GRADS_INFO("scrub", s->engine->now())
+        << s->rss->appName() << ": re-replicated " << key;
   } catch (const services::DepotDownError&) {
     ++s->stats.deferred;
-    GRADS_INFO("scrub") << log::appAt(s->rss->appName(), s->engine->now())
-                        << "repair of " << key << " deferred (depot dark)";
+    GRADS_INFO("scrub", s->engine->now())
+        << s->rss->appName() << ": repair of " << key
+        << " deferred (depot dark)";
   }
 }
 
@@ -82,9 +83,9 @@ sim::Task scanTask(std::shared_ptr<DepotScrubber::State> s) {
         // slice — restores will walk back past this generation.
         if (primary.node != grid::kNoId || replica.node != grid::kNoId) {
           ++s->stats.unrepairable;
-          GRADS_WARN("scrub") << log::appAt(s->rss->appName(), s->engine->now())
-                              << "slice " << primary.key
-                              << " has no intact copy left";
+          GRADS_WARN("scrub", s->engine->now())
+              << s->rss->appName() << ": slice " << primary.key
+              << " has no intact copy left";
         }
         continue;
       }

@@ -14,8 +14,7 @@ Rss::Rss(sim::Engine& engine, std::string appName)
 
 void Rss::requestStop() {
   if (!stopRequested_) {
-    GRADS_INFO("rss") << log::appAt(app_, engine_->now())
-                      << "stop requested";
+    GRADS_INFO("rss", engine_->now()) << app_ << ": stop requested";
   }
   stopRequested_ = true;
 }
@@ -46,13 +45,12 @@ void Rss::markFailure(grid::NodeId node) {
     // migrated off (or never mapped). The incarnation is healthy — aborting
     // it would turn a stale signal into a real outage.
     ++ignoredFailures_;
-    GRADS_INFO("rss") << log::appAt(app_, engine_->now())
-                      << "ignoring failure of unoccupied node";
+    GRADS_INFO("rss", engine_->now())
+        << app_ << ": ignoring failure of unoccupied node";
     return;
   }
   if (!failureSignaled_) {
-    GRADS_WARN("rss") << log::appAt(app_, engine_->now())
-                      << "node failure signaled";
+    GRADS_WARN("rss", engine_->now()) << app_ << ": node failure signaled";
   }
   failureSignaled_ = true;
   failedNode_ = node;
@@ -63,9 +61,9 @@ void Rss::storeIteration(std::size_t it) { storeIterationFor(incarnation_, it); 
 bool Rss::storeIterationFor(int epoch, std::size_t it) {
   if (epoch != incarnation_) {
     ++staleEpochRejects_;
-    GRADS_WARN("rss") << log::appAt(app_, engine_->now())
-                      << "zombie publish (epoch " << epoch
-                      << " vs live " << incarnation_ << ") dropped";
+    GRADS_WARN("rss", engine_->now())
+        << app_ << ": zombie publish (epoch " << epoch << " vs live "
+        << incarnation_ << ") dropped";
     return false;
   }
   storedIteration_ = it;
@@ -84,9 +82,9 @@ bool Rss::stageSlice(int epoch, const std::string& array, int rank,
                      SliceEntry entry, int arraysPerRank) {
   if (epoch != incarnation_) {
     ++staleEpochRejects_;
-    GRADS_WARN("rss") << log::appAt(app_, engine_->now())
-                      << "zombie slice stage (epoch " << epoch
-                      << " vs live " << incarnation_ << ") dropped";
+    GRADS_WARN("rss", engine_->now())
+        << app_ << ": zombie slice stage (epoch " << epoch << " vs live "
+        << incarnation_ << ") dropped";
     return false;
   }
   Manifest& m = manifests_[epoch];
@@ -291,8 +289,8 @@ sim::Task Srs::writeCheckpoint(int rank) {
   }
   const auto warn = [&](const Skipped& s, const std::string& what) {
     if (s.arrays.empty()) return;
-    GRADS_WARN("srs") << log::appAt(rss_->appName(), s.at) << "rank " << rank
-                      << ": " << what << " for " << s.arrays;
+    GRADS_WARN("srs", s.at) << rss_->appName() << ": rank " << rank << ": "
+                            << what << " for " << s.arrays;
   };
   const std::string stale = " (stale epoch " + std::to_string(epoch_) + ")";
   warn(primaryDark, "primary depot dark, checkpoint copy skipped");
@@ -301,8 +299,6 @@ sim::Task Srs::writeCheckpoint(int rank) {
   warn(replicaFenced, "replica write fenced out" + stale);
   if (allWritten && epoch_ == rss_->incarnation()) rss_->markCheckpoint();
   writeEnd_ = std::max(writeEnd_, world_->engine().now());
-  GRADS_DEBUG("srs") << log::appAt(rss_->appName(), world_->engine().now())
-                     << "rank " << rank << ": checkpoint written";
 }
 
 bool sliceCopyVerifies(const services::Ibp& ibp, const std::string& key,
@@ -316,9 +312,9 @@ bool Srs::copyUsable(const std::string& key, const Rss::SliceEntry* want) {
   if (!verify_ || want == nullptr) return true;
   if (sliceCopyVerifies(*ibp_, key, *want)) return true;
   ++integrityRejects_;
-  GRADS_WARN("srs") << log::appAt(rss_->appName(), world_->engine().now())
-                    << "integrity check failed for "
-                    << key << ", copy rejected";
+  GRADS_WARN("srs", world_->engine().now())
+      << rss_->appName() << ": integrity check failed for " << key
+      << ", copy rejected";
   return false;
 }
 
@@ -360,8 +356,6 @@ sim::Task Srs::readSlice(const std::string& array, int sourceRank, int gen,
           "checkpoint slice " + primary + " unreadable after " +
           std::to_string(retry.attemptsUsed() + 1) + " attempts");
     }
-    GRADS_DEBUG("srs") << rss_->appName() << ": slice " << primary
-                       << " unreadable, retrying in " << *delay << " s";
     co_await sim::sleepFor(world_->engine(), *delay);
   }
 }
@@ -398,9 +392,6 @@ sim::Task Srs::restoreCheckpoint(int rank) {
   restored_ = true;
   ++ranksRestored_;
   readEnd_ = std::max(readEnd_, world_->engine().now());
-  GRADS_DEBUG("srs") << log::appAt(rss_->appName(), world_->engine().now())
-                     << "rank " << rank << ": checkpoint restored (gen "
-                     << gen << ", " << oldP << " -> " << newP << " procs)";
   if (ranksRestored_ == world_->size() && onAllRestored_) {
     // Every rank of the new incarnation holds its share: the migration's
     // point of no return. Notify before returning control to the app.

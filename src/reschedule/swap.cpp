@@ -240,13 +240,10 @@ sim::Task SwapManager::atIterationBoundary(int rank) {
       if (!reachable(from) || !reachable(c.to)) {
         // Prepare-time validation: the node died between policy evaluation
         // (enqueue) and this boundary. Nothing was staged, nothing to undo.
-        GRADS_INFO("swap") << log::appAt(world_->name(),
-                                         world_->engine().now())
-                           << "rank " << c.rank << " swap to "
-                           << world_->grid().node(c.to).name()
-                           << " dropped at prepare: "
-                           << (reachable(from) ? "target" : "source")
-                           << " node unreachable";
+        GRADS_INFO("swap", world_->engine().now())
+            << world_->name() << ": rank " << c.rank << " swap to "
+            << world_->grid().node(c.to).name() << " dropped at prepare: "
+            << (reachable(from) ? "target" : "source") << " node unreachable";
         continue;
       }
       world_->beginRetarget(c.rank, c.to);
@@ -270,11 +267,10 @@ sim::Task SwapManager::atIterationBoundary(int rank) {
         if (txn >= 0) journal_->commit(txn);
         history_.push_back(
             SwapEvent{world_->engine().now(), c.rank, from, c.to});
-        GRADS_INFO("swap") << log::appAt(world_->name(),
-                                         world_->engine().now())
-                           << "rank " << c.rank << " swapped "
-                           << world_->grid().node(from).name() << " -> "
-                           << world_->grid().node(c.to).name();
+        GRADS_INFO("swap", world_->engine().now())
+            << world_->name() << ": rank " << c.rank << " swapped "
+            << world_->grid().node(from).name() << " -> "
+            << world_->grid().node(c.to).name();
       } else {
         world_->abortRetarget(c.rank);
         ++rolledBack_;
@@ -282,11 +278,9 @@ sim::Task SwapManager::atIterationBoundary(int rank) {
                           : !reachable(c.to) ? "target died mid-transfer"
                                              : "source died mid-transfer";
         if (txn >= 0) journal_->rollback(txn, why);
-        GRADS_INFO("swap") << log::appAt(world_->name(),
-                                         world_->engine().now())
-                           << "rank " << c.rank << " swap to "
-                           << world_->grid().node(c.to).name()
-                           << " rolled back: " << why;
+        GRADS_INFO("swap", world_->engine().now())
+            << world_->name() << ": rank " << c.rank << " swap to "
+            << world_->grid().node(c.to).name() << " rolled back: " << why;
       }
     }
   }

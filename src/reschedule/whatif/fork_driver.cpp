@@ -112,9 +112,9 @@ ForkDriver::Decision ForkDriver::fallback(DecisionRecord rec,
                                  : CandidateKind::kSuppress;
   d.target = in.modelTarget;
   d.summary = "whatif fallback: " + why;
-  GRADS_INFO("whatif") << log::appAt(in.app, engine_->now())
-                       << "decision #" << d.recordId
-                       << " degraded to model-only (" << why << ")";
+  GRADS_INFO("whatif", engine_->now())
+      << in.app << ": decision #" << d.recordId << " degraded to model-only ("
+      << why << ")";
   return d;
 }
 
@@ -217,14 +217,13 @@ ForkDriver::Decision ForkDriver::decide(const DecisionInput& in) {
        chosen.target != in.modelTarget);
   if (overrides) ++stats_.overrides;
   if (chosen.kind == CandidateKind::kSuppress) ++stats_.suppressChosen;
-  GRADS_INFO("whatif") << log::appAt(in.app, engine_->now()) << "decision #"
-                       << log_.back().id << ": chose "
-                       << candidateKindName(chosen.kind) << " ("
-                       << chosen.label << "), worst-case harm "
-                       << log_.back().predictedWorstHarm << " across "
-                       << stats_.forksRun << " cumulative forks"
-                       << (opts_.shadowOnly ? " [shadow]" : "")
-                       << (overrides ? " [overrides model]" : "");
+  GRADS_INFO("whatif", engine_->now())
+      << in.app << ": decision #" << log_.back().id << ": chose "
+      << candidateKindName(chosen.kind) << " (" << chosen.label
+      << "), worst-case harm " << log_.back().predictedWorstHarm << " across "
+      << stats_.forksRun << " cumulative forks"
+      << (opts_.shadowOnly ? " [shadow]" : "")
+      << (overrides ? " [overrides model]" : "");
 
   Decision d;
   d.recordId = log_.back().id;
@@ -274,8 +273,8 @@ void ForkDriver::settle(const std::string& app, double now, bool violated) {
         for (const grid::NodeId n : it->nodes) {
           mistrust_[n] += kMistrustBump;
         }
-        GRADS_INFO("whatif")
-            << log::appAt(app, now) << "prediction #" << it->recordId
+        GRADS_INFO("whatif", now)
+            << app << ": prediction #" << it->recordId
             << " diverged (violation inside horizon); mistrust bumped on "
             << it->nodes.size() << " node(s)";
       }

@@ -150,7 +150,7 @@ void Ibp::injectBitFlip(const std::string& key, std::uint64_t mask) {
   GRADS_REQUIRE(it != objects_.end(),
                 "Ibp::injectBitFlip: unknown object " + key);
   it->second.digest ^= mask;
-  GRADS_WARN("ibp") << "bit-rot injected into " << key;
+  GRADS_WARN("ibp", grid_->engine().now()) << "bit-rot injected into " << key;
 }
 
 void Ibp::injectTornWrite(const std::string& key, double keepFrac) {
@@ -162,8 +162,8 @@ void Ibp::injectTornWrite(const std::string& key, double keepFrac) {
   it->second.bytes *= keepFrac;
   it->second.digest = util::hashCombine(it->second.digest, keepFrac);
   it->second.torn = true;
-  GRADS_WARN("ibp") << "torn write injected into " << key << " (kept "
-                    << keepFrac << ")";
+  GRADS_WARN("ibp", grid_->engine().now())
+      << "torn write injected into " << key << " (kept " << keepFrac << ")";
 }
 
 void Ibp::injectStaleDelivery(const std::string& key) {
@@ -174,7 +174,8 @@ void Ibp::injectStaleDelivery(const std::string& key) {
   // earlier version (derived deterministically so campaigns replay).
   it->second.digest =
       util::hashCombine(it->second.digest, std::uint64_t{0x57a1e});
-  GRADS_WARN("ibp") << "stale delivery injected for " << key;
+  GRADS_WARN("ibp", grid_->engine().now())
+      << "stale delivery injected for " << key;
 }
 
 void Ibp::remove(const std::string& key) {

@@ -17,8 +17,8 @@ struct Engine::RootProcess {
     self->finished = true;
     if (error) {
       self->engine->failures_.push_back(error);
-      GRADS_ERROR("sim") << "process '" << self->name
-                         << "' terminated with an exception";
+      GRADS_ERROR("sim", self->engine->now())
+          << "process '" << self->name << "' terminated with an exception";
     }
   }
 
@@ -41,7 +41,7 @@ void Engine::EventHandle::cancel() {
   if (node.generation() != generation_ || node.cancelled()) return;
   node.bits |= Node::kCancelledBit;
   node.fn.reset();  // release captured resources eagerly
-  // Eagerly drop the run()-keepalive: a cancelled timeout at t=1e6 must not
+  // Eagerly drop the run()-keepalive: a cancelled timeout at 1e6 s must not
   // keep the loop grinding through daemon events until the dead slot pops.
   if (!node.daemon()) --engine_->nonDaemonPending_;
   ++engine_->cancelledPending_;

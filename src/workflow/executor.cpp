@@ -78,10 +78,10 @@ sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
         }
       }
       if (pick != grid::kNoId) {
-        GRADS_WARN("wf-exec") << "component " << c << ": node "
-                              << grid_->node(node).name()
-                              << " unreachable at launch, remapped to "
-                              << grid_->node(pick).name();
+        GRADS_WARN("wf-exec", grid_->engine().now())
+            << "component " << c << ": node " << grid_->node(node).name()
+            << " unreachable at launch, remapped to "
+            << grid_->node(pick).name();
         node = pick;
         state.placement[c] = pick;
         break;
@@ -92,9 +92,9 @@ sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
                     ": no reachable resources after " +
                     std::to_string(retry.attemptsUsed() + 1) + " attempts");
       }
-      GRADS_WARN("wf-exec") << "component " << c
-                            << ": no reachable resources, retrying in "
-                            << *delay << " s";
+      GRADS_WARN("wf-exec", grid_->engine().now())
+          << "component " << c << ": no reachable resources, retrying in "
+          << *delay << " s";
       co_await sim::sleepFor(grid_->engine(), *delay);
     }
   }
@@ -122,7 +122,8 @@ sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
         break;
       } catch (const grid::LinkDownError& ex) {
         linkError = std::current_exception();
-        GRADS_WARN("wf-exec") << "component " << c << ": " << ex.what();
+        GRADS_WARN("wf-exec", grid_->engine().now())
+            << "component " << c << ": " << ex.what();
       }
       const auto delay = retry.nextDelaySec();
       if (!delay) std::rethrow_exception(linkError);
@@ -181,9 +182,9 @@ void WorkflowExecutor::rescheduleUnstarted(const Dag& dag, RunState& state) {
     }
   }
   if (changed > 0) {
-    GRADS_INFO("wf-exec") << "rescheduled " << changed
-                          << " pending components (est. " << curCost << " -> "
-                          << newCost << " s)";
+    GRADS_INFO("wf-exec", grid_->engine().now())
+        << "rescheduled " << changed << " pending components (est. "
+        << curCost << " -> " << newCost << " s)";
   }
 }
 
