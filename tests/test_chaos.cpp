@@ -238,6 +238,25 @@ TEST(ChaosDriver, LinkPartitionFailsFastAndHeals) {
   EXPECT_EQ(f.chaos->counters().linkPartitions, 1);
 }
 
+TEST(ChaosDriver, LogLinesCarryTheEngineTime) {
+  ChaosFixture f;
+  auto e = f.event(ChaosKind::kLinkPartition, 42.0, 60.0);
+  e.link = f.wanLink();
+  f.chaos->arm(e);
+
+  std::ostringstream captured;
+  {
+    struct SinkGuard {
+      std::ostream* saved = log::config().sink;
+      ~SinkGuard() { log::config().sink = saved; }
+    } guard;
+    log::config().sink = &captured;
+    f.eng.runUntil(100.0);
+  }
+  EXPECT_EQ(captured.str(),
+            "[     42.0000] WARN chaos: link utk-uiuc.wan partitioned\n");
+}
+
 TEST(ChaosDriver, LinkDegradeScalesBandwidthAndRestores) {
   ChaosFixture f;
   auto e = f.event(ChaosKind::kLinkDegrade, 10.0, 100.0);
