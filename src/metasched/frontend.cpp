@@ -125,8 +125,12 @@ MetaScheduler::MetaScheduler(core::AppManager& mgr, grid::Grid& grid,
 sim::Engine& MetaScheduler::engine() const { return grid_->engine(); }
 
 std::string MetaScheduler::appName(JobKey key) const {
-  return "t" + std::to_string(jobTenant(key)) + ".j" +
-         std::to_string(jobSeq(key));
+  // append, not operator+: gcc 12 at -O3 flags operator+(const char*,
+  // std::string&&) with a false -Wrestrict.
+  return std::string("t")
+      .append(std::to_string(jobTenant(key)))
+      .append(".j")
+      .append(std::to_string(jobSeq(key)));
 }
 
 double MetaScheduler::idealSeconds(const Job& job) const {

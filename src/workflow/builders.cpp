@@ -71,9 +71,14 @@ Dag makeRandomLayered(std::size_t layers, std::size_t width, Rng& rng) {
   for (std::size_t l = 0; l < layers; ++l) {
     std::vector<ComponentId> cur;
     for (std::size_t w = 0; w < width; ++w) {
-      const auto id = dag.add(comp(
-          "c" + std::to_string(l) + "." + std::to_string(w),
-          rng.uniform(5e9, 5e10), rng.uniform(1.0, 16.0) * kMB));
+      // append, not operator+: gcc 12 at -O3 flags operator+(const char*,
+      // std::string&&) with a false -Wrestrict.
+      const auto id = dag.add(comp(std::string("c")
+                                       .append(std::to_string(l))
+                                       .append(".")
+                                       .append(std::to_string(w)),
+                                   rng.uniform(5e9, 5e10),
+                                   rng.uniform(1.0, 16.0) * kMB));
       // Connect to a random non-empty subset of the previous layer.
       for (const auto p : prev) {
         if (rng.uniform() < 0.4) {

@@ -199,7 +199,8 @@ TEST(EstimatorCaching, EcostQueriedOncePerComponentNode) {
   constexpr std::size_t kTasks = 32;
   TableEstimator est;
   for (std::size_t i = 0; i < kTasks; ++i) {
-    const std::string name = "t" + std::to_string(i);
+    // append, not operator+: gcc 12 -O3 false -Wrestrict.
+    const std::string name = std::string("t").append(std::to_string(i));
     dag.add(comp(name));
     est.table[name] = {1.0 + static_cast<double>(i), 2.0, 3.0};
   }
@@ -222,7 +223,8 @@ TEST(EstimatorCaching, RowsSharedAcrossBestOfThree) {
   constexpr std::size_t kTasks = 16;
   TableEstimator est;
   for (std::size_t i = 0; i < kTasks; ++i) {
-    const std::string name = "t" + std::to_string(i);
+    // append, not operator+: gcc 12 -O3 false -Wrestrict.
+    const std::string name = std::string("t").append(std::to_string(i));
     dag.add(comp(name));
     est.table[name] = {1.0 + static_cast<double>(i % 5), 2.0};
   }
