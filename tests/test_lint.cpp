@@ -25,13 +25,11 @@
 
 namespace {
 
-using grads::lint::AnalyzeOptions;
 using grads::lint::Finding;
 using grads::lint::TreeReport;
 
-TreeReport lintOne(const std::string& path, const std::string& src,
-                   const AnalyzeOptions& opts = {}) {
-  return grads::lint::lintSources({{path, src}}, opts);
+TreeReport lintOne(const std::string& path, const std::string& src) {
+  return grads::lint::lintSources({{path, src}});
 }
 
 int countRule(const TreeReport& r, const std::string& rule,
@@ -415,19 +413,12 @@ TEST(LintR7, ThreadLocalIsFlaggedEvenWhenConst) {
   EXPECT_EQ(countRule(r, "R7"), 1);
 }
 
-TEST(LintR7, BenchIsOnlyInScopeUnderSelfcheck) {
+TEST(LintR7, BenchAndToolsAreInScopeTestsAreNot) {
   const std::string src = "static int scratch = 0;\n";
-  EXPECT_EQ(countRule(lintOne("bench/foo.cpp", src), "R7"), 0);
-  EXPECT_EQ(countRule(lintOne("bench/foo.cpp", src, AnalyzeOptions{true}),
-                      "R7"),
-            1);
-  EXPECT_EQ(countRule(lintOne("tools/lint/foo.cpp", src, AnalyzeOptions{true}),
-                      "R7"),
-            1);
+  EXPECT_EQ(countRule(lintOne("bench/foo.cpp", src), "R7"), 1);
+  EXPECT_EQ(countRule(lintOne("tools/lint/foo.cpp", src), "R7"), 1);
   // tests/ fixtures break rules on purpose — never in scope.
-  EXPECT_EQ(countRule(lintOne("tests/foo.cpp", src, AnalyzeOptions{true}),
-                      "R7"),
-            0);
+  EXPECT_EQ(countRule(lintOne("tests/foo.cpp", src), "R7"), 0);
 }
 
 TEST(LintR7, Suppressed) {
@@ -471,8 +462,7 @@ TEST(LintR8, CompositionRootOverridesOutrankTheirDirectory) {
 TEST(LintR8, OnlySrcIsInScope) {
   // bench/tests/tools sit on top of the whole tree and may include anything.
   const auto r = lintOne("bench/foo.cpp",
-                         "#include \"metasched/frontend.hpp\"\n",
-                         AnalyzeOptions{true});
+                         "#include \"metasched/frontend.hpp\"\n");
   EXPECT_EQ(countRule(r, "R8"), 0);
 }
 
@@ -736,14 +726,13 @@ TEST(LintR10, LambdaNestedInsideAnotherCallIsNotAScheduleArg) {
 }
 
 TEST(LintR10, BenchDriversAreOutOfScope) {
-  // bench mains own their frames and join before return — even --selfcheck
-  // leaves R10 src-only.
+  // bench mains own their frames and join before return — R10 stays
+  // src-only.
   const auto r = lintOne("bench/foo.cpp", R"cpp(
     void drive(sim::Engine& e, int x) {
       e.schedule(1.0, [&x] { use(x); });
     }
-  )cpp",
-                         AnalyzeOptions{true});
+  )cpp");
   EXPECT_EQ(countRule(r, "R10"), 0);
 }
 

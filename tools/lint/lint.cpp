@@ -42,7 +42,7 @@ int TreeReport::suppressedCount() const {
   return static_cast<int>(findings.size()) - unsuppressedCount();
 }
 
-TreeReport lintTree(const fs::path& root, const AnalyzeOptions& opts) {
+TreeReport lintTree(const fs::path& root) {
   std::vector<fs::path> files;
   for (const char* sub : kScanRoots) {
     const fs::path dir = root / sub;
@@ -61,7 +61,7 @@ TreeReport lintTree(const fs::path& root, const AnalyzeOptions& opts) {
   for (const fs::path& f : files) {
     sources.emplace_back(fs::relative(f, root).generic_string(), slurp(f));
   }
-  TreeReport tree = lintSources(sources, opts);
+  TreeReport tree = lintSources(sources);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   // Wall time goes to stderr: stdout is the canonical, diffable report.
@@ -71,15 +71,14 @@ TreeReport lintTree(const fs::path& root, const AnalyzeOptions& opts) {
 }
 
 TreeReport lintSources(
-    const std::vector<std::pair<std::string, std::string>>& files,
-    const AnalyzeOptions& opts) {
+    const std::vector<std::pair<std::string, std::string>>& files) {
   // Phase 1 per file, then phase 2 over the merged symbol models: tree-wide
   // symbol rules, waiver matching, and one deterministic global order.
   TreeReport tree;
   std::vector<FileSymbols> symbols;
   symbols.reserve(files.size());
   for (const auto& [path, content] : files) {
-    FileAnalysis a = analyzeFile(path, content, opts);
+    FileAnalysis a = analyzeFile(path, content);
     tree.findings.insert(tree.findings.end(),
                          std::make_move_iterator(a.report.findings.begin()),
                          std::make_move_iterator(a.report.findings.end()));
@@ -91,7 +90,7 @@ TreeReport lintSources(
   }
   tree.filesScanned = static_cast<int>(files.size());
 
-  runTreeRules(symbols, opts, tree.findings);
+  runTreeRules(symbols, tree.findings);
   matchSuppressions(tree.findings, tree.suppressions);
 
   std::sort(tree.findings.begin(), tree.findings.end(),

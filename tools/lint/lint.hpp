@@ -22,15 +22,13 @@ struct TreeReport {
 /// examples) of `root`: reads them in sorted-path order and hands them to
 /// lintSources. Paths in findings are repo-relative; the wall time is
 /// reported on stderr.
-TreeReport lintTree(const std::filesystem::path& root,
-                    const AnalyzeOptions& opts = {});
+TreeReport lintTree(const std::filesystem::path& root);
 
 /// Lints in-memory (path, content) pairs: R1–R5 per file, then R7–R10 over
 /// the merged symbol models, and findings get a final global sort. The one
 /// pipeline behind lintTree and the unit tests.
 TreeReport lintSources(
-    const std::vector<std::pair<std::string, std::string>>& files,
-    const AnalyzeOptions& opts = {});
+    const std::vector<std::pair<std::string, std::string>>& files);
 
 /// Human-readable report: unsuppressed findings first, then the suppression
 /// inventory (used waivers with reasons, and stale waivers that matched

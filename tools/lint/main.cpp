@@ -9,8 +9,7 @@
 // reason)`) suppress a finding but stay visible in the printed inventory;
 // stale waivers are reported too.
 //
-// Usage: grads-lint [--root DIR] [--selfcheck] [--sarif FILE]
-//   --selfcheck  widen R7/R9 from src/ to bench/ and tools/ as well
+// Usage: grads-lint [--root DIR] [--sarif FILE]
 //   --sarif FILE also write the report as SARIF 2.1.0 (for GitHub inline
 //                PR annotations); suppressed findings carry inSource
 //                suppression objects
@@ -26,18 +25,14 @@
 int main(int argc, char** argv) {
   std::string root = ".";
   std::string sarifPath;
-  grads::lint::AnalyzeOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarifPath = argv[++i];
-    } else if (arg == "--selfcheck") {
-      opts.selfcheck = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: grads-lint [--root DIR] [--selfcheck] "
-                   "[--sarif FILE]\n";
+      std::cout << "usage: grads-lint [--root DIR] [--sarif FILE]\n";
       return 0;
     } else {
       std::cerr << "grads-lint: unknown argument '" << arg << "'\n";
@@ -45,7 +40,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto report = grads::lint::lintTree(root, opts);
+  const auto report = grads::lint::lintTree(root);
   const int unsuppressed = grads::lint::printReport(std::cout, report);
 
   if (!sarifPath.empty()) {

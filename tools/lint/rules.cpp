@@ -550,20 +550,18 @@ void addSym(std::vector<Finding>& out, const std::string& file, int line,
   out.push_back(Finding{file, line, rule, "error", std::move(msg), false, {}});
 }
 
-/// Scope for the symbol rules: src/ always; bench/ and tools/ under
-/// --selfcheck so the analyzer and the benches obey their own invariants.
-/// tests/ is never in scope — fixtures there break rules on purpose.
-bool symScope(string_view path, const AnalyzeOptions& opts) {
-  return startsWith(path, "src/") ||
-         (opts.selfcheck &&
-          (startsWith(path, "bench/") || startsWith(path, "tools/")));
+/// Scope for R7 and R9: src/, and bench/ and tools/ so the analyzer and the
+/// benches obey their own invariants. tests/ is never in scope — fixtures
+/// there break rules on purpose.
+bool symScope(string_view path) {
+  return startsWith(path, "src/") || startsWith(path, "bench/") ||
+         startsWith(path, "tools/");
 }
 
 // R7 — mutable static / thread_local state.
 
-void ruleR7(const FileSymbols& f, const AnalyzeOptions& opts,
-            std::vector<Finding>& out) {
-  if (!symScope(f.path, opts)) return;
+void ruleR7(const FileSymbols& f, std::vector<Finding>& out) {
+  if (!symScope(f.path)) return;
   for (const StaticVarSym& s : f.statics) {
     if (s.threadLocal) {
       addSym(out, f.path, s.line, "R7",
@@ -653,8 +651,7 @@ void ruleR8(const FileSymbols& f, std::vector<Finding>& out) {
 
 // R9 — snapshot field coverage.
 
-void ruleR9(const std::vector<FileSymbols>& files, const AnalyzeOptions& opts,
-            std::vector<Finding>& out) {
+void ruleR9(const std::vector<FileSymbols>& files, std::vector<Finding>& out) {
   std::vector<const ClassSym*> classes;
   for (const FileSymbols& f : files) {
     for (const ClassSym& c : f.classes) classes.push_back(&c);
@@ -682,7 +679,7 @@ void ruleR9(const std::vector<FileSymbols>& files, const AnalyzeOptions& opts,
         if (c->file == m.file) sameFile = c;
       }
       const ClassSym* cls = sameFile ? sameFile : (count == 1 ? any : nullptr);
-      if (cls == nullptr || !symScope(cls->file, opts)) continue;
+      if (cls == nullptr || !symScope(cls->file)) continue;
       auto it = std::find_if(lists.begin(), lists.end(),
                              [cls](const Coverage& l) { return l.cls == cls; });
       if (it == lists.end()) it = lists.insert(lists.end(), {cls, &m, {}});
@@ -739,9 +736,7 @@ void ruleR10(const FileSymbols& f, std::vector<Finding>& out) {
 
 }  // namespace
 
-FileAnalysis analyzeFile(const std::string& relPath, std::string_view content,
-                         const AnalyzeOptions& opts) {
-  (void)opts;  // per-file rules are scope-stable; opts gates the tree rules
+FileAnalysis analyzeFile(const std::string& relPath, std::string_view content) {
   FileAnalysis a;
   const LexResult lexed = lex(content);
 
@@ -762,13 +757,13 @@ FileAnalysis analyzeFile(const std::string& relPath, std::string_view content,
 }
 
 void runTreeRules(const std::vector<FileSymbols>& files,
-                  const AnalyzeOptions& opts, std::vector<Finding>& out) {
+                  std::vector<Finding>& out) {
   for (const FileSymbols& f : files) {
-    ruleR7(f, opts, out);
+    ruleR7(f, out);
     ruleR8(f, out);
     ruleR10(f, out);
   }
-  ruleR9(files, opts, out);
+  ruleR9(files, out);
 }
 
 void matchSuppressions(std::vector<Finding>& findings,

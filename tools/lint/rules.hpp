@@ -35,14 +35,6 @@ struct FileReport {
   std::vector<Suppression> suppressions;
 };
 
-/// Per-run options. `selfcheck` widens the symbol rules R7 and R9 from src/
-/// to bench/ and tools/ as well — the grads_lint_selfcheck
-/// ctest entry runs with it so the analyzer's own code and the benches obey
-/// the same invariants they enforce.
-struct AnalyzeOptions {
-  bool selfcheck = false;
-};
-
 /// Phase-1 output for one file: the lexical findings (R1–R5) plus the symbol
 /// model the tree-wide rules (R7–R10) consume. Suppressions are parsed but
 /// not yet matched — matching happens after tree rules run, so waivers cover
@@ -64,9 +56,10 @@ struct FileAnalysis {
 ///       engine hot paths already converted to sim::InlineFn.
 ///   R5  include hygiene: banned headers in src/, #pragma once in headers,
 ///       no parent-relative includes, no using-namespace in headers.
-///   R7  mutable static / thread_local state in src/ — process-wide state
-///       escapes snapshots and is shared by every engine in the process;
-///       const/constexpr are exempt, documented singletons carry waivers.
+///   R7  mutable static / thread_local state in src/, bench/ and tools/ —
+///       process-wide state escapes snapshots and is shared by every engine
+///       in the process; const/constexpr are exempt, documented singletons
+///       carry waivers.
 ///   R8  architecture layering DAG over the include graph: an include may
 ///       only point at the same or a lower layer (util → sim → core → grid
 ///       → ... → apps); upward or cyclic includes are flagged.
@@ -79,14 +72,13 @@ struct FileAnalysis {
 ///
 /// `relPath` selects which rules apply (src/ vs bench/ vs tests/ etc.) and
 /// which per-path allowlists fire; it must use forward slashes.
-FileAnalysis analyzeFile(const std::string& relPath, std::string_view content,
-                         const AnalyzeOptions& opts = {});
+FileAnalysis analyzeFile(const std::string& relPath, std::string_view content);
 
 /// Phase 2: the symbol rules R7–R10 over every file's symbol model at once
 /// (R9 needs a cross-file join: classes in headers, codecs in .cpp files).
 /// Appends to `out`.
 void runTreeRules(const std::vector<FileSymbols>& files,
-                  const AnalyzeOptions& opts, std::vector<Finding>& out);
+                  std::vector<Finding>& out);
 
 /// Marks findings covered by a waiver on the same file whose line matches
 /// the annotation's own line or the next line, and flags used waivers.
