@@ -42,10 +42,7 @@ struct NodeSpec {
   double efficiency = 0.35;
   double memBytes = 512.0 * 1024 * 1024;
   CacheGeometry cache;
-  double cacheMissPenaltySec = 120e-9;
   Arch arch = Arch::kIA32;
-  /// Local disk bandwidth (IBP depots write checkpoints here).
-  double diskBandwidth = 30.0 * 1024 * 1024;
 
   double peakFlopsPerCpu() const { return mhz * 1e6 * flopsPerCycle; }
   double effectiveFlopsPerCpu() const { return peakFlopsPerCpu() * efficiency; }

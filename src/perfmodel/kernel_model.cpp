@@ -8,6 +8,9 @@
 namespace grads::perfmodel {
 
 namespace {
+/// Stall time of one modelled cache miss, the same on every node.
+constexpr double kCacheMissPenaltySec = 120e-9;
+
 double quantilePoint(int k) {
   // Midpoints of kQuantilePoints equal-mass strata: (k + 0.5) / K.
   return (static_cast<double>(k) + 0.5) /
@@ -132,7 +135,7 @@ double KernelModel::predictMisses(double n,
 
 double KernelModel::predictSeconds(double n, const grid::NodeSpec& node) const {
   const double compute = predictFlops(n) / node.effectiveFlopsPerCpu();
-  const double stall = predictMisses(n, node.cache) * node.cacheMissPenaltySec;
+  const double stall = predictMisses(n, node.cache) * kCacheMissPenaltySec;
   return compute + stall;
 }
 

@@ -36,7 +36,6 @@ const char* candidateKindName(CandidateKind kind) {
   switch (kind) {
     case CandidateKind::kSuppress: return "suppress";
     case CandidateKind::kMigrate: return "migrate";
-    case CandidateKind::kSwap: return "swap";
   }
   return "?";
 }

@@ -17,14 +17,13 @@ namespace grads::reschedule::whatif {
 enum class CandidateKind : std::uint8_t {
   kSuppress,  ///< stay on the current mapping (validated decline)
   kMigrate,   ///< stop/migrate/restart to `target`
-  kSwap,      ///< single-rank process swap (recorded; no QR-path synthesis)
 };
 
 const char* candidateKindName(CandidateKind kind);
 
 struct Candidate {
   CandidateKind kind = CandidateKind::kSuppress;
-  std::vector<grid::NodeId> target;  ///< kMigrate / kSwap destination
+  std::vector<grid::NodeId> target;  ///< kMigrate destination
   std::string label;                 ///< "model-target", "alternate", ...
 
   template <class Self, class Ar>

@@ -9,16 +9,20 @@
 
 namespace grads::services {
 
+namespace {
+/// Local disk bandwidth of every depot (checkpoints are written here).
+constexpr double kDiskBandwidth = 30.0 * 1024 * 1024;
+}  // namespace
+
 Ibp::Ibp(grid::Grid& grid) : grid_(&grid) {}
 
 sim::PsResource& Ibp::diskFor(grid::NodeId node) {
   auto it = disks_.find(node);
   if (it == disks_.end()) {
-    const auto& spec = grid_->node(node).spec();
     it = disks_
              .emplace(node, std::make_unique<sim::PsResource>(
-                                grid_->engine(), spec.diskBandwidth,
-                                sim::kInfTime, spec.name + ".disk"))
+                                grid_->engine(), kDiskBandwidth, sim::kInfTime,
+                                grid_->node(node).name() + ".disk"))
              .first;
   }
   return *it->second;
