@@ -241,8 +241,9 @@ sim::Task AppManager::run(const Cop& cop,
       if (priorUp) {
         mapping = priorMapping;
         GRADS_INFO("app-manager", eng.now())
-            << cop.name << ": rolled-back action: relaunching on prior "
-            << "mapping (" << mapping.size() << " ranks)";
+            << cop.name
+            << ": rolled-back action: relaunching on prior mapping ("
+            << mapping.size() << " ranks)";
       } else {
         GRADS_WARN("app-manager", eng.now())
             << cop.name

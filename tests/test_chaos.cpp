@@ -163,6 +163,20 @@ TEST(Campaign, SortedAndDrawnFromCandidatePools) {
 // ChaosDriver semantics.
 // ---------------------------------------------------------------------------
 
+/// Runs `fn` with the log sink pointed at a string, restores the old sink
+/// even if `fn` throws, and returns what was logged.
+template <class Fn>
+std::string captureLog(Fn fn) {
+  std::ostringstream captured;
+  struct SinkGuard {
+    std::ostream* saved = log::config().sink;
+    ~SinkGuard() { log::config().sink = saved; }
+  } guard;
+  log::config().sink = &captured;
+  fn();
+  return captured.str();
+}
+
 struct ChaosFixture {
   sim::Engine eng;
   grid::Grid g{eng};
@@ -243,17 +257,7 @@ TEST(ChaosDriver, LogLinesCarryTheEngineTime) {
   auto e = f.event(ChaosKind::kLinkPartition, 42.0, 60.0);
   e.link = f.wanLink();
   f.chaos->arm(e);
-
-  std::ostringstream captured;
-  {
-    struct SinkGuard {
-      std::ostream* saved = log::config().sink;
-      ~SinkGuard() { log::config().sink = saved; }
-    } guard;
-    log::config().sink = &captured;
-    f.eng.runUntil(100.0);
-  }
-  EXPECT_EQ(captured.str(),
+  EXPECT_EQ(captureLog([&] { f.eng.runUntil(100.0); }),
             "[     42.0000] WARN chaos: link utk-uiuc.wan partitioned\n");
 }
 
@@ -485,25 +489,17 @@ TEST(SrsDegraded, DarkDepotsLogOneLinePerRankAndCopy) {
   f.ibp->setDepotUp(primary, false);
   f.ibp->setDepotUp(replica, false);
 
-  std::ostringstream captured;
-  {
-    struct SinkGuard {
-      std::ostream* saved = log::config().sink;
-      ~SinkGuard() { log::config().sink = saved; }
-    } guard;
-    log::config().sink = &captured;
-    f.writeGeneration(srs, 2);
-  }
+  const std::string logged = captureLog([&] { f.writeGeneration(srs, 2); });
 
   // Two ranks × two copies, each line naming both arrays.
-  std::istringstream lines(captured.str());
+  std::istringstream lines(logged);
   int srsLines = 0;
   for (std::string line; std::getline(lines, line);) {
     if (line.find(" srs: ") == std::string::npos) continue;
     ++srsLines;
     EXPECT_NE(line.find("for A, B"), std::string::npos) << line;
   }
-  EXPECT_EQ(srsLines, 4) << captured.str();
+  EXPECT_EQ(srsLines, 4) << logged;
 }
 
 TEST(SrsDegraded, FindRestorableGenerationWalksBackThenGivesUp) {
