@@ -15,6 +15,11 @@ inline constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 ///   rank(ci, rj) = w1 · ecost(ci, rj) + w2 · dcost(ci, rj)
 /// ecost is the expected execution time from the performance model; dcost is
 /// the data-movement cost given current network conditions (via NWS).
+///
+/// Contract: for the whole of one WorkflowScheduler::schedule() call, both
+/// methods must return the same value for the same arguments. The scheduler
+/// asks once per (component, node) and once per (from, to, bytes) in a call
+/// and reuses the answer; between calls answers may change (NWS sweeps).
 class Estimator {
  public:
   virtual ~Estimator() = default;

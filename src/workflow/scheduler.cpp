@@ -1,6 +1,9 @@
 #include "workflow/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -133,19 +136,28 @@ void requireIdentical(const Schedule& got, const Schedule& ref) {
 }  // namespace
 
 /// Per-schedule()-call scratch: adjacency in edge order (Dag::predecessors /
-/// Dag::inEdges rescan the whole edge list per call) and ecost rows cached
-/// per (component, node) — ecost is placement-independent, so one row serves
-/// all three heuristic runs of kBestOfThree.
+/// Dag::inEdges rescan the whole edge list per call), ecost rows cached per
+/// (component, node) — ecost is placement-independent — and transfer rows
+/// cached per (source node, bytes), so each (source, destination, bytes)
+/// triple is priced once. Both caches serve every candidate, every pick and
+/// all three heuristic runs of kBestOfThree, as the Estimator contract allows.
 struct WorkflowScheduler::Workspace {
+  std::size_t nr = 0;
   std::vector<std::vector<ComponentId>> preds;
   std::vector<std::vector<ComponentId>> succs;
   std::vector<std::vector<const Edge*>> inEdges;  // in dag.edges() order
   std::vector<std::size_t> indegree;
   std::vector<double> ecost;     // [c * R + r], filled row-at-a-time
   std::vector<char> ecostReady;  // [c]
+  // Keyed on the bit pattern of bytes, so equal keys mean equal arguments.
+  std::map<std::pair<grid::NodeId, std::uint64_t>, std::size_t> transferRowOf;
+  std::vector<std::pair<grid::NodeId, double>> transferArgs;  // [row]
+  std::vector<double> transfer;      // [row * R + r], filled entry-at-a-time
+  std::vector<char> transferReady;   // [row * R + r]
 
-  void build(const Dag& dag, std::size_t nr) {
+  void build(const Dag& dag, std::size_t resourceCount) {
     const std::size_t n = dag.size();
+    nr = resourceCount;
     preds.assign(n, {});
     succs.assign(n, {});
     inEdges.assign(n, {});
@@ -171,6 +183,32 @@ struct WorkflowScheduler::Workspace {
     }
     return row;
   }
+
+  /// The transfer row for `bytes` leaving node `from`, added unpriced on
+  /// first use.
+  std::size_t transferRow(grid::NodeId from, double bytes) {
+    const auto [it, added] = transferRowOf.try_emplace(
+        {from, std::bit_cast<std::uint64_t>(bytes)}, transferArgs.size());
+    if (added) {
+      transferArgs.emplace_back(from, bytes);
+      transfer.resize(transfer.size() + nr);
+      transferReady.resize(transferReady.size() + nr, 0);
+    }
+    return it->second;
+  }
+
+  /// Cost of transfer row `row` to resources[r], priced on first use: only
+  /// entries the loop asks for are priced, never an infeasible resource.
+  double transferCost(const Estimator& est, std::size_t row, std::size_t r,
+                      const std::vector<grid::NodeId>& resources) {
+    const std::size_t i = row * nr + r;
+    if (!transferReady[i]) {
+      const auto& [from, bytes] = transferArgs[row];
+      transfer[i] = est.transferCost(from, resources[r], bytes);
+      transferReady[i] = 1;
+    }
+    return transfer[i];
+  }
 };
 
 Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
@@ -191,6 +229,7 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
   std::size_t scheduled = 0;
   std::vector<Candidate> cands;
   std::vector<double> rankMatrix;  // batch-local rows of length nr
+  std::vector<std::size_t> edgeRows;  // transfer row of each in-edge
 
   while (scheduled < dag.size()) {
     GRADS_REQUIRE(!ready.empty(), "WorkflowScheduler: cyclic dependences");
@@ -211,14 +250,17 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
         cand.readyAt = std::max(cand.readyAt, finish[p]);
       }
       const double* ecostRow = ws.ecostRow(*estimator_, dag, c, resources_);
+      edgeRows.clear();
+      for (const Edge* edge : ws.inEdges[c]) {
+        edgeRows.push_back(ws.transferRow(placedNode[edge->from], edge->bytes));
+      }
       double* row = &rankMatrix[cand.row];
       for (std::size_t r = 0; r < nr; ++r) {
         const double e = ecostRow[r];
         if (e == kInfeasible) continue;  // row entry stays kInfeasible
         double d = 0.0;
-        for (const Edge* edge : ws.inEdges[c]) {
-          d += estimator_->transferCost(placedNode[edge->from], resources_[r],
-                                        edge->bytes);
+        for (const std::size_t t : edgeRows) {
+          d += ws.transferCost(*estimator_, t, r, resources_);
         }
         row[r] = weights_.w1 * e + weights_.w2 * d;
       }
@@ -247,8 +289,9 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
       // point association matches the reference loop exactly.
       double cost = ws.ecostRow(*estimator_, dag, c, resources_)[rStar];
       for (const Edge* edge : ws.inEdges[c]) {
-        cost +=
-            estimator_->transferCost(placedNode[edge->from], node, edge->bytes);
+        cost += ws.transferCost(
+            *estimator_, ws.transferRow(placedNode[edge->from], edge->bytes),
+            rStar, resources_);
       }
       Assignment a;
       a.component = c;

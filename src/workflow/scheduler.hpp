@@ -45,8 +45,10 @@ struct RankWeights {
 /// The batch loop is incremental: a candidate's rank row is constant while
 /// its batch drains (all predecessors were placed in earlier batches), so
 /// after a placement on resource r only candidates whose best or second-best
-/// completion time sat on r are rescanned, and Estimator rows are cached per
-/// (component, node) within a schedule() call. Ties are broken
+/// completion time sat on r are rescanned. Within a schedule() call the
+/// Estimator is asked once per (component, node) for ecost and once per
+/// (source node, destination, bytes) for a transfer; every candidate, pick
+/// and best-of-three run reuses those answers. Ties are broken
 /// deterministically — see scheduleReference() / setCrossCheck() for the
 /// executable specification this is held to.
 class WorkflowScheduler {
