@@ -1,8 +1,8 @@
 // Tests for the incremental batch-mode mapping loop: deterministic
 // (bestCt, ComponentId) tie-breaking for sufferage (including the all-
 // infinite-sufferage case), bit-identical agreement with the naive
-// reference loop across heuristics and DAG shapes, and the Estimator
-// row-caching contract.
+// reference loop across heuristics, DAG shapes and estimators, and the
+// Estimator caching contract (ecost and transfers priced once per call).
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "apps/eman.hpp"
 #include "grid/testbeds.hpp"
 #include "services/gis.hpp"
+#include "services/nws.hpp"
 #include "util/rng.hpp"
 #include "workflow/builders.hpp"
 #include "workflow/scheduler.hpp"
@@ -33,10 +35,12 @@ class TableEstimator : public workflow::Estimator {
   }
   double transferCost(grid::NodeId from, grid::NodeId to,
                       double bytes) const override {
+    ++transferCalls;
     return from == to ? 0.0 : bytes * 1e-3;
   }
 
   mutable std::size_t ecostCalls = 0;
+  mutable std::size_t transferCalls = 0;
 };
 
 workflow::Component comp(std::string name) {
@@ -57,6 +61,22 @@ void expectIdentical(const workflow::Schedule& a, const workflow::Schedule& b) {
     EXPECT_EQ(a.assignments[i].finish, b.assignments[i].finish) << "pick " << i;
   }
   EXPECT_EQ(a.makespan, b.makespan);
+}
+
+constexpr workflow::Heuristic kAllHeuristics[] = {
+    workflow::Heuristic::kMinMin, workflow::Heuristic::kMaxMin,
+    workflow::Heuristic::kSufferage, workflow::Heuristic::kBestOfThree};
+
+// schedule() against scheduleReference() under every heuristic.
+void expectMatchesReference(const workflow::Estimator& est,
+                            const std::vector<grid::NodeId>& resources,
+                            const workflow::Dag& dag) {
+  workflow::WorkflowScheduler ws(est, resources);
+  ws.setCrossCheck(false);  // compare explicitly below
+  for (const auto h : kAllHeuristics) {
+    SCOPED_TRACE(workflow::heuristicName(h));
+    expectIdentical(ws.schedule(dag, h), ws.scheduleReference(dag, h));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -146,14 +166,7 @@ class IncrementalVsReference : public ::testing::Test {
   }
 
   void checkAll(const workflow::Dag& dag) {
-    workflow::WorkflowScheduler ws(*truth_, grid_.allNodes());
-    ws.setCrossCheck(false);  // compare explicitly below
-    for (const auto h :
-         {workflow::Heuristic::kMinMin, workflow::Heuristic::kMaxMin,
-          workflow::Heuristic::kSufferage, workflow::Heuristic::kBestOfThree}) {
-      SCOPED_TRACE(workflow::heuristicName(h));
-      expectIdentical(ws.schedule(dag, h), ws.scheduleReference(dag, h));
-    }
+    expectMatchesReference(*truth_, grid_.allNodes(), dag);
   }
 
   sim::Engine eng_;
@@ -188,8 +201,44 @@ TEST_F(IncrementalVsReference, CrossCheckModeRunsInline) {
   EXPECT_NO_THROW(ws.schedule(dag, workflow::Heuristic::kBestOfThree));
 }
 
+// The EMAN refinement DAG (24-way) on the EMAN testbed: each classesbymra
+// and classalign2 component reads the same bytes from every component of
+// the stage before, the shape where transfer rows are shared most. Checked
+// with the truth estimator and with an NWS-informed one, warmed by 600 s of
+// sensing, whose transfers go through Nws::transferTimeDegraded.
+class IncrementalVsReferenceEman : public ::testing::Test {
+ protected:
+  IncrementalVsReferenceEman() : grid_(eng_) {
+    grid::buildEmanTestbed(grid_);
+    gis_ = std::make_unique<services::Gis>(grid_);
+    gis_->installEverywhere("eman");
+    apps::EmanConfig cfg;
+    cfg.particles = 200000;
+    cfg.parallelism = 24;
+    dag_ = apps::buildEmanRefinementDag(cfg);
+  }
+
+  sim::Engine eng_;
+  grid::Grid grid_;
+  std::unique_ptr<services::Gis> gis_;
+  workflow::Dag dag_;
+};
+
+TEST_F(IncrementalVsReferenceEman, TruthEstimator) {
+  const workflow::GridEstimator truth(*gis_, nullptr);
+  expectMatchesReference(truth, grid_.allNodes(), dag_);
+}
+
+TEST_F(IncrementalVsReferenceEman, NwsInformedEstimator) {
+  services::Nws nws(eng_, grid_, 10.0, 0.03, 9);
+  const workflow::GridEstimator informed(*gis_, &nws);
+  nws.start();
+  eng_.runUntil(600.0);
+  expectMatchesReference(informed, grid_.allNodes(), dag_);
+}
+
 // ---------------------------------------------------------------------------
-// Estimator row caching
+// Estimator caching
 // ---------------------------------------------------------------------------
 
 // The incremental loop must query ecost once per (component, node) within a
@@ -234,6 +283,36 @@ TEST(EstimatorCaching, RowsSharedAcrossBestOfThree) {
   est.ecostCalls = 0;
   (void)ws.schedule(dag, workflow::Heuristic::kBestOfThree);
   EXPECT_EQ(est.ecostCalls, kTasks * 2);  // not 3× that
+}
+
+// Each (source node, destination, bytes) triple is priced once per
+// schedule() call. Every edge of the fan-out/fan-in DAG carries the same
+// bytes, so the workers' in-edges share one source node and the sink's
+// in-edges at most R: at most R·(R+1) calls, whichever heuristic runs and
+// including all three runs of best-of-three.
+TEST(EstimatorCaching, TransfersPricedOncePerCall) {
+  constexpr std::size_t kWidth = 16;
+  constexpr std::size_t kR = 3;
+  const auto dag = workflow::makeFanOutIn(kWidth, 1e9, 1e3);
+  TableEstimator est;
+  for (workflow::ComponentId c = 0; c < dag.size(); ++c) {
+    est.table[dag.component(c).name] = {1.0, 2.0, 3.0};  // 1 + node
+  }
+  workflow::WorkflowScheduler ws(est, {0, 1, 2});
+  ws.setCrossCheck(false);
+
+  for (const auto h : kAllHeuristics) {
+    SCOPED_TRACE(workflow::heuristicName(h));
+    est.transferCalls = 0;
+    (void)ws.schedule(dag, h);
+    EXPECT_LE(est.transferCalls, kR * (kR + 1));
+  }
+
+  // The reference loop prices every in-edge on every resource at every
+  // pick, and once more to record the placement.
+  est.transferCalls = 0;
+  (void)ws.scheduleReference(dag, workflow::Heuristic::kMinMin);
+  EXPECT_GT(est.transferCalls, 2 * kWidth * kR);
 }
 
 }  // namespace
