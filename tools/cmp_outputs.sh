@@ -11,6 +11,12 @@
 # one DIFF line per difference and exits 1 if there is any, 0 otherwise.
 # A refactor that must leave every output byte-identical runs it against a
 # build of its parent commit (configured the same way).
+#
+# The work directory is deleted only when every output matched. Otherwise
+# (a DIFF, or a run cut short) it is kept and its path is the last line
+# printed. Each binary's normalised results are in
+# <work>/{parent,change}/{bench,examples}/<name>/: exit, stdout, stderr and
+# out/ (the files it wrote).
 
 set -euo pipefail
 
@@ -21,7 +27,8 @@ fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+keep=1  # cleared once every output has matched
+trap 'if [[ $keep -eq 1 ]]; then echo "$work"; else rm -rf "$work"; fi' EXIT
 
 # bench/NAME and examples/NAME for each executable in build tree $1.
 binaries() {
@@ -83,4 +90,5 @@ while read -r bin; do
 done < <( (binaries "$parent"; binaries "$change") | sort -u)
 
 echo "compared $binary_count binaries and $file_count written files"
+[[ $status -ne 0 ]] || keep=0
 exit "$status"
