@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,16 +68,27 @@ constexpr workflow::Heuristic kAllHeuristics[] = {
     workflow::Heuristic::kMinMin, workflow::Heuristic::kMaxMin,
     workflow::Heuristic::kSufferage, workflow::Heuristic::kBestOfThree};
 
-// schedule() against scheduleReference() under every heuristic.
+// schedule() against the reference loop under every heuristic. Each
+// single-heuristic reference runs once: best-of-three's is the first of them
+// with the least makespan, which is what scheduleReference(dag,
+// kBestOfThree) returns, so the EMAN cases below cost half as much under the
+// sanitizers.
 void expectMatchesReference(const workflow::Estimator& est,
                             const std::vector<grid::NodeId>& resources,
                             const workflow::Dag& dag) {
   workflow::WorkflowScheduler ws(est, resources);
   ws.setCrossCheck(false);  // compare explicitly below
-  for (const auto h : kAllHeuristics) {
+  std::optional<workflow::Schedule> best;
+  for (const auto h :
+       {workflow::Heuristic::kMinMin, workflow::Heuristic::kMaxMin,
+        workflow::Heuristic::kSufferage}) {
     SCOPED_TRACE(workflow::heuristicName(h));
-    expectIdentical(ws.schedule(dag, h), ws.scheduleReference(dag, h));
+    workflow::Schedule ref = ws.scheduleReference(dag, h);
+    expectIdentical(ws.schedule(dag, h), ref);
+    if (!best || ref.makespan < best->makespan) best = std::move(ref);
   }
+  SCOPED_TRACE("best-of-3");
+  expectIdentical(ws.schedule(dag, workflow::Heuristic::kBestOfThree), *best);
 }
 
 // ---------------------------------------------------------------------------
