@@ -117,9 +117,16 @@ def main(argv):
         return 2
     roots = {"parent": os.path.abspath(argv[1]),
              "change": os.path.abspath(argv[2])}
-    workload, seed, pairs = argv[3], int(argv[4]), int(argv[5])
+    workload = argv[3]
+    try:
+        seed, pairs = int(argv[4]), int(argv[5])
+    except ValueError:
+        fail("SEED and PAIRS must be integers")
     if pairs < 1:
         fail("PAIRS must be at least 1")
+    for root in roots.values():
+        if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
+            fail("no perfbench/run.py under " + root)
     with open(BENCHMARK) as f:
         bench = json.load(f)
     metrics = bench["end_to_end"]
