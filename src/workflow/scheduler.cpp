@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "util/error.hpp"
@@ -142,22 +143,23 @@ void requireIdentical(const Schedule& got, const Schedule& ref) {
 /// triple is priced once. Both caches serve every candidate, every pick and
 /// all three heuristic runs of kBestOfThree, as the Estimator contract allows.
 struct WorkflowScheduler::Workspace {
-  std::size_t nr = 0;
+  // Transfer rows keyed on (source node, bit pattern of bytes), so equal keys
+  // mean equal arguments; a row holds one entry per resource.
+  using TransferRows =
+      std::map<std::pair<grid::NodeId, std::uint64_t>,
+               std::vector<std::optional<double>>>;
+  using TransferRow = TransferRows::value_type;
+
   std::vector<std::vector<ComponentId>> preds;
   std::vector<std::vector<ComponentId>> succs;
   std::vector<std::vector<const Edge*>> inEdges;  // in dag.edges() order
   std::vector<std::size_t> indegree;
   std::vector<double> ecost;     // [c * R + r], filled row-at-a-time
   std::vector<char> ecostReady;  // [c]
-  // Keyed on the bit pattern of bytes, so equal keys mean equal arguments.
-  std::map<std::pair<grid::NodeId, std::uint64_t>, std::size_t> transferRowOf;
-  std::vector<std::pair<grid::NodeId, double>> transferArgs;  // [row]
-  std::vector<double> transfer;      // [row * R + r], filled entry-at-a-time
-  std::vector<char> transferReady;   // [row * R + r]
+  TransferRows transfers;        // filled entry-at-a-time
 
-  void build(const Dag& dag, std::size_t resourceCount) {
+  void build(const Dag& dag, std::size_t nr) {
     const std::size_t n = dag.size();
-    nr = resourceCount;
     preds.assign(n, {});
     succs.assign(n, {});
     inEdges.assign(n, {});
@@ -186,28 +188,24 @@ struct WorkflowScheduler::Workspace {
 
   /// The transfer row for `bytes` leaving node `from`, added unpriced on
   /// first use.
-  std::size_t transferRow(grid::NodeId from, double bytes) {
-    const auto [it, added] = transferRowOf.try_emplace(
-        {from, std::bit_cast<std::uint64_t>(bytes)}, transferArgs.size());
-    if (added) {
-      transferArgs.emplace_back(from, bytes);
-      transfer.resize(transfer.size() + nr);
-      transferReady.resize(transferReady.size() + nr, 0);
-    }
-    return it->second;
+  TransferRow& transferRow(grid::NodeId from, double bytes,
+                           const std::vector<grid::NodeId>& resources) {
+    return *transfers
+                .try_emplace({from, std::bit_cast<std::uint64_t>(bytes)},
+                             resources.size())
+                .first;
   }
 
-  /// Cost of transfer row `row` to resources[r], priced on first use: only
-  /// entries the loop asks for are priced, never an infeasible resource.
-  double transferCost(const Estimator& est, std::size_t row, std::size_t r,
+  /// Cost of `row` to resources[r], priced on first use: only entries the
+  /// loop asks for are priced, never an infeasible resource.
+  double transferCost(const Estimator& est, TransferRow& row, std::size_t r,
                       const std::vector<grid::NodeId>& resources) {
-    const std::size_t i = row * nr + r;
-    if (!transferReady[i]) {
-      const auto& [from, bytes] = transferArgs[row];
-      transfer[i] = est.transferCost(from, resources[r], bytes);
-      transferReady[i] = 1;
+    std::optional<double>& cost = row.second[r];
+    if (!cost) {
+      cost = est.transferCost(row.first.first, resources[r],
+                              std::bit_cast<double>(row.first.second));
     }
-    return transfer[i];
+    return *cost;
   }
 };
 
@@ -229,7 +227,7 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
   std::size_t scheduled = 0;
   std::vector<Candidate> cands;
   std::vector<double> rankMatrix;  // batch-local rows of length nr
-  std::vector<std::size_t> edgeRows;  // transfer row of each in-edge
+  std::vector<Workspace::TransferRow*> edgeRows;  // one per in-edge
 
   while (scheduled < dag.size()) {
     GRADS_REQUIRE(!ready.empty(), "WorkflowScheduler: cyclic dependences");
@@ -252,15 +250,16 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
       const double* ecostRow = ws.ecostRow(*estimator_, dag, c, resources_);
       edgeRows.clear();
       for (const Edge* edge : ws.inEdges[c]) {
-        edgeRows.push_back(ws.transferRow(placedNode[edge->from], edge->bytes));
+        edgeRows.push_back(
+            &ws.transferRow(placedNode[edge->from], edge->bytes, resources_));
       }
       double* row = &rankMatrix[cand.row];
       for (std::size_t r = 0; r < nr; ++r) {
         const double e = ecostRow[r];
         if (e == kInfeasible) continue;  // row entry stays kInfeasible
         double d = 0.0;
-        for (const std::size_t t : edgeRows) {
-          d += ws.transferCost(*estimator_, t, r, resources_);
+        for (Workspace::TransferRow* t : edgeRows) {
+          d += ws.transferCost(*estimator_, *t, r, resources_);
         }
         row[r] = weights_.w1 * e + weights_.w2 * d;
       }
@@ -290,7 +289,8 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
       double cost = ws.ecostRow(*estimator_, dag, c, resources_)[rStar];
       for (const Edge* edge : ws.inEdges[c]) {
         cost += ws.transferCost(
-            *estimator_, ws.transferRow(placedNode[edge->from], edge->bytes),
+            *estimator_,
+            ws.transferRow(placedNode[edge->from], edge->bytes, resources_),
             rStar, resources_);
       }
       Assignment a;
