@@ -5,10 +5,10 @@ alternating pairs of runs.
 Usage (from any directory):
     python3 tools/perf_pairs.py PARENT_ROOT CHANGE_ROOT WORKLOAD SEED PAIRS
 
-PARENT_ROOT and CHANGE_ROOT are checkouts of the two commits. One run is
-    python3 ROOT/perfbench/run.py --workload WORKLOAD --seed SEED
-        --seconds S --trace 0
-with S the run_seconds of BENCHMARK.json. Before the pairs, each side runs
+PARENT_ROOT and CHANGE_ROOT are checkouts of the two commits, and PAIRS is
+at least 2. One run is the command of BENCHMARK.json, run in ROOT, with
+    --workload WORKLOAD --seed SEED --seconds S --trace 0
+and S the run_seconds of BENCHMARK.json. Before the pairs, each side runs
 once with --seconds 0, untimed, which builds it. In each pair both sides
 run once; the side that runs first alternates from pair to pair. Every run
 must report correct with no failed ops, or the tool stops with an error.
@@ -33,6 +33,7 @@ perfbench/run.py keeps its build in each ROOT/.bench_build.
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 
@@ -45,11 +46,10 @@ def fail(msg):
     sys.exit(1)
 
 
-def run(root, workload, seed, seconds, label):
-    """One perfbench run; returns its metrics as {name: value}."""
-    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run(command, root, workload, seed, seconds, label):
+    """One benchmark run; returns its metrics as {name: value}."""
+    cmd = command + ["--workload", workload, "--seed", str(seed),
+                     "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -65,19 +65,10 @@ def run(root, workload, seed, seconds, label):
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
-def quantile(sorted_values, q):
-    """Linear interpolation between closest ranks."""
-    pos = q * (len(sorted_values) - 1)
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (
-        pos - lo)
-
-
 def summary(values):
-    v = sorted(values)
-    return {"min": v[0], "q1": quantile(v, 0.25), "med": quantile(v, 0.5),
-            "q3": quantile(v, 0.75), "max": v[-1]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"min": min(values), "q1": q1, "med": med, "q3": q3,
+            "max": max(values)}
 
 
 def relative(delta, base):
@@ -122,25 +113,26 @@ def main(argv):
         seed, pairs = int(argv[4]), int(argv[5])
     except ValueError:
         fail("SEED and PAIRS must be integers")
-    if pairs < 1:
-        fail("PAIRS must be at least 1")
+    if pairs < 2:
+        fail("PAIRS must be at least 2")
     for root in roots.values():
-        if not os.path.isfile(os.path.join(root, "perfbench", "run.py")):
-            fail("no perfbench/run.py under " + root)
+        if not os.path.isfile(os.path.join(root, "BENCHMARK.json")):
+            fail("not a checkout, no BENCHMARK.json: " + root)
     with open(BENCHMARK) as f:
         bench = json.load(f)
+    command = bench["command"]
     metrics = bench["end_to_end"]
     seconds = bench["run_seconds"]
 
     for side, root in roots.items():
-        run(root, workload, seed, 0, side + " build run")
+        run(command, root, workload, seed, 0, side + " build run")
 
     values = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             label = "pair %d/%d %s" % (i + 1, pairs, side)
-            got = run(roots[side], workload, seed, seconds, label)
+            got = run(command, roots[side], workload, seed, seconds, label)
             values[side].append(got)
             print(label + " " + " ".join(
                 "%s=%.6g" % (m["name"], got[m["name"]]) for m in metrics),
