@@ -85,7 +85,7 @@ Dag makeRandomLayered(std::size_t layers, std::size_t width, Rng& rng) {
           dag.addEdge(p, id, rng.uniform(0.5, 8.0) * kMB);
         }
       }
-      if (!prev.empty() && dag.predecessors(id).empty()) {
+      if (!prev.empty() && dag.inEdges(id).empty()) {
         dag.addEdge(prev[static_cast<std::size_t>(rng.uniformInt(
                         0, static_cast<std::int64_t>(prev.size()) - 1))],
                     id, 1.0 * kMB);

@@ -9,6 +9,8 @@ namespace grads::workflow {
 ComponentId Dag::add(Component c) {
   GRADS_REQUIRE(c.flops >= 0.0, "Dag::add: negative work");
   components_.push_back(std::move(c));
+  inEdges_.emplace_back();
+  successors_.emplace_back();
   return components_.size() - 1;
 }
 
@@ -17,7 +19,8 @@ void Dag::addEdge(ComponentId from, ComponentId to, double bytes) {
                 "Dag::addEdge: unknown component");
   GRADS_REQUIRE(from != to, "Dag::addEdge: self edge");
   GRADS_REQUIRE(bytes >= 0.0, "Dag::addEdge: negative volume");
-  edges_.push_back(Edge{from, to, bytes});
+  inEdges_[to].push_back(Edge{from, to, bytes});
+  successors_[from].push_back(to);
 }
 
 const Component& Dag::component(ComponentId id) const {
@@ -30,35 +33,21 @@ Component& Dag::component(ComponentId id) {
   return components_[id];
 }
 
-std::vector<ComponentId> Dag::predecessors(ComponentId id) const {
-  std::vector<ComponentId> out;
-  for (const auto& e : edges_) {
-    if (e.to == id) out.push_back(e.from);
-  }
-  return out;
+const std::vector<Edge>& Dag::inEdges(ComponentId id) const {
+  GRADS_REQUIRE(id < components_.size(), "Dag: unknown component");
+  return inEdges_[id];
 }
 
-std::vector<ComponentId> Dag::successors(ComponentId id) const {
-  std::vector<ComponentId> out;
-  for (const auto& e : edges_) {
-    if (e.from == id) out.push_back(e.to);
-  }
-  return out;
-}
-
-std::vector<Edge> Dag::inEdges(ComponentId id) const {
-  std::vector<Edge> out;
-  for (const auto& e : edges_) {
-    if (e.to == id) out.push_back(e);
-  }
-  return out;
+const std::vector<ComponentId>& Dag::successors(ComponentId id) const {
+  GRADS_REQUIRE(id < components_.size(), "Dag: unknown component");
+  return successors_[id];
 }
 
 std::vector<ComponentId> Dag::topologicalOrder() const {
   std::vector<std::size_t> indegree(components_.size(), 0);
-  for (const auto& e : edges_) ++indegree[e.to];
   std::deque<ComponentId> ready;
   for (ComponentId c = 0; c < components_.size(); ++c) {
+    indegree[c] = inEdges_[c].size();
     if (indegree[c] == 0) ready.push_back(c);
   }
   std::vector<ComponentId> order;
@@ -66,8 +55,8 @@ std::vector<ComponentId> Dag::topologicalOrder() const {
     const ComponentId c = ready.front();
     ready.pop_front();
     order.push_back(c);
-    for (const auto& e : edges_) {
-      if (e.from == c && --indegree[e.to] == 0) ready.push_back(e.to);
+    for (const ComponentId s : successors_[c]) {
+      if (--indegree[s] == 0) ready.push_back(s);
     }
   }
   GRADS_REQUIRE(order.size() == components_.size(),

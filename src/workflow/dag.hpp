@@ -32,23 +32,29 @@ struct Edge {
   double bytes = 0.0;
 };
 
-/// Workflow application DAG.
+/// Workflow application DAG. It keeps each component's in-edges and
+/// successors as add() and addEdge() build it, so every walk reads its
+/// adjacency without scanning the whole graph. Both lists are in the order
+/// addEdge() added the edges; an edge may run from a later id to an
+/// earlier one, so ids are not a dependency order in general.
 class Dag {
  public:
   ComponentId add(Component c);
   void addEdge(ComponentId from, ComponentId to, double bytes);
 
   std::size_t size() const { return components_.size(); }
+  /// Every accessor taking an id throws InvalidArgument for an unknown one.
   const Component& component(ComponentId id) const;
   Component& component(ComponentId id);
-  const std::vector<Edge>& edges() const { return edges_; }
 
-  std::vector<ComponentId> predecessors(ComponentId id) const;
-  std::vector<ComponentId> successors(ComponentId id) const;
-  /// Edges arriving at `id` (for dcost computation).
-  std::vector<Edge> inEdges(ComponentId id) const;
+  /// Edges arriving at `id` (for dcost computation), in add order: the
+  /// order every scheduler sums transfer costs in.
+  const std::vector<Edge>& inEdges(ComponentId id) const;
+  /// Components `id` feeds, in add order of the edges.
+  const std::vector<ComponentId>& successors(ComponentId id) const;
 
-  /// Topological order; throws if the graph has a cycle.
+  /// Kahn order (sources in id order, then successors as each is popped);
+  /// throws if the graph has a cycle.
   std::vector<ComponentId> topologicalOrder() const;
 
   /// Expands a data-parallel stage: `count` copies of the prototype, each
@@ -63,7 +69,8 @@ class Dag {
 
  private:
   std::vector<Component> components_;
-  std::vector<Edge> edges_;
+  std::vector<std::vector<Edge>> inEdges_;            // [to]
+  std::vector<std::vector<ComponentId>> successors_;  // [from]
 };
 
 }  // namespace grads::workflow

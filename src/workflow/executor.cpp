@@ -47,8 +47,8 @@ WorkflowExecutor::WorkflowExecutor(grid::Grid& grid, const services::Gis& gis,
 sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
                                          RunState& state) {
   // Wait for every predecessor.
-  for (const auto p : dag.predecessors(c)) {
-    co_await state.done[p]->wait();
+  for (const auto& e : dag.inEdges(c)) {
+    co_await state.done[e.from]->wait();
   }
   ComponentRun& run = state.runs[c];
   run.component = c;

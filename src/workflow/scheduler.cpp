@@ -136,12 +136,11 @@ void requireIdentical(const Schedule& got, const Schedule& ref) {
 }
 }  // namespace
 
-/// Per-schedule()-call scratch: adjacency in edge order (Dag::predecessors /
-/// Dag::inEdges rescan the whole edge list per call), ecost rows cached per
-/// (component, node) — ecost is placement-independent — and transfer rows
-/// cached per (source node, bytes), so each (source, destination, bytes)
-/// triple is priced once. Both caches serve every candidate, every pick and
-/// all three heuristic runs of kBestOfThree, as the Estimator contract allows.
+/// Per-schedule()-call scratch: ecost rows cached per (component, node) —
+/// ecost is placement-independent — and transfer rows cached per (source
+/// node, bytes), so each (source, destination, bytes) triple is priced once.
+/// Both caches serve every candidate, every pick and all three heuristic runs
+/// of kBestOfThree, as the Estimator contract allows.
 struct WorkflowScheduler::Workspace {
   // Transfer rows keyed on (source node, bit pattern of bytes), so equal keys
   // mean equal arguments; a row holds one entry per resource.
@@ -150,29 +149,12 @@ struct WorkflowScheduler::Workspace {
                std::vector<std::optional<double>>>;
   using TransferRow = TransferRows::value_type;
 
-  std::vector<std::vector<ComponentId>> preds;
-  std::vector<std::vector<ComponentId>> succs;
-  std::vector<std::vector<const Edge*>> inEdges;  // in dag.edges() order
-  std::vector<std::size_t> indegree;
+  Workspace(std::size_t components, std::size_t resources)
+      : ecost(components * resources, 0.0), ecostReady(components, 0) {}
+
   std::vector<double> ecost;     // [c * R + r], filled row-at-a-time
   std::vector<char> ecostReady;  // [c]
   TransferRows transfers;        // filled entry-at-a-time
-
-  void build(const Dag& dag, std::size_t nr) {
-    const std::size_t n = dag.size();
-    preds.assign(n, {});
-    succs.assign(n, {});
-    inEdges.assign(n, {});
-    indegree.assign(n, 0);
-    for (const Edge& e : dag.edges()) {
-      preds[e.to].push_back(e.from);
-      succs[e.from].push_back(e.to);
-      inEdges[e.to].push_back(&e);
-      ++indegree[e.to];
-    }
-    ecost.assign(n * nr, 0.0);
-    ecostReady.assign(n, 0);
-  }
 
   const double* ecostRow(const Estimator& est, const Dag& dag, ComponentId c,
                          const std::vector<grid::NodeId>& resources) {
@@ -215,9 +197,10 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
   sched.heuristic = h;
   const std::size_t nr = resources_.size();
 
-  std::vector<std::size_t> remaining = ws.indegree;
+  std::vector<std::size_t> remaining(dag.size(), 0);
   std::vector<ComponentId> ready;
   for (ComponentId c = 0; c < dag.size(); ++c) {
+    remaining[c] = dag.inEdges(c).size();
     if (remaining[c] == 0) ready.push_back(c);
   }
 
@@ -244,14 +227,12 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
       Candidate cand;
       cand.c = c;
       cand.row = i * nr;
-      for (const ComponentId p : ws.preds[c]) {
-        cand.readyAt = std::max(cand.readyAt, finish[p]);
-      }
       const double* ecostRow = ws.ecostRow(*estimator_, dag, c, resources_);
       edgeRows.clear();
-      for (const Edge* edge : ws.inEdges[c]) {
+      for (const Edge& edge : dag.inEdges(c)) {
+        cand.readyAt = std::max(cand.readyAt, finish[edge.from]);
         edgeRows.push_back(
-            &ws.transferRow(placedNode[edge->from], edge->bytes, resources_));
+            &ws.transferRow(placedNode[edge.from], edge.bytes, resources_));
       }
       double* row = &rankMatrix[cand.row];
       for (std::size_t r = 0; r < nr; ++r) {
@@ -287,10 +268,10 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
       // Transfer costs are re-accumulated in edge order so the floating-
       // point association matches the reference loop exactly.
       double cost = ws.ecostRow(*estimator_, dag, c, resources_)[rStar];
-      for (const Edge* edge : ws.inEdges[c]) {
+      for (const Edge& edge : dag.inEdges(c)) {
         cost += ws.transferCost(
             *estimator_,
-            ws.transferRow(placedNode[edge->from], edge->bytes, resources_),
+            ws.transferRow(placedNode[edge.from], edge.bytes, resources_),
             rStar, resources_);
       }
       Assignment a;
@@ -322,7 +303,7 @@ Schedule WorkflowScheduler::scheduleOne(const Dag& dag, Heuristic h,
 
       // Unlock successors; sorted below so the next batch is built in
       // ascending ComponentId order like the reference loop's rescan.
-      for (const ComponentId s : ws.succs[c]) {
+      for (const ComponentId s : dag.successors(c)) {
         if (--remaining[s] == 0) ready.push_back(s);
       }
     }
@@ -336,12 +317,9 @@ Schedule WorkflowScheduler::scheduleOneReference(const Dag& dag,
   Schedule sched;
   sched.heuristic = h;
 
-  std::vector<std::size_t> indegree(dag.size(), 0);
-  for (const auto& e : dag.edges()) ++indegree[e.to];
-
   std::vector<ComponentId> ready;
   for (ComponentId c = 0; c < dag.size(); ++c) {
-    if (indegree[c] == 0) ready.push_back(c);
+    if (dag.inEdges(c).empty()) ready.push_back(c);
   }
 
   std::vector<double> avail(resources_.size(), 0.0);
@@ -362,8 +340,8 @@ Schedule WorkflowScheduler::scheduleOneReference(const Dag& dag,
       for (const ComponentId c : batch) {
         Candidate cand;
         cand.c = c;
-        for (const auto p : dag.predecessors(c)) {
-          cand.readyAt = std::max(cand.readyAt, finish[p]);
+        for (const auto& edge : dag.inEdges(c)) {
+          cand.readyAt = std::max(cand.readyAt, finish[edge.from]);
         }
         for (std::size_t r = 0; r < resources_.size(); ++r) {
           const double rk = rank(dag, c, resources_[r], placed);
@@ -419,8 +397,8 @@ Schedule WorkflowScheduler::scheduleOneReference(const Dag& dag,
     for (ComponentId c = 0; c < dag.size(); ++c) {
       if (placed.count(c) > 0) continue;
       bool allDone = true;
-      for (const auto p : dag.predecessors(c)) {
-        if (placed.count(p) == 0) {
+      for (const auto& edge : dag.inEdges(c)) {
+        if (placed.count(edge.from) == 0) {
           allDone = false;
           break;
         }
@@ -435,8 +413,7 @@ Schedule WorkflowScheduler::scheduleOneReference(const Dag& dag,
 
 Schedule WorkflowScheduler::schedule(const Dag& dag, Heuristic h) const {
   GRADS_REQUIRE(dag.size() > 0, "WorkflowScheduler: empty DAG");
-  Workspace ws;
-  ws.build(dag, resources_.size());
+  Workspace ws(dag.size(), resources_.size());
   const auto runOne = [&](Heuristic hh) {
     Schedule s = scheduleOne(dag, hh, ws);
     if (crossCheck_) requireIdentical(s, scheduleOneReference(dag, hh));
@@ -501,11 +478,9 @@ Schedule scheduleBaseline(const Dag& dag, const Estimator& estimator,
     const grid::NodeId node = resources[r];
 
     double readyAt = 0.0;
-    for (const auto p : dag.predecessors(c)) {
-      readyAt = std::max(readyAt, finish[p]);
-    }
     double cost = estimator.ecost(dag.component(c), node);
     for (const auto& edge : dag.inEdges(c)) {
+      readyAt = std::max(readyAt, finish[edge.from]);
       cost += estimator.transferCost(placed.at(edge.from), node, edge.bytes);
     }
     Assignment a;
@@ -573,14 +548,12 @@ Schedule evaluateMapping(const Dag& dag, const Estimator& truth,
   for (const ComponentId c : dag.topologicalOrder()) {
     const grid::NodeId node = nodeOf.at(c);
     double readyAt = 0.0;
-    for (const auto p : dag.predecessors(c)) {
-      readyAt = std::max(readyAt, finish[p]);
-    }
     double cost = truth.ecost(dag.component(c), node);
     GRADS_REQUIRE(cost != kInfeasible,
                   "evaluateMapping: infeasible placement for " +
                       dag.component(c).name);
     for (const auto& edge : dag.inEdges(c)) {
+      readyAt = std::max(readyAt, finish[edge.from]);
       cost += truth.transferCost(nodeOf.at(edge.from), node, edge.bytes);
     }
     Assignment a;

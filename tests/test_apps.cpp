@@ -187,7 +187,7 @@ TEST(Eman, DagShapeIsLinearWithParallelStages) {
   std::size_t sources = 0;
   std::size_t sinks = 0;
   for (workflow::ComponentId c = 0; c < dag.size(); ++c) {
-    if (dag.predecessors(c).empty()) ++sources;
+    if (dag.inEdges(c).empty()) ++sources;
     if (dag.successors(c).empty()) ++sinks;
   }
   EXPECT_EQ(sources, 1u);

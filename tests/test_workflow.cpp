@@ -57,6 +57,49 @@ TEST(Dag, SelfEdgeRejected) {
   EXPECT_THROW(dag.addEdge(a, a, 0.0), InvalidArgument);
 }
 
+// inEdges and successors list a component's edges in the order addEdge
+// added them, not in id order. Every scheduler sums a component's transfer
+// costs in inEdges order, so its doubles depend on this order; the
+// incremental-vs-reference cross-check cannot see a change to it, since
+// both loops read the same lists.
+TEST(Dag, AdjacencyKeepsAddOrder) {
+  Dag dag;
+  Component c;
+  c.flops = 1.0;
+  for (const char* name : {"s0", "m1", "m2", "s3", "sink"}) {
+    c.name = name;
+    dag.add(c);
+  }
+  // Edges into the sink (4) interleave with edges into 1 and 2.
+  dag.addEdge(0, 2, 1.0);
+  dag.addEdge(3, 4, 2.0);
+  dag.addEdge(0, 1, 3.0);
+  dag.addEdge(2, 4, 4.0);
+  dag.addEdge(1, 4, 5.0);
+
+  const auto& in = dag.inEdges(4);
+  ASSERT_EQ(in.size(), 3u);
+  const std::vector<std::pair<ComponentId, double>> got{
+      {in[0].from, in[0].bytes}, {in[1].from, in[1].bytes},
+      {in[2].from, in[2].bytes}};
+  const std::vector<std::pair<ComponentId, double>> want{
+      {3, 2.0}, {2, 4.0}, {1, 5.0}};
+  EXPECT_EQ(got, want);
+  for (const auto& e : in) EXPECT_EQ(e.to, 4u);
+  EXPECT_EQ(dag.successors(0), (std::vector<ComponentId>{2, 1}));
+  EXPECT_EQ(dag.successors(3), (std::vector<ComponentId>{4}));
+  EXPECT_TRUE(dag.successors(4).empty());
+  EXPECT_TRUE(dag.inEdges(0).empty());
+
+  // Kahn order: sources in id order, then each popped component's
+  // successors in add order (2 before 1).
+  EXPECT_EQ(dag.topologicalOrder(),
+            (std::vector<ComponentId>{0, 3, 2, 1, 4}));
+
+  EXPECT_THROW(dag.inEdges(5), InvalidArgument);
+  EXPECT_THROW(dag.successors(5), InvalidArgument);
+}
+
 TEST(Dag, ParallelStageSplitsWorkAndVolume) {
   Dag dag;
   Component head;
@@ -72,7 +115,7 @@ TEST(Dag, ParallelStageSplitsWorkAndVolume) {
   ASSERT_EQ(ids.size(), 4u);
   for (const auto id : ids) {
     EXPECT_DOUBLE_EQ(dag.component(id).flops, 1e9);
-    const auto in = dag.inEdges(id);
+    const auto& in = dag.inEdges(id);
     ASSERT_EQ(in.size(), 1u);
     EXPECT_DOUBLE_EQ(in[0].bytes, 2 * kMB);
   }
@@ -154,8 +197,10 @@ TEST(Scheduler, DependencesRespected) {
   Dag dag = makeChain(6, 5e9, 2 * kMB);
   WorkflowScheduler ws(*f.truth, f.allNodes());
   const auto s = ws.schedule(dag, Heuristic::kBestOfThree);
-  for (const auto& e : dag.edges()) {
-    EXPECT_GE(s.of(e.to).start, s.of(e.from).finish - 1e-9);
+  for (ComponentId c = 0; c < dag.size(); ++c) {
+    for (const auto& e : dag.inEdges(c)) {
+      EXPECT_GE(s.of(c).start, s.of(e.from).finish - 1e-9);
+    }
   }
 }
 
@@ -292,8 +337,10 @@ TEST_P(HeuristicSweep, SchedulesAreValidAcrossRandomDags) {
        {Heuristic::kMinMin, Heuristic::kMaxMin, Heuristic::kSufferage}) {
     const auto s = ws.schedule(dag, h);
     EXPECT_EQ(s.assignments.size(), dag.size());
-    for (const auto& e : dag.edges()) {
-      EXPECT_GE(s.of(e.to).start, s.of(e.from).finish - 1e-9);
+    for (ComponentId c = 0; c < dag.size(); ++c) {
+      for (const auto& e : dag.inEdges(c)) {
+        EXPECT_GE(s.of(c).start, s.of(e.from).finish - 1e-9);
+      }
     }
     // No resource runs two components at once.
     std::map<grid::NodeId, std::vector<std::pair<double, double>>> spans;
