@@ -24,7 +24,10 @@ struct AnnealingStats {
 };
 
 /// Returns a schedule at least as good as min-min on the same estimator
-/// (annealing never returns a state worse than its greedy seed).
+/// (annealing never returns a state worse than its greedy seed). A state is
+/// the min-min schedule's assignments with some nodes moved; it keeps the
+/// min-min pick order, and evaluateMapping scores it in that order, so the
+/// seed scores exactly min-min's makespan.
 Schedule scheduleSimulatedAnnealing(const Dag& dag, const Estimator& estimator,
                                     const std::vector<grid::NodeId>& resources,
                                     AnnealingOptions options = {},

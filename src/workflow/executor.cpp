@@ -30,6 +30,9 @@ struct WorkflowExecutor::RunState {
   ExecutionOptions options;
   std::vector<grid::NodeId> placement;          // current target per component
   std::vector<grid::NodeId> initialPlacement;
+  // Pick order of the schedule last adopted: placement is scored in it, as
+  // component ids need not be a dependency order.
+  std::vector<ComponentId> order;
   std::vector<std::unique_ptr<sim::Event>> done;
   std::vector<bool> started;
   std::vector<ComponentRun> runs;
@@ -157,7 +160,7 @@ void WorkflowExecutor::rescheduleUnstarted(const Dag& dag, RunState& state) {
   // Estimate both placements under the current estimator; adopt the new one
   // only if it wins by the configured margin.
   std::vector<Assignment> current;
-  for (ComponentId c = 0; c < dag.size(); ++c) {
+  for (const ComponentId c : state.order) {
     Assignment a;
     a.component = c;
     a.node = state.placement[c];
@@ -174,7 +177,9 @@ void WorkflowExecutor::rescheduleUnstarted(const Dag& dag, RunState& state) {
   if (newCost * kImproveMargin >= curCost) return;
 
   int changed = 0;
+  state.order.clear();
   for (const auto& a : fresh.assignments) {
+    state.order.push_back(a.component);
     if (!state.started[a.component] &&
         state.placement[a.component] != a.node) {
       state.placement[a.component] = a.node;
@@ -216,6 +221,7 @@ sim::Task WorkflowExecutor::execute(const Dag& dag, ExecutionOptions options,
   state.placement.assign(dag.size(), grid::kNoId);
   for (const auto& a : initial.assignments) {
     state.placement[a.component] = a.node;
+    state.order.push_back(a.component);
   }
   state.initialPlacement = state.placement;
 

@@ -537,31 +537,33 @@ Schedule scheduleRoundRobin(const Dag& dag, const Estimator& estimator,
 
 Schedule evaluateMapping(const Dag& dag, const Estimator& truth,
                          const std::vector<Assignment>& mapping) {
-  std::map<ComponentId, grid::NodeId> nodeOf;
-  for (const auto& a : mapping) nodeOf[a.component] = a.node;
-  GRADS_REQUIRE(nodeOf.size() == dag.size(),
+  GRADS_REQUIRE(mapping.size() == dag.size(),
                 "evaluateMapping: mapping does not cover the DAG");
-
   Schedule out;
+  std::vector<grid::NodeId> nodeOf(dag.size(), grid::kNoId);
   std::map<grid::NodeId, double> avail;
   std::vector<double> finish(dag.size(), 0.0);
-  for (const ComponentId c : dag.topologicalOrder()) {
-    const grid::NodeId node = nodeOf.at(c);
+  for (Assignment a : mapping) {
+    const ComponentId c = a.component;
+    GRADS_REQUIRE(c < dag.size() && nodeOf[c] == grid::kNoId,
+                  "evaluateMapping: mapping does not cover the DAG");
     double readyAt = 0.0;
-    double cost = truth.ecost(dag.component(c), node);
+    double cost = truth.ecost(dag.component(c), a.node);
     GRADS_REQUIRE(cost != kInfeasible,
                   "evaluateMapping: infeasible placement for " +
                       dag.component(c).name);
     for (const auto& edge : dag.inEdges(c)) {
+      GRADS_REQUIRE(nodeOf[edge.from] != grid::kNoId,
+                    "evaluateMapping: " + dag.component(c).name +
+                        " is mapped before its input " +
+                        dag.component(edge.from).name);
       readyAt = std::max(readyAt, finish[edge.from]);
-      cost += truth.transferCost(nodeOf.at(edge.from), node, edge.bytes);
+      cost += truth.transferCost(nodeOf[edge.from], a.node, edge.bytes);
     }
-    Assignment a;
-    a.component = c;
-    a.node = node;
-    a.start = std::max(avail[node], readyAt);
+    nodeOf[c] = a.node;
+    a.start = std::max(avail[a.node], readyAt);
     a.finish = a.start + cost;
-    avail[node] = a.finish;
+    avail[a.node] = a.finish;
     finish[c] = a.finish;
     out.assignments.push_back(a);
     out.makespan = std::max(out.makespan, a.finish);

@@ -113,6 +113,10 @@ Schedule scheduleRoundRobin(const Dag& dag, const Estimator& estimator,
 /// Recomputes start/finish/makespan of a fixed mapping under a (possibly
 /// different, e.g. ground-truth) estimator, respecting dependences and
 /// resource serialization. Used to score NWS-informed schedules honestly.
+/// Walks `mapping` in its given order, so components that share a node run
+/// in that order, and returns the assignments in it; every input of a
+/// component must be mapped before it (InvalidArgument otherwise). Re-scoring
+/// a schedule under the estimator that made it reproduces it exactly.
 Schedule evaluateMapping(const Dag& dag, const Estimator& truth,
                          const std::vector<Assignment>& mapping);
 

@@ -311,7 +311,22 @@ TEST(Scheduler, EvaluateMappingReproducesScheduleCosts) {
   WorkflowScheduler ws(*f.truth, f.allNodes());
   const auto s = ws.schedule(dag, Heuristic::kMinMin);
   const auto replay = evaluateMapping(dag, *f.truth, s.assignments);
-  EXPECT_NEAR(replay.makespan, s.makespan, 1e-6 * s.makespan);
+  EXPECT_EQ(replay.makespan, s.makespan);
+}
+
+// Components that share a node run in the mapping's order, not in id order,
+// and an input mapped after its consumer is rejected.
+TEST(Scheduler, EvaluateMappingFollowsMappingOrder) {
+  Fixture f;
+  Dag dag = makeFanOutIn(2, 1e10, kMB);  // 0 -> {1, 2} -> 3
+  const grid::NodeId n = f.tb.utkNodes[0];
+  const auto s = evaluateMapping(dag, *f.truth, {{0, n}, {2, n}, {1, n}, {3, n}});
+  ASSERT_EQ(s.assignments.size(), 4u);
+  EXPECT_EQ(s.assignments[1].component, 2u);
+  EXPECT_EQ(s.assignments[2].component, 1u);
+  EXPECT_EQ(s.of(2).finish, s.of(1).start);
+  EXPECT_THROW(evaluateMapping(dag, *f.truth, {{0, n}, {3, n}, {1, n}, {2, n}}),
+               InvalidArgument);
 }
 
 TEST(Scheduler, RankMatrixMatchesDefinition) {
@@ -353,6 +368,19 @@ TEST_P(HeuristicSweep, SchedulesAreValidAcrossRandomDags) {
         EXPECT_LE(v[i].second, v[i + 1].first + 1e-9);
       }
     }
+    // Re-scored under the estimator that made it, the schedule comes back
+    // exactly: same picks, nodes, times and makespan.
+    const auto replay = evaluateMapping(dag, *f.truth, s.assignments);
+    ASSERT_EQ(replay.assignments.size(), s.assignments.size());
+    for (std::size_t i = 0; i < s.assignments.size(); ++i) {
+      const Assignment& a = s.assignments[i];
+      const Assignment& b = replay.assignments[i];
+      EXPECT_EQ(b.component, a.component) << heuristicName(h) << " pick " << i;
+      EXPECT_EQ(b.node, a.node) << heuristicName(h) << " pick " << i;
+      EXPECT_EQ(b.start, a.start) << heuristicName(h) << " pick " << i;
+      EXPECT_EQ(b.finish, a.finish) << heuristicName(h) << " pick " << i;
+    }
+    EXPECT_EQ(replay.makespan, s.makespan) << heuristicName(h);
   }
 }
 
