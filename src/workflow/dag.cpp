@@ -75,6 +75,7 @@ std::vector<ComponentId> Dag::addParallelStage(
     c.flops = prototype.flops / count;
     c.outputBytes = prototype.outputBytes / count;
     const ComponentId id = add(std::move(c));
+    inEdges_[id].reserve(preds.size());
     for (const auto p : preds) addEdge(p, id, bytesFromEachPred / count);
     ids.push_back(id);
   }
