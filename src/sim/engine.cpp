@@ -10,11 +10,13 @@ struct Engine::RootProcess {
   Task::Handle handle;
   std::string name;
   Engine* engine = nullptr;
-  bool finished = false;
+  std::list<RootProcess>::iterator pos;
 
+  // Runs inside the frame's final suspend, so the frame cannot be destroyed
+  // here: popAndFire erases the root once the event's callback returns.
   static void onDone(void* ctx, std::exception_ptr error) {
     auto* self = static_cast<RootProcess*>(ctx);
-    self->finished = true;
+    self->engine->finished_.push_back(self->pos);
     if (error) {
       self->engine->failures_.push_back(error);
       GRADS_ERROR("sim", self->engine->now())
@@ -30,8 +32,9 @@ struct Engine::RootProcess {
 Engine::Engine() = default;
 
 Engine::~Engine() {
-  // Destroy remaining root frames before the node pool (queued resumes may
-  // point into frames; they are never invoked after destruction).
+  // Destroy remaining root frames, in spawn order, before the node pool
+  // (queued resumes may point into frames; they are never invoked after
+  // destruction).
   roots_.clear();
 }
 
@@ -167,6 +170,9 @@ bool Engine::popAndFire() {
     }
   } guard{this, index};
   node.fn();
+  // Free the roots that finished in this event.
+  for (const auto it : finished_) roots_.erase(it);
+  finished_.clear();
   return true;
 }
 
@@ -175,7 +181,6 @@ void Engine::run() {
   while (!queue_.empty() && nonDaemonPending_ > 0 && !stopped_) {
     popAndFire();
   }
-  reapFinished();
   rethrowIfFailed();
 }
 
@@ -186,7 +191,6 @@ void Engine::runUntil(Time t) {
     popAndFire();
   }
   if (!stopped_) now_ = t;
-  reapFinished();
   rethrowIfFailed();
 }
 
@@ -196,31 +200,17 @@ std::size_t Engine::pendingEvents() const {
 
 void Engine::spawn(Task task, std::string name) {
   GRADS_REQUIRE(task.valid(), "Engine::spawn: invalid task");
-  auto root = std::make_unique<RootProcess>();
-  root->handle = task.release();
-  root->name = std::move(name);
-  root->engine = this;
-  auto& promise = root->handle.promise();
+  RootProcess& root = roots_.emplace_back();
+  root.pos = std::prev(roots_.end());
+  root.handle = task.release();
+  root.name = std::move(name);
+  root.engine = this;
+  auto& promise = root.handle.promise();
   promise.detachedDone = &RootProcess::onDone;
-  promise.detachedCtx = root.get();
+  promise.detachedCtx = &root;
   // First resume happens as an ordinary event so spawn order == start order.
-  auto h = root->handle;
+  auto h = root.handle;
   schedule(0.0, [h] { h.resume(); });
-  roots_.push_back(std::move(root));
-}
-
-std::size_t Engine::liveProcesses() const {
-  std::size_t n = 0;
-  for (const auto& r : roots_) {
-    if (!r->finished) ++n;
-  }
-  return n;
-}
-
-void Engine::reapFinished() {
-  std::erase_if(roots_, [](const std::unique_ptr<RootProcess>& r) {
-    return r->finished;
-  });
 }
 
 void Engine::rethrowIfFailed() {

@@ -4,6 +4,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,9 @@ class Task;
 ///
 /// Coroutine processes (sim::Task) are spawned onto the engine and interact
 /// with virtual time through awaitables (sleep, Event, Gate, PsResource).
+/// A root process's frame is destroyed at the end of the event in which it
+/// finishes, so a run holds only its live processes, not every one it ever
+/// spawned.
 class Engine {
  public:
   Engine();
@@ -109,12 +113,13 @@ class Engine {
   std::size_t poolSize() const { return poolSize_; }
   std::size_t freePoolNodes() const { return freeCount_; }
 
-  /// Spawns a detached coroutine process; the engine owns it. The first
-  /// resume happens as a normal event at the current time.
+  /// Spawns a detached coroutine process; the engine owns it until the end
+  /// of the event in which it finishes. The first resume happens as a normal
+  /// event at the current time.
   void spawn(Task task, std::string name = "");
 
   /// Number of spawned root processes that have not yet completed.
-  std::size_t liveProcesses() const;
+  std::size_t liveProcesses() const { return roots_.size() - finished_.size(); }
 
   /// If a detached process terminated with an exception, rethrows the first
   /// one recorded. Called automatically at the end of run().
@@ -228,8 +233,6 @@ class Engine {
     std::size_t head_ = 0;
   };
 
-  void reapFinished();
-
   EventHandle scheduleItem(const char* caller, Time t, InlineFn fn,
                            bool daemon);
   std::uint32_t acquireNode(InlineFn fn, bool daemon);
@@ -265,8 +268,13 @@ class Engine {
   std::uint32_t freeHead_ = kNilNode;
   EventQueue queue_;
 
+  /// Root processes in spawn order. List nodes do not move, so a frame's
+  /// promise can point at its root; each root keeps its own position, and
+  /// the roots that finished in the current event wait in finished_ until
+  /// popAndFire erases them, in O(1) each.
   struct RootProcess;
-  std::vector<std::unique_ptr<RootProcess>> roots_;
+  std::list<RootProcess> roots_;
+  std::vector<std::list<RootProcess>::iterator> finished_;
   std::vector<std::exception_ptr> failures_;
 
   friend class Task;

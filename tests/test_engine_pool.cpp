@@ -2,11 +2,12 @@
 // order captured from the pre-pool queue, a seeded (t, key) order oracle
 // over more than 10,000 events, eager cancellation keepalive
 // semantics, handle staleness across node recycling, live pending-event
-// accounting, and high-volume pool churn (the ASan CI leg runs this file to
-// catch node lifetime bugs).
+// accounting, and high-volume pool and process churn (the ASan CI leg runs
+// this file to catch node and frame lifetime bugs).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
@@ -16,6 +17,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/inline_fn.hpp"
+#include "sim/task.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -385,6 +387,38 @@ TEST(EnginePool, MillionEventChurn) {
   // Recycling keeps the pool bounded by one wave's high-water mark
   // (kPerWave events plus the sentinel).
   EXPECT_LE(eng.poolSize(), static_cast<std::size_t>(kPerWave) + 1);
+}
+
+sim::Task holdToken(sim::Engine& eng,
+                    [[maybe_unused]] std::shared_ptr<int> token, double dt) {
+  co_await sim::sleepFor(eng, dt);
+}
+
+// One run spawns 20,000 short-lived roots, kAlive at a time, each holding a
+// copy of one token. Frames are freed as their roots finish, so no probe
+// ever sees more than the live roots' copies and the test's own.
+TEST(EnginePool, SpawnChurnHoldsOnlyLiveProcesses) {
+  constexpr int kRoots = 20000;
+  constexpr int kAlive = 8;
+  sim::Engine eng;
+  auto token = std::make_shared<int>(0);
+  long worst = 0;
+  const auto probe = [&token, &worst] {
+    worst = std::max(worst, token.use_count());
+  };
+  for (int wave = 0; wave < kRoots / kAlive; ++wave) {
+    // A wave starts at a whole second and finishes half a second later.
+    const double t = static_cast<double>(wave);
+    eng.scheduleAt(t, [&eng, &token] {
+      for (int i = 0; i < kAlive; ++i) eng.spawn(holdToken(eng, token, 0.5));
+    });
+    eng.scheduleAt(t + 0.25, probe);
+    eng.scheduleAt(t + 0.75, probe);
+  }
+  eng.run();
+  EXPECT_EQ(worst, kAlive + 1);
+  EXPECT_EQ(eng.liveProcesses(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // An InlineFn that owns heap state (shared_ptr capture) must be destroyed

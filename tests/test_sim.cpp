@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -225,6 +227,72 @@ TEST(Sync, JoinSetWaitsForSlowestChild) {
   eng.spawn(joinSetDriver(eng, &doneAt));
   eng.run();
   EXPECT_EQ(doneAt, 3.0);
+}
+
+// Holds `token` in its frame until it finishes, `dt` seconds after it starts.
+Task holdToken(Engine& eng, [[maybe_unused]] std::shared_ptr<int> token,
+               double dt) {
+  co_await sleepFor(eng, dt);
+}
+
+Task joinLate(Engine& eng, std::shared_ptr<int> token) {
+  JoinSet js(eng);
+  js.spawn(holdToken(eng, std::move(token), 1.0));
+  co_await sleepFor(eng, 3.0);
+  co_await js.join();
+}
+
+// Suspends until the test resumes it by hand, from inside an event.
+struct ParkHere {
+  std::coroutine_handle<>* slot;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { *slot = h; }
+  void await_resume() const noexcept {}
+};
+
+Task parkThenFinish(std::coroutine_handle<>* slot) { co_await ParkHere{slot}; }
+
+TEST(Engine, FinishedRootIsFreedDuringTheRun) {
+  {
+    Engine eng;
+    auto token = std::make_shared<int>(0);
+    eng.spawn(holdToken(eng, token, 1.0));
+    long seen = -1;
+    eng.schedule(2.0, [&] { seen = token.use_count(); });
+    eng.run();
+    EXPECT_EQ(seen, 1);
+  }
+  {
+    // The token sits in a JoinSet child, whose parent is still sleeping.
+    Engine eng;
+    auto token = std::make_shared<int>(0);
+    eng.spawn(joinLate(eng, token));
+    long seen = -1;
+    eng.schedule(2.0, [&] { seen = token.use_count(); });
+    eng.run();
+    EXPECT_EQ(seen, 1);
+  }
+  {
+    // Read inside the event that finished a root, and between two finishes.
+    Engine eng;
+    std::coroutine_handle<> a;
+    std::coroutine_handle<> b;
+    eng.spawn(parkThenFinish(&a));
+    eng.spawn(parkThenFinish(&b));
+    std::vector<std::size_t> live;
+    eng.schedule(1.0, [&] {
+      live.push_back(eng.liveProcesses());
+      a.resume();
+      live.push_back(eng.liveProcesses());
+    });
+    eng.schedule(2.0, [&] { live.push_back(eng.liveProcesses()); });
+    eng.schedule(3.0, [&] {
+      b.resume();
+      live.push_back(eng.liveProcesses());
+    });
+    eng.run();
+    EXPECT_EQ(live, (std::vector<std::size_t>{2, 1, 1, 0}));
+  }
 }
 
 Task consumeTask(PsResource& r, double work, double* doneAt) {
