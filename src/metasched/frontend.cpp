@@ -274,14 +274,13 @@ void MetaScheduler::pump() {
          (queuedTotal_ == 0 || !opts_.brownout.enabled ||
           brownout_.level() < BrownoutLevel::kPark)) {
     // Highest tier first, then longest parked, then lowest key.
-    JobKey pick = *parked_.begin();
-    const Job* best = &jobs_.at(pick);
-    for (const JobKey key : parked_) {
-      const Job& job = jobs_.at(key);
-      if (job.tier > best->tier ||
-          (job.tier == best->tier && job.parkedAt < best->parkedAt)) {
+    JobKey pick = parked_.begin()->first;
+    const Job* best = parked_.begin()->second;
+    for (const auto& [key, job] : parked_) {
+      if (job->tier > best->tier ||
+          (job->tier == best->tier && job->parkedAt < best->parkedAt)) {
         pick = key;
-        best = &job;
+        best = job;
       }
     }
     unpark(pick);
@@ -358,7 +357,7 @@ void MetaScheduler::dispatchJob(JobKey key) {
   ++ledgers_[jobTenant(key)].dispatched;
   integrateBusy();
   ++busyCount_;
-  running_.insert(key);
+  running_.emplace(key, &job);
   auto ctrl = std::make_shared<JobControl>(engine(), /*gateOpen=*/true);
   ctrl->slot->node = node;
   controls_[key] = ctrl;
@@ -494,8 +493,8 @@ void MetaScheduler::maybePreempt() {
     JobKey victim = 0;
     int vTier = 0;
     double vStart = 0.0;
-    for (const JobKey key : running_) {
-      const Job& job = jobs_.at(key);
+    for (const auto& [key, jobPtr] : running_) {
+      const Job& job = *jobPtr;
       if (job.tier >= reqTier) continue;
       const auto cit = controls_.find(key);
       if (cit == controls_.end() || cit->second->parkPending) continue;
@@ -550,7 +549,7 @@ void MetaScheduler::onParkedAtGate(JobKey key,
   integrateBusy();
   --busyCount_;
   running_.erase(key);
-  parked_.insert(key);
+  parked_.emplace(key, &job);
   freeSlots_.push_back(job.node);
   job.node = grid::kNoId;
   fire("park");
@@ -568,7 +567,7 @@ void MetaScheduler::unpark(JobKey key) {
   ctrl->slot->node = node;
   integrateBusy();
   ++busyCount_;
-  running_.insert(key);
+  running_.emplace(key, &job);
   parked_.erase(key);
   ++ledgers_[jobTenant(key)].unparked;
   fire("unpark");
@@ -805,9 +804,13 @@ void MetaScheduler::decodeState(core::SnapshotReader& r) {
   }
   running_.clear();
   parked_.clear();
-  for (const auto& [key, job] : jobs_) {
-    if (job.state == JobState::kRunning) running_.insert(running_.end(), key);
-    if (job.state == JobState::kParked) parked_.insert(parked_.end(), key);
+  for (auto& [key, job] : jobs_) {
+    if (job.state == JobState::kRunning) {
+      running_.emplace_hint(running_.end(), key, &job);
+    }
+    if (job.state == JobState::kParked) {
+      parked_.emplace_hint(parked_.end(), key, &job);
+    }
   }
   pendingParks_ = 0;
   controls_.clear();

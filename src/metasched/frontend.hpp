@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -301,10 +300,11 @@ class MetaScheduler : public core::Snapshottable {
   // grads: transient(runtime stop-handles, cleared on decode - journal recovery rolls their actions back)
   std::map<JobKey, std::shared_ptr<JobControl>> controls_;
   std::vector<grid::NodeId> freeSlots_;
-  /// Keys of the kRunning and kParked jobs, in key order: the victim search
-  /// and the unpark pick walk these instead of the whole backlog.
-  std::set<JobKey> running_;  // grads: transient(derived index, rebuilt from jobs_ on decode)
-  std::set<JobKey> parked_;   // grads: transient(derived index, rebuilt from jobs_ on decode)
+  /// The kRunning and kParked jobs, in key order: the victim search and the
+  /// unpark pick walk these instead of the whole backlog. Each points into
+  /// jobs_ (map nodes do not move); a key leaves here before it leaves jobs_.
+  std::map<JobKey, Job*> running_;  // grads: transient(derived index, rebuilt from jobs_ on decode)
+  std::map<JobKey, Job*> parked_;   // grads: transient(derived index, rebuilt from jobs_ on decode)
 
   std::int64_t queuedTotal_ = 0;   // grads: transient(derived gauge, rebuilt from queues_ on decode)
   double queuedFlops_ = 0.0;       // grads: transient(derived gauge, rebuilt from queues_ on decode)
