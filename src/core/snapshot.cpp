@@ -1,6 +1,7 @@
 #include "core/snapshot.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/hash.hpp"
@@ -172,11 +173,9 @@ const SnapshotSection* SnapshotImage::findSection(
 
 namespace {
 
-void appendWord(std::vector<std::uint8_t>& out, std::uint64_t w) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((w >> (8 * i)) & 0xff));
-  }
-}
+// Image words are little-endian; serialize and parse copy them as host words.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot images assume a little-endian host");
 
 class WordCursor {
  public:
@@ -187,16 +186,20 @@ class WordCursor {
   }
 
   std::uint64_t next(const char* what) {
-    if (pos_ + 8 > bytes_->size()) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, take(what, 1), 8);
+    return w;
+  }
+
+  /// The next `n` words as bytes, consumed.
+  const std::uint8_t* take(const char* what, std::uint64_t n) {
+    if (n > (bytes_->size() - pos_) / 8) {
       throw SnapshotError(std::string("snapshot image truncated reading ") +
                           what);
     }
-    std::uint64_t w = 0;
-    for (int i = 0; i < 8; ++i) {
-      w |= static_cast<std::uint64_t>((*bytes_)[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return w;
+    const std::uint8_t* p = bytes_->data() + pos_;
+    pos_ += 8 * n;
+    return p;
   }
 
   bool done() const { return pos_ == bytes_->size(); }
@@ -220,39 +223,42 @@ class WordCursor {
 }  // namespace
 
 std::vector<std::uint8_t> SnapshotImage::serialize() const {
-  std::vector<std::uint8_t> out;
-  appendWord(out, kMagic);
-  appendWord(out, kFormatVersion);
-  appendWord(out, f64Bits(simTime));
-  appendWord(out, sections_.size());
+  // Header (magic, format, sim time, section count) and the image checksum,
+  // then per section its name length, version, word count and checksum
+  // around the name words and the payload.
+  std::size_t words = 5;
   for (const auto& s : sections_) {
-    appendWord(out, s.name.size());
-    const std::uint64_t nameWords = wordsFor(s.name.size());
-    for (std::size_t i = 0; i < nameWords; ++i) {
-      std::uint64_t w = 0;
-      const std::size_t n = std::min<std::size_t>(8, s.name.size() - i * 8);
-      std::memcpy(&w, s.name.data() + i * 8, n);
-      appendWord(out, w);
-    }
-    appendWord(out, s.version);
-    appendWord(out, s.words.size());
-    for (std::uint64_t w : s.words) appendWord(out, w);
-    appendWord(out, s.checksum());
+    words += 4 + wordsFor(s.name.size()) + s.words.size();
   }
-  appendWord(out, util::fnv1a64(out.data(), out.size()));
+  std::vector<std::uint8_t> out(8 * words);  // zeros pad each name
+  std::uint8_t* p = out.data();
+  const auto put = [&p](std::uint64_t w) {
+    std::memcpy(p, &w, 8);
+    p += 8;
+  };
+  put(kMagic);
+  put(kFormatVersion);
+  put(f64Bits(simTime));
+  put(sections_.size());
+  for (const auto& s : sections_) {
+    put(s.name.size());
+    std::memcpy(p, s.name.data(), s.name.size());
+    p += 8 * wordsFor(s.name.size());
+    put(s.version);
+    put(s.words.size());
+    if (!s.words.empty()) std::memcpy(p, s.words.data(), 8 * s.words.size());
+    p += 8 * s.words.size();
+    put(s.checksum());
+  }
+  put(util::fnv1a64(out.data(), out.size() - 8));
   return out;
 }
 
 SnapshotImage SnapshotImage::parse(const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() < 8) throw SnapshotError("snapshot image too short");
   // Whole-image checksum covers everything before the trailing word.
-  const std::uint64_t stored = [&] {
-    std::uint64_t w = 0;
-    for (int i = 0; i < 8; ++i) {
-      w |= static_cast<std::uint64_t>(bytes[bytes.size() - 8 + i]) << (8 * i);
-    }
-    return w;
-  }();
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - 8, 8);
   if (util::fnv1a64(bytes.data(), bytes.size() - 8) != stored) {
     throw SnapshotError("snapshot image checksum mismatch (corrupt image)");
   }
@@ -276,18 +282,13 @@ SnapshotImage SnapshotImage::parse(const std::vector<std::uint8_t>& bytes) {
     const std::uint64_t nameWords =
         cur.fits("section name length", wordsFor(nameLen));
     sec.name.resize(nameLen);
-    for (std::size_t j = 0; j < nameWords; ++j) {
-      const std::uint64_t w = cur.next("section name");
-      const std::size_t n = std::min<std::size_t>(8, nameLen - j * 8);
-      std::memcpy(sec.name.data() + j * 8, &w, n);
-    }
+    std::memcpy(sec.name.data(), cur.take("section name", nameWords), nameLen);
     sec.version = static_cast<std::uint32_t>(cur.next("section version"));
     const std::uint64_t nWords =
         cur.fits("section word count", cur.next("section word count"));
-    sec.words.reserve(nWords);
-    for (std::uint64_t j = 0; j < nWords; ++j) {
-      sec.words.push_back(cur.next("section payload"));
-    }
+    sec.words.resize(nWords);
+    const std::uint8_t* payload = cur.take("section payload", nWords);
+    if (nWords > 0) std::memcpy(sec.words.data(), payload, 8 * nWords);
     const std::uint64_t sum = cur.next("section checksum");
     if (sec.checksum() != sum) {
       throw SnapshotError("checksum mismatch in snapshot section '" +
