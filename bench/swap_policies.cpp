@@ -49,7 +49,6 @@ double runScenario(const Scenario& sc, reschedule::SwapPolicy policy,
 
   reschedule::SwapConfig scfg;
   scfg.policy = policy;
-  scfg.checkPeriodSec = 10.0;
   scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
   scfg.messagesPerIteration = 4.0;
   reschedule::SwapManager swap(world, pool, &nws, scfg);

@@ -1,5 +1,6 @@
 #include "core/app_manager.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <numeric>
 #include <set>
@@ -163,6 +164,21 @@ sim::Task AppManager::run(const Cop& cop,
       journal != nullptr ? journal->rolledBackFor(cop.name) : 0;
   std::vector<grid::NodeId> priorMapping;
   bool rollbackToPrior = false;
+  // Rolls the app's open action, if any, back and asks the next launch to
+  // relaunch on the action's prior mapping.
+  auto rollBackOpenAction = [&](const char* why) {
+    if (journal == nullptr) return;
+    if (const auto* rec = journal->openAction(cop.name)) {
+      priorMapping = rec->prior;
+      rollbackToPrior = true;
+      journal->rollback(rec->id, why);
+    }
+  };
+  auto allReachable = [this](const std::vector<grid::NodeId>& nodes) {
+    return std::all_of(nodes.begin(), nodes.end(), [this](grid::NodeId n) {
+      return gis_->isNodeReachable(n);
+    });
+  };
 
   // The contract monitor persists across incarnations (its terms are
   // updated after each migration).
@@ -234,11 +250,7 @@ sim::Task AppManager::run(const Cop& cop,
       // A journaled action rolled back: resume on the pre-action nodes, not
       // on whatever the mapper likes today — that choice is what just
       // failed. Only if a prior node died too do we fall through.
-      bool priorUp = true;
-      for (const auto n : priorMapping) {
-        priorUp = priorUp && gis_->isNodeReachable(n);
-      }
-      if (priorUp) {
+      if (allReachable(priorMapping)) {
         mapping = priorMapping;
         GRADS_INFO("app-manager", eng.now())
             << cop.name
@@ -259,11 +271,7 @@ sim::Task AppManager::run(const Cop& cop,
         // forks validated instead of re-running selection — unless a pinned
         // node has since gone dark, in which case the pin is void and the
         // mapper chooses fresh.
-        bool pinnedUp = true;
-        for (const auto n : rec->target) {
-          pinnedUp = pinnedUp && gis_->isNodeReachable(n);
-        }
-        if (pinnedUp) {
+        if (allReachable(rec->target)) {
           mapping = rec->target;
           GRADS_INFO("app-manager", eng.now())
               << cop.name << ": pinned action #" << rec->id
@@ -325,15 +333,9 @@ sim::Task AppManager::run(const Cop& cop,
       breakdown.perfModeling.pop_back();
       breakdown.mappings.pop_back();
       ++breakdown.launchFailures;
-      if (journal != nullptr) {
-        if (const auto* rec = journal->openAction(cop.name)) {
-          // The target mapping is unusable (a node died between selection
-          // and bind): abort the migration and relaunch on the old nodes.
-          priorMapping = rec->prior;
-          rollbackToPrior = true;
-          journal->rollback(rec->id, "bind failed on target mapping");
-        }
-      }
+      // The target mapping is unusable (a node died between selection and
+      // bind): abort the migration and relaunch on the old nodes.
+      rollBackOpenAction("bind failed on target mapping");
       const auto delay = launchRetry.nextDelaySec();
       if (!delay) std::rethrow_exception(bindError);
       co_await sim::sleepFor(eng, *delay);
@@ -518,15 +520,9 @@ sim::Task AppManager::run(const Cop& cop,
       break;
     }
     if (ctx.restoreFailed) {
-      if (journal != nullptr) {
-        if (const auto* rec = journal->openAction(cop.name)) {
-          // Fault in the commit phase before the commit point: the restore
-          // onto the target died. Roll back and relaunch on the old nodes.
-          priorMapping = rec->prior;
-          rollbackToPrior = true;
-          journal->rollback(rec->id, "restore failed on target mapping");
-        }
-      }
+      // Fault in the commit phase before the commit point: the restore onto
+      // the target died. Roll back and relaunch on the old nodes.
+      rollBackOpenAction("restore failed on target mapping");
       // The incarnation aborted because its checkpoint turned unreadable
       // between the pre-flight and the read (depot flapping). Retry the
       // restore a bounded number of times, then cut losses and restart
@@ -554,25 +550,17 @@ sim::Task AppManager::run(const Cop& cop,
     // only the last *periodic* one (possibly none — restart from scratch).
     restored = rss.hasCheckpoint();
     resumePhase = restored ? rss.storedIteration() : 0;
-    if (journal != nullptr) {
-      if (const auto* rec = journal->openAction(cop.name)) {
-        // Prepare validation: the action may enter its commit phase only if
-        // this incarnation left a complete, published stop checkpoint and
-        // no fault hit while it was being taken.
-        const bool checkpointGood =
-            rss.hasCheckpoint() &&
-            (!options.verifyCheckpoints ||
-             rss.manifestComplete(rss.incarnation()));
-        if (rss.failureSignaled()) {
-          priorMapping = rec->prior;
-          rollbackToPrior = true;
-          journal->rollback(rec->id, "node failure during action");
-        } else if (!checkpointGood) {
-          priorMapping = rec->prior;
-          rollbackToPrior = true;
-          journal->rollback(rec->id, "stop checkpoint incomplete");
-        }
-      }
+    // Prepare validation: an open action may enter its commit phase only
+    // if this incarnation left a complete, published stop checkpoint and no
+    // fault hit while it was being taken.
+    const bool checkpointGood =
+        rss.hasCheckpoint() &&
+        (!options.verifyCheckpoints ||
+         rss.manifestComplete(rss.incarnation()));
+    if (rss.failureSignaled()) {
+      rollBackOpenAction("node failure during action");
+    } else if (!checkpointGood) {
+      rollBackOpenAction("stop checkpoint incomplete");
     }
   }
 

@@ -42,7 +42,7 @@ void FlowRegistry::setLinkCapacity(LinkId link, double capacityBytesPerSec) {
 }
 
 double FlowRegistry::effectiveWeight(TransferClass cls) const {
-  return (pacing_ && cls == TransferClass::kBulk) ? bulkWeight_ : 1.0;
+  return (pacing_ && cls == TransferClass::kBulk) ? kBulkWeight : 1.0;
 }
 
 double FlowRegistry::soloRate(const std::vector<LinkId>& links) const {
@@ -237,32 +237,6 @@ double FlowRegistry::linkUtilization(LinkId link) const {
   return std::clamp(allocated / cap, 0.0, 1.0);
 }
 
-double FlowRegistry::linkQueuePressure(LinkId link) const {
-  GRADS_REQUIRE(link < links_.size(),
-                "FlowRegistry::linkQueuePressure: unknown link");
-  const double cap = links_[link].capacity;
-  if (cap <= 0.0) return 0.0;
-  double offered = 0.0;
-  for (const auto& f : flows_) {
-    if (std::find(f.links.begin(), f.links.end(), link) != f.links.end()) {
-      offered += std::min(soloRate(f.links), cap);
-    }
-  }
-  return std::max(0.0, (offered - cap) / cap);
-}
-
-std::size_t FlowRegistry::linkActiveFlows(LinkId link) const {
-  GRADS_REQUIRE(link < links_.size(),
-                "FlowRegistry::linkActiveFlows: unknown link");
-  std::size_t n = 0;
-  for (const auto& f : flows_) {
-    if (std::find(f.links.begin(), f.links.end(), link) != f.links.end()) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 void FlowRegistry::setSharingMode(SharingMode mode) {
   if (mode == mode_) return;
   advance();
@@ -275,19 +249,6 @@ void FlowRegistry::setPacingEnabled(bool enabled) {
   if (enabled == pacing_) return;
   advance();
   pacing_ = enabled;
-  solve();
-  replan();
-}
-
-void FlowRegistry::setBulkWeight(double weight) {
-  int exp = 0;
-  GRADS_REQUIRE(weight > 0.0 && weight <= 1.0 &&
-                    std::frexp(weight, &exp) == 0.5,
-                "FlowRegistry::setBulkWeight: weight must be a power of two "
-                "in (0, 1] (keeps uncontended bulk rates bit-exact)");
-  if (weight == bulkWeight_) return;
-  advance();
-  bulkWeight_ = weight;
   solve();
   replan();
 }

@@ -74,24 +74,17 @@ class FlowRegistry {
   // --- Congestion gauges (NWS measurement inputs). ---
   /// Fraction of the link's capacity currently allocated to flows [0, 1].
   double linkUtilization(LinkId link) const;
-  /// Offered-load excess: how much more the flows crossing the link could
-  /// use than it can carry, as a fraction of capacity (0 = uncontended;
-  /// n-1 when n unconstrained flows share the link).
-  double linkQueuePressure(LinkId link) const;
-  /// Number of flows currently crossing the link.
-  std::size_t linkActiveFlows(LinkId link) const;
 
   // --- Pacing / sharing configuration. ---
   void setSharingMode(SharingMode mode);
   SharingMode sharingMode() const { return mode_; }
-  /// Pacing on: bulk flows weigh `bulkWeight` against 1.0 for interactive
+  /// Pacing on: bulk flows weigh kBulkWeight against 1.0 for interactive
   /// flows in the max-min solve. Off: every flow weighs 1.0.
   void setPacingEnabled(bool enabled);
   bool pacingEnabled() const { return pacing_; }
-  /// Must be a (possibly negative) power of two in (0, 1] so that a lone
-  /// bulk flow's rate stays bit-identical to an interactive one's.
-  void setBulkWeight(double weight);
-  double bulkWeight() const { return bulkWeight_; }
+  /// A power of two in (0, 1], so that a lone bulk flow's rate stays
+  /// bit-identical to an interactive one's.
+  static constexpr double kBulkWeight = 0.25;
 
   // --- Introspection / stats (benches, snapshot). ---
   std::size_t activeFlows() const { return flows_.size(); }
@@ -112,8 +105,12 @@ class FlowRegistry {
  private:
   template <class Self, class Ar>
   static void snapshotIo(Self& s, Ar& a) {
-    a(s.mode_, s.pacing_, s.bulkWeight_, s.flowsOpened_, s.flowsCompleted_,
-      s.bytesCompleted_, s.solves_, s.peakConcurrent_);
+    a(s.mode_, s.pacing_);
+    a.expect("grid.fabric: snapshot bulk weight does not match the "
+             "rebuilt flow registry",
+             kBulkWeight);
+    a(s.flowsOpened_, s.flowsCompleted_, s.bytesCompleted_, s.solves_,
+      s.peakConcurrent_);
   }
 
   struct LinkState {
@@ -158,7 +155,6 @@ class FlowRegistry {
 
   SharingMode mode_ = SharingMode::kMaxMin;
   bool pacing_ = true;
-  double bulkWeight_ = 0.25;
 
   std::uint64_t flowsOpened_ = 0;
   std::uint64_t flowsCompleted_ = 0;

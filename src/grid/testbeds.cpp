@@ -37,18 +37,6 @@ NodeSpec uiucQrNodeSpec(int index) {
   return s;
 }
 
-NodeSpec utkSwapNodeSpec(int index) {
-  auto s = baseSpec("utk" + std::to_string(index), 550.0, 1, 1.0, 0.45);
-  s.cache = CacheGeometry{512 * 1024, 32, 4};
-  return s;
-}
-
-NodeSpec uiucSwapNodeSpec(int index) {
-  auto s = baseSpec("uiuc" + std::to_string(index), 450.0, 1, 1.0, 0.45);
-  s.cache = CacheGeometry{512 * 1024, 32, 4};
-  return s;
-}
-
 NodeSpec ucsdAthlonSpec(int index) {
   auto s = baseSpec("ucsd" + std::to_string(index), 1700.0, 1, 2.0, 0.40);
   s.cache = CacheGeometry{256 * 1024, 64, 16};
@@ -118,28 +106,6 @@ QrTestbed buildQrTestbed(Grid& grid) {
   // paper's ~420 s).
   grid.connectClusters(tb.utk, tb.uiuc,
                        internetWan("utk-uiuc.wan", 0.011, 1.2 * kMB));
-  return tb;
-}
-
-SwapTestbed buildSwapTestbed(Grid& grid) {
-  SwapTestbed tb;
-  tb.utk =
-      grid.addCluster(ClusterSpec{"utk", "UTK", gigabitLan("utk.lan", 3)});
-  tb.uiuc =
-      grid.addCluster(ClusterSpec{"uiuc", "UIUC", gigabitLan("uiuc.lan", 3)});
-  tb.ucsd =
-      grid.addCluster(ClusterSpec{"ucsd", "UCSD", gigabitLan("ucsd.lan", 1)});
-  for (int i = 0; i < 3; ++i) {
-    tb.utkNodes.push_back(grid.addNode(tb.utk, utkSwapNodeSpec(i)));
-    tb.uiucNodes.push_back(grid.addNode(tb.uiuc, uiucSwapNodeSpec(i)));
-  }
-  tb.ucsdNode = grid.addNode(tb.ucsd, ucsdAthlonSpec(0));
-  grid.connectClusters(tb.utk, tb.uiuc,
-                       internetWan("utk-uiuc.wan", 0.011, 2.0 * kMB));
-  grid.connectClusters(tb.ucsd, tb.utk,
-                       internetWan("ucsd-utk.wan", 0.030, 2.0 * kMB));
-  grid.connectClusters(tb.ucsd, tb.uiuc,
-                       internetWan("ucsd-uiuc.wan", 0.030, 2.0 * kMB));
   return tb;
 }
 

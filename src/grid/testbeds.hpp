@@ -9,9 +9,7 @@ namespace grads::grid {
 /// Node archetypes matching the hardware the paper reports.
 NodeSpec utkQrNodeSpec(int index);    ///< 933 MHz dual-processor Pentium III
 NodeSpec uiucQrNodeSpec(int index);   ///< 450 MHz single-processor Pentium II
-NodeSpec utkSwapNodeSpec(int index);  ///< 550 MHz Pentium II (MicroGrid, §4.2)
-NodeSpec uiucSwapNodeSpec(int index); ///< 450 MHz Pentium II (MicroGrid, §4.2)
-NodeSpec ucsdAthlonSpec(int index);   ///< 1.7 GHz Athlon (MicroGrid, §4.2)
+NodeSpec ucsdAthlonSpec(int index);   ///< 1.7 GHz Athlon (UCSD)
 NodeSpec ia64NodeSpec(int index);     ///< IA-64 node for the EMAN testbed
 
 /// LAN archetypes.
@@ -32,19 +30,6 @@ struct QrTestbed {
   std::vector<NodeId> uiucNodes;
 };
 QrTestbed buildQrTestbed(Grid& grid);
-
-/// §4.2.2 virtual grid: UTK 3×550 MHz P-II, UIUC 3×450 MHz P-II, both on
-/// Gigabit Ethernet internally; one UCSD 1.7 GHz Athlon; 30 ms UCSD↔others,
-/// 11 ms UTK↔UIUC.
-struct SwapTestbed {
-  ClusterId utk = kNoId;
-  ClusterId uiuc = kNoId;
-  ClusterId ucsd = kNoId;
-  std::vector<NodeId> utkNodes;
-  std::vector<NodeId> uiucNodes;
-  NodeId ucsdNode = kNoId;
-};
-SwapTestbed buildSwapTestbed(Grid& grid);
 
 /// §1 MacroGrid: UCSD (10 machines), UTK (two clusters, 24 machines total),
 /// UIUC (two clusters, 24), UH (24).

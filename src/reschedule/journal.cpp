@@ -10,7 +10,6 @@ namespace grads::reschedule {
 const char* actionKindName(ActionKind kind) {
   switch (kind) {
     case ActionKind::kMigrate: return "migrate";
-    case ActionKind::kSwap: return "swap";
     case ActionKind::kPreempt: return "preempt";
   }
   return "?";

@@ -13,10 +13,12 @@
 namespace grads::reschedule {
 
 /// What a journaled rescheduling action does to the application's mapping.
+/// The values are written into snapshot images: tenant-overload's journal
+/// records carry kPreempt, so renumbering it would change every pinned
+/// image. Value 1 is unused.
 enum class ActionKind : std::uint8_t {
-  kMigrate,  ///< stop/migrate/restart through the application manager
-  kSwap,     ///< single-rank process swap through the SwapManager
-  kPreempt,  ///< checkpoint-and-park a victim for the metascheduler
+  kMigrate = 0,  ///< stop/migrate/restart through the application manager
+  kPreempt = 2,  ///< checkpoint-and-park a victim for the metascheduler
 };
 
 /// Transaction state machine of one rescheduling action:
@@ -26,10 +28,10 @@ enum class ActionKind : std::uint8_t {
 ///       └──────────────┴────────► kRolledBack
 ///
 /// Prepare covers everything reversible (decision taken, stop requested,
-/// checkpoint written, target staged); commit is the irreversible handover
-/// (restore on the target / data moved to the new node); finalize closes the
-/// record. A fault in any phase before the commit point resolves the action
-/// as kRolledBack and the application resumes on its prior mapping.
+/// checkpoint written); commit is the irreversible handover (restore on the
+/// target); finalize closes the record. A fault in any phase before the
+/// commit point resolves the action as kRolledBack and the application
+/// resumes on its prior mapping.
 enum class ActionState : std::uint8_t {
   kPrepared,
   kCommitting,

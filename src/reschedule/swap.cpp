@@ -1,6 +1,7 @@
 #include "reschedule/swap.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "util/error.hpp"
@@ -13,6 +14,11 @@ namespace {
 constexpr double kDegradeThreshold = 0.75;
 /// A candidate must beat the slow node's rate by this factor.
 constexpr double kImproveMargin = 1.15;
+/// Virtual seconds between policy evaluations.
+constexpr double kCheckPeriodSec = 10.0;
+/// Per-process working-set size moved on a swap (the data allocation
+/// itself cannot be modified, §4.2.1 — only relocated).
+constexpr double kPerProcessDataBytes = 8.0 * 1024 * 1024;
 }  // namespace
 
 const char* swapPolicyName(SwapPolicy p) {
@@ -59,10 +65,6 @@ double SwapManager::nodeRate(grid::NodeId node) const {
   return avail * n.spec().effectiveFlopsPerCpu();
 }
 
-bool SwapManager::reachable(grid::NodeId node) const {
-  return gis_ == nullptr || gis_->isNodeReachable(node);
-}
-
 std::vector<grid::NodeId> SwapManager::inactiveNodes() const {
   std::set<grid::NodeId> active(world_->mapping().begin(),
                                 world_->mapping().end());
@@ -70,7 +72,7 @@ std::vector<grid::NodeId> SwapManager::inactiveNodes() const {
   for (const auto& c : pending_) active.insert(c.to);
   std::vector<grid::NodeId> out;
   for (const auto n : pool_) {
-    if (active.count(n) == 0 && reachable(n)) out.push_back(n);
+    if (active.count(n) == 0) out.push_back(n);
   }
   return out;
 }
@@ -102,7 +104,6 @@ void SwapManager::enqueue(int rank, grid::NodeId to) {
 }
 
 void SwapManager::evaluate() {
-  if (cfg_.policy == SwapPolicy::kNever) return;
   const auto& mapping = world_->mapping();
 
   switch (cfg_.policy) {
@@ -138,11 +139,7 @@ void SwapManager::evaluate() {
     case SwapPolicy::kPeriodicBest: {
       // Keep the k individually-fastest pool nodes active, ignoring
       // communication structure (the classic strawman).
-      std::vector<grid::NodeId> sorted;
-      for (const auto n : pool_) {
-        if (reachable(n)) sorted.push_back(n);
-      }
-      if (sorted.size() < static_cast<std::size_t>(world_->size())) break;
+      std::vector<grid::NodeId> sorted = pool_;
       std::sort(sorted.begin(), sorted.end(),
                 [this](grid::NodeId a, grid::NodeId b) {
                   return nodeRate(a) > nodeRate(b);
@@ -174,9 +171,7 @@ void SwapManager::evaluate() {
       const std::size_t k = static_cast<std::size_t>(world_->size());
       std::vector<std::vector<grid::NodeId>> candidates{mapping};
       std::map<grid::ClusterId, std::vector<grid::NodeId>> byCluster;
-      for (const auto n : pool_) {
-        if (reachable(n)) byCluster[g.node(n).cluster()].push_back(n);
-      }
+      for (const auto n : pool_) byCluster[g.node(n).cluster()].push_back(n);
       for (auto& [cluster, nodes] : byCluster) {
         (void)cluster;
         if (nodes.size() < k) continue;
@@ -216,7 +211,7 @@ void SwapManager::start() {
 }
 
 void SwapManager::scheduleTick() {
-  world_->engine().scheduleDaemon(cfg_.checkPeriodSec, [this] {
+  world_->engine().scheduleDaemon(kCheckPeriodSec, [this] {
     if (!running_) return;
     evaluate();
     scheduleTick();
@@ -225,63 +220,31 @@ void SwapManager::scheduleTick() {
 
 sim::Task SwapManager::atIterationBoundary(int rank) {
   // The hijacked communication point: rank 0 applies pending swaps, paying
-  // the process-image transfer for each; everyone then resynchronizes. Each
-  // swap is a transaction: prepare stages the retarget (the live mapping is
-  // untouched, so the rank keeps communicating from its old node), commit
-  // moves the process image and flips the mapping, and any fault in between
-  // — transfer failure, either endpoint dying under us — aborts the staged
-  // retarget and the rank stays exactly where it was.
+  // the process-image transfer for each, and re-points the rank once its
+  // image has arrived (until then it keeps communicating from its old
+  // node); everyone then resynchronizes. A transfer that fails (a link on
+  // the route is down) leaves the rank where it was.
   if (rank == 0 && !pending_.empty()) {
     std::vector<Command> cmds = std::move(pending_);
     pending_.clear();
     for (const auto& c : cmds) {
       const grid::NodeId from = world_->nodeOf(c.rank);
       if (from == c.to) continue;
-      if (!reachable(from) || !reachable(c.to)) {
-        // Prepare-time validation: the node died between policy evaluation
-        // (enqueue) and this boundary. Nothing was staged, nothing to undo.
+      try {
+        co_await world_->grid().transfer(from, c.to, kPerProcessDataBytes);
+      } catch (const std::exception& e) {
         GRADS_INFO("swap", world_->engine().now())
-            << world_->name() << ": rank " << c.rank << " swap to "
-            << world_->grid().node(c.to).name() << " dropped at prepare: "
-            << (reachable(from) ? "target" : "source") << " node unreachable";
+            << world_->name() << ": rank " << c.rank << " stays on "
+            << world_->grid().node(from).name() << ": image transfer to "
+            << world_->grid().node(c.to).name() << " failed: " << e.what();
         continue;
       }
-      world_->beginRetarget(c.rank, c.to);
-      int txn = -1;
-      if (journal_ != nullptr) {
-        txn = journal_->open(world_->name(), ActionKind::kSwap, {from},
-                             {c.to});
-        journal_->beginCommit(txn);
-      }
-      std::exception_ptr failure;
-      try {
-        co_await world_->grid().transfer(from, c.to,
-                                         cfg_.perProcessDataBytes);
-      } catch (const std::exception&) {
-        failure = std::current_exception();
-      }
-      // The transfer took simulated time; re-validate both endpoints at the
-      // commit point before flipping the mapping.
-      if (failure == nullptr && reachable(c.to) && reachable(from)) {
-        world_->commitRetarget(c.rank);
-        if (txn >= 0) journal_->commit(txn);
-        history_.push_back(
-            SwapEvent{world_->engine().now(), c.rank, from, c.to});
-        GRADS_INFO("swap", world_->engine().now())
-            << world_->name() << ": rank " << c.rank << " swapped "
-            << world_->grid().node(from).name() << " -> "
-            << world_->grid().node(c.to).name();
-      } else {
-        world_->abortRetarget(c.rank);
-        ++rolledBack_;
-        const char* why = failure != nullptr ? "transfer failed"
-                          : !reachable(c.to) ? "target died mid-transfer"
-                                             : "source died mid-transfer";
-        if (txn >= 0) journal_->rollback(txn, why);
-        GRADS_INFO("swap", world_->engine().now())
-            << world_->name() << ": rank " << c.rank << " swap to "
-            << world_->grid().node(c.to).name() << " rolled back: " << why;
-      }
+      world_->setNodeOf(c.rank, c.to);
+      history_.push_back(SwapEvent{world_->engine().now(), c.rank, from, c.to});
+      GRADS_INFO("swap", world_->engine().now())
+          << world_->name() << ": rank " << c.rank << " swapped "
+          << world_->grid().node(from).name() << " -> "
+          << world_->grid().node(c.to).name();
     }
   }
   co_await world_->barrier(rank);

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "reschedule/journal.hpp"
-#include "services/gis.hpp"
 #include "services/nws.hpp"
 #include "sim/task.hpp"
 #include "vmpi/world.hpp"
@@ -23,10 +21,6 @@ const char* swapPolicyName(SwapPolicy p);
 
 struct SwapConfig {
   SwapPolicy policy = SwapPolicy::kGreedy;
-  double checkPeriodSec = 10.0;
-  /// Per-process working-set size moved on a swap (the data allocation
-  /// itself cannot be modified, §4.2.1 — only relocated).
-  double perProcessDataBytes = 8.0 * 1024 * 1024;
   /// Per-iteration flops per process (for the model-based policy).
   double flopsPerRankPerIteration = 0.0;
   /// Per-iteration synchronizing messages (for the latency penalty).
@@ -49,18 +43,11 @@ class SwapManager {
   void start();
   void stop() { running_ = false; }
 
-  /// Wires ground-truth reachability: candidates that fail-stopped are
-  /// skipped at evaluation, and a node that dies between prepare (enqueue)
-  /// and commit (iteration boundary) aborts its swap instead of committing
-  /// a rank onto a corpse. Null = every pool node is assumed alive.
-  void setGis(const services::Gis* gis) { gis_ = gis; }
-  /// Journals every swap as a prepare/commit/rollback transaction.
-  void setJournal(ActionJournal* journal) { journal_ = journal; }
-
   /// Application hook, called by every rank at each iteration boundary
   /// (after the iteration's closing collective). Rank 0 applies pending
   /// swap commands — paying the data-movement cost — then everyone
-  /// resynchronizes.
+  /// resynchronizes. A swap whose image transfer fails leaves its rank on
+  /// the node it was on.
   sim::Task atIterationBoundary(int rank);
 
   /// Effective flop rate of a node right now (NWS forecast when available,
@@ -79,11 +66,6 @@ class SwapManager {
   };
   const std::vector<SwapEvent>& history() const { return history_; }
   std::size_t pendingSwaps() const { return pending_.size(); }
-  /// Swaps that reached the commit point and flipped the mapping.
-  std::size_t committedSwaps() const { return history_.size(); }
-  /// Swaps rolled back between prepare and commit (node died, transfer
-  /// failed): the rank stayed on its prior node.
-  std::size_t rolledBackSwaps() const { return rolledBack_; }
   const std::vector<grid::NodeId>& pool() const { return pool_; }
 
   /// Runs one policy evaluation immediately (normally driven by start()).
@@ -94,13 +76,10 @@ class SwapManager {
   void scheduleTick();
   std::vector<grid::NodeId> inactiveNodes() const;
   void enqueue(int rank, grid::NodeId to);
-  bool reachable(grid::NodeId node) const;
 
   vmpi::World* world_;
   std::vector<grid::NodeId> pool_;
   const services::Nws* nws_;
-  const services::Gis* gis_ = nullptr;
-  ActionJournal* journal_ = nullptr;
   SwapConfig cfg_;
   bool running_ = false;
   struct Command {
@@ -109,7 +88,6 @@ class SwapManager {
   };
   std::vector<Command> pending_;
   std::vector<SwapEvent> history_;
-  std::size_t rolledBack_ = 0;
 };
 
 }  // namespace grads::reschedule

@@ -13,11 +13,14 @@ namespace grads::sim {
 
 /// Processor-sharing resource of fixed capacity.
 ///
-/// This single abstraction models both CPUs and network links:
+/// It models CPUs and IBP depot disks:
 ///  - a CPU is a PsResource with capacity = cores × flops/core and
 ///    maxRatePerUnit = flops/core (one process cannot use two cores);
-///  - a link is a PsResource with capacity = bandwidth (bytes/s) and
-///    unbounded per-flow rate (flows share fairly).
+///  - a depot disk is a PsResource whose capacity is the disk's bandwidth
+///    (bytes/s), shared by the reads and writes in flight.
+///
+/// Network links are not PsResources: grid::FlowRegistry shares them by
+/// weighted max-min fairness.
 ///
 /// Finite jobs (compute bursts, transfers) are submitted with consume(work)
 /// and complete when the integral of their share of capacity reaches `work`.

@@ -23,40 +23,7 @@ grid::NodeId World::nodeOf(int rank) const {
 void World::setNodeOf(int rank, grid::NodeId node) {
   GRADS_REQUIRE(rank >= 0 && rank < size(), "World::setNodeOf: bad rank");
   GRADS_REQUIRE(node < grid_->nodeCount(), "World::setNodeOf: unknown node");
-  GRADS_REQUIRE(stagedRetargets_.count(rank) == 0,
-                "World::setNodeOf: rank has an open retarget; commit or "
-                "abort it first");
   nodes_[static_cast<std::size_t>(rank)] = node;
-}
-
-void World::beginRetarget(int rank, grid::NodeId to) {
-  GRADS_REQUIRE(rank >= 0 && rank < size(), "World::beginRetarget: bad rank");
-  GRADS_REQUIRE(to < grid_->nodeCount(), "World::beginRetarget: unknown node");
-  GRADS_REQUIRE(stagedRetargets_.count(rank) == 0,
-                "World::beginRetarget: rank already has an open retarget");
-  stagedRetargets_[rank] = to;
-}
-
-grid::NodeId World::stagedTarget(int rank) const {
-  const auto it = stagedRetargets_.find(rank);
-  return it == stagedRetargets_.end() ? grid::kNoId : it->second;
-}
-
-void World::commitRetarget(int rank) {
-  const auto it = stagedRetargets_.find(rank);
-  GRADS_REQUIRE(it != stagedRetargets_.end(),
-                "World::commitRetarget: no open retarget for rank");
-  nodes_[static_cast<std::size_t>(rank)] = it->second;
-  stagedRetargets_.erase(it);
-  ++retargetsCommitted_;
-}
-
-void World::abortRetarget(int rank) {
-  const auto it = stagedRetargets_.find(rank);
-  GRADS_REQUIRE(it != stagedRetargets_.end(),
-                "World::abortRetarget: no open retarget for rank");
-  stagedRetargets_.erase(it);
-  ++retargetsAborted_;
 }
 
 World::Mailbox& World::mailbox(int dst, int tag) {

@@ -49,21 +49,6 @@ class World {
   void setNodeOf(int rank, grid::NodeId node);
   const std::vector<grid::NodeId>& mapping() const { return nodes_; }
 
-  /// Abortable retarget protocol (the two-phase half of a transactional
-  /// process swap): beginRetarget stages a new node for the rank without
-  /// touching the live mapping — mid-transfer the rank still communicates
-  /// from its old node — then commitRetarget flips the mapping atomically,
-  /// or abortRetarget discards the staged target and the swap never
-  /// happened. setNodeOf refuses to bypass an open retarget, so a staged
-  /// rank cannot be doubly mapped.
-  void beginRetarget(int rank, grid::NodeId to);
-  /// Staged target of an open retarget (kNoId when none).
-  grid::NodeId stagedTarget(int rank) const;
-  void commitRetarget(int rank);
-  void abortRetarget(int rank);
-  std::size_t retargetsCommitted() const { return retargetsCommitted_; }
-  std::size_t retargetsAborted() const { return retargetsAborted_; }
-
   /// Point-to-point send: pays the network cost, then delivers.
   sim::Task send(int from, int to, double bytes, int tag = 0,
                  std::any payload = {});
@@ -117,9 +102,6 @@ class World {
   std::vector<grid::NodeId> nodes_;
   std::string name_;
   std::map<MailboxKey, Mailbox> boxes_;
-  std::map<int, grid::NodeId> stagedRetargets_;
-  std::size_t retargetsCommitted_ = 0;
-  std::size_t retargetsAborted_ = 0;
 
   // Barrier state.
   int barrierArrived_ = 0;

@@ -143,9 +143,11 @@ sim::Task WorkflowExecutor::runComponent(const Dag& dag, ComponentId c,
 }
 
 void WorkflowExecutor::rescheduleUnstarted(const Dag& dag, RunState& state) {
-  // Build a residual DAG view: components already started keep their
-  // placement (passed to rank() as fixed predecessors); the rest are
-  // remapped with fresh NWS information.
+  // Schedules the whole DAG from t = 0 with fresh NWS information and, if
+  // that schedule wins, moves only the components that have not started;
+  // started ones keep their nodes. Scheduling the residual work from now
+  // (started components fixed at their actual or expected finish) is still
+  // open.
   ++state.rescheduleRounds;
   GridEstimator estimator(*gis_, nws_);
   WorkflowScheduler scheduler(estimator, gis_->availableNodes());

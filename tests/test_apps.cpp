@@ -6,6 +6,7 @@
 #include "apps/nbody.hpp"
 #include "apps/qr.hpp"
 #include "grid/testbeds.hpp"
+#include "microgrid/dml.hpp"
 #include "services/gis.hpp"
 #include "sim/sync.hpp"
 #include "util/error.hpp"
@@ -126,11 +127,19 @@ TEST(NBody, IterationFlopsSplitAcrossRanks) {
                    20.0 * 1000.0 * 999.0 / 4.0);
 }
 
+/// The UTK nodes of the Figure-4 virtual grid, instantiated into `g` from
+/// the same DML as bench::runSwapExperiment.
+std::vector<grid::NodeId> swapGridUtkNodes(grid::Grid& g) {
+  microgrid::instantiate(g,
+                         microgrid::parseDml(microgrid::swapExperimentDml()));
+  return g.clusterNodes(*g.findCluster("utk"));
+}
+
 TEST(NBody, ProgressSamplesAreMonotone) {
   sim::Engine eng;
   grid::Grid g(eng);
-  const auto tb = grid::buildSwapTestbed(g);
-  vmpi::World world(g, {tb.utkNodes[0], tb.utkNodes[1], tb.utkNodes[2]});
+  const auto utk = swapGridUtkNodes(g);
+  vmpi::World world(g, {utk[0], utk[1], utk[2]});
   NBodyConfig cfg;
   cfg.particles = 2000;
   cfg.iterations = 10;
@@ -150,9 +159,8 @@ TEST(NBody, MoreRanksFinishFaster) {
   auto runWith = [](int ranks) {
     sim::Engine eng;
     grid::Grid g(eng);
-    const auto tb = grid::buildSwapTestbed(g);
-    std::vector<grid::NodeId> mapping(tb.utkNodes.begin(),
-                                      tb.utkNodes.begin() + ranks);
+    const auto utk = swapGridUtkNodes(g);
+    std::vector<grid::NodeId> mapping(utk.begin(), utk.begin() + ranks);
     vmpi::World world(g, mapping);
     NBodyConfig cfg;
     cfg.particles = 3000;

@@ -51,7 +51,7 @@ TEST(Journal, RollbackResolvesFromEitherPhase) {
   EXPECT_EQ(j.record(a).state, ActionState::kRolledBack);
   EXPECT_EQ(j.record(a).note, "checkpoint incomplete");
   // Rollback from kCommitting (fault inside the commit window).
-  const int b = j.open("qr", ActionKind::kSwap, {2}, {3});
+  const int b = j.open("qr", ActionKind::kPreempt, {2}, {3});
   j.beginCommit(b);
   j.rollback(b, "target died mid-transfer");
   EXPECT_EQ(j.record(b).state, ActionState::kRolledBack);
@@ -66,7 +66,7 @@ TEST(Journal, SecondOpenForSameAppThrows) {
   sim::Engine eng;
   ActionJournal j(eng);
   j.open("qr", ActionKind::kMigrate, {1});
-  EXPECT_THROW(j.open("qr", ActionKind::kSwap, {1}), InvalidArgument);
+  EXPECT_THROW(j.open("qr", ActionKind::kPreempt, {1}), InvalidArgument);
   // A different app is fine, and resolving reopens the slot.
   EXPECT_NO_THROW(j.open("other", ActionKind::kMigrate, {2}));
   j.rollback(j.openAction("qr")->id, "fault");
@@ -105,7 +105,7 @@ TEST(Journal, TalliesSurviveDecode) {
   eng.runUntil(5.0);
   j.commit(j.open("qr", ActionKind::kMigrate, {1}));
   eng.runUntil(10.0);
-  j.rollback(j.open("qr", ActionKind::kSwap, {1}, {2}), "target died");
+  j.rollback(j.open("qr", ActionKind::kPreempt, {1}, {2}), "target died");
   j.rollback(j.open("nbody", ActionKind::kMigrate, {3}), "fault");
   eng.runUntil(15.0);
   j.commit(j.open("qr", ActionKind::kMigrate, {1}));

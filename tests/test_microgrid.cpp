@@ -69,6 +69,9 @@ TEST(Dml, InstantiateBuildsMatchingGrid) {
               0.001);
   EXPECT_NEAR(g.route(g.clusterNodes(*ucsd)[0], nodes[0]).latencySec, 0.030,
               0.001);
+  // 550 MHz UTK vs 450 MHz UIUC: UTK nodes are faster.
+  EXPECT_GT(g.node(nodes[0]).spec().effectiveFlops(),
+            g.node(g.clusterNodes(*uiuc)[0]).spec().effectiveFlops());
 }
 
 TEST(Dml, LoadTracesParsedAndApplied) {

@@ -5,6 +5,7 @@
 #include "core/app_manager.hpp"
 #include "grid/load.hpp"
 #include "grid/testbeds.hpp"
+#include "microgrid/dml.hpp"
 #include "reschedule/journal.hpp"
 #include "reschedule/rescheduler.hpp"
 #include "reschedule/srs.hpp"
@@ -298,36 +299,41 @@ TEST(Rescheduler, NotOpportunisticByDefault) {
   EXPECT_TRUE(r.decisions().empty());
 }
 
+/// The Figure-4 virtual grid, instantiated from the same DML as
+/// bench::runSwapExperiment: the application runs on the three UTK nodes and
+/// may swap onto the three UIUC ones.
 struct SwapFixture {
   sim::Engine eng;
   grid::Grid g{eng};
-  grid::SwapTestbed tb;
+  grid::ClusterId uiucCluster = grid::kNoId;
+  std::vector<grid::NodeId> utk;
+  std::vector<grid::NodeId> uiuc;
   std::unique_ptr<vmpi::World> world;
   std::vector<grid::NodeId> pool;
 
   SwapFixture() {
-    tb = grid::buildSwapTestbed(g);
+    microgrid::instantiate(
+        g, microgrid::parseDml(microgrid::swapExperimentDml()));
+    uiucCluster = *g.findCluster("uiuc");
+    utk = g.clusterNodes(*g.findCluster("utk"));
+    uiuc = g.clusterNodes(uiucCluster);
     world = std::make_unique<vmpi::World>(
-        g, std::vector<grid::NodeId>{tb.utkNodes[0], tb.utkNodes[1],
-                                     tb.utkNodes[2]},
-        "nbody");
-    pool = tb.utkNodes;
-    pool.insert(pool.end(), tb.uiucNodes.begin(), tb.uiucNodes.end());
+        g, std::vector<grid::NodeId>{utk[0], utk[1], utk[2]}, "nbody");
+    pool = utk;
+    pool.insert(pool.end(), uiuc.begin(), uiuc.end());
   }
 
   SwapConfig config(SwapPolicy p) const {
     SwapConfig c;
     c.policy = p;
     c.flopsPerRankPerIteration = 5e8;
-    c.perProcessDataBytes = 4.0 * kMB;
     return c;
   }
 };
 
 TEST(Swap, RejectsActiveOutsidePool) {
   SwapFixture f;
-  EXPECT_THROW(SwapManager(*f.world, {f.tb.uiucNodes[0], f.tb.uiucNodes[1],
-                                      f.tb.uiucNodes[2]},
+  EXPECT_THROW(SwapManager(*f.world, {f.uiuc[0], f.uiuc[1], f.uiuc[2]},
                            nullptr, f.config(SwapPolicy::kGreedy)),
                InvalidArgument);
 }
@@ -335,7 +341,7 @@ TEST(Swap, RejectsActiveOutsidePool) {
 TEST(Swap, NeverPolicyNeverSwaps) {
   SwapFixture f;
   SwapManager swap(*f.world, f.pool, nullptr, f.config(SwapPolicy::kNever));
-  f.g.node(f.tb.utkNodes[0]).injectLoad(5.0);
+  f.g.node(f.utk[0]).injectLoad(5.0);
   swap.evaluate();
   EXPECT_EQ(swap.pendingSwaps(), 0u);
 }
@@ -345,7 +351,7 @@ TEST(Swap, GreedySwapsDegradedNode) {
   SwapManager swap(*f.world, f.pool, nullptr, f.config(SwapPolicy::kGreedy));
   swap.evaluate();
   EXPECT_EQ(swap.pendingSwaps(), 0u);  // nothing degraded yet
-  f.g.node(f.tb.utkNodes[0]).injectLoad(3.0);
+  f.g.node(f.utk[0]).injectLoad(3.0);
   swap.evaluate();
   EXPECT_EQ(swap.pendingSwaps(), 1u);  // only the loaded node is replaced
 }
@@ -353,7 +359,7 @@ TEST(Swap, GreedySwapsDegradedNode) {
 TEST(Swap, PendingSwapAppliedAtIterationBoundary) {
   SwapFixture f;
   SwapManager swap(*f.world, f.pool, nullptr, f.config(SwapPolicy::kGreedy));
-  f.g.node(f.tb.utkNodes[0]).injectLoad(3.0);
+  f.g.node(f.utk[0]).injectLoad(3.0);
   swap.evaluate();
   ASSERT_EQ(swap.pendingSwaps(), 1u);
   for (int r = 0; r < 3; ++r) {
@@ -364,9 +370,9 @@ TEST(Swap, PendingSwapAppliedAtIterationBoundary) {
   f.eng.run();
   EXPECT_EQ(swap.pendingSwaps(), 0u);
   ASSERT_EQ(swap.history().size(), 1u);
-  EXPECT_EQ(swap.history()[0].from, f.tb.utkNodes[0]);
+  EXPECT_EQ(swap.history()[0].from, f.utk[0]);
   // Rank 0 now runs on a UIUC node (the only idle faster option).
-  EXPECT_EQ(f.g.node(f.world->nodeOf(0)).cluster(), f.tb.uiuc);
+  EXPECT_EQ(f.g.node(f.world->nodeOf(0)).cluster(), f.uiucCluster);
 }
 
 TEST(Swap, ModelBasedMovesWholeSetAcrossClusters) {
@@ -377,7 +383,7 @@ TEST(Swap, ModelBasedMovesWholeSetAcrossClusters) {
   auto cfg = f.config(SwapPolicy::kModelBased);
   cfg.messagesPerIteration = 50.0;  // make cross-cluster latency expensive
   SwapManager swap(*f.world, f.pool, nullptr, cfg);
-  f.g.node(f.tb.utkNodes[0]).injectLoad(3.0);
+  f.g.node(f.utk[0]).injectLoad(3.0);
   swap.evaluate();
   EXPECT_EQ(swap.pendingSwaps(), 3u);  // all three ranks move
 }
@@ -395,121 +401,40 @@ TEST(Swap, PredictIterationAccountsForLatency) {
   auto cfg = f.config(SwapPolicy::kModelBased);
   cfg.messagesPerIteration = 10.0;
   SwapManager swap(*f.world, f.pool, nullptr, cfg);
-  const double utkOnly = swap.predictIterationSeconds(
-      {f.tb.utkNodes[0], f.tb.utkNodes[1], f.tb.utkNodes[2]});
-  const double mixed = swap.predictIterationSeconds(
-      {f.tb.utkNodes[0], f.tb.utkNodes[1], f.tb.uiucNodes[0]});
+  const double utkOnly =
+      swap.predictIterationSeconds({f.utk[0], f.utk[1], f.utk[2]});
+  const double mixed =
+      swap.predictIterationSeconds({f.utk[0], f.utk[1], f.uiuc[0]});
   // The mixed set pays 10 × 11 ms WAN latency per iteration and is gated by
   // the slower UIUC node.
   EXPECT_GT(mixed, utkOnly + 0.1);
 }
 
-TEST(Swap, TargetDiesMidTransferRollsBack) {
-  // A swap is a transaction: the target node dies while the process image
-  // is in flight (between prepare and commit), so the staged retarget must
-  // be aborted and the rank must stay exactly where it was.
+TEST(Swap, FailedTransferLeavesRankInPlace) {
+  // A swap whose process image cannot cross the network is dropped at the
+  // iteration boundary: the rank keeps its node, and every rank still
+  // passes the boundary.
   SwapFixture f;
-  services::Gis gis(f.g);
-  ActionJournal journal(f.eng);
   SwapManager swap(*f.world, f.pool, nullptr, f.config(SwapPolicy::kGreedy));
-  swap.setGis(&gis);
-  swap.setJournal(&journal);
-  f.g.node(f.tb.utkNodes[0]).injectLoad(3.0);
+  f.g.node(f.utk[0]).injectLoad(3.0);
   swap.evaluate();
   ASSERT_EQ(swap.pendingSwaps(), 1u);
   const grid::NodeId before = f.world->nodeOf(0);
-  // The 4 MB image takes ~2 s across the 2 MB/s WAN; kill every candidate
-  // target 1 s in, squarely mid-transfer.
-  f.eng.scheduleDaemon(1.0, [&] {
-    for (const auto id : f.tb.uiucNodes) gis.setNodeReachable(id, false);
-  });
+  for (const auto l : f.g.route(f.utk[0], f.uiuc[0]).links) {
+    f.g.link(l).setUp(false);
+  }
+  int passed = 0;
   for (int r = 0; r < 3; ++r) {
-    f.eng.spawn([](SwapManager& s, int rank) -> sim::Task {
+    f.eng.spawn([](SwapManager& s, int rank, int& n) -> sim::Task {
       co_await s.atIterationBoundary(rank);
-    }(swap, r));
+      ++n;
+    }(swap, r, passed));
   }
   f.eng.run();
-  EXPECT_EQ(f.world->nodeOf(0), before);  // prior active set restored
-  EXPECT_TRUE(swap.history().empty());
-  EXPECT_EQ(swap.committedSwaps(), 0);
-  EXPECT_EQ(swap.rolledBackSwaps(), 1);
-  EXPECT_EQ(f.world->retargetsAborted(), 1);
-  EXPECT_EQ(f.world->retargetsCommitted(), 0);
-  EXPECT_EQ(journal.rolledBack(), 1);
-  EXPECT_EQ(journal.inFlight(), 0);
-  ASSERT_EQ(journal.records().size(), 1u);
-  EXPECT_EQ(journal.records()[0].state, ActionState::kRolledBack);
-  EXPECT_EQ(journal.records()[0].prior, std::vector<grid::NodeId>{before});
-}
-
-TEST(Swap, SourceDiesMidTransferRollsBack) {
-  // Same window, other endpoint: the rank's *current* node dies while its
-  // image is being copied out. The commit-point re-validation must catch it
-  // and abort rather than flip the mapping onto a half-moved process.
-  SwapFixture f;
-  services::Gis gis(f.g);
-  ActionJournal journal(f.eng);
-  SwapManager swap(*f.world, f.pool, nullptr, f.config(SwapPolicy::kGreedy));
-  swap.setGis(&gis);
-  swap.setJournal(&journal);
-  f.g.node(f.tb.utkNodes[0]).injectLoad(3.0);
-  swap.evaluate();
-  ASSERT_EQ(swap.pendingSwaps(), 1u);
-  const grid::NodeId before = f.world->nodeOf(0);
-  f.eng.scheduleDaemon(
-      1.0, [&] { gis.setNodeReachable(f.tb.utkNodes[0], false); });
-  for (int r = 0; r < 3; ++r) {
-    f.eng.spawn([](SwapManager& s, int rank) -> sim::Task {
-      co_await s.atIterationBoundary(rank);
-    }(swap, r));
-  }
-  f.eng.run();
+  EXPECT_EQ(passed, 3);
   EXPECT_EQ(f.world->nodeOf(0), before);
   EXPECT_TRUE(swap.history().empty());
-  EXPECT_EQ(swap.rolledBackSwaps(), 1);
-  EXPECT_EQ(f.world->retargetsAborted(), 1);
-  EXPECT_EQ(journal.rolledBack(), 1);
-  EXPECT_EQ(journal.inFlight(), 0);
-}
-
-TEST(Swap, UnreachableTargetDroppedAtPrepare) {
-  // The target died between policy evaluation and the iteration boundary:
-  // prepare-time validation drops the command before anything is staged —
-  // no journal record, no retarget, no rollback.
-  SwapFixture f;
-  services::Gis gis(f.g);
-  ActionJournal journal(f.eng);
-  SwapManager swap(*f.world, f.pool, nullptr, f.config(SwapPolicy::kGreedy));
-  swap.setGis(&gis);
-  swap.setJournal(&journal);
-  f.g.node(f.tb.utkNodes[0]).injectLoad(3.0);
-  swap.evaluate();
-  ASSERT_EQ(swap.pendingSwaps(), 1u);
-  for (const auto id : f.tb.uiucNodes) gis.setNodeReachable(id, false);
-  const grid::NodeId before = f.world->nodeOf(0);
-  for (int r = 0; r < 3; ++r) {
-    f.eng.spawn([](SwapManager& s, int rank) -> sim::Task {
-      co_await s.atIterationBoundary(rank);
-    }(swap, r));
-  }
-  f.eng.run();
-  EXPECT_EQ(f.world->nodeOf(0), before);
   EXPECT_EQ(swap.pendingSwaps(), 0u);
-  EXPECT_EQ(swap.rolledBackSwaps(), 0);
-  EXPECT_EQ(journal.opened(), 0);
-  EXPECT_EQ(f.world->retargetsAborted(), 0);
-}
-
-TEST(Swap, UnreachableNodesExcludedFromReplacementPool) {
-  // Policy evaluation itself must not propose a dead node as a target.
-  SwapFixture f;
-  services::Gis gis(f.g);
-  SwapManager swap(*f.world, f.pool, nullptr, f.config(SwapPolicy::kGreedy));
-  swap.setGis(&gis);
-  for (const auto id : f.tb.uiucNodes) gis.setNodeReachable(id, false);
-  f.g.node(f.tb.utkNodes[0]).injectLoad(3.0);
-  swap.evaluate();
-  EXPECT_EQ(swap.pendingSwaps(), 0u);  // only dead nodes would be faster
 }
 
 TEST(Swap, EndToEndNBodyRunSwapsUnderLoad) {
@@ -520,11 +445,10 @@ TEST(Swap, EndToEndNBodyRunSwapsUnderLoad) {
   cfg.particles = 4000;
   cfg.iterations = 40;
   auto scfg = f.config(SwapPolicy::kModelBased);
-  scfg.checkPeriodSec = 5.0;
   scfg.flopsPerRankPerIteration = apps::nbodyIterationFlopsPerRank(cfg, 3);
   SwapManager swap(*f.world, f.pool, &nws, scfg);
   swap.start();
-  grid::applyLoadTrace(f.eng, f.g.node(f.tb.utkNodes[0]),
+  grid::applyLoadTrace(f.eng, f.g.node(f.utk[0]),
                        grid::LoadTrace::stepAt(4.0, 2.0));
   apps::NBodyProgress progress;
   for (int r = 0; r < 3; ++r) {
@@ -536,7 +460,7 @@ TEST(Swap, EndToEndNBodyRunSwapsUnderLoad) {
   EXPECT_GE(swap.history().size(), 3u);
   // Everyone ends on UIUC.
   for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(f.g.node(f.world->nodeOf(r)).cluster(), f.tb.uiuc);
+    EXPECT_EQ(f.g.node(f.world->nodeOf(r)).cluster(), f.uiucCluster);
   }
 }
 
@@ -575,7 +499,7 @@ TEST(Journal, RecoveryScanIsIdempotent) {
   sim::Engine eng;
   ActionJournal journal(eng);
   const int a = journal.open("qr", ActionKind::kMigrate, {1, 2}, {3, 4});
-  const int b = journal.open("nbody", ActionKind::kSwap, {5, 6});
+  const int b = journal.open("nbody", ActionKind::kPreempt, {5, 6});
   journal.beginCommit(a);
   ASSERT_EQ(journal.inFlight(), 2);
 

@@ -285,7 +285,7 @@ TEST(SnapshotWalker, FieldListsNestAndDelegateToCodecs) {
   // A type without a field list goes through its own codec.
   sim::Engine eng;
   reschedule::ActionJournal journal(eng);
-  journal.open("qr", reschedule::ActionKind::kSwap, {1});
+  journal.open("qr", reschedule::ActionKind::kPreempt, {1});
   SnapshotWriter viaWalker;
   viaWalker(journal);
   SnapshotWriter direct;

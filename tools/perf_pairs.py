@@ -12,7 +12,12 @@ and S the run_seconds of BENCHMARK.json. Before the pairs, each side runs
 once with --seconds 0, untimed, which builds it. In each pair both sides
 run once; the side that runs first alternates from pair to pair. Every run
 must report correct with no failed ops, or the tool stops with an error.
-Each run's metrics are printed as it finishes.
+Each run's metrics are printed as it finishes, followed by the minor page
+faults (minflt) and involuntary context switches (nivcsw) of its process
+tree: the growth of this process's RUSAGE_CHILDREN counts across the run,
+into which perfbench's counts roll up because run.py waits on it. They say
+how the host treated a run; whether they tell a slow host mode from a slow
+program is not established.
 
 Then, for each end-to-end metric of BENCHMARK.json, it prints each side's
 median, quartiles and min-max, the relative change of the medians, the
@@ -33,6 +38,7 @@ perfbench/run.py keeps its build in each ROOT/.bench_build.
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,10 +53,16 @@ def fail(msg):
 
 
 def run(command, root, workload, seed, seconds, label):
-    """One benchmark run; returns its metrics as {name: value}."""
+    """One benchmark run; returns its metrics as {name: value}, and the
+    minor page faults and involuntary context switches of its process tree
+    as "minflt=N nivcsw=N"."""
     cmd = command + ["--workload", workload, "--seed", str(seed),
                      "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    host = "minflt=%d nivcsw=%d" % (after.ru_minflt - before.ru_minflt,
+                                    after.ru_nivcsw - before.ru_nivcsw)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -62,7 +74,7 @@ def run(command, root, workload, seed, seconds, label):
              % (label, " ".join(cmd), proc.returncode))
     if not result.get("correct") or result.get("failed") != 0:
         fail("%s: not correct or failed ops: %s" % (label, lines[-1]))
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return {k: v["value"] for k, v in result["metrics"].items()}, host
 
 
 def summary(values):
@@ -132,11 +144,12 @@ def main(argv):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             label = "pair %d/%d %s" % (i + 1, pairs, side)
-            got = run(command, roots[side], workload, seed, seconds, label)
+            got, host = run(command, roots[side], workload, seed, seconds,
+                            label)
             values[side].append(got)
             print(label + " " + " ".join(
-                "%s=%.6g" % (m["name"], got[m["name"]]) for m in metrics),
-                flush=True)
+                "%s=%.6g" % (m["name"], got[m["name"]]) for m in metrics) +
+                " " + host, flush=True)
 
     print("%s seed %d, pairs: %d, run seconds: %g" % (workload, seed, pairs,
                                                        seconds))
